@@ -24,7 +24,6 @@ which the evaluation figures 10-15 are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, auto
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.actions import ALL_ACTIONS, QAction
@@ -35,7 +34,7 @@ from repro.core.qtable import QTable
 from repro.core.rewards import DEFAULT_REWARDS, RewardFunction
 from repro.core.startup import CautiousStartup
 from repro.mac.base import MacProtocol, TransactionResult
-from repro.mac.gate import ActivityGate
+from repro.mac.gate import ActivityGate, AlwaysActiveGate
 from repro.mac.registry import register_mac
 from repro.phy.frames import Frame, FrameKind
 
@@ -44,45 +43,42 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-class _PendingKind(Enum):
-    """What the agent is currently waiting for."""
+# What the agent is currently waiting for (the pending slot's kind).  Plain
+# ints rather than an enum: the kind is tested at every subslot tick.
+PENDING_NONE = 0
+PENDING_BACKOFF = 1       # QBackoff: evaluated at the next subslot boundary
+PENDING_CCA_FAILED = 2    # QCCA with busy channel: backoff, evaluated next boundary
+PENDING_TRANSMISSION = 3  # QCCA (idle) or QSend: evaluated when the outcome is known
+PENDING_STARTUP = 4       # cautious-startup observation of one subslot
 
-    BACKOFF = auto()       # QBackoff: evaluated at the next subslot boundary
-    CCA_FAILED = auto()    # QCCA with busy channel: backoff, evaluated next boundary
-    TRANSMISSION = auto()  # QCCA (idle) or QSend: evaluated when the outcome is known
-    STARTUP = auto()       # cautious-startup observation of one subslot
-
-
-@dataclass
-class _PendingAction:
-    """State saved between selecting an action and learning from its outcome."""
-
-    kind: _PendingKind
-    action: QAction
-    state: int
-    counter: int
-    frame: Optional[Frame] = None
-    overheard: bool = False
+# Action codes (``QAction.value``) used on the per-decision path.
+_BACKOFF = QAction.QBACKOFF.value
+_CCA = QAction.QCCA.value
+_SEND = QAction.QSEND.value
+_ACTION_CODES = tuple(action.value for action in ALL_ACTIONS)
 
 
 @dataclass
 class QmaActionStats:
     """How often each action was selected (and how often at random)."""
 
-    selected: Dict[QAction, int] = field(default_factory=lambda: {a: 0 for a in ALL_ACTIONS})
+    #: Selections per action, indexed by the action code (``QAction.value``).
+    counts: List[int] = field(default_factory=lambda: [0] * len(ALL_ACTIONS))
     random_selections: int = 0
-    greedy_selections: int = 0
 
-    def record(self, action: QAction, random_pick: bool) -> None:
-        self.selected[action] += 1
-        if random_pick:
-            self.random_selections += 1
-        else:
-            self.greedy_selections += 1
+    @property
+    def selected(self) -> Dict[QAction, int]:
+        """Selections per action."""
+        return {action: self.counts[action.value] for action in ALL_ACTIONS}
+
+    @property
+    def greedy_selections(self) -> int:
+        """Selections that followed the learned policy."""
+        return self.total - self.random_selections
 
     @property
     def total(self) -> int:
-        return self.random_selections + self.greedy_selections
+        return sum(self.counts)
 
 
 @register_mac("qma", config_cls=QmaConfig,
@@ -101,41 +97,56 @@ class QmaMac(MacProtocol):
         rewards: Optional[RewardFunction] = None,
         gate: Optional[ActivityGate] = None,
     ) -> None:
-        self.config = config if config is not None else QmaConfig()
+        self.config = config = config if config is not None else QmaConfig()
         super().__init__(
             sim,
             radio,
-            queue_capacity=self.config.queue_capacity,
-            max_frame_retries=self.config.max_frame_retries,
+            queue_capacity=config.queue_capacity,
+            max_frame_retries=config.max_frame_retries,
             gate=gate,
         )
         self.rewards = rewards if rewards is not None else DEFAULT_REWARDS
         self.exploration = (
             exploration
             if exploration is not None
-            else ParameterBasedExploration(self.config.exploration_table)
+            else ParameterBasedExploration(config.exploration_table)
         )
         self.qtable = QTable(
-            num_states=self.config.num_subslots,
-            learning_rate=self.config.learning_rate,
-            discount_factor=self.config.discount_factor,
-            penalty=self.config.penalty,
-            q_init=self.config.q_init,
+            num_states=config.num_subslots,
+            learning_rate=config.learning_rate,
+            discount_factor=config.discount_factor,
+            penalty=config.penalty,
+            q_init=config.q_init,
         )
         self.startup = CautiousStartup(
-            self.config.cautious_startup_subslots,
-            cca_punishment=self.config.startup_cca_punishment,
-            send_punishment=self.config.startup_send_punishment,
+            config.cautious_startup_subslots,
+            cca_punishment=config.startup_cca_punishment,
+            send_punishment=config.startup_send_punishment,
         )
         self.neighbours = NeighbourQueueTracker()
         self.action_stats = QmaActionStats()
         self._rng = sim.rng.stream(f"qma-{self.node_id}")
 
+        # The config is frozen: read what the tick needs once.
+        self._num_subslots = config.num_subslots
+        self._subslot_duration = config.subslot_duration
+        self._track_history = config.track_history
+        self._gated = type(self.gate) is not AlwaysActiveGate
+
         self._subslot = 0
         self._next_subslot = 0
         self._counter = 0
         self.frames_elapsed = 0
-        self._pending: Optional[_PendingAction] = None
+        #: The pending slot: the action selected last and not yet learned
+        #: from.  One preallocated set of fields, rewritten per decision;
+        #: ``_pend_counter`` is the tick counter of the decision and tells a
+        #: stale CCA->transmit callback from the current one.
+        self._pend_kind = PENDING_NONE
+        self._pend_action = _BACKOFF
+        self._pend_state = 0
+        self._pend_counter = 0
+        self._pend_frame: Optional[Frame] = None
+        self._pend_overheard = False
         #: Tick-chain epoch: ticks carry the epoch they were scheduled in
         #: and no-op once it moves on, so stop()/start() cannot leave a
         #: stale chain running (ticks use the engine's fast path and have
@@ -175,151 +186,167 @@ class QmaMac(MacProtocol):
         return self._subslot
 
     def _on_subslot(self, epoch: int) -> None:
+        """One subslot boundary: learn, then select, then re-arm the clock.
+
+        Most ticks are idle (empty queue, nothing pending), yet every tick
+        is scheduled.  Eliding idle ticks — advancing the subslot clock
+        arithmetically while nothing can happen — is deliberately not done,
+        because it cannot keep the ``(time, seq)`` event order:
+
+        * nodes tick on one shared subslot grid: in the hidden-node
+          scenario (seed 1) every one of the 11,426 distinct tick times is
+          shared by more than one node, so same-time ticks are ordered only
+          by their heap sequence numbers;
+        * that order decides same-subslot outcomes — a QSend started by an
+          earlier tick makes a later tick's QCCA fail (Table 4 semantics);
+        * an idle tick re-armed on enqueue would draw a later sequence
+          number than its peers' ticks and reorder them.
+        """
         if epoch != self._tick_epoch:
             return
-        now = self.sim.now
-        self._subslot = self._next_subslot
+        subslot = self._subslot = self._next_subslot
         self._counter += 1
-        if self._subslot == 0:
+        if subslot == 0:
             self.frames_elapsed += 1
-            if self.config.track_history:
-                self.q_history.append((now, self.qtable.cumulative_policy_value()))
+            if self._track_history:
+                self.q_history.append((self.sim.now, self.qtable.cumulative_policy_value()))
 
-        # 1. Evaluate actions whose outcome becomes known at a subslot boundary.
-        if self._pending is not None and self._pending.kind in (
-            _PendingKind.BACKOFF,
-            _PendingKind.CCA_FAILED,
-            _PendingKind.STARTUP,
-        ):
-            self._evaluate_boundary_action(self._pending)
-            self._pending = None
+        # 1. Evaluate an action whose outcome becomes known at a subslot
+        #    boundary (everything but a transmission).
+        kind = self._pend_kind
+        if kind and kind != PENDING_TRANSMISSION:
+            self._evaluate_boundary_action(kind)
+            kind = self._pend_kind = PENDING_NONE
 
         # 2. Select the next action (or observe, during cautious startup).
         # No action is selected while the radio is busy (e.g. transmitting an
         # ACK for a frame received just before the subslot boundary).
-        if self._pending is None and not self.radio.transmitting:
+        if not kind:
             if self.startup.active:
-                self._begin_startup_observation()
-            elif not self.queue.empty:
+                if not self.radio.transmitting:
+                    self._begin_startup_observation()
+            elif not self.queue.empty and not self.radio.transmitting:
                 self._select_and_execute()
 
         # 3. Schedule the next subslot boundary.
         self._schedule_next_tick()
 
     def _schedule_next_tick(self) -> None:
-        next_time = self.sim.now + self.config.subslot_duration
-        next_index = (self._subslot + 1) % self.config.num_subslots
-        if not self.gate.active(next_time):
+        sim = self.sim
+        next_time = sim.now + self._subslot_duration
+        next_index = self._subslot + 1
+        if next_index == self._num_subslots:
+            next_index = 0
+        if self._gated and not self.gate.active(next_time):
             next_time = self.gate.next_active_time(next_time)
             next_index = 0
         self._next_subslot = next_index
-        self.sim.schedule_at_fast(next_time, self._on_subslot, self._tick_epoch)
+        sim.schedule_at_fast(next_time, self._on_subslot, self._tick_epoch)
 
     # ------------------------------------------------------------ action choice
     def _select_and_execute(self) -> None:
         now = self.sim.now
         state = self._subslot
-        rho = self.exploration.probability(
+        exploration = self.exploration
+        rho = exploration.probability(
             self.queue.level, self.neighbours.average_level(now), now
         )
-        self.exploration.notify_action(now)
-        if self.config.track_history:
+        exploration.notify_action(now)
+        if self._track_history:
             self.rho_history.append((now, rho))
-        if self._rng.random() < rho:
-            action = self._rng.choice(ALL_ACTIONS)
-            random_pick = True
+        rng = self._rng
+        stats = self.action_stats
+        if rng.random() < rho:
+            code = rng.choice(_ACTION_CODES)
+            stats.random_selections += 1
         else:
-            action = self.qtable.policy(state)
-            random_pick = False
-        self.action_stats.record(action, random_pick)
-        self._execute(action, state)
+            code = self.qtable.policy_code(state)
+        stats.counts[code] += 1
+        if code == _BACKOFF:
+            self._pend(PENDING_BACKOFF, _BACKOFF, state)
+        else:
+            self._execute(code, state)
 
-    def _execute(self, action: QAction, state: int) -> None:
-        if action is QAction.QBACKOFF:
-            self._pending = _PendingAction(_PendingKind.BACKOFF, action, state, self._counter)
-            return
+    def _pend(self, kind: int, code: int, state: int, frame: Optional[Frame] = None) -> None:
+        """Fill the pending slot for a decision taken at this tick."""
+        self._pend_kind = kind
+        self._pend_action = code
+        self._pend_state = state
+        self._pend_counter = self._counter
+        self._pend_frame = frame
+        self._pend_overheard = False
+
+    def _execute(self, code: int, state: int) -> None:
+        """Carry out a selected QCCA or QSend (both touch the channel)."""
         frame = self.queue.peek()
         if frame is None:  # defensive: queue drained between check and execution
-            self._pending = _PendingAction(_PendingKind.BACKOFF, QAction.QBACKOFF, state, self._counter)
+            self._pend(PENDING_BACKOFF, _BACKOFF, state)
             return
-        if action is QAction.QCCA:
+        if code == _CCA:
             if self._cca():
-                self._pending = _PendingAction(
-                    _PendingKind.TRANSMISSION, action, state, self._counter, frame=frame
-                )
+                self._pend(PENDING_TRANSMISSION, _CCA, state, frame)
                 delay = self.phy.cca_duration + self.phy.turnaround_time
-                self.sim.schedule_fast(delay, self._transmit_pending, self._pending)
+                self.sim.schedule_fast(delay, self._transmit_pending, self._counter)
             else:
-                self._pending = _PendingAction(
-                    _PendingKind.CCA_FAILED, action, state, self._counter
-                )
+                self._pend(PENDING_CCA_FAILED, _CCA, state)
             return
         # QSend: transmit immediately, without assessing the channel.
         if self.radio.transmitting:
             # The radio is busy (e.g. finishing an ACK); defer to the next subslot.
-            self._pending = _PendingAction(
-                _PendingKind.BACKOFF, QAction.QBACKOFF, state, self._counter
-            )
+            self._pend(PENDING_BACKOFF, _BACKOFF, state)
             return
-        self._pending = _PendingAction(
-            _PendingKind.TRANSMISSION, action, state, self._counter, frame=frame
-        )
+        self._pend(PENDING_TRANSMISSION, _SEND, state, frame)
         self._begin_transmission(frame)
 
-    def _transmit_pending(self, pending: _PendingAction) -> None:
-        if self._pending is not pending or pending.frame is None:
+    def _transmit_pending(self, counter: int) -> None:
+        # Stale unless the transmission decided at tick ``counter`` is
+        # still the pending action.
+        if self._pend_kind != PENDING_TRANSMISSION or self._pend_counter != counter:
             return
         if self.radio.transmitting:
             return
-        self._begin_transmission(pending.frame)
+        self._begin_transmission(self._pend_frame)
 
     # ------------------------------------------------------- cautious startup
     def _begin_startup_observation(self) -> None:
-        self._pending = _PendingAction(
-            _PendingKind.STARTUP, QAction.QBACKOFF, self._subslot, self._counter
-        )
+        self._pend(PENDING_STARTUP, _BACKOFF, self._subslot)
         self.startup.tick()
 
     # ------------------------------------------------------------- evaluation
-    def _evaluate_boundary_action(self, pending: _PendingAction) -> None:
+    def _evaluate_boundary_action(self, kind: int) -> None:
         next_state = self._subslot
-        if pending.kind is _PendingKind.BACKOFF:
-            reward = self.rewards.backoff(pending.overheard)
-            self.qtable.update(pending.state, QAction.QBACKOFF, reward, next_state)
-        elif pending.kind is _PendingKind.CCA_FAILED:
-            reward = self.rewards.cca(cca_success=False)
-            self.qtable.update(pending.state, QAction.QCCA, reward, next_state)
-        elif pending.kind is _PendingKind.STARTUP:
-            reward = self.rewards.backoff(pending.overheard)
-            self.qtable.update(pending.state, QAction.QBACKOFF, reward, next_state)
-            if pending.overheard:
-                # Bias the table against subslots already used by other nodes.
-                self.qtable.update(
-                    pending.state, QAction.QCCA, self.startup.cca_punishment, next_state
-                )
-                self.qtable.update(
-                    pending.state, QAction.QSEND, self.startup.send_punishment, next_state
-                )
+        state = self._pend_state
+        apply = self.qtable.apply
+        if kind == PENDING_CCA_FAILED:
+            apply(state, _CCA, self.rewards.cca(cca_success=False), next_state)
+            return
+        # PENDING_BACKOFF or PENDING_STARTUP: both rewarded as QBackoff.
+        overheard = self._pend_overheard
+        apply(state, _BACKOFF, self.rewards.backoff(overheard), next_state)
+        if kind == PENDING_STARTUP and overheard:
+            # Bias the table against subslots already used by other nodes.
+            apply(state, _CCA, self.startup.cca_punishment, next_state)
+            apply(state, _SEND, self.startup.send_punishment, next_state)
 
     def _transaction_complete(self, frame: Frame, result: TransactionResult) -> None:
-        pending = self._pending
-        if pending is None or pending.kind is not _PendingKind.TRANSMISSION:
+        if self._pend_kind != PENDING_TRANSMISSION:
             # A transaction that QMA is not aware of (should not happen); ignore.
             return
         success = result is TransactionResult.SUCCESS
-        if pending.action is QAction.QSEND:
+        code = self._pend_action
+        if code == _SEND:
             reward = self.rewards.send(success)
         else:
             reward = self.rewards.cca(cca_success=True, tx_success=success)
-        next_state = self._subslot
-        self.qtable.update(pending.state, pending.action, reward, next_state)
-        self._pending = None
+        self.qtable.apply(self._pend_state, code, reward, self._subslot)
+        self._pend_kind = PENDING_NONE
+        self._pend_frame = None
 
         if success:
             self._finish_frame(frame, success=True)
             return
         frame.retries += 1
-        if frame.retries > self.config.max_frame_retries:
+        if frame.retries > self.max_frame_retries:
             self.stats.dropped_retries += 1
             self._finish_frame(frame, success=False)
         # Otherwise the frame stays at the head of the queue and will be
@@ -328,11 +355,9 @@ class QmaMac(MacProtocol):
 
     # -------------------------------------------------------------- overhearing
     def _register_channel_activity(self, frame: Frame) -> None:
-        if self._pending is not None and self._pending.kind in (
-            _PendingKind.BACKOFF,
-            _PendingKind.STARTUP,
-        ):
-            self._pending.overheard = True
+        kind = self._pend_kind
+        if kind == PENDING_BACKOFF or kind == PENDING_STARTUP:
+            self._pend_overheard = True
         if frame.kind is not FrameKind.ACK:
             self.neighbours.observe(frame.src, frame.queue_level, self.sim.now)
 

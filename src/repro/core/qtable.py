@@ -16,7 +16,7 @@ equally good joint policies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.actions import ALL_ACTIONS, QAction
 
@@ -68,17 +68,19 @@ class QTable:
         self.discount_factor = discount_factor
         self.penalty = penalty
         self.q_init = q_init
-        # Q-values stored as flat per-state float lists indexed by
-        # ``QAction.value`` (0/1/2): the update runs once per selected action
-        # in the inner loop, and list indexing avoids the enum-hashing cost
-        # of dict rows.  The dict-shaped API (``values_snapshot`` etc.) is
-        # preserved on top.
+        # Actions are int-coded internally (``QAction.value``: 0/1/2): Q-values
+        # are flat per-state float lists and the policy a list of codes, so
+        # the per-decision path never touches an enum.  The enum- and
+        # dict-shaped API (``policy``, ``values_snapshot`` etc.) is kept on top.
         self._values: List[List[float]] = [
             [q_init] * len(ALL_ACTIONS) for _ in range(num_states)
         ]
-        #: π(m): initialised to QBackoff for every subslot (Algorithm 1).
-        self._policy: List[QAction] = [QAction.QBACKOFF] * num_states
+        #: π(m) as action codes: initialised to QBackoff (Algorithm 1).
+        self._policy: List[int] = [QAction.QBACKOFF.value] * num_states
         self.updates = 0
+        #: Cached :meth:`cumulative_policy_value`; None once a policy entry
+        #: or the value it points at may have changed.
+        self._cumulative: Optional[float] = None
 
     # ------------------------------------------------------------------ access
     def value(self, state: int, action: QAction) -> float:
@@ -88,6 +90,7 @@ class QTable:
     def set_value(self, state: int, action: QAction, value: float) -> None:
         """Directly overwrite a Q-value (used by tests and the worked example)."""
         self._values[state][action.value] = value
+        self._cumulative = None
 
     def max_value(self, state: int) -> float:
         """max_a Q(state, a)."""
@@ -104,14 +107,19 @@ class QTable:
 
     def policy(self, state: int) -> QAction:
         """π(state)."""
+        return ALL_ACTIONS[self._policy[state]]
+
+    def policy_code(self, state: int) -> int:
+        """π(state) as an action code (``QAction.value``)."""
         return self._policy[state]
 
     def set_policy(self, state: int, action: QAction) -> None:
-        self._policy[state] = action
+        self._policy[state] = action.value
+        self._cumulative = None
 
     def policy_snapshot(self) -> List[QAction]:
         """A copy of the full policy table."""
-        return list(self._policy)
+        return [ALL_ACTIONS[code] for code in self._policy]
 
     def values_snapshot(self) -> List[Dict[QAction, float]]:
         """A deep copy of the Q-value table (dict rows keyed by action)."""
@@ -138,31 +146,62 @@ class QTable:
             raise IndexError(f"state {state} out of range")
         if not 0 <= next_state < self.num_states:
             raise IndexError(f"next_state {next_state} out of range")
-        alpha = self.learning_rate
-        gamma = self.discount_factor
-        row = self._values[state]
-        old = row[action.value]
-        candidate = (1.0 - alpha) * old + alpha * (
-            reward + gamma * max(self._values[next_state])
+        old = self.value(state, action)
+        policy_before = self.policy(state)
+        candidate = self.apply(state, action.value, reward, next_state)
+        return QUpdateResult(
+            state,
+            action,
+            old,
+            self.value(state, action),
+            candidate,
+            self.policy(state) is not policy_before,
         )
-        new = max(old - self.penalty, candidate)
-        row[action.value] = new
+
+    def apply(self, state: int, code: int, reward: float, next_state: int) -> float:
+        """:meth:`update` for an action code, unchecked; returns the Eq. 5 candidate.
+
+        This is the per-decision path of the MAC: no enum, no range check
+        and no result object.
+        """
+        alpha = self.learning_rate
+        row = self._values[state]
+        old = row[code]
+        candidate = (1.0 - alpha) * old + alpha * (
+            reward + self.discount_factor * max(self._values[next_state])
+        )
+        # ``max(floor, candidate)`` spelled out: same result, no call.
+        floor = old - self.penalty
+        new = candidate if candidate > floor else floor
+        row[code] = new
         self.updates += 1
 
-        policy_changed = False
-        policy_action = self._policy[state]
-        if action is not policy_action and new > row[policy_action.value]:
+        policy = self._policy
+        policy_code = policy[state]
+        if code == policy_code:
+            # The Fig. 10 sum covers this value.
+            self._cumulative = None
+        elif new > row[policy_code]:
             # Eq. 3: only switch to a strictly better action.
-            self._policy[state] = action
-            policy_changed = True
-        return QUpdateResult(state, action, old, new, candidate, policy_changed)
+            policy[state] = code
+            self._cumulative = None
+        return candidate
 
     # --------------------------------------------------------------- metrics
     def cumulative_policy_value(self) -> float:
-        """Sum of Q-values of the policy actions over all subslots (Fig. 10 metric)."""
-        return sum(
-            self._values[m][self._policy[m].value] for m in range(self.num_states)
-        )
+        """Sum of Q-values of the policy actions over all subslots (Fig. 10 metric).
+
+        The MAC samples this at every frame boundary, so the sum is cached
+        and recomputed — in the same subslot order — only after a change
+        it covers.
+        """
+        total = self._cumulative
+        if total is None:
+            values, policy = self._values, self._policy
+            total = self._cumulative = sum(
+                values[m][policy[m]] for m in range(self.num_states)
+            )
+        return total
 
     def cumulative_max_value(self) -> float:
         """Sum of the per-subslot maximum Q-values."""
@@ -170,17 +209,14 @@ class QTable:
 
     def transmission_subslots(self) -> List[int]:
         """Subslots whose policy is a transmitting action (QCCA or QSend)."""
-        return [
-            m
-            for m in range(self.num_states)
-            if self._policy[m] in (QAction.QCCA, QAction.QSEND)
-        ]
+        backoff = QAction.QBACKOFF.value
+        return [m for m in range(self.num_states) if self._policy[m] != backoff]
 
     def policy_counts(self) -> Dict[QAction, int]:
         """Number of subslots assigned to each action by the current policy."""
         counts = {action: 0 for action in ALL_ACTIONS}
-        for action in self._policy:
-            counts[action] += 1
+        for code in self._policy:
+            counts[ALL_ACTIONS[code]] += 1
         return counts
 
     def memory_footprint_bytes(self, bytes_per_entry: int = 4) -> int:
@@ -195,10 +231,10 @@ class QTable:
     def reset(self) -> None:
         """Reset all Q-values and the policy to their initial state."""
         for row in self._values:
-            for action in ALL_ACTIONS:
-                row[action.value] = self.q_init
-        self._policy = [QAction.QBACKOFF] * self.num_states
+            row[:] = [self.q_init] * len(row)
+        self._policy = [QAction.QBACKOFF.value] * self.num_states
         self.updates = 0
+        self._cumulative = None
 
     def as_rows(self) -> List[Tuple[int, float, float, float, str]]:
         """Table rows ``(subslot, Q_B, Q_C, Q_S, policy)`` for pretty printing."""
@@ -211,7 +247,7 @@ class QTable:
                     values[QAction.QBACKOFF.value],
                     values[QAction.QCCA.value],
                     values[QAction.QSEND.value],
-                    self._policy[m].short_name,
+                    ALL_ACTIONS[self._policy[m]].short_name,
                 )
             )
         return rows

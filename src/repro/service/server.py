@@ -265,11 +265,15 @@ class CampaignService:
                     meta={"service": {"job": job.job_id}},
                     on_record=lambda index, record, job=job: self._observe(job, record),
                 )
+                # Records resumed from the journal never passed through
+                # observe(); rebuild the aggregates from the journal before
+                # the terminal state is published, so no poller can see a
+                # finished job whose stats miss the resumed runs.
+                stats = self._backfill(job) if outcome.resumed else None
                 with self._lock:
+                    if stats is not None:
+                        job.stats = stats
                     job.resumed = outcome.resumed
-                    # Records resumed from the journal never passed through
-                    # observe(); fold them into the live aggregates now so
-                    # final stats always cover the whole campaign.
                     job.completed = outcome.resumed + outcome.executed
                     job.quarantined = len(outcome.quarantined)
                     job.state = {
@@ -278,8 +282,6 @@ class CampaignService:
                         "cancelled": CANCELLED,
                     }[outcome.status]
                     job.finished_at = time.time()
-                if outcome.resumed:
-                    self._backfill(job)
             except BaseException as exc:  # noqa: BLE001 - job isolation
                 with self._lock:
                     job.state = FAILED
@@ -307,8 +309,8 @@ class CampaignService:
         with self._lock:
             job.observe(record)
 
-    def _backfill(self, job: CampaignJob) -> None:
-        """Rebuild final stats from the journal when runs were resumed.
+    def _backfill(self, job: CampaignJob) -> Dict[str, StreamingStats]:
+        """Final stats rebuilt from the journal when runs were resumed.
 
         Live stats only saw newly executed records; replaying the full
         journal in expansion order makes the end-state aggregates both
@@ -325,8 +327,7 @@ class CampaignService:
                     if stats is None:
                         stats = fresh[name] = StreamingStats()
                     stats.push(float(value))
-            with self._lock:
-                job.stats = fresh
+            return fresh
         finally:
             journal.close()
 

@@ -65,9 +65,15 @@ except ImportError:  # pragma: no cover - the CI image always has numpy
 
 from repro.core.actions import ALL_ACTIONS, QAction
 from repro.core.exploration import ParameterBasedExploration
-from repro.core.mac import QmaMac, _PendingAction, _PendingKind
+from repro.core.mac import (
+    PENDING_BACKOFF,
+    PENDING_CCA_FAILED,
+    PENDING_NONE,
+    PENDING_STARTUP,
+    QmaMac,
+)
 from repro.core.neighbours import NeighbourQueueTracker
-from repro.core.qtable import QTable, QUpdateResult
+from repro.core.qtable import QTable
 from repro.core.startup import CautiousStartup
 from repro.mac.gate import AlwaysActiveGate
 from repro.mac.queue import PacketQueue
@@ -84,21 +90,6 @@ __all__ = [
 #: Exactly 2**-53 (a power of two, hence an exact float literal): CPython's
 #: ``random()`` multiplies by the same constant.
 _RECIP_53 = 1.0 / 9007199254740992.0
-
-#: Integer codes for ``_PendingKind`` in the struct-of-arrays state.
-_K_NONE = 0
-_K_BACKOFF = 1
-_K_CCA_FAILED = 2
-_K_TRANSMISSION = 3
-_K_STARTUP = 4
-
-_KIND_TO_CODE = {
-    _PendingKind.BACKOFF: _K_BACKOFF,
-    _PendingKind.CCA_FAILED: _K_CCA_FAILED,
-    _PendingKind.TRANSMISSION: _K_TRANSMISSION,
-    _PendingKind.STARTUP: _K_STARTUP,
-}
-_CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
 
 #: Sentinel larger than any sequence number a run can reach.
 _SEQ_HUGE = np.iinfo(np.int64).max if np is not None else 0
@@ -184,10 +175,6 @@ class _BatchStore:
         self.pend_state = np.zeros(shape, dtype=np.int64)
         self.pend_counter = np.zeros(shape, dtype=np.int64)
         self.pend_overheard = np.zeros(shape, dtype=bool)
-        #: Monotone generation per slot: lets ``_pending`` hand out a stable
-        #: view object while the slot is unchanged (``_transmit_pending``
-        #: compares pendings by identity).
-        self.pend_gen = np.zeros(shape, dtype=np.int64)
         self.pend_frames: List[List[Any]] = [[None] * num_nodes for _ in range(num_lanes)]
 
         self.subslot = np.zeros(shape, dtype=np.int64)
@@ -217,7 +204,6 @@ class _BatchStore:
 
         self.sel_counts = np.zeros((num_lanes, num_nodes, len(ALL_ACTIONS)), dtype=np.int64)
         self.random_sel = np.zeros(shape, dtype=np.int64)
-        self.greedy_sel = np.zeros(shape, dtype=np.int64)
 
         #: Deferred history samples: ``(t, lanes, nodes, values)`` per
         #: boundary, materialized into the macs' ``q_history`` /
@@ -233,11 +219,11 @@ class _BatchStore:
     # ---------------------------------------------------------------- setup
     def _absorb(self, lane: int, node: int, mac: QmaMac) -> None:
         """Copy one agent's state into the arrays and retrofit its objects."""
-        if mac._pending is not None:  # pragma: no cover - prepared lanes never ran
+        if mac._pend_kind != PENDING_NONE:  # pragma: no cover - prepared lanes never ran
             raise BatchLockstepError("cannot absorb a MAC with an in-flight action")
         qtable = mac.qtable
         self.Q[lane, node] = qtable._values
-        self.P[lane, node] = [action.value for action in qtable._policy]
+        self.P[lane, node] = qtable._policy
         self.updates[lane, node] = qtable.updates
         self.subslot[lane, node] = mac._subslot
         self.next_subslot[lane, node] = mac._next_subslot
@@ -273,7 +259,6 @@ class _BatchStore:
         mac._bstore = self
         mac._bl = lane
         mac._bn = node
-        mac._pview = None
         mac.__class__ = BatchQmaMac
 
     # ----------------------------------------------------------------- words
@@ -332,13 +317,11 @@ class _BatchStore:
         for lane in range(self.num_lanes):
             for node in range(self.num_nodes):
                 stats = self.macs[lane][node].action_stats
-                for action in ALL_ACTIONS:
-                    stats.selected[action] += int(self.sel_counts[lane, node, action.value])
+                for code, count in enumerate(self.sel_counts[lane, node].tolist()):
+                    stats.counts[code] += count
                 stats.random_selections += int(self.random_sel[lane, node])
-                stats.greedy_selections += int(self.greedy_sel[lane, node])
         self.sel_counts[:] = 0
         self.random_sel[:] = 0
-        self.greedy_sel[:] = 0
 
 
 # --------------------------------------------------------------------------
@@ -395,52 +378,6 @@ class BatchedMtStream:
         if not len(seq):
             raise IndexError("Cannot choose from an empty sequence")
         return seq[self._randbelow(len(seq))]
-
-
-class _BatchPendingView:
-    """A ``_PendingAction`` whose fields live in the store.
-
-    The view carries the generation it was built for; the ``_pending``
-    property returns the *same* view object while the slot's generation is
-    unchanged, preserving the ``self._pending is not pending`` identity
-    check in ``QmaMac._transmit_pending``.
-    """
-
-    __slots__ = ("_store", "_lane", "_node", "_gen")
-
-    def __init__(self, store: _BatchStore, lane: int, node: int, gen: int) -> None:
-        self._store = store
-        self._lane = lane
-        self._node = node
-        self._gen = gen
-
-    @property
-    def kind(self) -> _PendingKind:
-        return _CODE_TO_KIND[int(self._store.pend_kind[self._lane, self._node])]
-
-    @property
-    def action(self) -> QAction:
-        return ALL_ACTIONS[int(self._store.pend_action[self._lane, self._node])]
-
-    @property
-    def state(self) -> int:
-        return int(self._store.pend_state[self._lane, self._node])
-
-    @property
-    def counter(self) -> int:
-        return int(self._store.pend_counter[self._lane, self._node])
-
-    @property
-    def frame(self) -> Any:
-        return self._store.pend_frames[self._lane][self._node]
-
-    @property
-    def overheard(self) -> bool:
-        return bool(self._store.pend_overheard[self._lane, self._node])
-
-    @overheard.setter
-    def overheard(self, value: bool) -> None:
-        self._store.pend_overheard[self._lane, self._node] = value
 
 
 class BatchQTable:
@@ -506,7 +443,10 @@ class BatchQTable:
         raise AssertionError("unreachable")  # pragma: no cover
 
     def policy(self, state: int) -> QAction:
-        return ALL_ACTIONS[int(self._store.P[self._lane, self._node, state])]
+        return ALL_ACTIONS[self.policy_code(state)]
+
+    def policy_code(self, state: int) -> int:
+        return int(self._store.P[self._lane, self._node, state])
 
     def set_policy(self, state: int, action: QAction) -> None:
         self._store.P[self._lane, self._node, state] = action.value
@@ -519,28 +459,24 @@ class BatchQTable:
         return [{action: row[action.value] for action in ALL_ACTIONS} for row in rows]
 
     # -- update -----------------------------------------------------------
-    def update(self, state: int, action: QAction, reward: float, next_state: int) -> QUpdateResult:
+    update = QTable.update
+
+    def apply(self, state: int, code: int, reward: float, next_state: int) -> float:
         store, lane, node = self._store, self._lane, self._node
-        if not 0 <= state < store.num_subslots:
-            raise IndexError(f"state {state} out of range")
-        if not 0 <= next_state < store.num_subslots:
-            raise IndexError(f"next_state {next_state} out of range")
         alpha = store.alpha
         row = store.Q[lane, node, state]
-        old = float(row[action.value])
+        old = float(row[code])
         candidate = (1.0 - alpha) * old + alpha * (
             reward + store.gamma * float(store.Q[lane, node, next_state].max())
         )
         new = max(old - store.penalty, candidate)
-        row[action.value] = new
+        row[code] = new
         store.updates[lane, node] += 1
 
-        policy_changed = False
-        policy_value = int(store.P[lane, node, state])
-        if action.value != policy_value and new > float(row[policy_value]):
-            store.P[lane, node, state] = action.value
-            policy_changed = True
-        return QUpdateResult(state, action, old, new, candidate, policy_changed)
+        policy_code = int(store.P[lane, node, state])
+        if code != policy_code and new > float(row[policy_code]):
+            store.P[lane, node, state] = code
+        return candidate
 
     # -- metrics ----------------------------------------------------------
     def cumulative_policy_value(self) -> float:
@@ -688,6 +624,18 @@ class BatchStartup(CautiousStartup):
         self._bstore.startup_finished[self._bl, self._bn] = value
 
 
+def _store_field(name: str, cast: Any) -> property:
+    """A property over this agent's element of the store array ``name``."""
+
+    def get(self: Any) -> Any:
+        return cast(getattr(self._bstore, name)[self._bl, self._bn])
+
+    def set(self: Any, value: Any) -> None:
+        getattr(self._bstore, name)[self._bl, self._bn] = value
+
+    return property(get, set)
+
+
 class BatchQmaMac(QmaMac):
     """QmaMac whose subslot clock and pending action live in the store.
 
@@ -698,65 +646,23 @@ class BatchQmaMac(QmaMac):
     arrays.
     """
 
-    @property
-    def _subslot(self) -> int:
-        return int(self._bstore.subslot[self._bl, self._bn])
-
-    @_subslot.setter
-    def _subslot(self, value: int) -> None:
-        self._bstore.subslot[self._bl, self._bn] = value
-
-    @property
-    def _next_subslot(self) -> int:
-        return int(self._bstore.next_subslot[self._bl, self._bn])
-
-    @_next_subslot.setter
-    def _next_subslot(self, value: int) -> None:
-        self._bstore.next_subslot[self._bl, self._bn] = value
+    _subslot = _store_field("subslot", int)
+    _next_subslot = _store_field("next_subslot", int)
+    _counter = _store_field("counter", int)
+    frames_elapsed = _store_field("frames_elapsed", int)
+    _pend_kind = _store_field("pend_kind", int)
+    _pend_action = _store_field("pend_action", int)
+    _pend_state = _store_field("pend_state", int)
+    _pend_counter = _store_field("pend_counter", int)
+    _pend_overheard = _store_field("pend_overheard", bool)
 
     @property
-    def _counter(self) -> int:
-        return int(self._bstore.counter[self._bl, self._bn])
+    def _pend_frame(self) -> Optional[Any]:
+        return self._bstore.pend_frames[self._bl][self._bn]
 
-    @_counter.setter
-    def _counter(self, value: int) -> None:
-        self._bstore.counter[self._bl, self._bn] = value
-
-    @property
-    def frames_elapsed(self) -> int:
-        return int(self._bstore.frames_elapsed[self._bl, self._bn])
-
-    @frames_elapsed.setter
-    def frames_elapsed(self, value: int) -> None:
-        self._bstore.frames_elapsed[self._bl, self._bn] = value
-
-    @property
-    def _pending(self) -> Optional[_BatchPendingView]:
-        store, lane, node = self._bstore, self._bl, self._bn
-        if store.pend_kind[lane, node] == _K_NONE:
-            return None
-        gen = int(store.pend_gen[lane, node])
-        view = self._pview
-        if view is None or view._gen != gen:
-            view = _BatchPendingView(store, lane, node, gen)
-            self._pview = view
-        return view
-
-    @_pending.setter
-    def _pending(self, value: Optional[_PendingAction]) -> None:
-        store, lane, node = self._bstore, self._bl, self._bn
-        store.pend_gen[lane, node] += 1
-        self._pview = None
-        if value is None:
-            store.pend_kind[lane, node] = _K_NONE
-            store.pend_frames[lane][node] = None
-            return
-        store.pend_kind[lane, node] = _KIND_TO_CODE[value.kind]
-        store.pend_action[lane, node] = value.action.value
-        store.pend_state[lane, node] = value.state
-        store.pend_counter[lane, node] = value.counter
-        store.pend_overheard[lane, node] = value.overheard
-        store.pend_frames[lane][node] = value.frame
+    @_pend_frame.setter
+    def _pend_frame(self, value: Optional[Any]) -> None:
+        self._bstore.pend_frames[self._bl][self._bn] = value
 
     def start(self) -> None:
         raise SimulationError("cannot (re)start a MAC inside a running seed batch")
@@ -974,9 +880,9 @@ class _LockstepKernel:
                 store.q_hist_batches.append((t, il, inn, acc))
 
         # Phase 1 — evaluate pendings whose outcome resolves at the boundary.
-        eval_backoff = mask & (store.pend_kind == _K_BACKOFF)
-        eval_cca = mask & (store.pend_kind == _K_CCA_FAILED)
-        eval_startup = mask & (store.pend_kind == _K_STARTUP)
+        eval_backoff = mask & (store.pend_kind == PENDING_BACKOFF)
+        eval_cca = mask & (store.pend_kind == PENDING_CCA_FAILED)
+        eval_startup = mask & (store.pend_kind == PENDING_STARTUP)
         if eval_backoff.any():
             il, inn = np.nonzero(eval_backoff)
             reward = np.where(
@@ -1000,19 +906,17 @@ class _LockstepKernel:
                 self._vector_update(ol, on, QAction.QSEND.value, store.startup_send_punishment)
         resolved = eval_backoff | eval_cca | eval_startup
         if resolved.any():
-            store.pend_kind[resolved] = _K_NONE
-            store.pend_gen[resolved] += 1
+            store.pend_kind[resolved] = PENDING_NONE
 
         # Phase 2 — startup observation or action selection.
-        idle = mask & (store.pend_kind == _K_NONE) & ~store.radio_transmitting
+        idle = mask & (store.pend_kind == PENDING_NONE) & ~store.radio_transmitting
         startup_obs = idle & ~store.startup_finished
         if startup_obs.any():
-            store.pend_kind[startup_obs] = _K_STARTUP
+            store.pend_kind[startup_obs] = PENDING_STARTUP
             store.pend_action[startup_obs] = QAction.QBACKOFF.value
             store.pend_state[startup_obs] = store.subslot[startup_obs]
             store.pend_counter[startup_obs] = store.counter[startup_obs]
             store.pend_overheard[startup_obs] = False
-            store.pend_gen[startup_obs] += 1
             store.startup_elapsed[startup_obs] += 1
             store.startup_finished |= startup_obs & (
                 store.startup_elapsed >= store.startup_duration
@@ -1073,19 +977,17 @@ class _LockstepKernel:
 
             store.sel_counts[il, inn, actions] += 1
             store.random_sel[il[explore], inn[explore]] += 1
-            store.greedy_sel[il[greedy], inn[greedy]] += 1
 
             # QBackoff resolves entirely in-array; QCCA/QSend touch the
             # channel and run through the real _execute in phase 3.
             backoff = actions == QAction.QBACKOFF.value
             if backoff.any():
                 bl, bn = il[backoff], inn[backoff]
-                store.pend_kind[bl, bn] = _K_BACKOFF
+                store.pend_kind[bl, bn] = PENDING_BACKOFF
                 store.pend_action[bl, bn] = QAction.QBACKOFF.value
                 store.pend_state[bl, bn] = store.subslot[bl, bn]
                 store.pend_counter[bl, bn] = store.counter[bl, bn]
                 store.pend_overheard[bl, bn] = False
-                store.pend_gen[bl, bn] += 1
             for k in np.nonzero(~backoff)[0].tolist():
                 delegates.setdefault(int(il[k]), {})[int(inn[k])] = int(actions[k])
         return delegates
@@ -1125,7 +1027,7 @@ class _LockstepKernel:
                     action = lane_delegates.get(node)
                     if action is not None:
                         mac = store.macs[lane][node]
-                        mac._execute(ALL_ACTIONS[action], int(store.subslot[lane, node]))
+                        mac._execute(action, int(store.subslot[lane, node]))
                     store.tick_seq[lane, node] = next(sim._seq)
             else:
                 # No heap events will be scheduled: bulk-consume one seq per

@@ -1,0 +1,105 @@
+"""Exact work counters of two QMA runs, pinned.
+
+Record digests cover the scalar metrics of a run but not how much work the
+engine did to produce them.  These counters — events executed, Q-table
+updates, action selections, frames elapsed and history lengths — are
+deterministic, so any change in them means the QMA subslot tick changed its
+event stream (or its learning path), even when the record digests happen to
+survive.  Optimisations of the tick must leave every value here unchanged;
+a deliberate behaviour change must update them explicitly.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, List
+
+import pytest
+
+from repro.campaign.runner import execute_scenario
+from repro.campaign.spec import Scenario
+from repro.core.actions import ALL_ACTIONS
+from repro.scenario.builder import ScenarioBuilder
+
+#: Per node: [qtable.updates, selected (B, C, S), random, greedy,
+#: frames_elapsed, len(q_history), len(rho_history)].
+HIDDEN_NODE_SEED_1 = {
+    "events_executed": 34523,
+    "nodes": {
+        0: [1386, [1248, 1, 29], 4, 1274, 212, 212, 1278],
+        1: [108, [0, 0, 0], 0, 0, 212, 212, 0],
+        2: [1375, [1237, 0, 30], 2, 1265, 212, 212, 1267],
+    },
+}
+
+DSME_ONE_RING_SEED_0 = {
+    "events_executed": 24947,
+    "nodes": {
+        0: [2538, [2430, 1, 0], 1, 2430, 92, 92, 2431],
+        1: [2608, [2499, 0, 2], 4, 2497, 92, 92, 2501],
+        2: [2835, [2728, 0, 0], 1, 2727, 92, 92, 2728],
+        3: [2625, [2516, 1, 1], 4, 2514, 92, 92, 2518],
+        4: [2864, [2757, 0, 0], 0, 2757, 92, 92, 2757],
+        5: [2959, [2851, 1, 0], 2, 2850, 92, 92, 2852],
+        6: [2688, [2581, 0, 0], 1, 2580, 92, 92, 2581],
+    },
+}
+
+
+@pytest.fixture
+def captured_builds(monkeypatch) -> List[Any]:
+    """Every scenario the builder constructs while the test runs."""
+    builds: List[Any] = []
+
+    def capture(method):
+        def wrapper(self, *args, **kwargs):
+            built = method(self, *args, **kwargs)
+            builds.append(built)
+            return built
+
+        return wrapper
+
+    monkeypatch.setattr(ScenarioBuilder, "build", capture(ScenarioBuilder.build))
+    monkeypatch.setattr(ScenarioBuilder, "build_dsme", capture(ScenarioBuilder.build_dsme))
+    return builds
+
+
+def _counters(sim: Any, macs: Dict[int, Any]) -> Dict[str, Any]:
+    nodes = {}
+    for node_id, mac in macs.items():
+        stats = mac.action_stats
+        nodes[node_id] = [
+            mac.qtable.updates,
+            [stats.selected[action] for action in ALL_ACTIONS],
+            stats.random_selections,
+            stats.greedy_selections,
+            mac.frames_elapsed,
+            len(mac.q_history),
+            len(mac.rho_history),
+        ]
+    return {"events_executed": sim.events_executed, "nodes": nodes}
+
+
+def test_hidden_node_qma_counters(captured_builds):
+    execute_scenario(
+        Scenario(
+            "hidden-node",
+            mac="qma",
+            seed=1,
+            params={"delta": 10.0, "packets_per_node": 30, "warmup": 5.0},
+        )
+    )
+    (built,) = captured_builds
+    assert _counters(built.sim, built.network.macs) == HIDDEN_NODE_SEED_1
+
+
+def test_dsme_qma_cap_counters(captured_builds):
+    execute_scenario(
+        Scenario(
+            "scalability",
+            mac="qma",
+            seed=0,
+            params={"rings": 1, "duration": 8.0, "warmup": 2.0},
+        )
+    )
+    (built,) = captured_builds
+    assert _counters(built.sim, built.dsme.network.macs) == DSME_ONE_RING_SEED_0

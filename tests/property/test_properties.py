@@ -70,6 +70,46 @@ def test_qtable_policy_always_within_penalty_of_best_action(updates):
     )
 
 
+_finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
+qtable_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("update"),
+            st.integers(min_value=0, max_value=7),
+            st.sampled_from(ALL_ACTIONS),
+            _finite,
+            st.integers(min_value=0, max_value=7),
+        ),
+        st.tuples(
+            st.just("set_value"),
+            st.integers(min_value=0, max_value=7),
+            st.sampled_from(ALL_ACTIONS),
+            _finite,
+        ),
+        st.tuples(
+            st.just("set_policy"),
+            st.integers(min_value=0, max_value=7),
+            st.sampled_from(ALL_ACTIONS),
+        ),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=80,
+)
+
+
+@given(qtable_operations)
+@settings(max_examples=100)
+def test_cached_cumulative_policy_value_matches_fresh_ordered_sum(operations):
+    """The cached Fig. 10 metric equals the fresh ordered sum, bit for bit,
+    after every mutation (the cache may only ever skip a recomputation
+    that would give the same float)."""
+    table = QTable(num_states=8, learning_rate=0.5, discount_factor=0.9, penalty=2.0)
+    for name, *args in operations:
+        getattr(table, name)(*args)
+        fresh = sum(table.value(m, table.policy(m)) for m in range(8))
+        assert table.cumulative_policy_value().hex() == fresh.hex()
+
+
 @given(
     st.floats(min_value=-20, max_value=20),
     st.floats(min_value=-10, max_value=10),

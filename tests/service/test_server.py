@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import Sweep
 from repro.scenario import ARTIFACT_CACHE
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import CampaignServer, CampaignService
+from repro.service.server import TERMINAL_STATES, CampaignServer, CampaignService
 
 FIXED = {
     "packets_per_node": 2,
@@ -120,6 +121,38 @@ class TestSubmission:
         assert snap["completed"] == sweep.size
         # Backfilled aggregates cover the whole campaign, not just new runs.
         assert snap["metrics"]["pdr"]["n"] == sweep.size
+
+    def test_resumed_job_never_finishes_with_empty_metrics(self, tmp_path, monkeypatch):
+        """The terminal state is published only after the journal backfill.
+
+        A slow backfill widens the window in which a poller could see a
+        finished job whose aggregates are still empty.
+        """
+        backfill = CampaignService._backfill
+
+        def slow_backfill(self, job):
+            time.sleep(0.5)
+            return backfill(self, job)
+
+        monkeypatch.setattr(CampaignService, "_backfill", slow_backfill)
+        service = CampaignService(str(tmp_path / "root"))
+        try:
+            sweep = make_sweep([0, 1])
+            service.submit(sweep.to_dict())
+            assert service.wait_idle(timeout=120)
+            job_id = service.submit(sweep.to_dict())["job"]
+            deadline = time.time() + 120
+            while True:
+                (snap,) = service.status(job_id)
+                if snap["state"] in TERMINAL_STATES:
+                    break
+                assert time.time() < deadline, "resumed job did not finish"
+                time.sleep(0.002)
+            assert snap["resumed"] == sweep.size
+            assert snap["metrics"], "finished job published with empty metrics"
+            assert snap["metrics"]["pdr"]["n"] == sweep.size
+        finally:
+            service.close()
 
 
 class TestErrors:
