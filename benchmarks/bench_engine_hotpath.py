@@ -6,10 +6,13 @@ Tracks the engine's inner-loop performance in the perf trajectory:
   ``run_until`` drain loop, no per-delivery neighbour-set copies, cached
   frame air time, index-based Q-table rows) took the original machine from
   ~146k to ~210k events/s on the deep-heap micro;
-* the PR 4 pass added the allocation-lean fast path
-  (:meth:`~repro.sim.engine.Simulator.schedule_fast`, Event freelist,
-  batched drain-loop counters) — roughly 2x the generic path on the
-  steady-state micro below — plus the channel's static link table.
+* the next pass added the fire-and-forget fast path
+  (:meth:`~repro.sim.engine.Simulator.schedule_fast`, batched drain-loop
+  counters) plus the channel's static link table;
+* heap entries are now bare ``(time, seq, callback, arg)`` tuples: a
+  fast event is one tuple and nothing else, a general event the same
+  tuple with ``None`` in place of the callback and its :class:`Event`
+  handle as the argument.
 
 Two micro shapes are measured: ``deep-heap`` (schedule N events, then
 drain — heap depth dominates) and ``steady-state`` (self-rescheduling
@@ -77,8 +80,8 @@ def engine_micro_steady(num_events: int = 300_000, fast: bool = True) -> float:
 
     This is the shape of a real simulation (slot ticks, timers): the queue
     stays ~:data:`STEADY_TICKERS` deep while ``num_events`` events flow
-    through.  With ``fast`` the tickers use ``schedule_fast`` (freelist,
-    no tuple/dict), otherwise the generic ``schedule``.  Returns events/s.
+    through.  With ``fast`` the tickers use ``schedule_fast`` (one heap
+    tuple, no handle), otherwise the generic ``schedule``.  Returns events/s.
     """
     sim = Simulator(seed=0)
     remaining = [num_events]

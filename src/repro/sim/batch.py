@@ -24,10 +24,10 @@ serial engine is pinned down:
   lane consumes exactly the 32-bit words the serial run would have.
 * **Event ordering.**  Subslot ticks never enter the heap; instead the
   kernel keeps their would-be ``(time, seq)`` keys and drains each lane's
-  real heap events strictly *before* that key at every boundary, mirroring
-  ``Simulator.run_until``'s inlined loop (freelist recycle, lazy-cancel
-  skip, ``events_executed`` accounting).  Sequence numbers are consumed in
-  the exact serial pattern, so everything scheduled relative to a tick
+  real heap events strictly *before* that key at every boundary through
+  the engine's own drain loop (``Simulator._drain_before``, which
+  ``run_until`` runs too).  Sequence numbers are consumed in the exact
+  serial pattern, so everything scheduled relative to a tick
   lands on identical ``(time, seq)`` keys.  If a heap event is ever
   interleaved *between* two tick keys of one lane (same timestamp), that
   lane's boundary falls back to running its ticks serially through the
@@ -53,7 +53,6 @@ executor degrades to exactly the per-seed behaviour instead of guessing.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random as _py_random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -78,7 +77,7 @@ from repro.core.startup import CautiousStartup
 from repro.mac.gate import AlwaysActiveGate
 from repro.mac.queue import PacketQueue
 from repro.phy.radio import Radio
-from repro.sim.engine import _FREELIST_MAX, SimulationError
+from repro.sim.engine import SimulationError
 from repro.sim.rng import transplant_bit_generator
 
 __all__ = [
@@ -687,50 +686,6 @@ class BatchQmaMac(QmaMac):
 
 
 # --------------------------------------------------------------------------
-# Heap draining (mirrors Simulator.run_until's inlined loop)
-# --------------------------------------------------------------------------
-def _drain_lane(sim: Any, t_bound: float, seq_bound: int) -> None:
-    """Fire every heap event strictly before the ``(t_bound, seq_bound)`` key."""
-    queue = sim._queue
-    heappop = heapq.heappop
-    free = sim._free
-    executed = 0
-    while queue:
-        time, seq, event = queue[0]
-        if event.cancelled:
-            heappop(queue)
-            sim._lazy_cancelled -= 1
-            continue
-        if time > t_bound or (time == t_bound and seq >= seq_bound):
-            break
-        heappop(queue)
-        sim._now = time
-        sim._live -= 1
-        executed += 1
-        if event.kwargs is None:
-            callback, arg = event.callback, event.args
-            if len(free) < _FREELIST_MAX:
-                free.append(event)
-            if arg is None:
-                callback()
-            else:
-                callback(arg)
-        else:
-            event.fired = True
-            event.callback(*event.args, **event.kwargs)
-    sim.events_executed += executed
-
-
-def _heap_event_interleaved(sim: Any, t: float, max_tick_seq: int) -> bool:
-    """True if a live heap event sits *between* this lane's tick keys."""
-    queue = sim._queue
-    while queue and queue[0][2].cancelled:
-        heapq.heappop(queue)
-        sim._lazy_cancelled -= 1
-    return bool(queue) and queue[0][0] == t and queue[0][1] < max_tick_seq
-
-
-# --------------------------------------------------------------------------
 # The lockstep kernel
 # --------------------------------------------------------------------------
 class _LockstepKernel:
@@ -798,13 +753,15 @@ class _LockstepKernel:
         for lane, sim in enumerate(store.sims):
             if not lane_any[lane]:
                 continue
-            _drain_lane(sim, t, seq_lo[lane])
+            sim._drain_before(t, seq_lo[lane])
             if sim._stopped:
                 raise BatchLockstepError(
                     "Simulator.stop() inside a seed batch is unsupported"
                 )
             sim._now = t
-            if _heap_event_interleaved(sim, t, seq_hi[lane]):
+            # A live heap event between this lane's tick keys?
+            key = sim._next_key()
+            if key is not None and key[0] == t and key[1] < seq_hi[lane]:
                 serial_lanes.append(lane)
             else:
                 vector_lane[lane] = True
@@ -828,7 +785,7 @@ class _LockstepKernel:
         for node in np.argsort(store.tick_seq[lane], kind="stable").tolist():
             if not store.active[lane, node]:
                 continue
-            _drain_lane(sim, t, int(store.tick_seq[lane, node]))
+            sim._drain_before(t, int(store.tick_seq[lane, node]))
             sim._now = t
             sim.events_executed += 1
             mac = store.macs[lane][node]

@@ -1,6 +1,6 @@
 """The discrete-event simulation engine.
 
-The engine is intentionally small: a binary heap of :class:`Event` objects,
+The engine is intentionally small: a binary heap of scheduled callbacks,
 a simulation clock and a handful of run-control methods.  Determinism is a
 hard requirement for reproducing the paper's figures, therefore
 
@@ -9,28 +9,28 @@ hard requirement for reproducing the paper's figures, therefore
 * all randomness is drawn from named streams managed by
   :class:`repro.sim.rng.RngRegistry`, seeded from a single master seed.
 
-The heap stores ``(time, seq, event)`` tuples rather than bare
-:class:`Event` objects: tuple comparison runs entirely in C, so the heap
-never calls ``Event.__lt__`` on the hot path (the method is kept for
-explicit comparisons).  The ordering is identical — ``(time, seq)`` is
-exactly what ``Event.__lt__`` compares.
+Heap entries
+------------
+Every heap entry is a bare ``(time, seq, callback, arg)`` tuple.  Tuple
+comparison runs entirely in C and, because sequence numbers are unique,
+never looks past ``seq``, so the heap orders entries by exactly the
+``(time, seq)`` key that ``Event.__lt__`` compares.
 
-Allocation-lean fast path
--------------------------
-:meth:`Simulator.schedule` is general (arbitrary ``*args``/``**kwargs``,
-returns a cancellable :class:`Event`), which costs an argument tuple, a
-keyword dictionary and a fresh :class:`Event` per call.  The MAC/PHY inner
-loops (subslot ticks, CCA-to-transmit delays, ACK transmissions, channel
-end-of-transmission) never cancel their events and pass at most one
-positional argument, so they use :meth:`Simulator.schedule_fast` /
-:meth:`Simulator.schedule_at_fast` instead: no tuple, no dict, no handle —
-and the fired :class:`Event` shells are recycled through a freelist
-instead of becoming garbage.  Ordering is shared with the general path
-(one sequence counter), so mixing both paths keeps the deterministic
-``(time, seq)`` execution order.
+The two scheduling APIs differ only in whether a handle is returned.
+:meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_at_fast` push
+the callback and its (at most one) argument as they are: no allocation
+beyond the tuple, no handle.  The MAC/PHY inner loops (subslot ticks,
+CCA-to-transmit delays, ACK transmissions, channel end-of-transmission)
+never cancel their events and use this path.  :meth:`Simulator.schedule`
+/ :meth:`Simulator.schedule_at` accept arbitrary ``*args``/``**kwargs``
+and return a cancellable :class:`Event`, pushed as ``(time, seq, None,
+event)``.  Both paths draw from one sequence counter, so mixing them keeps
+the deterministic ``(time, seq)`` execution order.
 
 Lazily-cancelled events (ACK timeouts resolved by an ACK, stopped tick
-clocks) stay on the heap until popped; the engine counts them and compacts
+clocks) stay on the heap until popped; only ``None``-callback entries can
+be cancelled, so only they are checked.  The engine counts them — which
+also makes :meth:`Simulator.pending_events` a subtraction — and compacts
 the heap in place once they outnumber half of the queue, so long runs with
 many cancels do not drag a tail of dead entries through every sift.
 """
@@ -55,10 +55,13 @@ class SimulationError(RuntimeError):
 #: mutated, so one instance serves every event.
 _NO_KWARGS: dict = {}
 
-#: Upper bound on recycled event shells kept in the freelist.  The live
-#: fast-event population of a simulation is bounded by its concurrency
-#: (at most a handful per node), so this is generous.
-_FREELIST_MAX = 4096
+#: ``math.inf`` as a module global: the hot-path time checks compare
+#: against it without an attribute lookup.
+_INF = math.inf
+
+#: A heap entry: ``(time, seq, callback, arg)``; ``callback`` is None for
+#: a cancellable :class:`Event`, which then sits in ``arg``.
+_HeapEntry = Tuple[float, int, Optional[Callable[..., Any]], Any]
 
 
 class Event:
@@ -69,10 +72,6 @@ class Event:
     not fired yet.  Cancellation is lazy: the event stays on the heap but is
     skipped when popped (the simulator counts such entries and periodically
     compacts the heap).
-
-    Fast-path events (``kwargs is None``) are internal: they carry at most
-    one positional argument in ``args``, are never handed to callers and
-    are recycled after firing.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled", "fired", "sim")
@@ -82,8 +81,8 @@ class Event:
         time: float,
         seq: int,
         callback: Callable[..., Any],
-        args: Any,
-        kwargs: Optional[dict],
+        args: tuple,
+        kwargs: dict,
         sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
@@ -143,13 +142,11 @@ class Simulator:
         self, seed: int = 0, trace: bool = False, trace_limit: Optional[int] = None
     ) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[_HeapEntry] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
-        self._live = 0  # scheduled and neither fired nor cancelled
         self._lazy_cancelled = 0  # cancelled entries still on the heap
-        self._free: List[Event] = []  # recycled fast-path event shells
         self.rng = RngRegistry(seed)
         self.tracer: Optional[TraceRecorder] = (
             TraceRecorder(max_records=trace_limit) if trace else None
@@ -166,67 +163,47 @@ class Simulator:
     # ------------------------------------------------------------- scheduling
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args, **kwargs)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback`` at an absolute simulation time."""
-        if math.isnan(time) or math.isinf(time):
-            raise SimulationError(f"invalid event time: {time}")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
-            )
+        if not self._now <= time < _INF:
+            raise self._time_error(time)
         event = Event(time, next(self._seq), callback, args, kwargs or _NO_KWARGS, self)
-        self._live += 1
-        heapq.heappush(self._queue, (time, event.seq, event))
+        heapq.heappush(self._queue, (time, event.seq, None, event))
         return event
 
     def schedule_fast(self, delay: float, callback: Callable[..., Any], arg: Any = None) -> None:
-        """Allocation-lean fire-and-forget scheduling (hot-path variant).
+        """Fire-and-forget scheduling (hot-path variant).
 
         Calls ``callback()`` (or ``callback(arg)`` when ``arg`` is not None)
         ``delay`` seconds from now.  Unlike :meth:`schedule` no handle is
         returned, so the event cannot be cancelled — use it only for events
         that always run to completion (the callback itself may no-op).
-        Fired events are recycled through a freelist.  ``arg`` must not
-        rely on ``None`` as a payload; use :meth:`schedule` for that.
+        ``arg`` must not rely on ``None`` as a payload; use :meth:`schedule`
+        for that.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq = next(self._seq)
-            event.callback = callback
-            event.args = arg
-        else:
-            event = Event(time, next(self._seq), callback, arg, None, self)
-            seq = event.seq
-        self._live += 1
-        heapq.heappush(self._queue, (time, seq, event))
+        if not 0 <= delay < _INF:
+            raise SimulationError(f"invalid event delay: {delay}")
+        heapq.heappush(self._queue, (self._now + delay, next(self._seq), callback, arg))
 
     def schedule_at_fast(self, time: float, callback: Callable[..., Any], arg: Any = None) -> None:
         """Absolute-time variant of :meth:`schedule_fast`."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
-            )
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq = next(self._seq)
-            event.callback = callback
-            event.args = arg
-        else:
-            event = Event(time, next(self._seq), callback, arg, None, self)
-            seq = event.seq
-        self._live += 1
-        heapq.heappush(self._queue, (time, seq, event))
+        if not self._now <= time < _INF:
+            raise self._time_error(time)
+        heapq.heappush(self._queue, (time, next(self._seq), callback, arg))
+
+    def _time_error(self, time: float) -> SimulationError:
+        """The error for an event time failing ``now <= time < inf``.
+
+        The schedulers write that test so that NaN fails it too: a NaN time
+        would sort before every other entry and poison the clock.
+        """
+        if math.isnan(time) or math.isinf(time):
+            return SimulationError(f"invalid event time: {time}")
+        return SimulationError(f"cannot schedule into the past (time={time}, now={self._now})")
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -238,31 +215,20 @@ class Simulator:
         entries outnumber half of it.
 
         Compaction mutates the queue *in place* (slice assignment), so the
-        local bindings held by an active :meth:`run_until` drain loop stay
+        local bindings held by an active :meth:`_drain_before` loop stay
         valid.
         """
-        self._live -= 1
         self._lazy_cancelled += 1
         queue = self._queue
         if (
             self._lazy_cancelled > self.COMPACT_MIN_CANCELLED
             and self._lazy_cancelled * 2 > len(queue)
         ):
-            queue[:] = [entry for entry in queue if not entry[2].cancelled]
+            queue[:] = [
+                entry for entry in queue if entry[2] is not None or not entry[3].cancelled
+            ]
             heapq.heapify(queue)
             self._lazy_cancelled = 0
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired fast-path event shell to the freelist.
-
-        The shell keeps its last callback/argument references until reuse
-        (clearing them would cost two stores per event on the hot path);
-        the freelist is bounded and dies with the simulator, so nothing
-        outlives the run because of it.
-        """
-        free = self._free
-        if len(free) < _FREELIST_MAX:
-            free.append(event)
 
     # ------------------------------------------------------------------- run
     def step(self) -> bool:
@@ -270,24 +236,24 @@ class Simulator:
 
         Returns True if an event was executed, False if the queue is empty.
         """
-        while self._queue:
-            time, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                self._lazy_cancelled -= 1
-                continue
-            self._now = time
-            self._live -= 1
-            self.events_executed += 1
-            if event.kwargs is None:
-                callback, arg = event.callback, event.args
-                self._recycle(event)
+        queue = self._queue
+        while queue:
+            time, _, callback, arg = heapq.heappop(queue)
+            if callback is None:
+                if arg.cancelled:
+                    self._lazy_cancelled -= 1
+                    continue
+                self._now = time
+                self.events_executed += 1
+                arg.fired = True
+                arg.callback(*arg.args, **arg.kwargs)
+            else:
+                self._now = time
+                self.events_executed += 1
                 if arg is None:
                     callback()
                 else:
                     callback(arg)
-            else:
-                event.fired = True
-                event.callback(*event.args, **event.kwargs)
             return True
         return False
 
@@ -297,48 +263,69 @@ class Simulator:
         The clock is advanced to exactly ``end_time`` when the run finishes,
         even if the last event fired earlier.
         """
-        if end_time < self._now:
+        if not end_time >= self._now:
             raise SimulationError(
                 f"end_time {end_time} lies in the past (now={self._now})"
             )
         self._running = True
         self._stopped = False
-        # Inlined drain loop: local bindings and the tuple-based heap keep
-        # the per-event overhead minimal (this is the simulation hot path).
+        try:
+            self._drain_before(end_time, _INF)
+        finally:
+            self._running = False
+        if not self._stopped:
+            self._now = max(self._now, end_time)
+
+    def _drain_before(self, t_bound: float, seq_bound: float) -> None:
+        """Fire every event keyed before ``(t_bound, seq_bound)``, in order,
+        until the queue runs dry or :meth:`stop` is called.
+
+        This is the simulation hot path, with local bindings throughout.
+        It pops first and pushes back the one entry found past the bound,
+        which costs one push per call instead of a ``queue[0]`` peek per
+        event.  The seed-batch kernel drains each lane up to a subslot
+        tick's key through it, so it must not touch the clock beyond the
+        events it fires.
+        """
         queue = self._queue
         heappop = heapq.heappop
-        free = self._free
-        free_append = free.append
         executed = 0
         try:
             while queue and not self._stopped:
-                time, _, event = queue[0]
-                if event.cancelled:
-                    heappop(queue)
-                    self._lazy_cancelled -= 1
-                    continue
-                if time > end_time:
+                entry = heappop(queue)
+                time, seq, callback, arg = entry
+                if time > t_bound or (time == t_bound and seq >= seq_bound):
+                    heapq.heappush(queue, entry)
                     break
-                heappop(queue)
-                self._now = time
-                self._live -= 1
-                executed += 1
-                if event.kwargs is None:
-                    callback, arg = event.callback, event.args
-                    if len(free) < _FREELIST_MAX:
-                        free_append(event)
+                if callback is None:
+                    if arg.cancelled:
+                        self._lazy_cancelled -= 1
+                        continue
+                    self._now = time
+                    executed += 1
+                    arg.fired = True
+                    arg.callback(*arg.args, **arg.kwargs)
+                else:
+                    self._now = time
+                    executed += 1
                     if arg is None:
                         callback()
                     else:
                         callback(arg)
-                else:
-                    event.fired = True
-                    event.callback(*event.args, **event.kwargs)
         finally:
-            self._running = False
             self.events_executed += executed
-        if not self._stopped:
-            self._now = max(self._now, end_time)
+
+    def _next_key(self) -> Optional[Tuple[float, int]]:
+        """The ``(time, seq)`` key of the next live event (None if none);
+        cancelled entries at the head of the heap are dropped on the way."""
+        queue = self._queue
+        while queue:
+            time, seq, callback, arg = queue[0]
+            if callback is not None or not arg.cancelled:
+                return time, seq
+            heapq.heappop(queue)
+            self._lazy_cancelled -= 1
+        return None
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue is exhausted (or ``max_events`` fired)."""
@@ -391,10 +378,9 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still scheduled (excluding lazily cancelled ones).
 
-        O(1): the simulator keeps a live-event counter, incremented on
-        scheduling and decremented when an event fires or is cancelled.
+        O(1): every heap entry is pending unless counted as lazily cancelled.
         """
-        return self._live
+        return len(self._queue) - self._lazy_cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Simulator(now={self._now:.6f}, pending={self.pending_events()})"

@@ -1,16 +1,20 @@
 """Exact work counters of two QMA runs, pinned.
 
 Record digests cover the scalar metrics of a run but not how much work the
-engine did to produce them.  These counters — events executed, Q-table
-updates, action selections, frames elapsed and history lengths — are
-deterministic, so any change in them means the QMA subslot tick changed its
-event stream (or its learning path), even when the record digests happen to
-survive.  Optimisations of the tick must leave every value here unchanged;
-a deliberate behaviour change must update them explicitly.
+engine did to produce them.  These counters — events executed, sequence
+numbers drawn (one per scheduled event, cancelled or not), Q-table updates,
+action selections, frames elapsed, history lengths and a digest of every
+named random stream's final state — are deterministic, so any change in
+them means the QMA subslot tick or the engine changed its event stream (or
+its learning path), even when the record digests happen to survive.
+Optimisations of the tick or the engine must leave every value here
+unchanged; a deliberate behaviour change must update them explicitly.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
 from typing import Any, Dict, List
 
 import pytest
@@ -24,6 +28,8 @@ from repro.scenario.builder import ScenarioBuilder
 #: frames_elapsed, len(q_history), len(rho_history)].
 HIDDEN_NODE_SEED_1 = {
     "events_executed": 34523,
+    "seqs_drawn": 34588,
+    "rng_sha256": "e1334a2df3c3bc7d49bd6d01659bdbad61523351be1122e1e081f44cb8a23940",
     "nodes": {
         0: [1386, [1248, 1, 29], 4, 1274, 212, 212, 1278],
         1: [108, [0, 0, 0], 0, 0, 212, 212, 0],
@@ -33,6 +39,8 @@ HIDDEN_NODE_SEED_1 = {
 
 DSME_ONE_RING_SEED_0 = {
     "events_executed": 24947,
+    "seqs_drawn": 24976,
+    "rng_sha256": "44045a390e05263c059815021985fbb401986e72e7be955e89925205ef54b1e0",
     "nodes": {
         0: [2538, [2430, 1, 0], 1, 2430, 92, 92, 2431],
         1: [2608, [2499, 0, 2], 4, 2497, 92, 92, 2501],
@@ -76,7 +84,21 @@ def _counters(sim: Any, macs: Dict[int, Any]) -> Dict[str, Any]:
             len(mac.q_history),
             len(mac.rho_history),
         ]
-    return {"events_executed": sim.events_executed, "nodes": nodes}
+    return {
+        "events_executed": sim.events_executed,
+        "seqs_drawn": next(copy.copy(sim._seq)),
+        "rng_sha256": _rng_digest(sim),
+        "nodes": nodes,
+    }
+
+
+def _rng_digest(sim: Any) -> str:
+    """sha256 over every named stream's ``getstate()``, in name order."""
+    digest = hashlib.sha256()
+    streams = sim.rng._streams
+    for name in sorted(streams):
+        digest.update(repr((name, streams[name].getstate())).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def test_hidden_node_qma_counters(captured_builds):

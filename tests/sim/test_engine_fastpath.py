@@ -1,13 +1,16 @@
-"""Tests for the allocation-lean scheduler fast path.
+"""Tests for the fire-and-forget scheduler fast path.
 
 ``schedule_fast`` / ``schedule_at_fast`` share the sequence counter with
 the general path, so mixing both must preserve the deterministic
-``(time, seq)`` execution order; fired fast events are recycled through a
-freelist; ``pending_events`` is an O(1) live counter; and lazily-cancelled
-heap entries are compacted away once they dominate the queue.
+``(time, seq)`` execution order; NaN and infinite times are rejected on
+every path; ``pending_events`` stays exact under cancels; and
+lazily-cancelled heap entries are compacted away once they dominate the
+queue.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -45,21 +48,43 @@ def test_schedule_fast_rejects_negative_delay_and_past_times():
         sim.schedule_at_fast(1.0, lambda: None)
 
 
-def test_fired_fast_events_are_recycled():
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fast_paths_reject_nan_and_infinite_times(bad):
     sim = Simulator()
-    for _ in range(10):
-        sim.schedule_fast(1.0, lambda: None)
-    sim.run_until(2.0)
-    shells = list(sim._free)
-    assert len(shells) == 10
-    # The next fast schedules reuse the recycled shells, newest first.
-    sim.schedule_fast(1.0, lambda: None)
-    assert sim._free == shells[:-1]
+    fired = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule_at_fast(t, fired.append, t)
+    with pytest.raises(SimulationError):
+        sim.schedule_fast(bad, fired.append, "bad")
+    with pytest.raises(SimulationError):
+        sim.schedule_at_fast(bad, fired.append, "bad")
+    with pytest.raises(SimulationError):
+        sim.schedule(bad, fired.append, "bad")
+    with pytest.raises(SimulationError):
+        sim.schedule_at(bad, fired.append, "bad")
+    assert sim.pending_events() == 3
+    sim.run_until(5.0)
+    assert fired == [1.0, 2.0, 3.0]
+    assert sim.now == 5.0
+
+
+def test_run_until_rejects_nan():
+    sim = Simulator()
+
+    def tick():
+        sim.schedule_fast(1.0, tick)
+
+    sim.schedule_fast(1.0, tick)
+    with pytest.raises(SimulationError):
+        sim.run_until(math.nan)
+    sim.run_until(3.5)
+    assert sim.events_executed == 3
+    assert sim.now == 3.5
 
 
 def test_recycled_shells_keep_events_ordered():
-    """A callback scheduling from within its own firing reuses shells
-    without disturbing the (time, seq) order."""
+    """A callback scheduling from within its own firing keeps the
+    (time, seq) order."""
     sim = Simulator()
     fired = []
 
