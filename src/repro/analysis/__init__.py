@@ -1,5 +1,7 @@
-"""Analysis utilities: statistics, convergence metrics, slot utilisation and
-the absorbing-Markov-chain model of the DSME GTS handshake."""
+"""Analysis utilities: statistics, convergence metrics and slot utilisation.
+
+The absorbing-Markov-chain model of the DSME GTS handshake needs numpy and
+is not re-exported: import it from :mod:`repro.analysis.markov`."""
 
 from repro.analysis.stats import (
     StreamingStats,
@@ -14,21 +16,13 @@ from repro.analysis.convergence import (
     is_stable,
 )
 from repro.analysis.slots import SlotUtilisation, slot_utilisation
-from repro.analysis.markov import (
-    AbsorbingMarkovChain,
-    expected_handshake_messages,
-    gts_handshake_chain,
-)
 
 __all__ = [
-    "AbsorbingMarkovChain",
     "SlotUtilisation",
     "StreamingStats",
     "confidence_interval_95",
     "convergence_time",
     "cumulative_q_series",
-    "expected_handshake_messages",
-    "gts_handshake_chain",
     "is_stable",
     "mean",
     "rolling_average",

@@ -98,6 +98,28 @@ def _parse_chunksize(text: str) -> Any:
     return value
 
 
+def _parse_probability(text: str) -> float:
+    """Parse a success probability in (0, 1]; NaN is rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a probability, got {text!r}")
+    if not 0.0 < value <= 1.0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"probability must lie in (0, 1], got {text}")
+    return value
+
+
+def _parse_non_negative_int(text: str) -> int:
+    """Parse an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, help="worker processes (0 = one per CPU)"
@@ -1293,8 +1315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compact)
 
     p = sub.add_parser("fig26", help="expected handshake messages (Fig. 26)")
-    p.add_argument("--probabilities", nargs="+", type=float, default=list(PAPER_PROBABILITIES))
-    p.add_argument("--retries", type=int, default=3)
+    p.add_argument(
+        "--probabilities", nargs="+", type=_parse_probability,
+        default=list(PAPER_PROBABILITIES), metavar="P",
+    )
+    p.add_argument("--retries", type=_parse_non_negative_int, default=3, metavar="N")
     p.set_defaults(func=cmd_fig26)
 
     return parser

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.analysis.markov import expected_handshake_messages
 from repro.metrics.report import SimReport
 
 #: Success probabilities used on the x-axis of Fig. 26.
@@ -27,6 +26,8 @@ def handshake_expected_messages(
     retries: int = 3,
 ) -> Dict[float, float]:
     """Expected messages per handshake for every probability in the sweep."""
+    from repro.analysis.markov import expected_handshake_messages  # needs numpy
+
     return {p: expected_handshake_messages(p, retries) for p in probabilities}
 
 

@@ -22,84 +22,6 @@ million-run sweeps:
   host-health quarantine and byte-offset-resumable journal streaming;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   long-lived asyncio front end and its blocking client.
+
+The package re-exports nothing: import from the submodules.
 """
-
-from repro.service.backends import (
-    DispatchBackend,
-    PoolBackend,
-    SerialBackend,
-    ShardBackend,
-    ShardFailure,
-    make_backend,
-)
-from repro.service.checkpoint import CheckpointOutcome, run_checkpointed
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.faults import Fault, FaultPlan, InjectedFault
-from repro.service.journal import (
-    CheckpointJournal,
-    JournalError,
-    SweepMismatchError,
-)
-from repro.service.manifest import (
-    affinity_order,
-    record_digest,
-    run_id,
-    split_shards,
-    sweep_digest,
-)
-from repro.service.agent import AgentServer, CampaignAgent
-from repro.service.remote import (
-    HostRegistry,
-    HostSpec,
-    RemoteBackend,
-    RemoteDispatchError,
-    parse_hosts,
-)
-from repro.service.server import CampaignServer, CampaignService
-from repro.service.supervisor import (
-    RetryPolicy,
-    SupervisedBackend,
-    load_quarantine,
-    make_supervised,
-    quarantine_path,
-    retry_quarantined,
-)
-
-__all__ = [
-    "AgentServer",
-    "CampaignAgent",
-    "CampaignServer",
-    "CampaignService",
-    "CheckpointJournal",
-    "CheckpointOutcome",
-    "DispatchBackend",
-    "Fault",
-    "FaultPlan",
-    "HostRegistry",
-    "HostSpec",
-    "InjectedFault",
-    "JournalError",
-    "PoolBackend",
-    "RemoteBackend",
-    "RemoteDispatchError",
-    "RetryPolicy",
-    "SerialBackend",
-    "ServiceClient",
-    "ServiceError",
-    "ShardBackend",
-    "ShardFailure",
-    "SupervisedBackend",
-    "SweepMismatchError",
-    "affinity_order",
-    "load_quarantine",
-    "make_backend",
-    "make_supervised",
-    "parse_hosts",
-    "quarantine_path",
-    "record_digest",
-    "retry_quarantined",
-    "run_checkpointed",
-    "run_id",
-    "split_shards",
-    "sweep_digest",
-]

@@ -2,13 +2,14 @@
 
 Record digests cover the scalar metrics of a run but not how much work the
 engine did to produce them.  These counters — events executed, sequence
-numbers drawn (one per scheduled event, cancelled or not), Q-table updates,
-action selections, frames elapsed, history lengths and a digest of every
-named random stream's final state — are deterministic, so any change in
-them means the QMA subslot tick or the engine changed its event stream (or
-its learning path), even when the record digests happen to survive.
-Optimisations of the tick or the engine must leave every value here
-unchanged; a deliberate behaviour change must update them explicitly.
+numbers drawn (one per scheduled event, cancelled or not), subslot ticks
+(summed over nodes), Q-table updates, action selections, frames elapsed,
+history lengths and a digest of every named random stream's final state —
+are deterministic, so any change in them means the QMA subslot tick or the
+engine changed its event stream (or its learning path), even when the
+record digests happen to survive.  Optimisations of the tick or the engine
+must leave every value here unchanged; a deliberate behaviour change must
+update them explicitly.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.scenario.builder import ScenarioBuilder
 HIDDEN_NODE_SEED_1 = {
     "events_executed": 34523,
     "seqs_drawn": 34588,
+    "subslot_ticks": 34278,
     "rng_sha256": "e1334a2df3c3bc7d49bd6d01659bdbad61523351be1122e1e081f44cb8a23940",
     "nodes": {
         0: [1386, [1248, 1, 29], 4, 1274, 212, 212, 1278],
@@ -40,6 +42,7 @@ HIDDEN_NODE_SEED_1 = {
 DSME_ONE_RING_SEED_0 = {
     "events_executed": 24947,
     "seqs_drawn": 24976,
+    "subslot_ticks": 24787,
     "rng_sha256": "44045a390e05263c059815021985fbb401986e72e7be955e89925205ef54b1e0",
     "nodes": {
         0: [2538, [2430, 1, 0], 1, 2430, 92, 92, 2431],
@@ -87,6 +90,7 @@ def _counters(sim: Any, macs: Dict[int, Any]) -> Dict[str, Any]:
     return {
         "events_executed": sim.events_executed,
         "seqs_drawn": next(copy.copy(sim._seq)),
+        "subslot_ticks": sum(mac._counter for mac in macs.values()),
         "rng_sha256": _rng_digest(sim),
         "nodes": nodes,
     }

@@ -169,6 +169,26 @@ def test_fig26_command_prints_curve(capsys):
     assert "3.00" in output
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--probabilities", "0.5", "1.5"], "probability must lie in (0, 1]"),
+        (["--probabilities", "0"], "probability must lie in (0, 1]"),
+        (["--probabilities", "nan"], "probability must lie in (0, 1]"),
+        (["--probabilities", "half"], "expected a probability"),
+        (["--retries", "-1"], "must be non-negative"),
+    ],
+    ids=["above-one", "zero", "nan", "not-a-number", "negative-retries"],
+)
+def test_fig26_rejects_out_of_range_input_as_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig26", *argv])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_fig7_command_small_run(capsys):
     assert (
         main(

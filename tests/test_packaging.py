@@ -1,11 +1,14 @@
-"""Packaging smoke tests: entry points and project metadata."""
+"""Packaging smoke tests: entry points, project metadata and import graph."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +46,54 @@ def test_pyproject_declares_console_entry_point():
     assert data["project"]["name"] == "qma-repro"
     assert data["project"]["scripts"]["qma-repro"] == "repro.cli:main"
     assert data["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
+
+
+#: Modules a process that only builds, runs and checkpoints simulations never
+#: uses: numpy (the batch engine, the Fig. 26 Markov chain and the RNG
+#: substreams import it where they need it) and the asyncio/HTTP/TLS stack of
+#: the server, client and cross-host dispatch.
+COLD_START_FORBIDDEN = (
+    "numpy",
+    "asyncio",
+    "http.client",
+    "ssl",
+    "repro.service.server",
+    "repro.service.client",
+    "repro.service.remote",
+    "repro.service.agent",
+    "repro.analysis.markov",
+)
+
+
+def _loaded_after_import(statement: str, names) -> list:
+    """Which of ``names`` a fresh interpreter has loaded after ``statement``."""
+    probe = (
+        f"import json, sys\n{statement}\n"
+        f"print(json.dumps(sorted(n for n in {list(names)!r} if n in sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import repro.campaign.runner, repro.service.checkpoint, repro.service.supervisor",
+        "import repro.cli",
+        "import repro.service.shard_worker",
+    ],
+    ids=["serial-sweep", "cli", "shard-worker"],
+)
+def test_entry_points_do_not_import_unused_layers(statement):
+    assert _loaded_after_import(statement, COLD_START_FORBIDDEN) == []
+
+
+def test_batch_runner_still_imports_numpy():
+    assert _loaded_after_import("import repro.campaign.batch_runner", ["numpy"]) == ["numpy"]
