@@ -107,7 +107,6 @@ class DsmeNetwork:
         cap_mac_config: Optional[object] = None,
         route_discovery_period: Optional[float] = 2.0,
         link_error_rate: float = 0.0,
-        static_links: Optional[bool] = None,
         interference: str = "collision",
         sinr_threshold_db: float = 10.0,
         propagation_model: Optional[object] = None,
@@ -136,7 +135,6 @@ class DsmeNetwork:
             topology,
             self._build_mac,
             link_error_rate=link_error_rate,
-            static_links=static_links,
             interference=interference,
             sinr_threshold_db=sinr_threshold_db,
             propagation_model=propagation_model,

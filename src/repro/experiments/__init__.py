@@ -17,7 +17,6 @@ from repro.experiments.base import (
     summarize,
 )
 from repro.experiments.hidden_node import (
-    HiddenNodeResult,
     run_convergence,
     run_fluctuating,
     run_hidden_node,
@@ -25,22 +24,18 @@ from repro.experiments.hidden_node import (
     sweep_hidden_node,
 )
 from repro.experiments.testbed import (
-    TestbedResult,
     compare_energy_proxy,
     run_star,
     run_tree,
     sweep_testbed,
 )
-from repro.experiments.scalability import ScalabilityResult, run_scalability, sweep_scalability
+from repro.experiments.scalability import run_scalability, sweep_scalability
 from repro.experiments.handshake import handshake_expected_messages, run_handshake
 from repro.metrics.report import SimReport
 
 __all__ = [
     "MAC_KINDS",
-    "HiddenNodeResult",
-    "ScalabilityResult",
     "SimReport",
-    "TestbedResult",
     "compare_energy_proxy",
     "handshake_expected_messages",
     "make_mac_factory",

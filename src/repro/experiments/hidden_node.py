@@ -35,25 +35,12 @@ PAPER_DELTAS = (1, 2, 4, 6, 8, 10, 25, 50, 100)
 #: The two traffic sources of the scenario (B is the sink).
 SOURCES = (NODE_A, NODE_C)
 
-#: Collector composition reproducing the historical ``HiddenNodeResult``
-#: metrics (scalars are numerically identical for fixed seeds).
+#: Default collector composition of the hidden-node runners.
 DEFAULT_COLLECTORS = ("pdr", "queue", "delay", "attempts", "convergence")
 
 #: Per-collector constructor overrides for this experiment (registry
 #: defaults already match the hidden-node metric conventions).
 COLLECTOR_OVERRIDES: Dict[str, Dict[str, Any]] = {}
-
-#: Attribute names of the retired ``HiddenNodeResult`` dataclass mapped
-#: onto report sections (resolved with a DeprecationWarning).
-_LEGACY_ATTRS = {
-    "q_histories": ("tables", "q_history"),
-    "rho_histories": ("tables", "rho_history"),
-    "policies": ("tables", "policy"),
-}
-
-#: Deprecated alias: the hidden-node runners now return a
-#: :class:`~repro.metrics.report.SimReport`.
-HiddenNodeResult = SimReport
 
 
 def _default_qma_config() -> QmaConfig:
@@ -187,7 +174,6 @@ def run_hidden_node(
         },
         duration=sim.now,
         trace_dropped=ctx.trace_dropped(),
-        legacy=dict(_LEGACY_ATTRS),
     )
     for collector in active:
         collector.finalize(ctx, report)

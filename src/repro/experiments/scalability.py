@@ -32,19 +32,10 @@ PAPER_RINGS = (1, 2, 3, 4)
 #: (matches the 2-ring concentric deployment of the paper).
 DEFAULT_TOPOLOGY_NODES = 19
 
-#: Collector composition reproducing the historical ``ScalabilityResult``
-#: metrics (scalars are numerically identical for fixed seeds).
+#: Default collector composition of the scalability runner.
 DEFAULT_COLLECTORS = ("dsme",)
 
 COLLECTOR_OVERRIDES: Dict[str, Dict[str, Any]] = {}
-
-_LEGACY_ATTRS = {
-    "secondary": ("details", "secondary"),
-}
-
-#: Deprecated alias: the scalability runner now returns a
-#: :class:`~repro.metrics.report.SimReport`.
-ScalabilityResult = SimReport
 
 
 def run_scalability(
@@ -164,7 +155,6 @@ def run_scalability(
         params=report_params,
         duration=sim.now,
         trace_dropped=ctx.trace_dropped(),
-        legacy=dict(_LEGACY_ATTRS),
     )
     for collector in active:
         collector.finalize(ctx, report)

@@ -30,8 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.scenario.artifacts import ScenarioArtifacts
     from repro.sim.engine import Simulator
 
-#: Collector composition reproducing the historical ``TestbedResult``
-#: metrics (scalars are numerically identical for fixed seeds).
+#: Default collector composition of the testbed runners.
 DEFAULT_COLLECTORS = ("pdr", "attempts")
 
 #: The testbed convention: per-node PDR over the data generators' own
@@ -44,14 +43,6 @@ COLLECTOR_OVERRIDES: Dict[str, Dict[str, Any]] = {
         "delivered_scalar": "data",
     },
 }
-
-_LEGACY_ATTRS = {
-    "per_node_pdr": ("tables", "pdr_per_node"),
-}
-
-#: Deprecated alias: the testbed runners now return a
-#: :class:`~repro.metrics.report.SimReport`.
-TestbedResult = SimReport
 
 
 @dataclass
@@ -209,7 +200,6 @@ def prepare_topology_run(
             },
             duration=sim.now,
             trace_dropped=ctx.trace_dropped(),
-            legacy=dict(_LEGACY_ATTRS),
         )
         for collector in active:
             collector.finalize(ctx, report)

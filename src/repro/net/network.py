@@ -35,7 +35,6 @@ class Network:
         mac_factory: MacFactory,
         phy: Optional[PhyParameters] = None,
         link_error_rate: float = 0.0,
-        static_links: Optional[bool] = None,
         interference: str = "collision",
         sinr_threshold_db: float = 10.0,
         propagation_model: Optional["PropagationModel"] = None,
@@ -47,7 +46,6 @@ class Network:
         self.channel = WirelessChannel(
             sim,
             phy,
-            static_links=static_links,
             interference=interference,
             sinr_threshold_db=sinr_threshold_db,
         )

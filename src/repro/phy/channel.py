@@ -43,23 +43,17 @@ Static link table
 -----------------
 Topologies in this reproduction are static: links are wired (or derived
 from a propagation model) once at network construction and never change
-during a run.  The channel exploits this with a precomputed *link table* —
+during a run.  The channel delivers over a precomputed *link table* —
 per sender, an ordered row of ``(receiver_id, radio, arriving_list,
-packet_error_rate)`` tuples — built lazily on the first transmission, so
-the per-delivery path is a flat iteration over prebuilt rows instead of
-set/dict lookups per receiver.  The receiver order of each row is exactly
-the neighbour-set iteration order of the dynamic path, so results are
-bit-identical (per-link error draws consume the channel RNG in the same
-order).
+packet_error_rate, signal_mw)`` tuples — built lazily on the first
+transmission, so the per-delivery path is a flat iteration over prebuilt
+rows instead of set/dict lookups per receiver.  Each row keeps the
+neighbour-set iteration order, so per-link error draws consume the
+channel RNG in wiring order.
 
-Mutating the topology (``connect`` / ``disconnect`` /
-``set_link_error_rate`` / ``register``) *after* the table was first used
-permanently demotes the channel to the dynamic fallback path — mobile or
-mutating topologies keep the original per-delivery semantics without any
-caller cooperation.  Channels can also be created with
-``static_links=False`` to opt out up front.  Transmissions in flight at
-demotion time lose their row snapshot and finish on the dynamic path, so
-the static and dynamic modes agree even across the mutating event itself.
+Links are fixed after the first transmission: every wiring call
+(``register`` / ``connect`` / ``connect_sensed`` / ``set_link_error_rate``
+/ ``set_link_power``) made after it raises :class:`RuntimeError`.
 
 Prebuilt skeleton
 -----------------
@@ -69,14 +63,13 @@ rx_power_dbm, PER)`` rows — across every run of a sweep.
 :meth:`WirelessChannel.preset_link_table` installs such a skeleton after
 wiring; the first transmission then maps it onto this run's radios and
 arriving lists instead of re-deriving the receiver order from the
-neighbour sets.  The skeleton is read-only and shared: any mutation simply
-*drops this channel's reference* (before first use the table is later
-derived from the live wiring, after first use the channel demotes to the
-dynamic path as usual), so a demoting run never corrupts the bundle other
-runs still consume (copy-on-demote).  The SINR model rides the same fast
-path: its rows additionally carry the precomputed linear signal power, and
-a parallel *sense table* maps senders onto the sensing lists of their
-carrier-sense-only receivers.
+neighbour sets.  The skeleton is read-only and shared: wiring after the
+preset only drops this channel's reference (the table is then derived
+from the live wiring), so no run ever edits the bundle other runs still
+consume.  The SINR model rides the same table: its rows additionally
+carry the precomputed linear signal power, and a parallel *sense table*
+maps senders onto the sensing lists of their carrier-sense-only
+receivers.
 """
 
 from __future__ import annotations
@@ -129,13 +122,11 @@ class ActiveTransmission:
     frame: Frame
     start: float
     end: float
+    #: The sender's link-table row, taken at transmission start.
+    rows: Sequence[_LinkRow]
     corrupted_for: Set[int] = field(default_factory=set)
-    #: Link-table rows snapshotted at transmission start (static path only;
-    #: None when the channel runs on the dynamic fallback).
-    rows: Optional[Sequence[_LinkRow]] = None
-    #: Sense-table rows snapshotted at transmission start (static SINR path
-    #: only; cleared together with ``rows`` on demotion).
-    sense_rows: Optional[Sequence[_SenseRow]] = None
+    #: The sender's sense-table row (SINR model only).
+    sense_rows: Sequence[_SenseRow] = ()
 
 
 class WirelessChannel:
@@ -147,11 +138,6 @@ class WirelessChannel:
         The simulation engine.
     phy:
         PHY timing parameters (shared by all radios on the channel).
-    static_links:
-        Use the precomputed link table for deliveries (default: the class
-        attribute :attr:`DEFAULT_STATIC_LINKS`, True).  Pass False for
-        topologies that mutate mid-run; a mutation after the first
-        transmission demotes a static channel automatically.
     interference:
         ``"collision"`` (default) — the paper's binary overlap model;
         ``"sinr"`` — signal-power interference with capture (see the
@@ -163,15 +149,12 @@ class WirelessChannel:
         model).
     """
 
-    #: Process-wide default for the ``static_links`` constructor argument;
-    #: tests flip this to verify the dynamic fallback end to end.
-    DEFAULT_STATIC_LINKS = True
+    _EMPTY_NEIGHBOURS: AbstractSet[int] = frozenset()
 
     def __init__(
         self,
         sim: "Simulator",
         phy: Optional[PhyParameters] = None,
-        static_links: Optional[bool] = None,
         interference: str = "collision",
         sinr_threshold_db: float = DEFAULT_SINR_THRESHOLD_DB,
     ) -> None:
@@ -199,14 +182,11 @@ class WirelessChannel:
         #: transmissions currently sensed-only at each radio
         self._sensing: Dict[int, List[ActiveTransmission]] = {}
         self._rng = sim.rng.stream("channel")
-        self._static = (
-            self.DEFAULT_STATIC_LINKS if static_links is None else bool(static_links)
-        )
         self._link_table: Optional[Dict[int, Tuple[_LinkRow, ...]]] = None
         self._sense_table: Optional[Dict[int, Tuple[_SenseRow, ...]]] = None
         #: Shared (receiver_id, power_dbm, PER) skeleton installed by
-        #: preset_link_table; read-only — mutations drop the reference,
-        #: never edit it.
+        #: preset_link_table; read-only — later wiring drops the
+        #: reference, never edits it.
         self._skeleton: Optional[Mapping[int, Sequence[Tuple[int, float, float]]]] = None
         self._noise_mw = 10.0 ** (self.phy.noise_floor_dbm / 10.0)
         self._capture_ratio = 10.0 ** (sinr_threshold_db / 10.0)
@@ -217,8 +197,22 @@ class WirelessChannel:
         self.frames_lost_link_error = 0
 
     # --------------------------------------------------------------- wiring
+    def _begin_wiring(self) -> None:
+        """Guard of every wiring call: links are fixed after first use.
+
+        Before the first transmission wiring is free, though a preset
+        skeleton no longer matching the wiring is dropped (the table is
+        then derived from the live neighbour sets).  A shared skeleton is
+        never edited, only dereferenced, so other runs consuming the same
+        bundle are unaffected.
+        """
+        if self._link_table is not None:
+            raise RuntimeError("links are fixed after the first transmission")
+        self._skeleton = None
+
     def register(self, radio: "Radio") -> None:
         """Attach a radio to the channel."""
+        self._begin_wiring()
         if radio.node_id in self._radios:
             raise ValueError(f"radio id {radio.node_id} already registered")
         self._radios[radio.node_id] = radio
@@ -230,7 +224,6 @@ class WirelessChannel:
         # lists so CCA needs no dict lookups (see Radio.cca).
         radio._rx_arriving = self._arriving[radio.node_id]
         radio._rx_sensing = self._sensing[radio.node_id]
-        self.invalidate_link_table()
 
     def radios(self) -> Iterable["Radio"]:
         return self._radios.values()
@@ -240,36 +233,14 @@ class WirelessChannel:
 
     def connect(self, a: int, b: int, bidirectional: bool = True) -> None:
         """Declare that node ``b`` can hear transmissions of node ``a``."""
+        self._begin_wiring()
         if a == b:
             raise ValueError("a node cannot be its own neighbour")
+        if self.senses(b, a) or (bidirectional and self.senses(a, b)):
+            raise ValueError(f"nodes {a} and {b} already share a sensed-only link")
         self._neighbours.setdefault(a, set()).add(b)
         if bidirectional:
             self._neighbours.setdefault(b, set()).add(a)
-        self.invalidate_link_table()
-
-    def disconnect(self, a: int, b: int, bidirectional: bool = True) -> None:
-        """Remove a previously declared link.
-
-        Frames of the removed link that are still on the air stop arriving
-        at the disconnected receiver immediately — otherwise the stale
-        book-keeping entry would keep the receiver's CCA busy forever.
-        """
-        # Demote (clearing in-flight row snapshots) BEFORE purging the
-        # arriving lists: a purged transmission would otherwise keep its
-        # stale rows and still deliver over the removed link.
-        self.invalidate_link_table()
-        self._neighbours.get(a, set()).discard(b)
-        self._drop_in_flight(a, b)
-        if bidirectional:
-            self._neighbours.get(b, set()).discard(a)
-            self._drop_in_flight(b, a)
-
-    def _drop_in_flight(self, sender_id: int, receiver_id: int) -> None:
-        """Purge ``sender_id``'s in-flight transmissions from ``receiver_id``'s
-        arriving list after their link was removed."""
-        arriving = self._arriving.get(receiver_id)
-        if arriving:
-            arriving[:] = [tx for tx in arriving if tx.sender_id != sender_id]
 
     def build_links_from_positions(self, model: PropagationModel) -> None:
         """Derive connectivity from radio positions using a propagation model."""
@@ -287,12 +258,12 @@ class WirelessChannel:
 
     def set_link_error_rate(self, a: int, b: int, per: float, bidirectional: bool = True) -> None:
         """Set the packet error rate of the link from ``a`` to ``b``."""
+        self._begin_wiring()
         if not 0.0 <= per <= 1.0:
             raise ValueError("packet error rate must lie in [0, 1]")
         self._link_error[(a, b)] = per
         if bidirectional:
             self._link_error[(b, a)] = per
-        self.invalidate_link_table()
 
     # ------------------------------------------------------ SINR link wiring
     def set_link_power(self, sender: int, receiver: int, power_dbm: float) -> None:
@@ -302,8 +273,8 @@ class WirelessChannel:
         (signal and interference) and sensed-only links (interference).
         Harmless no-op data under the collision model.
         """
+        self._begin_wiring()
         self._power_mw[(sender, receiver)] = 10.0 ** (power_dbm / 10.0)
-        self.invalidate_link_table()
 
     def connect_sensed(self, sender: int, receiver: int, power_dbm: float) -> None:
         """Declare that ``receiver`` *senses* (but cannot decode) ``sender``.
@@ -313,40 +284,21 @@ class WirelessChannel:
         ``notify_corrupted_frame`` — the receiver cannot synchronise on
         them in the first place.
         """
+        self._begin_wiring()
         if sender == receiver:
             raise ValueError("a node cannot sense itself")
-        if receiver in self._neighbours.get(sender, ()):
+        if self.hears(receiver, sender):
             raise ValueError(
                 f"link {sender}->{receiver} is already a communication link"
             )
         self._cs_neighbours.setdefault(sender, set()).add(receiver)
         self._power_mw[(sender, receiver)] = 10.0 ** (power_dbm / 10.0)
-        self.invalidate_link_table()
-
-    def disconnect_sensed(self, sender: int, receiver: int) -> None:
-        """Remove a sensed-only link.
-
-        Mirrors :meth:`disconnect`: sensed transmissions still in flight
-        are purged from the receiver's sensing list immediately, so a
-        removed link can never strand the sensed-energy book-keeping and
-        pin the receiver's CCA busy.
-        """
-        self.invalidate_link_table()
-        self._cs_neighbours.get(sender, set()).discard(receiver)
-        sensing = self._sensing.get(receiver)
-        if sensing:
-            sensing[:] = [tx for tx in sensing if tx.sender_id != sender]
 
     def senses(self, receiver: int, sender: int) -> bool:
         """True if ``receiver`` senses (without decoding) ``sender``."""
         return receiver in self._cs_neighbours.get(sender, self._EMPTY_NEIGHBOURS)
 
     # ----------------------------------------------------------- link table
-    @property
-    def static_links(self) -> bool:
-        """True while deliveries run over the precomputed link table."""
-        return self._static
-
     def preset_link_table(
         self, skeleton: Mapping[int, Sequence[Tuple[int, float, float]]]
     ) -> None:
@@ -357,44 +309,11 @@ class WirelessChannel:
         transmission then maps the skeleton onto this run's radios and
         arriving lists instead of re-deriving receiver order from the
         neighbour sets.  The skeleton must describe exactly the current
-        wiring — any later mutation discards it (see
-        :meth:`invalidate_link_table`).  Dynamic channels ignore presets.
+        wiring — any later wiring call discards it.
         """
-        if not self._static:
-            return
         if self._link_table is not None:
             raise RuntimeError("cannot preset the link table after its first use")
         self._skeleton = skeleton
-
-    def invalidate_link_table(self) -> None:
-        """Drop the precomputed delivery rows after a topology change.
-
-        Called automatically by every mutating method.  Before the table's
-        first use this is free (construction-time wiring) — though a preset
-        skeleton no longer matching the wiring is dropped, falling back to
-        deriving the table from the live neighbour sets; *after* first
-        use the channel permanently falls back to the dynamic path, which
-        re-reads the neighbour sets per delivery — the correct semantics
-        for mobile/mutating topologies.  Transmissions in flight at
-        demotion time lose their row snapshot and finish on the dynamic
-        path too, so a mid-flight mutation behaves exactly like a channel
-        that ran dynamic from the start.  A shared skeleton is never
-        edited, only dereferenced — other runs consuming the same bundle
-        are unaffected (copy-on-demote).
-        """
-        self._skeleton = None
-        if self._link_table is not None:
-            self._link_table = None
-            self._sense_table = None
-            self._static = False
-            for arriving in self._arriving.values():
-                for tx in arriving:
-                    tx.rows = None
-                    tx.sense_rows = None
-            for sensing in self._sensing.values():
-                for tx in sensing:
-                    tx.rows = None
-                    tx.sense_rows = None
 
     def _build_link_table(self) -> Dict[int, Tuple[_LinkRow, ...]]:
         """Precompute per-sender delivery rows (neighbour-set order kept).
@@ -449,24 +368,13 @@ class WirelessChannel:
             }
         return table
 
-    _EMPTY_NEIGHBOURS: AbstractSet[int] = frozenset()
-
     def neighbours(self, node_id: int) -> Set[int]:
         """Node ids that can hear transmissions of ``node_id`` (a fresh copy)."""
         return set(self._neighbours.get(node_id, self._EMPTY_NEIGHBOURS))
 
-    def neighbours_view(self, node_id: int) -> AbstractSet[int]:
-        """Read-only view of the neighbour set (no copy; do not mutate).
-
-        The dynamic delivery path iterates neighbour sets once per
-        transmission through this accessor, avoiding the per-call copy of
-        :meth:`neighbours` while keeping the public method's copy semantics.
-        """
-        return self._neighbours.get(node_id, self._EMPTY_NEIGHBOURS)
-
     def hears(self, receiver: int, sender: int) -> bool:
         """True if ``receiver`` is within range of ``sender``."""
-        return receiver in self._neighbours.get(sender, set())
+        return receiver in self._neighbours.get(sender, self._EMPTY_NEIGHBOURS)
 
     # ------------------------------------------------------------- carrier
     def is_busy_for(self, node_id: int) -> bool:
@@ -487,21 +395,19 @@ class WirelessChannel:
     # --------------------------------------------------------- transmission
     def begin_transmission(self, sender: "Radio", frame: Frame, duration: float) -> None:
         """Start a transmission of ``frame`` by ``sender`` lasting ``duration`` seconds."""
+        table = self._link_table
+        if table is None:
+            table = self._build_link_table()
         now = self.sim.now
-        tx = ActiveTransmission(sender.node_id, frame, now, now + duration)
+        tx = ActiveTransmission(
+            sender.node_id, frame, now, now + duration, table[sender.node_id]
+        )
         self.transmissions_started += 1
         if self._sinr:
-            self._begin_sinr(sender, tx)
-            self.sim.schedule_fast(duration, self._end_transmission, tx)
-            return
-        corrupted_for = tx.corrupted_for
-        if self._static:
-            table = self._link_table
-            if table is None:
-                table = self._build_link_table()
-            rows = table[sender.node_id]
-            tx.rows = rows
-            for receiver_id, radio, arriving, _per, _signal in rows:
+            self._begin_sinr(tx)
+        else:
+            corrupted_for = tx.corrupted_for
+            for receiver_id, radio, arriving, _per, _signal in tx.rows:
                 if arriving:
                     # Overlap with everything currently arriving at this receiver.
                     corrupted_for.add(receiver_id)
@@ -511,21 +417,9 @@ class WirelessChannel:
                     # Half-duplex: a transmitting radio cannot receive.
                     corrupted_for.add(receiver_id)
                 arriving.append(tx)
-        else:
-            radios = self._radios
-            arriving_map = self._arriving
-            for receiver_id in self.neighbours_view(sender.node_id):
-                arriving = arriving_map[receiver_id]
-                if arriving:
-                    corrupted_for.add(receiver_id)
-                    for other in arriving:
-                        other.corrupted_for.add(receiver_id)
-                if radios[receiver_id].transmitting:
-                    corrupted_for.add(receiver_id)
-                arriving.append(tx)
         self.sim.schedule_fast(duration, self._end_transmission, tx)
 
-    def _begin_sinr(self, sender: "Radio", tx: ActiveTransmission) -> None:
+    def _begin_sinr(self, tx: ActiveTransmission) -> None:
         """Start a transmission under the SINR interference model.
 
         The new frame is appended to the arriving list of each decodable
@@ -534,49 +428,28 @@ class WirelessChannel:
         (corruption is monotone, so starts are the only points where a
         frame can newly fail the threshold).
         """
-        sender_id = sender.node_id
         corrupted_for = tx.corrupted_for
-        if self._static:
-            table = self._link_table
-            if table is None:
-                table = self._build_link_table()
-            rows = table[sender_id]
-            sense_rows = self._sense_table[sender_id]
-            tx.rows = rows
-            tx.sense_rows = sense_rows
-            for receiver_id, radio, arriving, _per, _signal in rows:
-                if radio.transmitting:
-                    # Half-duplex: a transmitting radio cannot receive.
-                    corrupted_for.add(receiver_id)
-                arriving.append(tx)
+        sense_rows = self._sense_table[tx.sender_id]
+        tx.sense_rows = sense_rows
+        for receiver_id, radio, arriving, _per, _signal in tx.rows:
+            if radio.transmitting:
+                # Half-duplex: a transmitting radio cannot receive.
+                corrupted_for.add(receiver_id)
+            arriving.append(tx)
+            self._reevaluate(receiver_id, arriving)
+        for receiver_id, sensing in sense_rows:
+            sensing.append(tx)
+            arriving = self._arriving[receiver_id]
+            if arriving:
                 self._reevaluate(receiver_id, arriving)
-            for receiver_id, sensing in sense_rows:
-                sensing.append(tx)
-                arriving = self._arriving[receiver_id]
-                if arriving:
-                    self._reevaluate(receiver_id, arriving)
-        else:
-            radios = self._radios
-            arriving_map = self._arriving
-            for receiver_id in self.neighbours_view(sender_id):
-                if radios[receiver_id].transmitting:
-                    corrupted_for.add(receiver_id)
-                arriving = arriving_map[receiver_id]
-                arriving.append(tx)
-                self._reevaluate(receiver_id, arriving)
-            for receiver_id in self._cs_neighbours.get(sender_id, self._EMPTY_NEIGHBOURS):
-                self._sensing[receiver_id].append(tx)
-                arriving = arriving_map[receiver_id]
-                if arriving:
-                    self._reevaluate(receiver_id, arriving)
 
     def _reevaluate(self, receiver_id: int, arriving: List[ActiveTransmission]) -> None:
         """Re-apply the SINR threshold to every frame arriving at a receiver.
 
         Interference is summed fresh over the arriving and sensing lists in
-        insertion (chronological) order — identical on the static and
-        dynamic paths, so float summation order can never diverge between
-        them.  Already-corrupted frames stay corrupted (sticky flag).
+        insertion (chronological) order, so the float summation order is
+        fixed by the event order alone.  Already-corrupted frames stay
+        corrupted (sticky flag).
         """
         power = self._power_mw
         noise = self._noise_mw
@@ -611,75 +484,26 @@ class WirelessChannel:
             tx.corrupted_for.add(node_id)
 
     def _end_transmission(self, tx: ActiveTransmission) -> None:
-        rows = tx.rows
-        if rows is not None:
-            corrupted_for = tx.corrupted_for
-            rng_random = self._rng.random
-            for receiver_id, receiver, arriving, per, _signal in rows:
-                try:
-                    arriving.remove(tx)
-                except ValueError:
-                    # Defensive: rows survive only while the table is
-                    # valid (demotion clears them), so the entry should
-                    # always still be present.
-                    pass
-                if receiver_id in corrupted_for:
-                    self.frames_corrupted += 1
-                    receiver.notify_corrupted_frame(tx.frame)
-                    continue
-                if receiver.transmitting:
-                    # Receiver started transmitting exactly at the boundary.
-                    self.frames_corrupted += 1
-                    receiver.notify_corrupted_frame(tx.frame)
-                    continue
-                if per > 0.0 and rng_random() < per:
-                    self.frames_lost_link_error += 1
-                    continue
-                self.frames_delivered += 1
-                receiver.deliver(tx.frame)
-            if tx.sense_rows is not None:
-                # Sensed-only receivers just stop seeing the energy — no
-                # delivery, no corruption notification (they never
-                # synchronised on the frame).
-                for _receiver_id, sensing in tx.sense_rows:
-                    try:
-                        sensing.remove(tx)
-                    except ValueError:
-                        pass
-        else:
-            radios = self._radios
-            arriving_map = self._arriving
-            for receiver_id in self.neighbours_view(tx.sender_id):
-                arriving = arriving_map[receiver_id]
-                try:
-                    arriving.remove(tx)
-                except ValueError:
-                    # The link was (dis)connected while the frame was on the air.
-                    pass
-                receiver = radios[receiver_id]
-                if receiver_id in tx.corrupted_for:
-                    self.frames_corrupted += 1
-                    receiver.notify_corrupted_frame(tx.frame)
-                    continue
-                if receiver.transmitting:
-                    self.frames_corrupted += 1
-                    receiver.notify_corrupted_frame(tx.frame)
-                    continue
-                per = self._link_error.get((tx.sender_id, receiver_id), 0.0)
-                if per > 0.0 and self._rng.random() < per:
-                    self.frames_lost_link_error += 1
-                    continue
-                self.frames_delivered += 1
-                receiver.deliver(tx.frame)
-            if self._sinr:
-                for receiver_id in self._cs_neighbours.get(
-                    tx.sender_id, self._EMPTY_NEIGHBOURS
-                ):
-                    sensing = self._sensing[receiver_id]
-                    try:
-                        sensing.remove(tx)
-                    except ValueError:
-                        # The sensed link was removed while the frame was
-                        # on the air (disconnect_sensed purges eagerly).
-                        pass
+        corrupted_for = tx.corrupted_for
+        rng_random = self._rng.random
+        for receiver_id, receiver, arriving, per, _signal in tx.rows:
+            arriving.remove(tx)
+            if receiver_id in corrupted_for:
+                self.frames_corrupted += 1
+                receiver.notify_corrupted_frame(tx.frame)
+                continue
+            if receiver.transmitting:
+                # Receiver started transmitting exactly at the boundary.
+                self.frames_corrupted += 1
+                receiver.notify_corrupted_frame(tx.frame)
+                continue
+            if per > 0.0 and rng_random() < per:
+                self.frames_lost_link_error += 1
+                continue
+            self.frames_delivered += 1
+            receiver.deliver(tx.frame)
+        # Sensed-only receivers just stop seeing the energy — no delivery,
+        # no corruption notification (they never synchronised on the frame).
+        for _receiver_id, sensing in tx.sense_rows:
+            sensing.remove(tx)
         self._radios[tx.sender_id].transmission_finished(tx.frame)

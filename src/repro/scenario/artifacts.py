@@ -165,9 +165,9 @@ class ScenarioArtifacts:
     def current_link_table(self) -> Optional[LinkTableSkeleton]:
         """The skeleton, or None when the topology was mutated after build.
 
-        The None fallback is the cross-run analogue of the channel's
-        mutation auto-demote: a stale skeleton is never served, the channel
-        falls back to deriving delivery rows from the live topology wiring.
+        A stale skeleton is never served: the channel then derives its
+        delivery rows from the live topology wiring before the first
+        transmission, after which links are fixed.
         """
         return self.link_table if self.is_current() else None
 

@@ -388,7 +388,6 @@ class ScenarioBuilder:
             topology,
             self.make_mac_factory(),
             link_error_rate=self.config.link_error_rate,
-            static_links=self.config.static_links,
             interference=self.config.interference,
             sinr_threshold_db=self.config.sinr_threshold_db,
             prebuilt_links=artifacts.current_link_table(),
@@ -422,7 +421,6 @@ class ScenarioBuilder:
             cap_mac_config=self.config.mac_config,
             route_discovery_period=route_discovery_period,
             link_error_rate=self.config.link_error_rate,
-            static_links=self.config.static_links,
             interference=self.config.interference,
             sinr_threshold_db=self.config.sinr_threshold_db,
             prebuilt_links=artifacts.current_link_table(),

@@ -62,12 +62,6 @@ class ScenarioConfig:
         received powers come from its ``received_power_dbm``.
     sinr_threshold_db:
         Capture threshold of the SINR model; ignored under ``collision``.
-    static_links:
-        Channel delivery mode: None (default) uses
-        :attr:`repro.phy.channel.WirelessChannel.DEFAULT_STATIC_LINKS`
-        (the precomputed link table); False forces the dynamic per-delivery
-        path for topologies that mutate mid-run.  Results are bit-identical
-        either way for static topologies.
     seed:
         Master seed of the simulation's RNG registry.
     trace / trace_limit:
@@ -87,7 +81,6 @@ class ScenarioConfig:
     link_error_rate: float = 0.0
     interference: str = "collision"
     sinr_threshold_db: float = 10.0
-    static_links: Optional[bool] = None
     seed: int = 0
     trace: bool = False
     trace_limit: Optional[int] = None
@@ -176,5 +169,4 @@ class ScenarioConfig:
         parts.append(("interference", self.interference))
         if self.interference == "sinr":
             parts.append(("sinr-threshold", self.sinr_threshold_db))
-        parts.append(self.static_links)
         return tuple(parts)

@@ -142,29 +142,6 @@ class TestWarmPoolDeterminism:
         assert serial == streamed
 
 
-class TestLinkTableDeterminism:
-    """The channel's static link table is a pure acceleration: every MAC
-    kind and propagation model must produce identical scalars on the
-    link-table and dynamic-fallback paths."""
-
-    @pytest.mark.parametrize("mac", MAC_KINDS)
-    @pytest.mark.parametrize("propagation", [None, "unit-disk", "log-distance", "fading"])
-    def test_link_table_matches_dynamic_fallback(self, mac, propagation, monkeypatch):
-        from repro.phy.channel import WirelessChannel
-
-        scenario = Scenario(
-            experiment="hidden-node",
-            mac=mac,
-            seed=6,
-            params={"delta": 10.0, "packets_per_node": 8, "warmup": 5.0},
-            propagation=propagation,
-        )
-        static = execute_scenario(scenario)
-        monkeypatch.setattr(WirelessChannel, "DEFAULT_STATIC_LINKS", False)
-        dynamic = execute_scenario(scenario)
-        assert static.metrics == dynamic.metrics
-
-
 class TestSeedRepeatability:
     @pytest.mark.parametrize("mac", MAC_KINDS)
     def test_same_seed_twice_yields_identical_metrics(self, mac):

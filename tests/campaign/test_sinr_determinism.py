@@ -3,8 +3,7 @@
 The SINR/capture model must satisfy exactly the contract the collision
 model already pins in ``test_build_cache_determinism.py``: every scalar of
 every record is bit-identical with the build cache on and off, at jobs=1
-and jobs=4, on the static link-table fast path and the dynamic delivery
-fallback — across the MAC × propagation × topology matrix.  The hidden
+and jobs=4, across the MAC × propagation × topology matrix.  The hidden
 node's asymmetric-delivery regime (receives and senses, never delivers)
 must survive every variant unchanged.
 """
@@ -58,26 +57,6 @@ class TestSinrHiddenNodeDeterminism:
         # uplink is SINR-starved — frames arrive but none ever decodes.
         for record in baseline:
             assert record.metrics["hidden_delivered"] == 0.0
-
-    def test_dynamic_channel_path(self):
-        """The per-delivery fallback stays bit-identical to the static
-        link-table fast path (and to itself, cached/uncached, 1/4 jobs)."""
-        from repro.phy.channel import WirelessChannel
-
-        sweep = Sweep(
-            experiment="sinr-hidden-node",
-            macs=("qma", "unslotted-csma"),
-            fixed={"packets_per_node": 3, "warmup": 0.5, "delta": 25.0},
-            seeds=(0, 1),
-        )
-        static = _run_variants(sweep)
-        original = WirelessChannel.DEFAULT_STATIC_LINKS
-        WirelessChannel.DEFAULT_STATIC_LINKS = False
-        try:
-            dynamic = _run_variants(sweep)
-        finally:
-            WirelessChannel.DEFAULT_STATIC_LINKS = original
-        _assert_all_equal({**static, **{(k, "dyn"): v for k, v in dynamic.items()}})
 
     def test_threshold_axis_is_sweepable(self):
         """sinr_threshold_db is a construction axis: 3 dB lets the hidden

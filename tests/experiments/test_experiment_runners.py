@@ -36,8 +36,9 @@ class TestHiddenNodeRunner:
 
     def test_result_contains_qma_histories(self):
         result = run_hidden_node(mac="qma", delta=10, packets_per_node=30, warmup=10, seed=1)
-        assert result.q_histories and result.rho_histories and result.policies
-        for policy in result.policies.values():
+        tables = result.tables
+        assert tables["q_history"] and tables["rho_history"] and tables["policy"]
+        for policy in tables["policy"].values():
             assert len(policy) == 54
             assert all(isinstance(action, QAction) for action in policy)
 
@@ -45,7 +46,7 @@ class TestHiddenNodeRunner:
         result = run_hidden_node(
             mac="slotted-csma", delta=10, packets_per_node=20, warmup=5, seed=1
         )
-        assert result.q_histories == {}
+        assert result.tables["q_history"] == {}
 
     def test_pdr_bounds_and_counters(self):
         result = run_hidden_node(mac="qma", delta=4, packets_per_node=20, warmup=5, seed=2)
@@ -110,7 +111,7 @@ class TestSinrHiddenNodeRunner:
 class TestConvergenceAndSlots:
     def test_convergence_histories_cover_the_run(self):
         result = run_convergence(delta=25, duration=40.0, warmup=10.0, seed=1)
-        history = result.q_histories[0]
+        history = result.tables["q_history"][0]
         assert history[0][0] < 2.0
         assert history[-1][0] > 35.0
         values = [v for _, v in history]
@@ -136,7 +137,7 @@ class TestTestbedRunners:
         result = run_tree(mac="qma", delta=5, packets_per_node=30, warmup=20, seed=1)
         assert result.packets_generated > 0
         assert 0.0 <= result.overall_pdr <= 1.0
-        assert all(0.0 <= pdr <= 1.0 for pdr in result.per_node_pdr.values())
+        assert all(0.0 <= pdr <= 1.0 for pdr in result.tables["pdr_per_node"].values())
         assert result.transmission_attempts > 0
 
     def test_star_runs_for_both_macs(self):
@@ -152,7 +153,7 @@ class TestScalabilityRunner:
             mac="unslotted-csma", rings=1, duration=60.0, warmup=20.0, seed=1
         )
         assert result.num_nodes == 7
-        assert result.secondary.messages_sent > 0
+        assert result.details["secondary"].messages_sent > 0
         assert 0.0 <= result.secondary_pdr <= 1.0
         assert 0.0 <= result.gts_request_success <= 1.0
         assert result.allocation_rate >= 0.0

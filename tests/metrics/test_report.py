@@ -1,4 +1,4 @@
-"""Tests for the typed SimReport (accessors, legacy shims, pickling)."""
+"""Tests for the typed SimReport (accessors, pickling, export)."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ def report() -> SimReport:
         series={"delay": [(1.0, 0.04), (2.0, 0.06)]},
         tables={"q_history": {0: [(1.0, 2.0)], 2: [(1.5, 3.0)]}},
         details={"aux": object()},
-        legacy={"q_histories": ("tables", "q_history")},
     )
 
 
@@ -49,30 +48,6 @@ class TestAccessors:
         # Dunder lookups must fail fast, not loop through the fallback.
         with pytest.raises(AttributeError):
             report._private
-
-
-class TestLegacyShims:
-    def test_legacy_attribute_resolves_with_deprecation_warning(self, report):
-        with pytest.warns(DeprecationWarning, match="q_histories"):
-            assert report.q_histories == {0: [(1.0, 2.0)], 2: [(1.5, 3.0)]}
-
-    def test_legacy_attribute_missing_from_section_raises(self):
-        empty = SimReport(legacy={"q_histories": ("tables", "q_history")})
-        with pytest.raises(AttributeError):
-            empty.q_histories
-
-    def test_legacy_map_excluded_from_equality(self):
-        left = SimReport(scalars={"pdr": 1.0}, legacy={"a": ("scalars", "pdr")})
-        right = SimReport(scalars={"pdr": 1.0}, legacy={})
-        assert left == right
-
-    def test_runner_reports_expose_legacy_attributes(self):
-        from repro.experiments import run_hidden_node
-
-        result = run_hidden_node(mac="qma", delta=10, packets_per_node=8, warmup=5, seed=1)
-        with pytest.warns(DeprecationWarning):
-            assert set(result.policies) == {0, 2}
-        assert result.pdr == result.scalars["pdr"]
 
 
 class TestSerialisation:

@@ -1,12 +1,14 @@
-"""Tests for the channel's precomputed static link table.
+"""Tests for the channel's precomputed link table.
 
-The table is a pure acceleration: a static channel must deliver, collide
-and drop frames exactly like the dynamic fallback, and any topology
-mutation after the table's first use must demote the channel to the
-dynamic path automatically.
+The table is the channel's only delivery path.  It is built on the first
+transmission, either from the live wiring or from a preset skeleton, and
+links are fixed from then on: every wiring call after the first
+transmission raises.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.phy.channel import WirelessChannel
 from repro.phy.frames import Frame, FrameKind
@@ -18,10 +20,10 @@ def make_frame(src, dst, payload=20):
     return Frame(FrameKind.DATA, src=src, dst=dst, payload_bytes=payload)
 
 
-def _line_network(static_links):
+def _line_network(interference="collision"):
     """A - B - C line (A and C hidden from each other)."""
     sim = Simulator(seed=7)
-    channel = WirelessChannel(sim, static_links=static_links)
+    channel = WirelessChannel(sim, interference=interference)
     radios = [Radio(sim, channel, i) for i in range(3)]
     channel.connect(0, 1)
     channel.connect(1, 2)
@@ -46,101 +48,89 @@ def _exercise(sim, channel, radios):
     )
 
 
-def test_static_table_matches_dynamic_fallback():
-    static = _exercise(*_line_network(static_links=True))
-    dynamic = _exercise(*_line_network(static_links=False))
-    assert static == dynamic
-    assert static[1] > 0 and static[2] > 0  # both regimes exercised
+def test_table_delivers_and_collides_as_pinned():
+    # 4 starts: A->B and C->B collide at B, then A->B clean, then B's
+    # broadcast reaches A and C.
+    assert _exercise(*_line_network()) == (4, 3, 2, 0, [1, 1, 1], [0, 2, 0])
 
 
-def test_static_channel_uses_table_and_dynamic_does_not():
-    sim, channel, radios = _line_network(static_links=True)
-    assert channel.static_links
+def test_first_transmission_builds_the_table():
+    sim, channel, radios = _line_network()
+    assert channel._link_table is None
     radios[0].transmit(make_frame(0, 1))
     sim.run_until(1.0)
     assert channel._link_table is not None
 
-    sim2, channel2, radios2 = _line_network(static_links=False)
-    radios2[0].transmit(make_frame(0, 1))
-    sim2.run_until(1.0)
-    assert not channel2.static_links
-    assert channel2._link_table is None
+
+#: Each wiring call, applied to the line network plus radio 3.  Node 3 is
+#: registered up front so every call has a fresh, valid pair to wire.
+WIRING_CALLS = {
+    "register": lambda sim, channel: Radio(sim, channel, 4),
+    "connect": lambda sim, channel: channel.connect(0, 3),
+    "set_link_error_rate": lambda sim, channel: channel.set_link_error_rate(0, 1, 0.0),
+    "set_link_power": lambda sim, channel: channel.set_link_power(0, 1, -60.0),
+    "connect_sensed": lambda sim, channel: channel.connect_sensed(2, 0, -85.0),
+}
+
+#: Skeleton of the line network: (receiver, power_dbm, PER) rows in
+#: neighbour-set order.
+LINE_SKELETON = {
+    0: ((1, -60.0, 0.0),),
+    1: ((0, -60.0, 0.0), (2, -60.0, 0.0)),
+    2: ((1, -60.0, 0.0),),
+}
 
 
-def test_mutation_after_first_use_demotes_to_dynamic():
-    sim, channel, radios = _line_network(static_links=True)
-    radios[0].transmit(make_frame(0, 1))
+@pytest.mark.parametrize("interference", ["collision", "sinr"])
+@pytest.mark.parametrize("skeleton", [False, True], ids=["derived", "skeleton"])
+@pytest.mark.parametrize("call", list(WIRING_CALLS))
+def test_wiring_is_fixed_after_the_first_transmission(call, skeleton, interference):
+    sim, channel, radios = _line_network(interference)
+    Radio(sim, channel, 3)
+    for sender, rows in LINE_SKELETON.items():
+        for receiver, power_dbm, _per in rows:
+            channel.set_link_power(sender, receiver, power_dbm)
+    if skeleton:
+        channel.preset_link_table(LINE_SKELETON)
+
+    WIRING_CALLS[call](sim, channel)  # before first use: allowed
+    assert channel._skeleton is None  # a stale preset is never served
+    radios[1].transmit(make_frame(1, 0))
     sim.run_until(1.0)
-    assert channel.static_links
-    channel.connect(0, 2)  # topology change after the table was built
-    assert not channel.static_links
-    assert channel._link_table is None
-    # The new link is honoured by the dynamic path.
-    before = radios[2].frames_received
-    radios[0].transmit(make_frame(0, 2))
-    sim.run_until(2.0)
-    assert radios[2].frames_received == before + 1
+    assert channel.frames_delivered == 2  # B's frame reaches A and C
+
+    with pytest.raises(RuntimeError, match="fixed after the first transmission"):
+        WIRING_CALLS[call](sim, channel)
 
 
-def test_disconnect_mid_flight_frees_the_receivers_cca():
-    """Regression: a frame on the air when its link is removed must not
-    stay in the receiver's arriving list forever (CCA busy for the rest
-    of the run)."""
-    for static in (True, False):
-        sim, channel, radios = _line_network(static_links=static)
-        a, b, _ = radios
-        a.transmit(make_frame(0, 1))
-        channel.disconnect(0, 1)  # mid-flight: frame still on the air
-        sim.run_until(1.0)
-        assert b.cca(), f"CCA stuck busy (static_links={static})"
-        assert not channel._arriving[1]
-
-
-def test_demotion_mid_flight_matches_dynamic_from_start():
-    """A mutation while a frame is on the air must leave the static and
-    dynamic channels in agreement — in-flight transmissions finish on the
-    dynamic path after demotion."""
-
-    def run(static_links):
-        sim, channel, radios = _line_network(static_links=static_links)
-        a, b, c = radios
-        a.transmit(make_frame(0, 1))
-        channel.disconnect(0, 1)  # demotes the static channel mid-flight
-        sim.run_until(1.0)
-        a.transmit(make_frame(0, 1))  # link is gone: nobody hears this
-        sim.run_until(2.0)
-        return (channel.frames_delivered, b.frames_received, c.frames_received)
-
-    assert run(True) == run(False)
-
-
-def test_registering_a_radio_after_first_use_demotes():
-    sim, channel, radios = _line_network(static_links=True)
-    radios[0].transmit(make_frame(0, 1))
+def test_preset_skeleton_is_served_without_later_wiring():
+    sim, channel, radios = _line_network()
+    channel.preset_link_table(LINE_SKELETON)
+    radios[1].transmit(make_frame(1, 0))
     sim.run_until(1.0)
-    Radio(sim, channel, 99)
-    assert not channel.static_links
+    assert channel._skeleton is LINE_SKELETON
+    assert [row[0] for row in channel._link_table[1]] == [0, 2]
+    with pytest.raises(RuntimeError):
+        channel.preset_link_table(LINE_SKELETON)
 
 
 def test_construction_time_wiring_keeps_static_mode():
-    """connect/set_link_error_rate before the first transmission do not
-    demote — the table simply has not been built yet."""
+    """connect/set_link_error_rate before the first transmission are
+    ordinary construction-time wiring."""
     sim = Simulator(seed=1)
-    channel = WirelessChannel(sim, static_links=True)
+    channel = WirelessChannel(sim)
     Radio(sim, channel, 0)
     Radio(sim, channel, 1)
     channel.connect(0, 1)
     channel.set_link_error_rate(0, 1, 0.0)
-    assert channel.static_links
     channel.radio(0).transmit(make_frame(0, 1))
     sim.run_until(1.0)
-    assert channel.static_links
     assert channel.frames_delivered == 1
 
 
 def test_link_error_rate_applies_through_the_table():
     sim = Simulator(seed=3)
-    channel = WirelessChannel(sim, static_links=True)
+    channel = WirelessChannel(sim)
     a = Radio(sim, channel, 0)
     Radio(sim, channel, 1)
     channel.connect(0, 1)
@@ -149,15 +139,3 @@ def test_link_error_rate_applies_through_the_table():
     sim.run_until(1.0)
     assert channel.frames_lost_link_error == 1
     assert channel.frames_delivered == 0
-
-
-def test_default_static_links_class_switch():
-    sim = Simulator(seed=1)
-    original = WirelessChannel.DEFAULT_STATIC_LINKS
-    try:
-        WirelessChannel.DEFAULT_STATIC_LINKS = False
-        assert not WirelessChannel(sim).static_links
-        WirelessChannel.DEFAULT_STATIC_LINKS = True
-        assert WirelessChannel(Simulator(seed=1)).static_links
-    finally:
-        WirelessChannel.DEFAULT_STATIC_LINKS = original

@@ -31,10 +31,8 @@ def sim() -> Simulator:
     return Simulator(seed=7)
 
 
-def sinr_channel(sim, threshold_db=DEFAULT_SINR_THRESHOLD_DB, static=None):
-    return WirelessChannel(
-        sim, static_links=static, interference="sinr", sinr_threshold_db=threshold_db
-    )
+def sinr_channel(sim, threshold_db=DEFAULT_SINR_THRESHOLD_DB):
+    return WirelessChannel(sim, interference="sinr", sinr_threshold_db=threshold_db)
 
 
 def test_unknown_interference_model_rejected(sim):
@@ -191,21 +189,6 @@ class TestSensedOnlyLinks:
         assert rx.frames == []
         assert len(rx.corrupted) == 1
 
-    def test_disconnect_sensed_mid_flight_frees_cca(self, sim):
-        """A sensed-only tx in flight must not strand the sensing entry
-        and pin the receiver's CCA busy after the link is removed."""
-        channel = sinr_channel(sim)
-        tx = Radio(sim, channel, 0)
-        sensor = Radio(sim, channel, 1)
-        channel.connect_sensed(0, 1, -85.0)
-        tx.transmit(make_frame(0, 99))
-        assert sensor.cca() is False
-        channel.disconnect_sensed(0, 1)
-        assert sensor.cca() is True
-        assert not channel.senses(1, 0)
-        sim.run_until(1.0)  # the tx end must not blow up on the purged entry
-        assert sensor.cca() is True
-
     def test_connect_sensed_rejects_existing_communication_link(self, sim):
         channel = sinr_channel(sim)
         Radio(sim, channel, 0)
@@ -214,11 +197,43 @@ class TestSensedOnlyLinks:
         with pytest.raises(ValueError):
             channel.connect_sensed(0, 1, -80.0)
 
+    @pytest.mark.parametrize(
+        "bidirectional, sensed",
+        [(False, (0, 1)), (True, (0, 1)), (True, (1, 0))],
+        ids=["one-way", "both-ways", "both-ways-reverse"],
+    )
+    def test_connect_rejects_existing_sensed_only_link(
+        self, sim, bidirectional, sensed
+    ):
+        """Mirror of the check above: a pair cannot be both sensed-only
+        and decodable, or its power counts as signal and interference."""
+        channel = sinr_channel(sim)
+        Radio(sim, channel, 0)
+        Radio(sim, channel, 1)
+        channel.connect_sensed(*sensed, -60.0)
+        with pytest.raises(ValueError, match="sensed-only"):
+            channel.connect(0, 1, bidirectional=bidirectional)
+        assert not channel.hears(1, 0) and not channel.hears(0, 1)
 
-class TestStaticDynamicParity:
-    def _run(self, static):
+    def test_connect_one_way_beside_reverse_sensed_link(self, sim):
+        """1 senses 0 only matters for the 0 -> 1 direction."""
+        channel = sinr_channel(sim)
+        a = Radio(sim, channel, 0)
+        b = Radio(sim, channel, 1)
+        channel.connect_sensed(0, 1, -85.0)
+        channel.connect(1, 0, bidirectional=False)
+        channel.set_link_power(1, 0, -60.0)
+        rx = Collector(a)
+        b.transmit(make_frame(1, 0))
+        sim.run_until(1.0)
+        assert len(rx.frames) == 1
+        assert channel.frames_corrupted == 0
+
+
+class TestStaticTableOutcome:
+    def _run(self):
         sim = Simulator(seed=3)
-        channel = sinr_channel(sim, static=static)
+        channel = sinr_channel(sim)
         radios = [Radio(sim, channel, i) for i in range(4)]
         for src in (0, 1, 2):
             channel.connect(src, 3, bidirectional=False)
@@ -239,8 +254,10 @@ class TestStaticDynamicParity:
             radios[0].cca_sensed_only_count,
         )
 
-    def test_static_table_matches_dynamic_path(self):
-        assert self._run(static=True) == self._run(static=False)
+    def test_matches_pinned_outcome(self):
+        # Two -72 dBm interferers sum to ~-69 dBm: the -60 dBm frame is
+        # left ~9 dB SIR (< 10 dB) and all three frames are lost.
+        assert self._run() == ([], [0, 1, 2], 0, 3, 0)
 
 
 def test_collision_channel_keeps_sensing_lists_empty(sim):

@@ -9,8 +9,9 @@ The cache's contract has three parts, each pinned here:
   with and without the cache, under LRU eviction, and under explicit
   artifact bundles;
 * **staleness is never served**: a topology mutated between runs of a
-  shared (unfrozen) bundle invalidates the prebuilt link-table skeleton —
-  the cross-run analogue of the channel's mutation auto-demote.
+  shared (unfrozen) bundle invalidates the prebuilt link-table skeleton,
+  so the next run derives its rows from the live wiring (within a run,
+  links are fixed after the first transmission).
 """
 
 from __future__ import annotations
