@@ -1,42 +1,55 @@
-"""Remote dispatch overhead: two-localhost-agent sweep vs. local shards.
+"""Shard dispatch overhead: remote agents and ``--shards`` vs. bare workers.
 
-The remote backend ships the same shard job documents that the local
-:class:`~repro.service.backends.ShardBackend` hands to subprocess
-workers, so the only *extra* cost of going cross-host is the transport:
-the agent round-trip, journal byte streaming over TCP, heartbeats and
-the digest-verified stream merge.  On a loopback network that overhead
-must stay small, or the remote path would be mis-measuring its own
-transport rather than the fleet it is meant to scale across.
+Every shard runs on a campaign agent: ``--hosts`` dispatches to remote
+agents, ``--shards N`` to one private local agent
+(:class:`~repro.service.remote.LoopbackBackend`).  Either way the agent
+hands a :func:`~repro.service.manifest.shard_job_document` to a
+``python -m repro.service.shard_worker`` subprocess, so the reference is
+those same workers started directly on the same job documents — no
+agent, no transport, no merge.  What the two dispatch paths cost on top
+is the agent round-trip, journal byte streaming over TCP, heartbeats and
+the digest-verified stream merge (plus, for ``--shards``, the agent
+spawn).  On a loopback network that must stay small.
 
 Two checks on the standard orchestration-dominated short sweep:
 
-* **identity** — the remote-merged journal must be bit-identical
-  (per-record dict equality over every index) to the local shard run;
-  this is the acceptance property the chaos matrix leans on, measured
-  here on the happy path at benchmark scale;
-* **overhead** — remote wall-clock at most ``OVERHEAD_CEILING`` x the
-  local shard wall-clock (paired rounds, median ratio; the quick CI
-  workload gets a looser ceiling because fixed costs — agent connect,
-  stream header — weigh more on a 5x shorter sweep).
+* **identity** — the reference workers' journals, the two-agent remote
+  merge and the ``--shards 4`` loopback merge hold identical records
+  (per-record dict equality over every index);
+* **overhead** — remote and loopback wall-clock each at most
+  ``OVERHEAD_CEILING`` x the reference (paired rounds, median ratio; the
+  quick CI workload gets a looser ceiling because fixed costs — agent
+  spawn and connect, stream header — weigh more on a 5x shorter sweep).
 
-Run directly (``python benchmarks/bench_remote_dispatch.py --quick``).
+Every round starts fresh agents with fresh workdirs, and checks that the
+agents' shard journals hold every run: agent job ids are deterministic,
+so a reused agent would re-attach to the previous round's finished jobs
+instead of running them.
+
+Run directly (``PYTHONPATH=src python benchmarks/bench_remote_dispatch.py
+--quick``).
 """
 
 from __future__ import annotations
 
+import glob
+import json
 import os
 import shutil
+import signal
+import subprocess
 import sys
 import tempfile
 import time
 
+import repro
 from bench_sweep_orchestration import short_sweep
-from repro.service.agent import AgentServer, CampaignAgent
-from repro.service.backends import ShardBackend
+from repro.service.agent import spawn_agent
 from repro.service.journal import CheckpointJournal
-from repro.service.remote import RemoteBackend
+from repro.service.manifest import affinity_order, shard_job_document, split_shards
+from repro.service.remote import LoopbackBackend, RemoteBackend
 
-#: Two agents x two shard slots each — matches the local shard count.
+#: Two agents x two shard slots each — matches the loopback shard count.
 AGENTS = 2
 CAP = 2
 SHARDS = AGENTS * CAP
@@ -46,8 +59,8 @@ BENCH_RUNS = 500
 #: Reduced workload for the CI smoke run.
 SMOKE_RUNS = 100
 
-#: Loopback transport may cost at most this factor of local shard
-#: dispatch.  Generous on purpose: the gate is for pathological
+#: Agent-based dispatch may cost at most this factor of bare shard
+#: workers.  Generous on purpose: the gate is for pathological
 #: regressions (per-chunk reconnects, heartbeat storms, lost streaming
 #: overlap), not for loopback jitter.
 OVERHEAD_CEILING = 2.0
@@ -56,80 +69,158 @@ SMOKE_OVERHEAD_CEILING = 3.0
 #: Paired measurement rounds; the median ratio is reported.
 ROUNDS = 3
 
+#: Runner options of every shard worker (the backends' defaults).
+OPTIONS = {"jobs": 1, "chunksize": "auto", "build_cache": True, "batch_seeds": 1}
 
-def _run(backend, sweep, tmp: str, name: str) -> tuple:
-    """(wall_s, {index: record_dict}) for one backend over ``sweep``."""
+
+def _journal_records(path: str) -> dict:
+    journal = CheckpointJournal.open(path)
+    try:
+        return {i: record.to_dict() for i, record in journal.iter_completed()}
+    finally:
+        journal.close()
+
+
+def _executed_runs(workdir: str) -> int:
+    """Runs journalled by the shard workers of the agent owning ``workdir``."""
+    return sum(
+        len(_journal_records(path))
+        for path in glob.glob(os.path.join(workdir, "*", "journal.jsonl"))
+    )
+
+
+def _run_reference(sweep, tmp: str) -> tuple:
+    """(wall_s, records): bare shard workers, one per affinity slice."""
+    chunks = split_shards(affinity_order(sweep, range(sweep.size)), SHARDS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    sweep_data = sweep.to_dict()
+    journals = []
+    start = time.perf_counter()
+    procs = []
+    for shard, chunk in enumerate(chunks):
+        journal = os.path.join(tmp, f"ref{shard}.jsonl")
+        job_path = os.path.join(tmp, f"ref{shard}.job.json")
+        with open(job_path, "w", encoding="utf-8") as handle:
+            json.dump(
+                shard_job_document(
+                    sweep_data, chunk, journal, shard, len(chunks), OPTIONS
+                ),
+                handle,
+            )
+        procs.append(
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.service.shard_worker", job_path],
+                env=env,
+            )
+        )
+        journals.append(journal)
+    for proc in procs:
+        if proc.wait() != 0:
+            raise RuntimeError(f"reference shard worker exited {proc.returncode}")
+    wall = time.perf_counter() - start
+    merged = {}
+    for journal in journals:
+        merged.update(_journal_records(journal))
+    return wall, merged
+
+
+def _dispatch(backend, sweep, tmp: str, name: str, workdirs) -> tuple:
+    """(wall_s, records) of one backend; checks its agents ran every shard."""
     journal = CheckpointJournal.create(os.path.join(tmp, name), sweep)
     try:
         start = time.perf_counter()
         backend.run(sweep, list(range(sweep.size)), journal)
         wall = time.perf_counter() - start
         merged = {i: record.to_dict() for i, record in journal.iter_completed()}
+        executed = sum(_executed_runs(workdir) for workdir in workdirs(backend))
     finally:
         journal.close()
         backend.close()
-    if len(merged) != sweep.size:
-        raise RuntimeError(f"{name}: merged {len(merged)} of {sweep.size} runs")
+    if len(merged) != sweep.size or executed != sweep.size:
+        raise RuntimeError(
+            f"{name}: merged {len(merged)} and executed {executed} "
+            f"of {sweep.size} runs"
+        )
     return wall, merged
 
 
+def _run_remote(sweep, tmp: str) -> tuple:
+    """(wall_s, records): two freshly spawned agents x ``CAP`` slots."""
+    agents = []
+    try:
+        for i in range(AGENTS):
+            workdir = os.path.join(tmp, f"agent{i}")
+            proc, address = spawn_agent(workdir=workdir, name=f"bench{i}")
+            agents.append((proc, workdir, f"{address}*{CAP}"))
+        return _dispatch(
+            RemoteBackend([host for _, _, host in agents]),
+            sweep,
+            tmp,
+            "remote.jsonl",
+            lambda _backend: [workdir for _, workdir, _ in agents],
+        )
+    finally:
+        for proc, _, _ in agents:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def _run_loopback(sweep, tmp: str) -> tuple:
+    """(wall_s, records): ``--shards SHARDS``, agent spawn included."""
+    return _dispatch(
+        LoopbackBackend(shards=SHARDS),
+        sweep,
+        tmp,
+        "loopback.jsonl",
+        lambda backend: [backend.workdir],
+    )
+
+
 def measure_remote_overhead(runs: int, rounds: int = ROUNDS) -> dict:
-    """Median paired wall-clock of local shards vs. two remote agents."""
+    """Median paired overheads of remote and loopback dispatch."""
     # Seeds far away from the other orchestration benchmarks so warm
     # caches never cross-pollinate the comparison.
     sweep = short_sweep(40_000, runs)
-    servers = []
-    hosts = []
-    scratch = tempfile.mkdtemp(prefix="bench-remote-agents-")
-    for i in range(AGENTS):
-        agent = CampaignAgent(
-            workdir=os.path.join(scratch, f"agent{i}"), name=f"bench{i}"
-        )
-        server = AgentServer(agent)
-        host, port = server.start()
-        servers.append(server)
-        hosts.append(f"{host}:{port}*{CAP}")
-    try:
-        pairs = []
-        reference = None
-        for _ in range(rounds):
-            with tempfile.TemporaryDirectory() as tmp:
-                shard_s, local = _run(
-                    ShardBackend(shards=SHARDS), sweep, tmp, "shard.jsonl"
-                )
-                remote_s, remote = _run(
-                    RemoteBackend(hosts), sweep, tmp, "remote.jsonl"
-                )
-            if remote != local:
-                raise RuntimeError(
-                    "remote-merged records differ from the local shard run"
-                )
-            reference = local
-            pairs.append((shard_s, remote_s))
-    finally:
-        for server in servers:
-            server.stop()
-        shutil.rmtree(scratch, ignore_errors=True)
-    assert reference is not None
-    pairs.sort(key=lambda pair: pair[1] / pair[0])
-    shard_s, remote_s = pairs[len(pairs) // 2]
+    timings = []
+    for _ in range(rounds):
+        tmp = tempfile.mkdtemp(prefix="bench-remote-")
+        try:
+            reference_s, reference = _run_reference(sweep, tmp)
+            remote_s, remote = _run_remote(sweep, tmp)
+            loopback_s, loopback = _run_loopback(sweep, tmp)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+        if not reference == remote == loopback:
+            raise RuntimeError(
+                "reference, remote and loopback records differ"
+            )
+        timings.append((reference_s, remote_s, loopback_s))
+
+    def median_ratio(column: int) -> float:
+        ratios = sorted(row[column] / row[0] for row in timings)
+        return ratios[len(ratios) // 2]
+
     return {
         "runs": runs,
-        "shard_s": shard_s,
-        "remote_s": remote_s,
-        "overhead": remote_s / shard_s,
+        "timings": timings,
+        "remote_overhead": median_ratio(1),
+        "loopback_overhead": median_ratio(2),
     }
 
 
 def check_ceiling(result: dict, quick: bool) -> None:
-    """Raise if loopback remote dispatch costs more than the ceiling."""
+    """Raise if either dispatch path costs more than the ceiling."""
     ceiling = SMOKE_OVERHEAD_CEILING if quick else OVERHEAD_CEILING
-    if result["overhead"] > ceiling:
-        raise RuntimeError(
-            f"remote dispatch overhead {result['overhead']:.3f}x exceeds the "
-            f"{ceiling}x ceiling ({result['shard_s']:.3f}s local shards vs "
-            f"{result['remote_s']:.3f}s remote over {result['runs']} runs)"
-        )
+    for path in ("remote", "loopback"):
+        overhead = result[f"{path}_overhead"]
+        if overhead > ceiling:
+            raise RuntimeError(
+                f"{path} dispatch overhead {overhead:.3f}x exceeds the "
+                f"{ceiling}x ceiling over {result['runs']} runs "
+                f"(rounds: {result['timings']})"
+            )
 
 
 def main(argv: list) -> int:
@@ -137,10 +228,19 @@ def main(argv: list) -> int:
     runs = SMOKE_RUNS if quick else BENCH_RUNS
     result = measure_remote_overhead(runs)
     print(
-        f"remote dispatch over {result['runs']} runs "
-        f"({AGENTS} agents x {CAP} slots): local shards "
-        f"{result['shard_s']:.3f}s, remote {result['remote_s']:.3f}s "
-        f"-> {result['overhead']:.3f}x (records identical)"
+        f"shard dispatch over {result['runs']} runs, {SHARDS} shards "
+        f"(remote: {AGENTS} agents x {CAP} slots; loopback: --shards {SHARDS})"
+    )
+    for number, (reference_s, remote_s, loopback_s) in enumerate(
+        result["timings"], start=1
+    ):
+        print(
+            f"  round {number}: bare workers {reference_s:.3f}s, "
+            f"remote {remote_s:.3f}s, loopback {loopback_s:.3f}s"
+        )
+    print(
+        f"median overhead: remote {result['remote_overhead']:.3f}x, "
+        f"loopback {result['loopback_overhead']:.3f}x (records identical)"
     )
     check_ceiling(result, quick)
     print(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -34,6 +33,9 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
+sys.path.insert(0, SRC)
+
+from repro.service.agent import spawn_agent  # noqa: E402
 
 #: 1 MAC x 2 deltas x 250 seeds = 500 runs, ~2 ms each.
 SWEEP_ARGS = [
@@ -86,25 +88,6 @@ def fail(message: str, proc: subprocess.CompletedProcess = None) -> None:
         print("--- stdout ---\n" + proc.stdout[-4000:], file=sys.stderr)
         print("--- stderr ---\n" + proc.stderr[-4000:], file=sys.stderr)
     sys.exit(1)
-
-
-def spawn_agent(tmp: str, name: str) -> tuple:
-    """Start a campaign agent subprocess; returns (proc, 'host:port')."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "agent", "--port", "0",
-         "--workdir", os.path.join(tmp, name), "--name", name],
-        env=_env(),
-        cwd=REPO,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-    )
-    line = proc.stdout.readline()
-    match = re.search(r"listening on ([\d.]+:\d+)", line)
-    if not match:
-        proc.kill()
-        fail(f"agent {name} printed no listening line: {line!r}")
-    return proc, match.group(1)
 
 
 def records_of(jsonl_path: str) -> list:
@@ -174,8 +157,10 @@ def main() -> None:
     #    one agent SIGKILLed mid-campaign and one mid-stream disconnect.
     remote_journal = os.path.join(tmp, "remote.jsonl")
     remote_export = os.path.join(tmp, "remote.records.jsonl")
-    victim, victim_host = spawn_agent(tmp, "victim")
-    survivor, survivor_host = spawn_agent(tmp, "survivor")
+    victim, victim_host = spawn_agent(os.path.join(tmp, "victim"), name="victim")
+    survivor, survivor_host = spawn_agent(
+        os.path.join(tmp, "survivor"), name="survivor"
+    )
     try:
         started = time.monotonic()
         sweep_proc = subprocess.Popen(

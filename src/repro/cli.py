@@ -952,25 +952,9 @@ def cmd_hosts(args: argparse.Namespace) -> None:
 
 def cmd_agent(args: argparse.Namespace) -> None:
     """Run a campaign agent executing shard jobs for remote dispatchers."""
-    from repro.service.agent import CampaignAgent, AgentServer
+    from repro.service.agent import serve
 
-    agent = CampaignAgent(
-        workdir=args.workdir, max_jobs=args.max_jobs, name=args.name
-    )
-    server = AgentServer(agent, args.host, args.port)
-    host, port = server.start()
-    # Harnesses parse this line to find an ephemeral port.
-    print(
-        f"campaign agent {agent.name} listening on {host}:{port} "
-        f"(workdir: {agent.workdir})",
-        flush=True,
-    )
-    try:
-        server.wait()
-    except KeyboardInterrupt:
-        print("campaign agent stopped")
-    finally:
-        server.stop()
+    serve(args.host, args.port, args.workdir, args.max_jobs, args.name)
 
 
 def cmd_resume(args: argparse.Namespace) -> None:
@@ -1163,8 +1147,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="with --checkpoint: split the campaign into N affinity-ordered "
-        "subprocess shards, each with --jobs workers",
+        help="with --checkpoint: run the campaign as N affinity-ordered shards "
+        "on a private local agent (the --hosts path over loopback), each "
+        "shard with --jobs workers",
     )
     _add_hosts_option(p)
     _add_campaign_options(p)
@@ -1189,7 +1174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards", type=int, default=2, metavar="N",
-        help="shard count when --backend shard (default: 2)",
+        help="job slots of the private local agent when --backend shard "
+        "(default: 2)",
     )
     _add_hosts_option(p)
     p.add_argument(
@@ -1217,7 +1203,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override seed batching",
     )
     p.add_argument(
-        "--shards", type=int, default=None, metavar="N", help="override shard count"
+        "--shards", type=int, default=None, metavar="N",
+        help="override the local agent's shard count (--backend shard)",
     )
     _add_hosts_option(p)
     p.add_argument(
@@ -1272,7 +1259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="run the remaining work as N subprocess shards",
+        help="run the remaining work as N shards on a private local agent",
     )
     _add_hosts_option(p)
     _add_campaign_options(p)
@@ -1293,7 +1280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("journal", help="checkpoint journal of the partial campaign")
     p.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="run the retries as N subprocess shards",
+        help="run the retries as N shards on a private local agent",
     )
     _add_hosts_option(p)
     _add_campaign_options(p)

@@ -9,7 +9,7 @@ million-run sweeps:
   checkpoint journal (with event audit lines and sealed-segment
   compaction);
 * :mod:`repro.service.backends` — pluggable dispatch (warm in-process
-  pool, subprocess shards, isolated serial);
+  pool, isolated serial) and the backend factory;
 * :mod:`repro.service.supervisor` — fault tolerance: per-run timeouts,
   heartbeats, bounded retry with backoff, poison-run quarantine, and
   graceful backend degradation;
@@ -17,9 +17,10 @@ million-run sweeps:
   harness behind the chaos test matrix;
 * :mod:`repro.service.checkpoint` — the resume-safe driver shared by the
   CLI and the service;
-* :mod:`repro.service.remote` / :mod:`repro.service.agent` — cross-host
-  shard dispatch: per-host agents executing shard job documents, with
-  host-health quarantine and byte-offset-resumable journal streaming;
+* :mod:`repro.service.remote` / :mod:`repro.service.agent` — shard
+  dispatch: agents executing shard job documents, with host-health
+  quarantine and byte-offset-resumable journal streaming; ``--hosts``
+  drives remote agents, ``--shards N`` one private local agent;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   long-lived asyncio front end and its blocking client.
 

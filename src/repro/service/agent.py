@@ -1,11 +1,15 @@
-"""Per-host campaign agent: executes shard jobs, streams journals back.
+"""Campaign agent: executes shard jobs, streams journals back.
 
-An agent is the remote half of :class:`repro.service.remote.RemoteBackend`:
-a small TCP server (``qma-repro agent``) that accepts the service's shard
-job documents, runs each one through the ordinary
+An agent is the far half of :class:`repro.service.remote.RemoteBackend`:
+a small TCP server (``qma-repro agent``) that accepts shard job
+documents, runs each one through the ordinary
 :mod:`repro.service.shard_worker` subprocess, and streams the growing
-shard journal back to the dispatcher as raw byte chunks.  The protocol is
-the service's line-delimited JSON, one request line per connection::
+shard journal back to the dispatcher as raw byte chunks.  Agents run on
+remote hosts (``--hosts``) or, started by :func:`spawn_agent`, as the
+private local agent behind ``--shards N``.  Importing this module loads
+only the standard library, so an agent starts without the campaign stack.
+The protocol is the service's line-delimited JSON, one request line per
+connection::
 
     -> {"op": "run", "id": ..., "job": {...}, "offset": N, "stream": SID}
     <- {"hello": {"agent": ..., "id": ..., "stream": SID, "offset": N,
@@ -31,7 +35,10 @@ transport partition-safe:
   unrelated byte streams.
 * **Connections are disposable, jobs are not.**  A broken connection
   stops the streaming loop but leaves the shard worker running; the job
-  stays attachable (also after completion) until the agent exits.
+  stays attachable (also after completion) until the agent exits.  A
+  job whose worker failed re-runs when a request carries its document
+  again (a dispatcher retry): the new worker resumes the shard journal,
+  under a new stream token.
 * **Heartbeats carry the journal size.**  The dispatcher only counts a
   heartbeat as *progress* when the size grew, so a slow link does not
   false-trip ``run_timeout`` watchdogs while a genuinely hung worker
@@ -48,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import socketserver
 import subprocess
 import sys
@@ -57,9 +65,7 @@ import time
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.service.backends import STDERR_TAIL_LINES, _tail_lines, _worker_env
-
-__all__ = ["AgentServer", "CampaignAgent"]
+__all__ = ["AgentServer", "CampaignAgent", "serve", "spawn_agent"]
 
 #: Maximum raw journal bytes per ``chunk`` message.
 CHUNK_BYTES = 57344
@@ -69,6 +75,9 @@ HEARTBEAT_INTERVAL = 0.5
 
 #: Journal growth / worker liveness poll period.
 POLL_INTERVAL = 0.05
+
+#: Lines of worker stderr shipped with a failed job's ``done`` line.
+STDERR_TAIL_LINES = 50
 
 Send = Callable[[Dict[str, Any]], None]
 
@@ -91,6 +100,19 @@ class _AgentJob:
     @property
     def running(self) -> bool:
         return self.proc is not None and self.proc.poll() is None
+
+    @property
+    def failed(self) -> bool:
+        return self.proc is not None and self.proc.poll() not in (None, 0)
+
+    def close(self) -> None:
+        """Kill a still-running worker and release the stderr handle."""
+        if self.running:
+            self.proc.kill()
+            self.proc.wait()
+        if self.stderr_handle is not None:
+            self.stderr_handle.close()
+            self.stderr_handle = None
 
     def size(self) -> int:
         try:
@@ -157,8 +179,8 @@ class CampaignAgent:
         stream = request.get("stream")
         with self._lock:
             job = self._jobs.get(job_id)
-            if job is None:
-                job_doc = request.get("job")
+            job_doc = request.get("job")
+            if job is None or (job.failed and isinstance(job_doc, dict)):
                 if not isinstance(job_doc, dict):
                     send({
                         "error": {
@@ -178,6 +200,8 @@ class CampaignAgent:
                             }
                         })
                         return
+                if job is not None:
+                    job.close()
                 job = self._start_job(job_id, job_doc)
                 self._jobs[job_id] = job
         # Offset/stream reconciliation: resuming a byte offset is only
@@ -285,12 +309,7 @@ class CampaignAgent:
         with self._lock:
             jobs = list(self._jobs.values())
         for job in jobs:
-            if job.proc is not None and job.proc.poll() is None:
-                job.proc.kill()
-                job.proc.wait()
-            if job.stderr_handle is not None:
-                job.stderr_handle.close()
-                job.stderr_handle = None
+            job.close()
         if self._owns_workdir:
             import shutil
 
@@ -372,6 +391,93 @@ class AgentServer:
         self.agent.shutdown()
 
 
+def serve(
+    host: str = "127.0.0.1",
+    port: int = 0,
+    workdir: Optional[str] = None,
+    max_jobs: int = 0,
+    name: Optional[str] = None,
+) -> None:
+    """Run an agent in the foreground until interrupted."""
+    agent = CampaignAgent(workdir=workdir, max_jobs=max_jobs, name=name)
+    server = AgentServer(agent, host, port)
+    host, port = server.start()
+    # spawn_agent parses this line to find an ephemeral port.
+    print(
+        f"campaign agent {agent.name} listening on {host}:{port} "
+        f"(workdir: {agent.workdir})",
+        flush=True,
+    )
+    try:
+        server.wait()
+    except KeyboardInterrupt:
+        print("campaign agent stopped")
+    finally:
+        server.stop()
+
+
+def spawn_agent(
+    workdir: Optional[str] = None,
+    max_jobs: int = 0,
+    name: Optional[str] = None,
+) -> Tuple[subprocess.Popen, str]:
+    """Start ``python -m repro.service.agent --port 0`` as a subprocess.
+
+    Returns ``(proc, "HOST:PORT")`` once the agent is listening.  The
+    agent leads its own session, so ``os.killpg(proc.pid, ...)`` reaches
+    its shard workers too.
+    """
+    argv = [
+        sys.executable, "-m", "repro.service.agent",
+        "--port", "0", "--max-jobs", str(int(max_jobs)),
+    ]
+    if workdir is not None:
+        argv += ["--workdir", workdir]
+    if name is not None:
+        argv += ["--name", name]
+    proc = subprocess.Popen(
+        argv,
+        stdout=subprocess.PIPE,
+        env=_worker_env(),
+        text=True,
+        start_new_session=True,
+    )
+    with proc.stdout:
+        line = proc.stdout.readline()
+    match = re.search(r"listening on (\S+:\d+)", line)
+    if match is None:
+        proc.kill()
+        proc.wait()
+        raise RuntimeError(f"campaign agent printed no listening line: {line!r}")
+    return proc, match.group(1)
+
+
+def _tail_lines(path: str, limit: int) -> str:
+    """The last ``limit`` lines of a (possibly missing) text file."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(0, os.SEEK_END)
+            size = handle.tell()
+            handle.seek(max(0, size - 64 * 1024))
+            data = handle.read()
+    except OSError:
+        return ""
+    text = data.decode("utf-8", errors="replace")
+    return "\n".join(text.splitlines()[-limit:])
+
+
+def _worker_env() -> Dict[str, str]:
+    """Subprocess environment with the repro package importable."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH", "")
+    if src not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    return env
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qma-repro agent",
@@ -391,23 +497,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--name", default=None, help="agent name in hellos")
     args = parser.parse_args(argv)
-    agent = CampaignAgent(
-        workdir=args.workdir, max_jobs=args.max_jobs, name=args.name
-    )
-    server = AgentServer(agent, args.host, args.port)
-    host, port = server.start()
-    # Harnesses parse this line to find an ephemeral port.
-    print(
-        f"campaign agent {agent.name} listening on {host}:{port} "
-        f"(workdir: {agent.workdir})",
-        flush=True,
-    )
-    try:
-        server.wait()
-    except KeyboardInterrupt:
-        print("campaign agent stopped")
-    finally:
-        server.stop()
+    serve(args.host, args.port, args.workdir, args.max_jobs, args.name)
     return 0
 
 

@@ -222,6 +222,7 @@ class FaultPlan:
             if not self._claim(slot):
                 continue
             if fault.kind == "crash":
+                os.write(2, f"injected crash fault at {fault.label()}\n".encode())
                 os._exit(CRASH_EXIT_STATUS)
             time.sleep(fault.hang_s)  # hang
 

@@ -6,8 +6,8 @@ serialised with sorted keys).  Because sweep expansion order is
 deterministic, the digest plus an integer *run index* (the position in the
 expansion) stably names every run of the campaign: two processes that
 agree on the digest agree on what run 137 is, without shipping the
-expanded scenario list.  The checkpoint journal, the shard backend and the
-service front end all address runs this way.
+expanded scenario list.  The checkpoint journal, the remote and loopback
+shard dispatch and the service front end all address runs this way.
 
 :func:`affinity_order` reproduces the campaign runner's
 configuration-affinity grouping at the manifest level: a stable sort of
@@ -115,11 +115,9 @@ def shard_job_document(
     """The canonical shard job document, host-agnostic by construction.
 
     This is the single wire/disk format a shard worker consumes: the
-    local :class:`~repro.service.backends.ShardBackend` writes it to a
-    file next to the journal, the remote dispatcher ships it to an agent
-    over the wire (with ``journal`` left for the agent to localise).
-    ``faults`` may be a plan object (``to_dict`` is called) or an
-    already-serialised plan dict.
+    remote dispatcher (``--hosts`` and ``--shards`` alike) ships it to an
+    agent over the wire with ``journal`` left for the agent to localise.
+    ``faults`` is a :class:`~repro.service.faults.FaultPlan` or None.
     """
     doc: dict = {
         "sweep": dict(sweep_data),
@@ -131,7 +129,7 @@ def shard_job_document(
         "options": dict(options),
     }
     if faults is not None:
-        doc["faults"] = faults.to_dict() if hasattr(faults, "to_dict") else dict(faults)
+        doc["faults"] = faults.to_dict()
     return doc
 
 

@@ -1,13 +1,15 @@
-"""Cross-host shard dispatch: remote agents, host health, stream merging.
+"""Shard dispatch: campaign agents, host health, stream merging.
 
-:class:`RemoteBackend` is the transport the ROADMAP's "cross-host shard
-dispatch" item called for: it ships the *same* shard job document that
-:class:`~repro.service.backends.ShardBackend` writes for local workers to
-per-host :mod:`repro.service.agent` processes, streams each shard's
-journal bytes back incrementally, and merges completions through the
-existing digest-verified path.  Run identity is (spec digest, expansion
-index, seed), so any mix of retries, reconnects and host reassignment
-yields output bit-identical to a single-host run.
+:class:`RemoteBackend` ships shard job documents
+(:func:`~repro.service.manifest.shard_job_document`) to
+:mod:`repro.service.agent` processes, streams each shard's journal bytes
+back incrementally, and merges completions through the digest-verified
+journal path.  Run identity is (spec digest, expansion index, seed), so
+any mix of retries, reconnects and host reassignment yields output
+bit-identical to a single-host run.  This is the only way a shard runs:
+``--hosts`` names remote agents, and ``--shards N``
+(:class:`LoopbackBackend`) spawns one private local agent with N job
+slots and dispatches to it the same way.
 
 Robustness model, layer by layer:
 
@@ -16,7 +18,7 @@ Robustness model, layer by layer:
   for a ``probation`` window, after which it is probed again.  A dead box
   degrades throughput instead of failing the sweep — and if *every* host
   is quarantined, the backend raises so the supervision ladder can
-  degrade to local shard dispatch.
+  degrade to the local pool.
 * **Transport retry**: each shard's stream is retried against its host
   with the PR 9 exponential-backoff :class:`RetryPolicy` before the host
   is charged a failure and the slice is requeued for any healthy host.
@@ -44,24 +46,30 @@ import hashlib
 import json
 import os
 import random
+import shutil
+import signal
 import socket
+import tempfile
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.records import RunRecord
 from repro.campaign.spec import Sweep
-from repro.service.backends import DispatchBackend, ShardFailure
+from repro.service.backends import DispatchBackend
 from repro.service.journal import CheckpointJournal, JournalError, verify_completion
 from repro.service.manifest import affinity_order, shard_job_document, split_shards
 
 __all__ = [
     "HostRegistry",
     "HostSpec",
+    "LoopbackBackend",
     "RemoteBackend",
     "RemoteDispatchError",
+    "ShardFailure",
     "StreamProtocolError",
     "parse_host_entry",
     "parse_hosts",
@@ -73,6 +81,14 @@ RecordCallback = Callable[[int, RunRecord], None]
 
 class RemoteDispatchError(RuntimeError):
     """No healthy host remains to run a pending shard."""
+
+
+class ShardFailure(RuntimeError):
+    """A shard worker exited non-zero; carries its stderr tail."""
+
+    def __init__(self, message: str, stderr_tail: str = "") -> None:
+        super().__init__(message)
+        self.stderr_tail = stderr_tail
 
 
 class StreamProtocolError(ConnectionError):
@@ -441,7 +457,8 @@ class RemoteBackend(DispatchBackend):
     (and eventually quarantined) and the slice goes back on the queue for
     any other host.  When every host is quarantined and nothing is in
     flight, :class:`RemoteDispatchError` aborts the attempt — the
-    supervision ladder then degrades to local shard dispatch.
+    supervision ladder then degrades to the local pool.  Cancel and
+    abort both ask the agent to stop the in-flight shard workers.
     """
 
     name = "remote"
@@ -467,11 +484,12 @@ class RemoteBackend(DispatchBackend):
         super().__init__()
         specs = (
             list(hosts)
-            if hosts and isinstance(hosts[0] if hosts else None, HostSpec)
+            if isinstance(hosts, (list, tuple))
+            and all(isinstance(host, HostSpec) for host in hosts)
             else parse_hosts(hosts)
         )
-        # Same option keys as ShardBackend so the supervision ladder can
-        # derive its local-shard and pool rungs from a remote backend.
+        # Runner options of every shard worker; the supervision ladder
+        # builds its pool rung from them.
         self.options = {
             "jobs": int(jobs),
             "chunksize": chunksize,
@@ -633,7 +651,7 @@ class RemoteBackend(DispatchBackend):
             shard_index,
             total_shards,
             self.options,
-            faults=self.fault_plan.to_dict() if self.fault_plan is not None else None,
+            faults=self.fault_plan,
         )
         slice_tag = hashlib.sha256(repr(todo).encode("utf-8")).hexdigest()[:8]
         job_id = f"{journal.spec_digest[:12]}-s{shard_index:03d}-{slice_tag}"
@@ -693,9 +711,7 @@ class RemoteBackend(DispatchBackend):
             buffer = b""
             silent = 0.0
             while True:
-                if self._stop.is_set():
-                    return False
-                if self._cancel.is_set():
+                if self._stop.is_set() or self._cancel.is_set():
                     self._send_cancel(host, job_id)
                     return False
                 try:
@@ -791,7 +807,7 @@ class RemoteBackend(DispatchBackend):
         )
 
     def _send_cancel(self, host: HostSpec, job_id: str) -> None:
-        """Best-effort cancel of the remote worker (graceful stop path)."""
+        """Best-effort stop of the remote worker (cancel or abort)."""
         try:
             with socket.create_connection(
                 (host.host, host.port), timeout=self.connect_timeout
@@ -815,3 +831,87 @@ class RemoteBackend(DispatchBackend):
             if self._stop.is_set() or self._cancel.is_set():
                 return
             time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
+
+
+# ---------------------------------------------------------- loopback shards
+
+
+def _stop_agent(proc: Any, workdir: str) -> None:
+    """Kill a loopback agent with its shard workers; remove its workdir."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)  # the agent leads its own group
+    except (AttributeError, OSError):  # no process groups, or group gone
+        proc.kill()
+    proc.wait()
+    shutil.rmtree(workdir, ignore_errors=True)
+
+
+class LoopbackBackend(RemoteBackend):
+    """``--shards N``: remote dispatch to one private local agent.
+
+    The first ``run`` spawns ``python -m repro.service.agent --port 0``
+    with a job cap of ``shards`` and a workdir this backend owns; from
+    there on it is a one-host :class:`RemoteBackend` — same job
+    documents, same streamed merge, same chaos faults as ``--hosts``.
+    The host lives in a private :class:`HostRegistry`, so it never shows
+    up in ``qma-repro hosts``.  A dead agent is not respawned: like any
+    dead host it is quarantined and the supervisor degrades.
+    :meth:`close` (or interpreter exit) kills the agent together with its
+    shard workers and removes the workdir.
+    """
+
+    name = "shard"
+
+    def __init__(
+        self,
+        shards: int = 2,
+        jobs: int = 1,
+        chunksize: Any = "auto",
+        build_cache: bool = True,
+        batch_seeds: int = 1,
+        fault_plan: Optional[Any] = None,
+    ) -> None:
+        if shards < 1:
+            raise ValueError(f"shards must be positive, got {shards}")
+        super().__init__(
+            [],
+            jobs=jobs,
+            chunksize=chunksize,
+            build_cache=build_cache,
+            batch_seeds=batch_seeds,
+            fault_plan=fault_plan,
+        )
+        self.shards = int(shards)
+        #: The agent subprocess and its workdir, once spawned.
+        self.agent: Optional[Any] = None
+        self.workdir: Optional[str] = None
+        self._cleanup: Optional[weakref.finalize] = None
+
+    def run(
+        self,
+        sweep: Sweep,
+        indices: Sequence[int],
+        journal: CheckpointJournal,
+        on_record: Optional[RecordCallback] = None,
+    ) -> None:
+        if indices and self.agent is None:
+            from repro.service.agent import spawn_agent
+
+            workdir = tempfile.mkdtemp(prefix="qma-shards-")
+            try:
+                proc, address = spawn_agent(
+                    workdir=workdir, max_jobs=self.shards, name="loopback"
+                )
+            except BaseException:
+                shutil.rmtree(workdir, ignore_errors=True)
+                raise
+            self.agent, self.workdir = proc, workdir
+            self._cleanup = weakref.finalize(self, _stop_agent, proc, workdir)
+            spec = parse_host_entry(f"{address}*{self.shards}")
+            self.registry.register(spec)
+            self.specs = [spec]
+        super().run(sweep, indices, journal, on_record)
+
+    def close(self) -> None:
+        if self._cleanup is not None:
+            self._cleanup()

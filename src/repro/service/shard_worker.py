@@ -1,12 +1,14 @@
 """Shard subprocess entry point: ``python -m repro.service.shard_worker job.json``.
 
-The job document (written by :class:`repro.service.backends.ShardBackend`)
-names the sweep, the expansion indices this shard owns, the shard journal
-path and the runner options.  The worker executes its slice through a
-regular :class:`~repro.campaign.runner.CampaignRunner` — the same warm
-pool, build cache and seed batching as an in-process campaign — and
-appends every record to its own checkpoint journal.  The parent merges
-shard journals; this process never touches the campaign journal.
+A campaign agent (:mod:`repro.service.agent`) starts one worker per shard
+job it accepts.  The job document (:func:`repro.service.manifest.
+shard_job_document`) names the sweep, the expansion indices this shard
+owns, the shard journal path and the runner options.  The worker executes
+its slice through a regular :class:`~repro.campaign.runner.CampaignRunner`
+— the same warm pool, build cache and seed batching as an in-process
+campaign — and appends every record to its own checkpoint journal, which
+the agent streams back to the dispatcher.  This process never touches the
+campaign journal.
 
 The shard journal is ``open_or_create``'d, so re-running a crashed shard
 worker resumes the shard rather than restarting it.

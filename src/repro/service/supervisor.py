@@ -17,8 +17,8 @@ exceptions into recorded, retried, or quarantined events:
   worker stalls one attempt, not the campaign.
 * **Graceful degradation.**  After :attr:`RetryPolicy.backend_attempts`
   consecutive failures on one execution tier the supervisor falls back:
-  shard → pool → isolated serial.  Every fallback is a structured
-  ``degrade`` event in the journal.
+  remote (``--hosts``) or shard (``--shards``) → pool → isolated serial.
+  Every fallback is a structured ``degrade`` event in the journal.
 * **Poison-run quarantine.**  The terminal serial tier executes each run
   in a disposable child process, so it can attribute crashes, hangs and
   exceptions to *specific* runs.  A run that fails
@@ -65,7 +65,6 @@ from repro.service.backends import (
     PoolBackend,
     RecordCallback,
     SerialBackend,
-    ShardBackend,
     make_backend,
 )
 from repro.service.faults import FaultPlan, InjectedFault
@@ -200,7 +199,7 @@ class _Emitter:
 
     For an ordered inner backend, records are released to ``on_record``
     strictly in target-index order: out-of-order arrivals (retried runs,
-    salvage merges) are buffered, and gaps already committed to the
+    streamed merges) are buffered, and gaps already committed to the
     journal are replayed on :meth:`drain`.  Quarantined indices are
     skipped so one poison run cannot dam the stream.  For unordered
     backends, records pass through immediately (deduplicated).
@@ -296,20 +295,8 @@ class SupervisedBackend(DispatchBackend):
 
             tiers: List[DispatchBackend] = [self.inner]
             if isinstance(self.inner, RemoteBackend):
-                # Remote dispatch degrades to local shards first: same
-                # job documents, same merge path, no network.
-                opts = self.inner.options
-                tiers.append(
-                    ShardBackend(
-                        shards=max(1, min(self.inner.slots, 4)),
-                        jobs=opts["jobs"],
-                        chunksize=opts["chunksize"],
-                        build_cache=opts["build_cache"],
-                        batch_seeds=opts["batch_seeds"],
-                        fault_plan=self.fault_plan,
-                    )
-                )
-            if isinstance(self.inner, (RemoteBackend, ShardBackend)):
+                # Remote and loopback-shard dispatch degrade to the local
+                # pool with the same runner options.
                 opts = self.inner.options
                 tiers.append(
                     PoolBackend(
@@ -404,7 +391,7 @@ class SupervisedBackend(DispatchBackend):
                     )
                 finally:
                     self._active = None
-                # Adopt whatever the attempt left on disk — salvage-merged
+                # Adopt whatever the attempt left on disk — streamed-in
                 # shard records, a torn tail to discard — before deciding.
                 journal.reload()
                 emitter.drain(quarantine_set)

@@ -9,8 +9,10 @@ metric finalisation — fails here even when all paths still agree.
 
 Coverage: the hidden-node line for every registered MAC under explicit
 links and every propagation model, the SINR hidden node, and the short
-hidden-node QMA/CSMA sweep with and without fading.  A deliberate
-behaviour change must re-pin these values and say why.
+hidden-node QMA/CSMA sweep with and without fading — the latter also
+through the loopback-shard and pool dispatch backends, whose merged
+journals must carry the same digests.  A deliberate behaviour change must
+re-pin these values and say why.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign.runner import execute_scenario
-from repro.campaign.spec import Scenario
+from repro.campaign.spec import Scenario, Sweep
 from repro.mac.registry import MAC_REGISTRY
+from repro.service.backends import PoolBackend, make_backend
+from repro.service.journal import CheckpointJournal
 from repro.service.manifest import record_digest
 
 PARAMS = {
@@ -87,3 +91,36 @@ def test_matrix_covers_every_registered_mac():
     """A newly registered MAC must be pinned before it ships."""
     pinned = {mac for _, mac, _, _, params in PINNED if params == "matrix"}
     assert pinned == set(MAC_REGISTRY.names())
+
+
+#: The eight "short" hidden-node rows as one sweep.
+SHORT_SWEEP = Sweep(
+    experiment="hidden-node",
+    macs=["qma", "unslotted-csma"],
+    propagations=[None, "fading"],
+    fixed=PARAMS["short"],
+    seeds=[0, 1],
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_backend({"backend": "shard", "shards": 2}),
+        lambda: PoolBackend(jobs=2),
+    ],
+    ids=["shard", "pool"],
+)
+def test_dispatch_backend_reproduces_pinned_digests(make, tmp_path):
+    backend = make()
+    journal = CheckpointJournal.create(str(tmp_path / "short.jsonl"), SHORT_SWEEP)
+    try:
+        backend.run(SHORT_SWEEP, list(range(SHORT_SWEEP.size)), journal)
+        merged = dict(journal.iter_completed())
+    finally:
+        journal.close()
+        backend.close()
+    assert sorted(merged) == list(range(SHORT_SWEEP.size)) == list(range(8))
+    for index, scenario in enumerate(SHORT_SWEEP):
+        key = (scenario.experiment, scenario.mac, scenario.propagation, scenario.seed, "short")
+        assert record_digest(merged[index].to_dict()) == PINNED[key], key

@@ -8,23 +8,20 @@ The robustness contracts of :mod:`repro.service.remote`:
 * the journal stream merger survives a connection torn at *every* byte
   offset of a completion line — the re-attach resumes at the last fully
   processed byte, recomputing nothing and duplicating nothing;
-* a two-localhost-agent remote run is bit-identical to the single-host
-  shard and pool backends, including after an agent is SIGKILLed
-  mid-campaign (the lost slice is reassigned to the surviving host);
+* a two-localhost-agent remote run is bit-identical to an in-process
+  reference run, including after an agent is SIGKILLed mid-campaign
+  (the lost slice is reassigned to the surviving host);
 * injected network faults (``drop-stream``, ``partition``,
   ``slow-link``, ``agent-crash``) heal through transport retry, host
   quarantine and slice reassignment — and when every host is gone the
-  supervision ladder degrades remote -> local shard and still finishes.
+  supervision ladder degrades remote -> pool and still finishes.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import signal
-import subprocess
-import sys
 import threading
 import time
 
@@ -33,8 +30,8 @@ import pytest
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import Sweep
 from repro.scenario import ARTIFACT_CACHE
-from repro.service.agent import AgentServer, CampaignAgent
-from repro.service.backends import PoolBackend, ShardBackend, make_backend
+from repro.service.agent import AgentServer, CampaignAgent, spawn_agent
+from repro.service.backends import PoolBackend, make_backend
 from repro.service.client import ServiceClient
 from repro.service.faults import FaultPlan
 from repro.service.journal import CheckpointJournal, JournalError
@@ -328,14 +325,10 @@ class TestJournalStreamMerger:
 
 
 class TestRemoteDeterminism:
-    def test_remote_matches_shard_and_pool(self, tmp_path, agents):
+    def test_remote_matches_reference(self, tmp_path, agents):
         sweep = make_sweep(seeds=3)
-        reference = reference_records(sweep)
         remote = run_via(RemoteBackend(agents), sweep, tmp_path, "remote.jsonl")
-        shard = run_via(ShardBackend(shards=2), sweep, tmp_path, "shard.jsonl")
-        pool = run_via(PoolBackend(), sweep, tmp_path, "pool.jsonl")
-        assert [remote[i] for i in range(sweep.size)] == reference
-        assert remote == shard == pool
+        assert [remote[i] for i in range(sweep.size)] == reference_records(sweep)
 
     def test_remote_resumes_partial_journal(self, tmp_path, agents):
         sweep = make_sweep(seeds=3)
@@ -353,35 +346,13 @@ class TestRemoteDeterminism:
         assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
 
 
-def _spawn_agent(tmp_path, name):
-    """Subprocess agent via the CLI verb; returns (proc, 'host:port')."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
-    existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "agent",
-            "--port", "0", "--workdir", str(tmp_path / name), "--name", name,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        env=env,
-        text=True,
-    )
-    line = proc.stdout.readline()
-    match = re.search(r"listening on ([\d.]+:\d+)", line)
-    assert match, f"no listening line from agent: {line!r}"
-    return proc, match.group(1)
-
-
 class TestAgentLoss:
     def test_sigkilled_agent_slice_is_reassigned(self, tmp_path):
         sweep = make_sweep(seeds=4)
         procs = []
         try:
-            victim, victim_host = _spawn_agent(tmp_path, "victim")
-            survivor, survivor_host = _spawn_agent(tmp_path, "survivor")
+            victim, victim_host = spawn_agent(str(tmp_path / "victim"), name="victim")
+            survivor, survivor_host = spawn_agent(str(tmp_path / "survivor"), name="survivor")
             procs = [victim, survivor]
             journal = CheckpointJournal.create(str(tmp_path / "kill.jsonl"), sweep)
             backend = RemoteBackend(
@@ -466,8 +437,8 @@ class TestNetworkFaults:
         sweep = make_sweep(seeds=3)
         procs = []
         try:
-            first, first_host = _spawn_agent(tmp_path, "doomed")
-            second, second_host = _spawn_agent(tmp_path, "steady")
+            first, first_host = spawn_agent(str(tmp_path / "doomed"), name="doomed")
+            second, second_host = spawn_agent(str(tmp_path / "steady"), name="steady")
             procs = [first, second]
             plan = FaultPlan.from_spec("agent-crash@shard=0")
             backend = RemoteBackend(
@@ -490,7 +461,7 @@ class TestNetworkFaults:
 
 
 class TestSupervisionLadder:
-    def test_unreachable_hosts_degrade_to_local_shard(self, tmp_path):
+    def test_unreachable_hosts_degrade_to_pool(self, tmp_path):
         sweep = make_sweep(seeds=2)
         events = []
         backend = make_supervised(
@@ -510,7 +481,7 @@ class TestSupervisionLadder:
         assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
         degrades = [event for event in events if event["kind"] == "degrade"]
         assert degrades and degrades[0]["from_backend"] == "remote"
-        assert degrades[0]["to_backend"] == "shard"
+        assert degrades[0]["to_backend"] == "pool"
 
 
 class TestClientRetry:

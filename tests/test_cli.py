@@ -474,7 +474,7 @@ def test_resume_command_rejects_missing_journal(tmp_path):
 
 
 def test_sweep_checkpoint_with_shards(tmp_path, capsys):
-    """--checkpoint --shards executes through subprocess shard workers."""
+    """--checkpoint --shards executes through a private loopback agent."""
     journal = str(tmp_path / "campaign.journal.jsonl")
     assert main([
         "sweep", "hidden-node", "--macs", "unslotted-csma",

@@ -95,5 +95,17 @@ def test_entry_points_do_not_import_unused_layers(statement):
     assert _loaded_after_import(statement, COLD_START_FORBIDDEN) == []
 
 
+def test_agent_does_not_import_the_campaign_stack():
+    """The agent only spawns shard workers; the runner stack stays out."""
+    forbidden = [
+        "numpy",
+        "asyncio",
+        "http.client",
+        "repro.service.backends",
+        "repro.campaign.runner",
+    ]
+    assert _loaded_after_import("import repro.service.agent", forbidden) == []
+
+
 def test_batch_runner_still_imports_numpy():
     assert _loaded_after_import("import repro.campaign.batch_runner", ["numpy"]) == ["numpy"]
