@@ -8,10 +8,11 @@ to what a run produces — MAC logic, channel delivery order, RNG draws,
 metric finalisation — fails here even when all paths still agree.
 
 Coverage: the hidden-node line for every registered MAC under explicit
-links and every propagation model, the SINR hidden node, and the short
+links and every propagation model, the SINR hidden node, the short
 hidden-node QMA/CSMA sweep with and without fading — the latter also
 through the loopback-shard and pool dispatch backends, whose merged
-journals must carry the same digests.  A deliberate behaviour change must
+journals must carry the same digests — testbed-star QMA with fading (also
+through the seed-batch kernel) and one-ring DSME QMA.  A deliberate behaviour change must
 re-pin these values and say why.
 """
 
@@ -19,16 +20,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.runner import execute_scenario
+from repro.campaign.runner import CampaignRunner, execute_scenario
 from repro.campaign.spec import Scenario, Sweep
 from repro.mac.registry import MAC_REGISTRY
 from repro.service.backends import PoolBackend, make_backend
 from repro.service.journal import CheckpointJournal
 from repro.service.manifest import record_digest
+from repro.sim.batch import SeedBatchExecutor
 
 PARAMS = {
     "matrix": {"delta": 10.0, "packets_per_node": 8, "warmup": 5.0},
     "short": {"delta": 25.0, "packets_per_node": 3, "warmup": 0.5},
+    "star": {"packets_per_node": 3, "warmup": 0.5, "max_duration": 1.5},
+    "dsme": {"rings": 1, "duration": 8.0, "warmup": 2.0},
 }
 
 #: (experiment, mac, propagation, seed, params) -> record digest.
@@ -69,6 +73,10 @@ PINNED = {
     ("hidden-node", "unslotted-csma", None, 1, "short"): "4710465034388dfb",
     ("hidden-node", "unslotted-csma", "fading", 0, "short"): "3efbdb6dbe94ee88",
     ("hidden-node", "unslotted-csma", "fading", 1, "short"): "96a2df19354ffd58",
+    ("testbed-star", "qma", "fading", 0, "star"): "25ad3703d28d71f1",
+    ("testbed-star", "qma", "fading", 1, "star"): "dd53b0c31ccc0894",
+    ("scalability", "qma", None, 0, "dsme"): "ad4a96e6fac21056",
+    ("scalability", "qma", None, 1, "dsme"): "8910a2c002be7a67",
 }
 
 
@@ -124,3 +132,29 @@ def test_dispatch_backend_reproduces_pinned_digests(make, tmp_path):
     for index, scenario in enumerate(SHORT_SWEEP):
         key = (scenario.experiment, scenario.mac, scenario.propagation, scenario.seed, "short")
         assert record_digest(merged[index].to_dict()) == PINNED[key], key
+
+
+def test_seed_batch_reproduces_pinned_star_digests(monkeypatch):
+    """The star rows again, as one lockstep batch of both seeds."""
+    fallbacks = []
+    run = SeedBatchExecutor.run
+
+    def spy(self, lanes):
+        reports = run(self, lanes)
+        fallbacks.append(self.last_fallback_reason)
+        return reports
+
+    monkeypatch.setattr(SeedBatchExecutor, "run", spy)
+    sweep = Sweep(
+        experiment="testbed-star",
+        macs=["qma"],
+        propagations=["fading"],
+        fixed=PARAMS["star"],
+        seeds=[0, 1],
+    )
+    with CampaignRunner(jobs=1, batch_seeds=2) as runner:
+        records = list(runner.iter_records(sweep))
+    assert fallbacks == [None]
+    assert [record_digest(record.to_dict()) for record in records] == [
+        PINNED[("testbed-star", "qma", "fading", seed, "star")] for seed in (0, 1)
+    ]
