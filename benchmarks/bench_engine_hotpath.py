@@ -6,18 +6,16 @@ Tracks the engine's inner-loop performance in the perf trajectory:
   ``run_until`` drain loop, no per-delivery neighbour-set copies, cached
   frame air time, index-based Q-table rows) took the original machine from
   ~146k to ~210k events/s on the deep-heap micro;
-* the next pass added the fire-and-forget fast path
-  (:meth:`~repro.sim.engine.Simulator.schedule_fast`, batched drain-loop
-  counters) plus the channel's static link table;
-* heap entries are now bare ``(time, seq, callback, arg)`` tuples: a
-  fast event is one tuple and nothing else, a general event the same
-  tuple with ``None`` in place of the callback and its :class:`Event`
-  handle as the argument.
+* the next pass added a fire-and-forget fast path (no event handle,
+  batched drain-loop counters) plus the channel's static link table;
+* heap entries then became bare ``(time, seq, callback, arg)`` tuples;
+* finally the cancellable path went away: every event is one such tuple,
+  scheduled through :meth:`~repro.sim.engine.Simulator.schedule`, and
+  stoppable timers go stale on an epoch instead of being cancelled.
 
 Two micro shapes are measured: ``deep-heap`` (schedule N events, then
 drain — heap depth dominates) and ``steady-state`` (self-rescheduling
-tickers at constant queue depth — the shape of a real simulation, where
-the fast path shows).
+tickers at constant queue depth — the shape of a real simulation).
 
 Run under pytest-benchmark (``pytest benchmarks/bench_engine_hotpath.py``)
 or directly (``python benchmarks/bench_engine_hotpath.py``) for the
@@ -75,41 +73,27 @@ def engine_micro_deep(num_events: int = 200_000) -> float:
     return num_events / (time.perf_counter() - start)
 
 
-def engine_micro_steady(num_events: int = 300_000, fast: bool = True) -> float:
+def engine_micro_steady(num_events: int = 300_000) -> float:
     """Steady-state micro: self-rescheduling tickers at constant depth.
 
     This is the shape of a real simulation (slot ticks, timers): the queue
     stays ~:data:`STEADY_TICKERS` deep while ``num_events`` events flow
-    through.  With ``fast`` the tickers use ``schedule_fast`` (one heap
-    tuple, no handle), otherwise the generic ``schedule``.  Returns events/s.
+    through.  Returns events/s.
     """
     sim = Simulator(seed=0)
     remaining = [num_events]
 
-    if fast:
-        def tick() -> None:
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                sim.schedule_fast(0.001, tick)
+    def tick() -> None:
+        remaining[0] -= 1
+        if remaining[0] > 0:
+            sim.schedule(0.001, tick)
 
-        for _ in range(STEADY_TICKERS):
-            sim.schedule_fast(0.0, tick)
-    else:
-        def tick() -> None:
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                sim.schedule(0.001, tick)
-
-        for _ in range(STEADY_TICKERS):
-            sim.schedule(0.0, tick)
+    for _ in range(STEADY_TICKERS):
+        sim.schedule(0.0, tick)
 
     start = time.perf_counter()
     sim.run_until(float(num_events))
     return num_events / (time.perf_counter() - start)
-
-
-#: Back-compat alias for the PR 2-era name.
-_engine_micro = engine_micro_deep
 
 
 def test_bench_engine_hotpath(benchmark):
@@ -120,23 +104,19 @@ def test_bench_engine_hotpath(benchmark):
 
     result, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
     deep = engine_micro_deep()
-    steady_generic = engine_micro_steady(fast=False)
-    steady_fast = engine_micro_steady(fast=True)
+    steady = engine_micro_steady()
     benchmark.extra_info.update(
         {
             "nodes": result.num_nodes,
             "simulated_s": result.duration,
             "wall_s": round(elapsed, 3),
             "engine_micro_events_per_s": round(deep),
-            "engine_steady_generic_events_per_s": round(steady_generic),
-            "engine_steady_fast_events_per_s": round(steady_fast),
+            "engine_steady_events_per_s": round(steady),
             "secondary_pdr": round(result.secondary_pdr, 4),
         }
     )
     assert result.num_nodes == 43
     assert 0.0 <= result.secondary_pdr <= 1.0
-    # The fast path must stay clearly ahead of the generic path.
-    assert steady_fast > steady_generic
 
 
 def main(argv=None) -> int:
@@ -148,24 +128,15 @@ def main(argv=None) -> int:
 
     result, elapsed = _timed_scalability(rings, duration, warmup)
     deep = engine_micro_deep(50_000 if quick else 200_000)
-    n = 100_000 if quick else 300_000
-    steady_generic = engine_micro_steady(n, fast=False)
-    steady_fast = engine_micro_steady(n, fast=True)
+    steady = engine_micro_steady(100_000 if quick else 300_000)
     print(
         f"scalability rings={rings} nodes={result.num_nodes}: "
         f"{result.duration:.0f} simulated s in {elapsed:.2f} wall s "
         f"(secondary_pdr={result.secondary_pdr:.3f})"
     )
     print(f"engine micro (deep heap): {deep / 1000:.1f}k events/s")
-    print(
-        f"engine micro (steady state): generic {steady_generic / 1000:.1f}k, "
-        f"fast {steady_fast / 1000:.1f}k events/s "
-        f"({steady_fast / steady_generic:.2f}x)"
-    )
+    print(f"engine micro (steady state): {steady / 1000:.1f}k events/s")
     if not 0.0 <= result.secondary_pdr <= 1.0:
-        return 1
-    if steady_fast <= steady_generic:
-        print("FAIL: fast path is not faster than the generic path", file=sys.stderr)
         return 1
     return 0
 

@@ -1,8 +1,7 @@
 """Run the perf suite and emit a machine-readable snapshot.
 
 Collects the numbers the repository tracks across releases — engine
-micro-benchmark events/s (deep-heap and steady-state, generic and fast
-path), campaign sweep throughput (warm worker pool vs. the PR 3 dispatch),
+micro-benchmark events/s (deep-heap and steady-state), campaign sweep throughput (warm worker pool vs. the PR 3 dispatch),
 the construction-cache speedup on a build-dominated batched sweep (cache
 off vs. on, plus the construction share of a short run), metric-collector
 overhead, checkpoint-journaling overhead and the 43-node scalability
@@ -22,8 +21,8 @@ metric set — the gate then always compares like workload with like
 against ``metrics``) and refuses to gate when the baseline lacks a
 matching workload, instead of producing apples-to-oranges failures.
 
-The default gate compares only *ratio* metrics (fast-path speedup, warm
-pool speedup, collector overhead).  Even ratios move with the interpreter
+The default gate compares only *ratio* metrics (warm pool speedup,
+collector overhead).  Even ratios move with the interpreter
 (bytecode specialisation differs per minor version) and with the
 worker-to-core ratio, so they are gated only when the baseline was
 recorded on the same Python major.minor and CPU count; on other
@@ -55,15 +54,12 @@ import bench_sweep_orchestration as sweep_bench
 #: under --strict-absolute; ``pct_points`` metrics are gated by absolute
 #: percentage-point drift.  The tolerance factor scales --max-regression
 #: per metric by its observed run-to-run noise: pool speedups are
-#: fork/IPC-timing bound (~±10 % on a loaded machine, factor 2.5) and the
-#: engine fast/generic ratio swings ~±6 % (factor 2.0) — wide enough to
-#: ignore load noise, tight enough to catch the optimisation regressing
-#: toward parity (speedup -> ~1).
+#: fork/IPC-timing bound (~±10 % on a loaded machine, factor 2.5) — wide
+#: enough to ignore load noise, tight enough to catch the optimisation
+#: regressing toward parity (speedup -> ~1).
 METRIC_SPECS = {
     "engine_micro_deep_events_per_s": ("absolute", "higher", 1.0),
-    "engine_steady_generic_events_per_s": ("absolute", "higher", 1.0),
-    "engine_steady_fast_events_per_s": ("absolute", "higher", 1.0),
-    "engine_fast_speedup": ("ratio", "higher", 2.0),
+    "engine_steady_events_per_s": ("absolute", "higher", 1.0),
     "sweep_single_legacy_s": ("absolute", "lower", 1.0),
     "sweep_single_warm_s": ("absolute", "lower", 1.0),
     "sweep_single_speedup": ("ratio", "higher", 2.5),
@@ -108,30 +104,15 @@ def collect(quick: bool) -> dict:
     metrics = {}
 
     # Absolute micros report the best of several rounds (scheduler noise
-    # only ever slows a run down); the gated fast-vs-generic ratio is the
-    # *median of interleaved paired rounds* — pairing cancels machine-load
-    # drift and the median resists the occasional outlier round, which a
-    # max/max ratio would amplify.
+    # only ever slows a run down).
     deep_n = 50_000 if quick else 200_000
-    # The steady-state micro keeps its full size even in quick mode: it is
-    # cheap (~0.5 s/round) and the gated fast-vs-generic ratio needs the
-    # larger sample to stay within the regression tolerance run-to-run.
     steady_n = 300_000
     metrics["engine_micro_deep_events_per_s"] = round(
         max(engine_bench.engine_micro_deep(deep_n) for _ in range(3))
     )
-    generic_best = fast_best = 0.0
-    ratios = []
-    for _ in range(5):
-        generic = engine_bench.engine_micro_steady(steady_n, fast=False)
-        fast = engine_bench.engine_micro_steady(steady_n, fast=True)
-        generic_best = max(generic_best, generic)
-        fast_best = max(fast_best, fast)
-        ratios.append(fast / generic)
-    ratios.sort()
-    metrics["engine_steady_generic_events_per_s"] = round(generic_best)
-    metrics["engine_steady_fast_events_per_s"] = round(fast_best)
-    metrics["engine_fast_speedup"] = round(ratios[len(ratios) // 2], 3)
+    metrics["engine_steady_events_per_s"] = round(
+        max(engine_bench.engine_micro_steady(steady_n) for _ in range(5))
+    )
 
     runs = sweep_bench.SMOKE_RUNS if quick else sweep_bench.BENCH_RUNS
     batches = sweep_bench.SMOKE_BATCHES if quick else sweep_bench.BENCH_BATCHES

@@ -103,6 +103,15 @@ def records_of(jsonl_path: str) -> list:
     return records
 
 
+def completions_in(journal_path: str) -> int:
+    """Completion lines a journal holds so far (0 before it exists)."""
+    try:
+        with open(journal_path, "rb") as handle:
+            return sum(1 for line in handle if line.startswith(b'{"digest":'))
+    except FileNotFoundError:
+        return 0
+
+
 def main() -> None:
     tmp = tempfile.mkdtemp(prefix="qma-chaos-smoke-")
     base_journal = os.path.join(tmp, "base.jsonl")
@@ -172,8 +181,19 @@ def main() -> None:
             env=_env(), cwd=REPO,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
-        time.sleep(1.5)
-        victim.kill()  # SIGKILL one agent while its shards stream
+        # SIGKILL one agent while its shards stream: once the journal
+        # holds some, but not all, of the sweep's records.
+        deadline = time.monotonic() + SMOKE_TIMEOUT_S
+        journalled = 0
+        while not 0 < journalled < TOTAL_RUNS:
+            if sweep_proc.poll() is not None or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+            journalled = completions_in(remote_journal)
+        victim.kill()
+        if sweep_proc.poll() is not None:
+            fail("remote chaos sweep exited before the agent SIGKILL landed")
+        print(f"agent SIGKILLed with {journalled}/{TOTAL_RUNS} runs journalled")
         try:
             out, err = sweep_proc.communicate(timeout=SMOKE_TIMEOUT_S)
         except subprocess.TimeoutExpired:
@@ -210,6 +230,9 @@ def main() -> None:
                  f"expected {len(baseline)}")
         print(f"remote output bit-identical across {len(remote)} records")
     finally:
+        if sweep_proc.poll() is None:
+            sweep_proc.kill()
+            sweep_proc.wait()
         for agent in (victim, survivor):
             if agent.poll() is None:
                 agent.kill()

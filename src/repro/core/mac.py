@@ -149,8 +149,8 @@ class QmaMac(MacProtocol):
         self._pend_overheard = False
         #: Tick-chain epoch: ticks carry the epoch they were scheduled in
         #: and no-op once it moves on, so stop()/start() cannot leave a
-        #: stale chain running (ticks use the engine's fast path and have
-        #: no cancellable handle).
+        #: stale chain running.  This is the engine's one way to stop a
+        #: timer (events have no cancel handle; see repro.sim.engine).
         self._tick_epoch = 0
 
         #: (time, cumulative Q-value of the policy) recorded at every frame boundary
@@ -165,13 +165,14 @@ class QmaMac(MacProtocol):
         start_time = max(self.gate.next_active_time(self.sim.now), self.sim.now)
         self._next_subslot = 0
         self._tick_epoch += 1
-        self.sim.schedule_at_fast(start_time, self._on_subslot, self._tick_epoch)
+        self.sim.schedule_at(start_time, self._on_subslot, self._tick_epoch)
 
     def stop(self) -> None:
         """Stop the subslot clock (used by tests and node shutdown).
 
-        Ticks run on the engine's fast path (no cancellable handle); the
-        pending tick fires once more and no-ops on the stale epoch.
+        Engine events cannot be cancelled; the pending tick fires once
+        more and no-ops on the stale epoch, the engine's common idiom for
+        stopping a timer.
         """
         self._tick_epoch += 1
 
@@ -241,7 +242,7 @@ class QmaMac(MacProtocol):
             next_time = self.gate.next_active_time(next_time)
             next_index = 0
         self._next_subslot = next_index
-        sim.schedule_at_fast(next_time, self._on_subslot, self._tick_epoch)
+        sim.schedule_at(next_time, self._on_subslot, self._tick_epoch)
 
     # ------------------------------------------------------------ action choice
     def _select_and_execute(self) -> None:
@@ -286,7 +287,7 @@ class QmaMac(MacProtocol):
             if self._cca():
                 self._pend(PENDING_TRANSMISSION, _CCA, state, frame)
                 delay = self.phy.cca_duration + self.phy.turnaround_time
-                self.sim.schedule_fast(delay, self._transmit_pending, self._counter)
+                self.sim.schedule(delay, self._transmit_pending, self._counter)
             else:
                 self._pend(PENDING_CCA_FAILED, _CCA, state)
             return

@@ -155,7 +155,6 @@ class DsmeNetwork:
                 )
 
         self._superframe_index = 0
-        self._superframe_event = None
         self._started_at = 0.0
 
     # ---------------------------------------------------------------- factory
@@ -179,9 +178,7 @@ class DsmeNetwork:
         for beacon in self.beacons.values():
             beacon.start()
         first_cfp = self.config.cfp_start(0)
-        self._superframe_event = self.sim.schedule_at(
-            self.sim.now + first_cfp, self._on_cfp
-        )
+        self.sim.schedule_at(self.sim.now + first_cfp, self._on_cfp)
 
     def _on_cfp(self) -> None:
         superframe_in_msf = self._superframe_index % self.config.superframes_per_multisuperframe
@@ -191,9 +188,7 @@ class DsmeNetwork:
             for dsme_node in self.dsme_nodes.values():
                 dsme_node.on_multisuperframe_end()
         self._superframe_index += 1
-        self._superframe_event = self.sim.schedule(
-            self.config.superframe_duration, self._on_cfp
-        )
+        self.sim.schedule(self.config.superframe_duration, self._on_cfp)
 
     def _deliver_over_gts(self, peer_id: int, frame: Frame) -> None:
         self.dsme_nodes[peer_id].receive_cfp_data(frame)

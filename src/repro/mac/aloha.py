@@ -76,24 +76,27 @@ class SlottedAloha(MacProtocol):
         self._slot_index = -1
         self._chosen_slot: Optional[int] = None
         self._in_flight: Optional[Frame] = None
-        self._tick_event = None
+        #: Slot-clock epoch, bumped by start()/stop(): a slot tick
+        #: scheduled under an older epoch is stale and returns at once.
+        self._epoch = 0
 
     # ------------------------------------------------------------------ clock
     def start(self) -> None:
         super().start()
-        self._tick_event = self.sim.schedule(0.0, self._on_slot)
+        self._epoch += 1
+        self.sim.schedule(0.0, self._on_slot, self._epoch)
 
     def stop(self) -> None:
-        if self._tick_event is not None and self._tick_event.pending:
-            self._tick_event.cancel()
-        self._tick_event = None
+        self._epoch += 1
 
-    def _on_slot(self) -> None:
+    def _on_slot(self, epoch: int) -> None:
+        if epoch != self._epoch:
+            return
         self._slot_index = (self._slot_index + 1) % self.config.slots_per_frame
         if self._slot_index == 0:
             self._chosen_slot = self._select_slot()
         self._maybe_transmit()
-        self._tick_event = self.sim.schedule(self.config.slot_duration, self._on_slot)
+        self.sim.schedule(self.config.slot_duration, self._on_slot, epoch)
 
     # -------------------------------------------------------------- behaviour
     def _select_slot(self) -> int:

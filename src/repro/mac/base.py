@@ -108,7 +108,6 @@ class MacProtocol(ABC):
         self.overhear_callback: Optional[OverhearCallback] = None
 
         self._awaiting_ack: Optional[Frame] = None
-        self._ack_timeout_event = None
         self._recent_rx: "OrderedDict[int, None]" = OrderedDict()
         self._recent_rx_limit = 128
         self._started = False
@@ -178,16 +177,18 @@ class MacProtocol(ABC):
         if frame.requires_ack:
             self._awaiting_ack = frame
             timeout = self.phy.turnaround_time + self.phy.ack_wait_duration
-            self._ack_timeout_event = self.sim.schedule(timeout, self._on_ack_timeout, frame)
+            # Keyed by the attempt number: a timeout outlived by its ACK
+            # (or by a later attempt) is stale and returns at once.
+            self.sim.schedule(timeout, self._on_ack_timeout, self.stats.tx_attempts)
         else:
             self.stats.broadcasts_sent += 1
             self._transaction_complete(frame, TransactionResult.SUCCESS)
 
-    def _on_ack_timeout(self, frame: Frame) -> None:
-        if self._awaiting_ack is not frame:
+    def _on_ack_timeout(self, attempt: int) -> None:
+        frame = self._awaiting_ack
+        if frame is None or attempt != self.stats.tx_attempts:
             return
         self._awaiting_ack = None
-        self._ack_timeout_event = None
         self.stats.tx_no_ack += 1
         self._transaction_complete(frame, TransactionResult.NO_ACK)
 
@@ -216,9 +217,6 @@ class MacProtocol(ABC):
         pending = self._awaiting_ack
         if ack.dst == self.node_id and pending is not None and ack.acknowledges(pending):
             self._awaiting_ack = None
-            if self._ack_timeout_event is not None:
-                self._ack_timeout_event.cancel()
-                self._ack_timeout_event = None
             self.stats.tx_success += 1
             self._transaction_complete(pending, TransactionResult.SUCCESS)
         else:
@@ -237,7 +235,7 @@ class MacProtocol(ABC):
     # ------------------------------------------------------------------- ACKs
     def _schedule_ack(self, frame: Frame) -> None:
         ack = frame.make_ack(self.node_id)
-        self.sim.schedule_fast(self.phy.turnaround_time, self._transmit_ack, ack)
+        self.sim.schedule(self.phy.turnaround_time, self._transmit_ack, ack)
 
     def _transmit_ack(self, ack: Frame) -> None:
         if self.radio.transmitting:

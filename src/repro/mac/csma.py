@@ -98,14 +98,12 @@ class UnslottedCsmaCa(MacProtocol):
         return periods * self.phy.unit_backoff_period
 
     def _schedule_backoff(self) -> None:
-        # The backoff/CCA chain never cancels its events, so it runs on the
-        # engine's allocation-lean fast path.
         now = self.sim.now
         if not self.gate.active(now):
             resume = self.gate.next_active_time(now)
-            self.sim.schedule_at_fast(resume, self._schedule_backoff)
+            self.sim.schedule_at(resume, self._schedule_backoff)
             return
-        self.sim.schedule_fast(self._backoff_delay(), self._perform_cca)
+        self.sim.schedule(self._backoff_delay(), self._perform_cca)
 
     def _perform_cca(self) -> None:
         frame = self.queue.peek()
@@ -115,11 +113,11 @@ class UnslottedCsmaCa(MacProtocol):
         now = self.sim.now
         if not self.gate.active(now):
             resume = self.gate.next_active_time(now)
-            self.sim.schedule_at_fast(resume, self._perform_cca)
+            self.sim.schedule_at(resume, self._perform_cca)
             return
         if self._cca():
-            self.sim.schedule_fast(self.phy.cca_duration + self.phy.turnaround_time,
-                                   self._transmit_head, frame)
+            self.sim.schedule(self.phy.cca_duration + self.phy.turnaround_time,
+                              self._transmit_head, frame)
         else:
             self._nb += 1
             self._be = min(self._be + 1, self.config.mac_max_be)
@@ -199,12 +197,12 @@ class SlottedCsmaCa(UnslottedCsmaCa):
         now = self.sim.now
         if not self.gate.active(now):
             resume = self.gate.next_active_time(now)
-            self.sim.schedule_at_fast(resume, self._schedule_backoff)
+            self.sim.schedule_at(resume, self._schedule_backoff)
             return
         self._cw = self.config.contention_window
         boundary = self._next_boundary()
         target = boundary + self._backoff_delay()
-        self.sim.schedule_at_fast(target, self._perform_cca)
+        self.sim.schedule_at(target, self._perform_cca)
 
     def _perform_cca(self) -> None:
         frame = self.queue.peek()
@@ -214,16 +212,16 @@ class SlottedCsmaCa(UnslottedCsmaCa):
         now = self.sim.now
         if not self.gate.active(now):
             resume = self.gate.next_active_time(now)
-            self.sim.schedule_at_fast(resume, self._perform_cca)
+            self.sim.schedule_at(resume, self._perform_cca)
             return
         if self._cca():
             self._cw -= 1
             if self._cw <= 0:
                 delay = self.phy.cca_duration + self.phy.turnaround_time
-                self.sim.schedule_fast(delay, self._transmit_head, frame)
+                self.sim.schedule(delay, self._transmit_head, frame)
             else:
                 next_boundary = self._next_boundary(self.sim.now + self.phy.unit_backoff_period)
-                self.sim.schedule_at_fast(next_boundary, self._perform_cca)
+                self.sim.schedule_at(next_boundary, self._perform_cca)
         else:
             self._cw = self.config.contention_window
             self._nb += 1

@@ -417,7 +417,7 @@ class WirelessChannel:
                     # Half-duplex: a transmitting radio cannot receive.
                     corrupted_for.add(receiver_id)
                 arriving.append(tx)
-        self.sim.schedule_fast(duration, self._end_transmission, tx)
+        self.sim.schedule(duration, self._end_transmission, tx)
 
     def _begin_sinr(self, tx: ActiveTransmission) -> None:
         """Start a transmission under the SINR interference model.

@@ -13,26 +13,18 @@ Heap entries
 ------------
 Every heap entry is a bare ``(time, seq, callback, arg)`` tuple.  Tuple
 comparison runs entirely in C and, because sequence numbers are unique,
-never looks past ``seq``, so the heap orders entries by exactly the
-``(time, seq)`` key that ``Event.__lt__`` compares.
+never looks past ``seq``, so the heap orders entries by exactly their
+``(time, seq)`` key.
 
-The two scheduling APIs differ only in whether a handle is returned.
-:meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_at_fast` push
-the callback and its (at most one) argument as they are: no allocation
-beyond the tuple, no handle.  The MAC/PHY inner loops (subslot ticks,
-CCA-to-transmit delays, ACK transmissions, channel end-of-transmission)
-never cancel their events and use this path.  :meth:`Simulator.schedule`
-/ :meth:`Simulator.schedule_at` accept arbitrary ``*args``/``**kwargs``
-and return a cancellable :class:`Event`, pushed as ``(time, seq, None,
-event)``.  Both paths draw from one sequence counter, so mixing them keeps
-the deterministic ``(time, seq)`` execution order.
-
-Lazily-cancelled events (ACK timeouts resolved by an ACK, stopped tick
-clocks) stay on the heap until popped; only ``None``-callback entries can
-be cancelled, so only they are checked.  The engine counts them — which
-also makes :meth:`Simulator.pending_events` a subtraction — and compacts
-the heap in place once they outnumber half of the queue, so long runs with
-many cancels do not drag a tail of dead entries through every sift.
+There is one scheduling API, :meth:`Simulator.schedule` /
+:meth:`Simulator.schedule_at`: it pushes the callback and its (at most
+one) argument as they are and returns nothing.  Events cannot be
+cancelled.  A component that needs to stop a timer keeps an epoch
+counter, passes the current epoch as the event's argument and bumps it in
+``stop()``/``start()``; the stale event still fires once and its callback
+returns at once because the epoch moved on.  QMA subslot ticks, periodic
+processes, traffic generators, TDMA/ALOHA slot clocks and MAC ACK timeouts
+(keyed by the attempt number) all work this way.
 """
 
 from __future__ import annotations
@@ -50,71 +42,13 @@ class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation engine."""
 
 
-#: Shared empty kwargs for events scheduled without keyword arguments —
-#: the dictionary is only ever ``**``-unpacked, never handed out or
-#: mutated, so one instance serves every event.
-_NO_KWARGS: dict = {}
-
 #: ``math.inf`` as a module global: the hot-path time checks compare
 #: against it without an attribute lookup.
 _INF = math.inf
 
-#: A heap entry: ``(time, seq, callback, arg)``; ``callback`` is None for
-#: a cancellable :class:`Event`, which then sits in ``arg``.
-_HeapEntry = Tuple[float, int, Optional[Callable[..., Any]], Any]
-
-
-class Event:
-    """A scheduled callback.
-
-    Events are returned by :meth:`Simulator.schedule` and
-    :meth:`Simulator.schedule_at` and can be cancelled as long as they have
-    not fired yet.  Cancellation is lazy: the event stays on the heap but is
-    skipped when popped (the simulator counts such entries and periodically
-    compacts the heap).
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled", "fired", "sim")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-        sim: Optional["Simulator"] = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.kwargs = kwargs
-        self.cancelled = False
-        self.fired = False
-        self.sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Cancelling a fired event is a no-op."""
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        sim = self.sim
-        if sim is not None:
-            sim._note_cancel()
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is scheduled and neither fired nor cancelled."""
-        return not self.cancelled and not self.fired
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {name}, {state})"
+#: A heap entry: ``(time, seq, callback, arg)``; ``callback()`` runs when
+#: ``arg`` is None, ``callback(arg)`` otherwise.
+_HeapEntry = Tuple[float, int, Callable[..., Any], Any]
 
 
 class Simulator:
@@ -134,10 +68,6 @@ class Simulator:
         memory silently).  None keeps the recorder unbounded.
     """
 
-    #: Compaction kicks in only beyond this many lazily-cancelled entries
-    #: (small queues never pay for a rebuild).
-    COMPACT_MIN_CANCELLED = 64
-
     def __init__(
         self, seed: int = 0, trace: bool = False, trace_limit: Optional[int] = None
     ) -> None:
@@ -146,7 +76,6 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
-        self._lazy_cancelled = 0  # cancelled entries still on the heap
         self.rng = RngRegistry(seed)
         self.tracer: Optional[TraceRecorder] = (
             TraceRecorder(max_records=trace_limit) if trace else None
@@ -161,36 +90,19 @@ class Simulator:
         return self._now
 
     # ------------------------------------------------------------- scheduling
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
-        """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now."""
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
+    def schedule(self, delay: float, callback: Callable[..., Any], arg: Any = None) -> None:
+        """Call ``callback()`` (or ``callback(arg)`` when ``arg`` is not
+        None) ``delay`` seconds from now.
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
-        """Schedule ``callback`` at an absolute simulation time."""
-        if not self._now <= time < _INF:
-            raise self._time_error(time)
-        event = Event(time, next(self._seq), callback, args, kwargs or _NO_KWARGS, self)
-        heapq.heappush(self._queue, (time, event.seq, None, event))
-        return event
-
-    def schedule_fast(self, delay: float, callback: Callable[..., Any], arg: Any = None) -> None:
-        """Fire-and-forget scheduling (hot-path variant).
-
-        Calls ``callback()`` (or ``callback(arg)`` when ``arg`` is not None)
-        ``delay`` seconds from now.  Unlike :meth:`schedule` no handle is
-        returned, so the event cannot be cancelled — use it only for events
-        that always run to completion (the callback itself may no-op).
-        ``arg`` must not rely on ``None`` as a payload; use :meth:`schedule`
-        for that.
+        The event cannot be cancelled; a callback that may outlive its
+        reason checks an epoch passed as ``arg`` (see the module docstring).
         """
         if not 0 <= delay < _INF:
             raise SimulationError(f"invalid event delay: {delay}")
         heapq.heappush(self._queue, (self._now + delay, next(self._seq), callback, arg))
 
-    def schedule_at_fast(self, time: float, callback: Callable[..., Any], arg: Any = None) -> None:
-        """Absolute-time variant of :meth:`schedule_fast`."""
+    def schedule_at(self, time: float, callback: Callable[..., Any], arg: Any = None) -> None:
+        """Absolute-time variant of :meth:`schedule`."""
         if not self._now <= time < _INF:
             raise self._time_error(time)
         heapq.heappush(self._queue, (time, next(self._seq), callback, arg))
@@ -205,57 +117,22 @@ class Simulator:
             return SimulationError(f"invalid event time: {time}")
         return SimulationError(f"cannot schedule into the past (time={time}, now={self._now})")
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
-        event.cancel()
-
-    # ----------------------------------------------------------- maintenance
-    def _note_cancel(self) -> None:
-        """Book-keeping for a lazy cancel; compacts the heap when dead
-        entries outnumber half of it.
-
-        Compaction mutates the queue *in place* (slice assignment), so the
-        local bindings held by an active :meth:`_drain_before` loop stay
-        valid.
-        """
-        self._lazy_cancelled += 1
-        queue = self._queue
-        if (
-            self._lazy_cancelled > self.COMPACT_MIN_CANCELLED
-            and self._lazy_cancelled * 2 > len(queue)
-        ):
-            queue[:] = [
-                entry for entry in queue if entry[2] is not None or not entry[3].cancelled
-            ]
-            heapq.heapify(queue)
-            self._lazy_cancelled = 0
-
     # ------------------------------------------------------------------- run
     def step(self) -> bool:
         """Execute the next pending event.
 
         Returns True if an event was executed, False if the queue is empty.
         """
-        queue = self._queue
-        while queue:
-            time, _, callback, arg = heapq.heappop(queue)
-            if callback is None:
-                if arg.cancelled:
-                    self._lazy_cancelled -= 1
-                    continue
-                self._now = time
-                self.events_executed += 1
-                arg.fired = True
-                arg.callback(*arg.args, **arg.kwargs)
-            else:
-                self._now = time
-                self.events_executed += 1
-                if arg is None:
-                    callback()
-                else:
-                    callback(arg)
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _, callback, arg = heapq.heappop(self._queue)
+        self._now = time
+        self.events_executed += 1
+        if arg is None:
+            callback()
+        else:
+            callback(arg)
+        return True
 
     def run_until(self, end_time: float) -> None:
         """Run events until the clock reaches ``end_time``.
@@ -297,35 +174,19 @@ class Simulator:
                 if time > t_bound or (time == t_bound and seq >= seq_bound):
                     heapq.heappush(queue, entry)
                     break
-                if callback is None:
-                    if arg.cancelled:
-                        self._lazy_cancelled -= 1
-                        continue
-                    self._now = time
-                    executed += 1
-                    arg.fired = True
-                    arg.callback(*arg.args, **arg.kwargs)
+                self._now = time
+                executed += 1
+                if arg is None:
+                    callback()
                 else:
-                    self._now = time
-                    executed += 1
-                    if arg is None:
-                        callback()
-                    else:
-                        callback(arg)
+                    callback(arg)
         finally:
             self.events_executed += executed
 
     def _next_key(self) -> Optional[Tuple[float, int]]:
-        """The ``(time, seq)`` key of the next live event (None if none);
-        cancelled entries at the head of the heap are dropped on the way."""
+        """The ``(time, seq)`` key of the next event (None if none)."""
         queue = self._queue
-        while queue:
-            time, seq, callback, arg = queue[0]
-            if callback is not None or not arg.cancelled:
-                return time, seq
-            heapq.heappop(queue)
-            self._lazy_cancelled -= 1
-        return None
+        return queue[0][:2] if queue else None
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue is exhausted (or ``max_events`` fired)."""
@@ -376,11 +237,9 @@ class Simulator:
 
     # ----------------------------------------------------------------- misc
     def pending_events(self) -> int:
-        """Number of events still scheduled (excluding lazily cancelled ones).
-
-        O(1): every heap entry is pending unless counted as lazily cancelled.
-        """
-        return len(self._queue) - self._lazy_cancelled
+        """Number of events still on the heap, including stale ones whose
+        callbacks will return at once (see the module docstring)."""
+        return len(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Simulator(now={self._now:.6f}, pending={self.pending_events()})"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 PeriodSpec = Union[float, Callable[[], float]]
 
@@ -41,8 +41,10 @@ class PeriodicProcess:
         self._period = period
         self.callback = callback
         self.start_delay = start_delay
-        self._event: Optional[Event] = None
         self._running = False
+        #: Bumped by start()/stop(); an invocation scheduled under an older
+        #: epoch is stale and returns at once.
+        self._epoch = 0
         self.invocations = 0
 
     def _next_period(self) -> float:
@@ -56,24 +58,23 @@ class PeriodicProcess:
         if self._running:
             raise SimulationError("process already running")
         self._running = True
+        self._epoch += 1
         delay = self.start_delay if self.start_delay is not None else self._next_period()
-        self._event = self.sim.schedule(delay, self._fire)
+        self.sim.schedule(delay, self._fire, self._epoch)
 
     def stop(self) -> None:
-        """Stop the process; the pending invocation (if any) is cancelled."""
+        """Stop the process; the pending invocation (if any) goes stale."""
         self._running = False
-        if self._event is not None and self._event.pending:
-            self._event.cancel()
-        self._event = None
+        self._epoch += 1
 
     @property
     def running(self) -> bool:
         return self._running
 
-    def _fire(self) -> None:
-        if not self._running:
+    def _fire(self, epoch: int) -> None:
+        if epoch != self._epoch:
             return
         self.invocations += 1
         self.callback()
-        if self._running:
-            self._event = self.sim.schedule(self._next_period(), self._fire)
+        if epoch == self._epoch:
+            self.sim.schedule(self._next_period(), self._fire, epoch)

@@ -41,8 +41,10 @@ class TrafficGenerator(ABC):
         self.max_packets = max_packets
         self.generated = 0
         self._rng = sim.rng.stream(rng_name)
-        self._event = None
         self._running = False
+        #: Bumped by start()/stop(); a generation scheduled under an older
+        #: epoch is stale and returns at once.
+        self._epoch = 0
 
     # ------------------------------------------------------------------ api
     def start(self) -> None:
@@ -50,14 +52,13 @@ class TrafficGenerator(ABC):
         if self._running:
             raise RuntimeError("traffic generator already running")
         self._running = True
+        self._epoch += 1
         first = max(self.start_time, self.sim.now) + self._next_interval()
-        self._event = self.sim.schedule_at(first, self._generate)
+        self.sim.schedule_at(first, self._generate, self._epoch)
 
     def stop(self) -> None:
         self._running = False
-        if self._event is not None and self._event.pending:
-            self._event.cancel()
-        self._event = None
+        self._epoch += 1
 
     @property
     def exhausted(self) -> bool:
@@ -73,8 +74,8 @@ class TrafficGenerator(ABC):
     def _next_interval(self) -> float:
         """Time until the next packet generation."""
 
-    def _generate(self) -> None:
-        if not self._running:
+    def _generate(self, epoch: int) -> None:
+        if epoch != self._epoch:
             return
         if self.exhausted:
             self._running = False
@@ -84,7 +85,7 @@ class TrafficGenerator(ABC):
         if self.exhausted:
             self._running = False
             return
-        self._event = self.sim.schedule(self._next_interval(), self._generate)
+        self.sim.schedule(self._next_interval(), self._generate, epoch)
 
 
 class PoissonTraffic(TrafficGenerator):

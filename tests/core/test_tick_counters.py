@@ -1,11 +1,12 @@
 """Exact work counters of two QMA runs, pinned.
 
 Record digests cover the scalar metrics of a run but not how much work the
-engine did to produce them.  These counters — events executed, sequence
-numbers drawn (one per scheduled event, cancelled or not), subslot ticks
-(summed over nodes), Q-table updates, action selections, frames elapsed,
-history lengths and a digest of every named random stream's final state —
-are deterministic, so any change in them means the QMA subslot tick or the
+engine did to produce them.  These counters — events executed (stale
+timer events included: they fire and return at once), sequence numbers
+drawn (one per scheduled event, whether due by the end or not), subslot
+ticks (summed over nodes), Q-table updates, action selections, frames
+elapsed, history lengths and a digest of every named random stream's
+final state — are deterministic, so any change in them means the QMA subslot tick or the
 engine changed its event stream (or its learning path), even when the
 record digests happen to survive.  Optimisations of the tick or the engine
 must leave every value here unchanged; a deliberate behaviour change must
@@ -28,7 +29,7 @@ from repro.scenario.builder import ScenarioBuilder
 #: Per node: [qtable.updates, selected (B, C, S), random, greedy,
 #: frames_elapsed, len(q_history), len(rho_history)].
 HIDDEN_NODE_SEED_1 = {
-    "events_executed": 34523,
+    "events_executed": 34585,
     "seqs_drawn": 34588,
     "subslot_ticks": 34278,
     "rng_sha256": "e1334a2df3c3bc7d49bd6d01659bdbad61523351be1122e1e081f44cb8a23940",
@@ -40,7 +41,7 @@ HIDDEN_NODE_SEED_1 = {
 }
 
 DSME_ONE_RING_SEED_0 = {
-    "events_executed": 24947,
+    "events_executed": 24949,
     "seqs_drawn": 24976,
     "subslot_ticks": 24787,
     "rng_sha256": "44045a390e05263c059815021985fbb401986e72e7be955e89925205ef54b1e0",

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.mac.csma import UnslottedCsmaCa
 from repro.phy.channel import WirelessChannel
 from repro.phy.frames import Frame, FrameKind
+from repro.phy.params import PhyParameters
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 
@@ -77,3 +78,32 @@ def test_per_kind_outcomes_recorded():
     mac_a.send(Frame(FrameKind.GTS_REQUEST, src=0, dst=1))
     sim.run_until(1.0)
     assert mac_a.stats.per_kind_sent.get(FrameKind.GTS_REQUEST) == 1
+
+
+def test_stale_ack_timeout_leaves_next_frame_alone():
+    """ACK timeouts are never cancelled: once the first frame's ACK is in
+    and the next frame awaits its own ACK, the first frame's timeout fires
+    stale and must not count a missing ACK."""
+    sim = Simulator(seed=1)
+    # A long ACK wait lets the next frame finish before the stale timeout.
+    channel = WirelessChannel(sim, PhyParameters(ack_wait_symbols=1000))
+    radio_a = Radio(sim, channel, 0)
+    radio_b = Radio(sim, channel, 1)
+    channel.connect(0, 1)
+    mac_a = UnslottedCsmaCa(sim, radio_a)
+    mac_b = UnslottedCsmaCa(sim, radio_b)
+    mac_a.start()
+    mac_b.start()
+    done = []
+    mac_a.sent_callback = lambda frame, success: done.append(sim.now)
+    mac_a.send(Frame(FrameKind.DATA, src=0, dst=1))
+    second = Frame(FrameKind.DATA, src=0, dst=5)  # nobody acknowledges it
+    mac_a.send(second)
+    while not done:
+        sim.step()
+    ack_wait = channel.phy.turnaround_time + channel.phy.ack_wait_duration
+    sim.run_until(done[0] + ack_wait)  # past the first frame's timeout
+    assert mac_a._awaiting_ack is second
+    assert mac_a.stats.tx_no_ack == 0
+    sim.run_until(done[0] + 3 * ack_wait)  # the second frame's own timeout
+    assert mac_a.stats.tx_no_ack >= 1

@@ -1,43 +1,36 @@
 """Model-based test of the event engine against a plain reference model.
 
-Hypothesis draws random programs of scheduling calls (all four
-``schedule*`` variants), cancels of pending, fired and already-cancelled
-events, ``run_until`` (with events exactly at ``end_time``) and ``step``.
-Fired callbacks may themselves schedule, cancel, ``stop()`` the run or
-cancel more than ``COMPACT_MIN_CANCELLED`` events at once (forcing a heap
-compaction in the middle of a drain).  The reference model is a list
-searched for the smallest ``(time, scheduling order)`` key; after every
-call the executed order, ``pending_events()``, ``events_executed`` and
-``now`` must agree.
+Hypothesis draws random programs of scheduling calls (``schedule`` and
+``schedule_at``, with and without an argument), invalid event times
+(negative, NaN, infinite), ``run_until`` (with events exactly at
+``end_time``) and ``step``.  Fired callbacks may themselves schedule or
+``stop()`` the run.  The reference model is a list searched for the
+smallest ``(time, scheduling order)`` key; after every call the executed
+order, ``pending_events()``, ``events_executed`` and ``now`` must agree,
+and every invalid time must raise without touching either.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from typing import Any, Dict, List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
-KINDS = ("schedule", "schedule_at", "schedule_fast", "schedule_at_fast")
+KINDS = ("schedule", "schedule_at")
 #: Offsets on a binary grid, so equal times compare exactly and events
 #: land exactly on ``run_until``'s ``end_time``.
 DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
-#: Enough cancels from one callback to trigger an in-drain compaction.
-MASS_CANCEL = Simulator.COMPACT_MIN_CANCELLED + 8
-#: Far beyond any clock a program can reach, so doomed events never fire.
-FAR = 1000.0
+BAD_DELAYS = st.sampled_from([-0.25, math.nan, math.inf, -math.inf])
 
 Action = Tuple[Any, ...]
 
 callback_actions = st.recursive(
-    st.one_of(
-        st.just(("noop",)),
-        st.just(("stop",)),
-        st.just(("mass_cancel",)),
-        st.tuples(st.just("cancel"), st.integers(0, 63)),
-    ),
+    st.one_of(st.just(("noop",)), st.just(("stop",))),
     lambda inner: st.tuples(st.just("schedule"), st.sampled_from(KINDS), DELAYS, inner),
     max_leaves=4,
 )
@@ -45,7 +38,7 @@ callback_actions = st.recursive(
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.sampled_from(KINDS), DELAYS, callback_actions),
-        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("bad"), st.sampled_from(KINDS), BAD_DELAYS),
         st.tuples(st.just("run_until"), DELAYS),
         st.just(("step",)),
     ),
@@ -61,7 +54,6 @@ class Model:
         self.executed = 0
         self.fired: List[int] = []
         self.pending: List[Dict[str, Any]] = []
-        self.handles: List[Dict[str, Any]] = []
         self.labels = 0
         self.stopped = False
 
@@ -69,29 +61,10 @@ class Model:
         kind = action[0]
         if kind == "stop":
             self.stopped = True
-        elif kind == "cancel":
-            if self.handles:
-                self.cancel(self.handles[action[1] % len(self.handles)])
-        elif kind == "mass_cancel":
-            doomed = [self.schedule(FAR, ("noop",)) for _ in range(MASS_CANCEL)]
-            for entry in doomed:
-                self.cancel(entry)
         elif kind == "schedule":
-            entry = self.schedule(action[2], action[3])
-            if action[1] in ("schedule", "schedule_at"):
-                self.handles.append(entry)
-
-    def schedule(self, delay: float, action: Action) -> Dict[str, Any]:
-        entry = {"time": self.now + delay, "label": self.labels, "action": action,
-                 "state": "pending"}
-        self.labels += 1
-        self.pending.append(entry)
-        return entry
-
-    def cancel(self, entry: Dict[str, Any]) -> None:
-        if entry["state"] == "pending":
-            entry["state"] = "cancelled"
-            self.pending.remove(entry)
+            self.pending.append({"time": self.now + action[2], "label": self.labels,
+                                 "action": action[3]})
+            self.labels += 1
 
     def step(self) -> bool:
         if not self.pending:
@@ -111,7 +84,6 @@ class Model:
 
     def fire(self, entry: Dict[str, Any]) -> None:
         self.pending.remove(entry)
-        entry["state"] = "fired"
         self.now = entry["time"]
         self.executed += 1
         self.fired.append(entry["label"])
@@ -124,40 +96,25 @@ class Driven:
     def __init__(self) -> None:
         self.sim = Simulator()
         self.fired: List[int] = []
-        self.handles: List[Any] = []
         self.labels = 0
 
     def apply(self, action: Action) -> None:
         kind = action[0]
         if kind == "stop":
             self.sim.stop()
-        elif kind == "cancel":
-            if self.handles:
-                self.sim.cancel(self.handles[action[1] % len(self.handles)])
-        elif kind == "mass_cancel":
-            doomed = [self.schedule("schedule", FAR, ("noop",)) for _ in range(MASS_CANCEL)]
-            for event in doomed:
-                event.cancel()
         elif kind == "schedule":
-            event = self.schedule(action[1], action[2], action[3])
-            if event is not None:
-                self.handles.append(event)
+            label = self.labels
+            self.labels += 1
+            self.schedule(action[1], action[2], label, action[3])
 
-    def schedule(self, kind: str, delay: float, action: Action) -> Optional[Any]:
-        label = self.labels
-        self.labels += 1
+    def schedule(self, kind: str, delay: float, label: int, action: Action) -> None:
         sim = self.sim
-        if kind == "schedule":
-            return sim.schedule(delay, self.fire, label, action)
-        if kind == "schedule_at":
-            return sim.schedule_at(sim.now + delay, self.fire, label=label, action=action)
-        schedule = sim.schedule_fast if kind == "schedule_fast" else sim.schedule_at_fast
-        when = delay if kind == "schedule_fast" else sim.now + delay
+        schedule = sim.schedule if kind == "schedule" else sim.schedule_at
+        when = delay if kind == "schedule" else sim.now + delay
         if label % 2:
             schedule(when, lambda: self.fire(label, action))  # bare call, no argument
         else:
             schedule(when, self.fire_packed, (label, action))
-        return None
 
     def fire_packed(self, packed: Tuple[int, Action]) -> None:
         self.fire(*packed)
@@ -179,6 +136,9 @@ def test_engine_matches_reference_model(program):
             model.run_until(end_time)
         elif op[0] == "step":
             assert sim.step() == model.step()
+        elif op[0] == "bad":
+            with pytest.raises(SimulationError):
+                driven.schedule(op[1], op[2], -1, ("noop",))
         else:
             driven.apply(op)
             model.apply(op)

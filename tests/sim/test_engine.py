@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.mac.aloha import AlohaConfig, SlottedAloha
+from repro.mac.tdma import Tdma, TdmaConfig
+from repro.phy.channel import WirelessChannel
+from repro.phy.radio import Radio
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.process import PeriodicProcess
+from repro.traffic.generators import PeriodicTraffic
 
 
 def test_schedule_and_run_until_executes_in_time_order():
@@ -38,14 +44,49 @@ def test_run_until_does_not_execute_later_events():
     assert fired == ["late"]
 
 
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(1.0, fired.append, "x")
-    event.cancel()
-    sim.run_until(2.0)
-    assert fired == []
-    assert not event.pending
+def _process(sim):
+    process = PeriodicProcess(sim, 0.01, lambda: None)
+    return process, lambda: process.invocations
+
+
+def _traffic(sim):
+    generator = PeriodicTraffic(sim, lambda: None, period=0.01)
+    return generator, lambda: generator.generated
+
+
+def _slot_clock(mac_cls, config_cls):
+    def build(sim):
+        config = config_cls(slots_per_frame=1000, slot_duration=0.01)
+        mac = mac_cls(sim, Radio(sim, WirelessChannel(sim), 0), config=config)
+        return mac, lambda: mac._slot_index + 1
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        # First invocation one period after start: 0.015 .. 0.095.
+        (_process, 9),
+        (_traffic, 9),
+        # First slot at start: 0.0 (first chain), then 0.005 .. 0.095.
+        (_slot_clock(Tdma, TdmaConfig), 11),
+        (_slot_clock(SlottedAloha, AlohaConfig), 11),
+    ],
+    ids=["periodic-process", "traffic-generator", "tdma", "slotted-aloha"],
+)
+def test_restarted_timer_runs_exactly_one_chain(build, expected):
+    """Events cannot be cancelled: stop() bumps the timer's epoch and the
+    pending event fires stale.  Restarting before that event is due must
+    still leave exactly one chain running."""
+    sim = Simulator(seed=1)
+    timer, count = build(sim)
+    timer.start()
+    sim.run_until(0.005)
+    timer.stop()
+    timer.start()  # the stopped chain's next event is due at t=0.01
+    sim.run_until(0.1)
+    assert count() == expected
 
 
 def test_schedule_in_the_past_raises():
