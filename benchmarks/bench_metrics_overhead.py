@@ -37,46 +37,51 @@ SMOKE_PACKETS = 1200
 
 DELTA = 25.0
 WARMUP = 10.0
-REPEATS = 3
-TIMING_SAMPLES = 3
+#: Paired rounds; odd so the median is one round's ratio.
+ROUNDS = 9
 
 
 def _one_run(collectors, packets: int) -> float:
-    """Median wall time of ``TIMING_SAMPLES`` back-to-back runs.
-
-    A single sample is at the mercy of one scheduler preemption; the
-    median of three discards a one-off stall in either direction.
-    """
-    samples = []
-    for _ in range(TIMING_SAMPLES):
-        start = time.perf_counter()
-        run_hidden_node(
-            mac="qma",
-            delta=DELTA,
-            packets_per_node=packets,
-            warmup=WARMUP,
-            seed=1,
-            collectors=collectors,
-        )
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+    """Wall time of one hidden-node run with the given collector set."""
+    start = time.perf_counter()
+    run_hidden_node(
+        mac="qma",
+        delta=DELTA,
+        packets_per_node=packets,
+        warmup=WARMUP,
+        seed=1,
+        collectors=collectors,
+    )
+    return time.perf_counter() - start
 
 
 def measure_overhead(packets: int):
     """Return ``(bare_s, full_s, overhead_ratio)`` for the given workload.
 
-    The two variants are interleaved and the minimum over ``REPEATS``
-    rounds of median-of-``TIMING_SAMPLES`` timings is used per variant:
-    scheduler/frequency noise only ever slows a run down, so min-of-N
-    interleaved medians is the most drift-robust estimate of the true
-    cost on shared CI machines.
+    Each round runs the bare and the full variant back to back, and the
+    variant that goes first alternates between rounds.  The overhead is the
+    median over rounds of ``full / bare - 1``: drift in machine speed (other
+    tenants, frequency scaling) moves both halves of a pair alike and
+    cancels in its ratio, and the median discards a round in which one
+    half alone was preempted.  ``bare_s`` and ``full_s`` are the per-variant
+    medians, for reporting only.
     """
-    bare = full = float("inf")
-    for _ in range(REPEATS):
-        bare = min(bare, _one_run((), packets))
-        full = min(full, _one_run(None, packets))  # None = the default set
-    overhead = (full - bare) / bare if bare > 0 else 0.0
-    return bare, full, overhead
+    bare_times, full_times, ratios = [], [], []
+    for round_index in range(ROUNDS):
+        if round_index % 2:
+            full = _one_run(None, packets)  # None = the default set
+            bare = _one_run((), packets)
+        else:
+            bare = _one_run((), packets)
+            full = _one_run(None, packets)
+        bare_times.append(bare)
+        full_times.append(full)
+        ratios.append(full / bare - 1.0)
+    return (
+        statistics.median(bare_times),
+        statistics.median(full_times),
+        statistics.median(ratios),
+    )
 
 
 def check_scalars_identical(packets: int) -> None:
@@ -121,8 +126,9 @@ def main(argv=None) -> int:
     check_scalars_identical(packets=200)
     bare, full, overhead = measure_overhead(packets)
     print(
-        f"metrics overhead ({packets} packets/node): bare {bare:.3f} s, "
-        f"full collectors {full:.3f} s -> {overhead:+.1%} (budget {budget:.0%})"
+        f"metrics overhead ({packets} packets/node): median bare {bare:.3f} s, "
+        f"full collectors {full:.3f} s; median paired overhead {overhead:+.1%} "
+        f"(budget {budget:.0%})"
     )
     if overhead > budget:
         print("FAIL: collector overhead exceeds the budget", file=sys.stderr)

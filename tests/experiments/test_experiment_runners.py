@@ -88,6 +88,35 @@ class TestSinrHiddenNodeRunner:
             scalars["near_pdr"] - scalars["hidden_pdr"]
         )
 
+    @pytest.mark.parametrize("mac", MAC_KINDS)
+    def test_hidden_uplink_never_decodes_under_any_mac(self, mac):
+        from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
+
+        for seed in (0, 1):
+            report = run_sinr_hidden_node(
+                mac=mac, delta=25.0, packets_per_node=3, warmup=0.5, seed=seed
+            )
+            assert report.scalars["hidden_delivered"] == 0.0
+
+    def test_threshold_sets_whether_the_hidden_uplink_decodes(self):
+        """The hidden uplink's SNR is 8.6 dB: a 3 dB threshold lets it
+        through, the default 10 dB starves it."""
+        from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
+
+        delivered = {
+            threshold: run_sinr_hidden_node(
+                mac="unslotted-csma",
+                delta=25.0,
+                packets_per_node=5,
+                warmup=0.5,
+                seed=0,
+                sinr_threshold_db=threshold,
+            ).scalars["hidden_delivered"]
+            for threshold in (3.0, 10.0)
+        }
+        assert delivered[3.0] > 0.0
+        assert delivered[10.0] == 0.0
+
     def test_sensed_only_band_drives_cca(self):
         """NEAR sits in HIDDEN's carrier-sense band (115 m < 250 m) but out
         of communication range, so the hidden node's CCA reacts to frames

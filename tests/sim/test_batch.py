@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 import repro.sim.batch as batch_mod
 from repro.experiments.testbed import prepare_star
 from repro.sim.batch import SeedBatchExecutor, batch_compatibility_error
@@ -21,13 +19,6 @@ def _scalar_sets(reports):
 
 
 class TestExecutor:
-    def test_batched_equals_forced_serial(self):
-        expected = _scalar_sets(SeedBatchExecutor(force_serial=True).run(_lanes([0, 1, 2])))
-        executor = SeedBatchExecutor()
-        got = _scalar_sets(executor.run(_lanes([0, 1, 2])))
-        assert executor.last_fallback_reason is None
-        assert got == expected
-
     def test_events_executed_parity(self):
         serial = _lanes([0])
         serial[0].run()
