@@ -8,6 +8,7 @@ IEEE 802.15.4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -55,8 +56,8 @@ class QmaConfig:
             raise ValueError("penalty must be non-negative")
         if self.num_subslots <= 0:
             raise ValueError("num_subslots must be positive")
-        if self.subslot_duration <= 0.0:
-            raise ValueError("subslot_duration must be positive")
+        if not 0.0 < self.subslot_duration < math.inf:
+            raise ValueError("subslot_duration must be positive and finite")
         if self.queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
         if self.max_frame_retries < 0:

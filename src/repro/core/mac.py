@@ -23,6 +23,8 @@ which the evaluation figures 10-15 are built from.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -56,6 +58,39 @@ _BACKOFF = QAction.QBACKOFF.value
 _CCA = QAction.QCCA.value
 _SEND = QAction.QSEND.value
 _ACTION_CODES = tuple(action.value for action in ALL_ACTIONS)
+
+
+def _run_tick_bucket(ticks: List[Tuple[int, "QmaMac", int]]) -> None:
+    """Heap callback of a tick bucket: the QMA ticks due at one instant.
+
+    The engine has popped the bucket's one heap entry, keyed by its first
+    tick's ``(time, seq)``, and set the clock.  The ticks run in seq order,
+    and before each later tick every heap event keyed before it is drained,
+    so events fire exactly as if each tick had its own heap entry.  After a
+    :meth:`~repro.sim.engine.Simulator.stop`, the remaining ticks go back on
+    the heap as a bucket of their own, keyed by the next tick.
+    """
+    members = iter(ticks)
+    seq, mac, epoch = next(members)
+    sim = mac.sim
+    time = sim._now
+    # Ticks due now from here on (a restart) open a bucket of their own.
+    sim._tick_buckets.pop(time, None)
+    queue = sim._queue
+    # Every tick here drew its seq before the bucket fired, so only an event
+    # already due now can be keyed between two of them.
+    interleave = bool(queue) and queue[0][0] == time
+    sim.events_executed += len(ticks) - 1
+    mac._on_subslot(epoch)
+    for seq, mac, epoch in members:
+        if interleave:
+            sim._drain_before(time, seq)
+        if sim._stopped:
+            rest = [(seq, mac, epoch), *members]
+            sim.events_executed -= len(rest)
+            heapq.heappush(queue, (time, seq, _run_tick_bucket, rest))
+            return
+        mac._on_subslot(epoch)
 
 
 @dataclass
@@ -162,17 +197,20 @@ class QmaMac(MacProtocol):
     def start(self) -> None:
         """Start the subslot clock (aligned to the activity gate)."""
         super().start()
-        start_time = max(self.gate.next_active_time(self.sim.now), self.sim.now)
+        now = self.sim.now
+        start_time = max(self.gate.next_active_time(now), now)
+        if not start_time < math.inf:
+            raise self.sim._time_error(start_time)
         self._next_subslot = 0
         self._tick_epoch += 1
-        self.sim.schedule_at(start_time, self._on_subslot, self._tick_epoch)
+        self._arm_tick(start_time)
 
     def stop(self) -> None:
         """Stop the subslot clock (used by tests and node shutdown).
 
-        Engine events cannot be cancelled; the pending tick fires once
-        more and no-ops on the stale epoch, the engine's common idiom for
-        stopping a timer.
+        Engine events cannot be cancelled; the pending tick stays in its
+        bucket, fires once more and no-ops on the stale epoch, the engine's
+        common idiom for stopping a timer.
         """
         self._tick_epoch += 1
 
@@ -189,15 +227,17 @@ class QmaMac(MacProtocol):
     def _on_subslot(self, epoch: int) -> None:
         """One subslot boundary: learn, then select, then re-arm the clock.
 
-        Most ticks are idle (empty queue, nothing pending), yet every tick
-        is scheduled.  Eliding idle ticks — advancing the subslot clock
-        arithmetically while nothing can happen — is deliberately not done,
-        because it cannot keep the ``(time, seq)`` event order:
+        Most ticks are idle: nothing pending, cautious startup over, queue
+        empty.  An idle tick only advances its clock fields and re-arms.
+        It is still a tick of its own, though, with its own sequence
+        number drawn where a busy tick draws it; only its heap entry is
+        shared (:func:`_run_tick_bucket`).  Skipping or re-arming idle
+        ticks lazily would break the ``(time, seq)`` event order:
 
         * nodes tick on one shared subslot grid: in the hidden-node
           scenario (seed 1) every one of the 11,426 distinct tick times is
           shared by more than one node, so same-time ticks are ordered only
-          by their heap sequence numbers;
+          by their sequence numbers;
         * that order decides same-subslot outcomes — a QSend started by an
           earlier tick makes a later tick's QCCA fail (Table 4 semantics);
         * an idle tick re-armed on enqueue would draw a later sequence
@@ -212,29 +252,33 @@ class QmaMac(MacProtocol):
             if self._track_history:
                 self.q_history.append((self.sim.now, self.qtable.cumulative_policy_value()))
 
-        # 1. Evaluate an action whose outcome becomes known at a subslot
-        #    boundary (everything but a transmission).
         kind = self._pend_kind
-        if kind and kind != PENDING_TRANSMISSION:
-            self._evaluate_boundary_action(kind)
-            kind = self._pend_kind = PENDING_NONE
+        # The fields behind ``queue.empty`` and ``startup.active``: every
+        # tick reads them.
+        if kind or self.queue._frames or not self.startup._finished:
+            # 1. Evaluate an action whose outcome becomes known at a subslot
+            #    boundary (everything but a transmission).
+            if kind and kind != PENDING_TRANSMISSION:
+                self._evaluate_boundary_action(kind)
+                kind = self._pend_kind = PENDING_NONE
 
-        # 2. Select the next action (or observe, during cautious startup).
-        # No action is selected while the radio is busy (e.g. transmitting an
-        # ACK for a frame received just before the subslot boundary).
-        if not kind:
-            if self.startup.active:
-                if not self.radio.transmitting:
-                    self._begin_startup_observation()
-            elif not self.queue.empty and not self.radio.transmitting:
-                self._select_and_execute()
+            # 2. Select the next action (or observe, during cautious
+            # startup).  No action is selected while the radio is busy (e.g.
+            # transmitting an ACK for a frame received just before the
+            # subslot boundary).
+            if not kind:
+                if self.startup.active:
+                    if not self.radio.transmitting:
+                        self._begin_startup_observation()
+                elif not self.queue.empty and not self.radio.transmitting:
+                    self._select_and_execute()
 
         # 3. Schedule the next subslot boundary.
         self._schedule_next_tick()
 
     def _schedule_next_tick(self) -> None:
         sim = self.sim
-        next_time = sim.now + self._subslot_duration
+        next_time = sim._now + self._subslot_duration
         next_index = self._subslot + 1
         if next_index == self._num_subslots:
             next_index = 0
@@ -242,7 +286,28 @@ class QmaMac(MacProtocol):
             next_time = self.gate.next_active_time(next_time)
             next_index = 0
         self._next_subslot = next_index
-        sim.schedule_at(next_time, self._on_subslot, self._tick_epoch)
+        # _arm_tick(next_time), inlined: this runs at every tick.
+        seq = next(sim._seq)
+        bucket = sim._tick_buckets.get(next_time)
+        if bucket is None:
+            bucket = sim._tick_buckets[next_time] = []
+            heapq.heappush(sim._queue, (next_time, seq, _run_tick_bucket, bucket))
+        bucket.append((seq, self, self._tick_epoch))
+
+    def _arm_tick(self, time: float) -> None:
+        """Put this node's next tick into the bucket of ticks due at ``time``.
+
+        The tick draws its sequence number here, as a heap event would; the
+        first tick due at ``time`` opens the bucket and pushes its one heap
+        entry under that tick's key.
+        """
+        sim = self.sim
+        seq = next(sim._seq)
+        bucket = sim._tick_buckets.get(time)
+        if bucket is None:
+            bucket = sim._tick_buckets[time] = []
+            heapq.heappush(sim._queue, (time, seq, _run_tick_bucket, bucket))
+        bucket.append((seq, self, self._tick_epoch))
 
     # ------------------------------------------------------------ action choice
     def _select_and_execute(self) -> None:

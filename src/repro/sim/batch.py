@@ -22,11 +22,13 @@ serial engine is pinned down:
   per-agent word buffer.  ``random()`` and ``choice()`` are re-implemented
   word-for-word (including the rejection loop of ``_randbelow``), so each
   lane consumes exactly the 32-bit words the serial run would have.
-* **Event ordering.**  Subslot ticks never enter the heap; instead the
-  kernel keeps their would-be ``(time, seq)`` keys and drains each lane's
-  real heap events strictly *before* that key at every boundary through
-  the engine's own drain loop (``Simulator._drain_before``, which
-  ``run_until`` runs too).  Sequence numbers are consumed in the exact
+* **Event ordering.**  The serial engine already shares one heap entry
+  among the ticks due at one instant (tick buckets, see
+  :mod:`repro.core.mac`); here subslot ticks never enter the heap at
+  all.  The kernel keeps their would-be ``(time, seq)`` keys and drains
+  each lane's real heap events strictly *before* that key at every
+  boundary through the engine's own drain loop
+  (``Simulator._drain_before``, which ``run_until`` runs too).  Sequence numbers are consumed in the exact
   serial pattern, so everything scheduled relative to a tick
   lands on identical ``(time, seq)`` keys.  If a heap event is ever
   interleaved *between* two tick keys of one lane (same timestamp), that
@@ -69,6 +71,7 @@ from repro.core.mac import (
     PENDING_CCA_FAILED,
     PENDING_NONE,
     PENDING_STARTUP,
+    PENDING_TRANSMISSION,
     QmaMac,
 )
 from repro.core.neighbours import NeighbourQueueTracker
@@ -710,10 +713,11 @@ class _LockstepKernel:
     def _bootstrap(self) -> None:
         """Run each lane's first (heap-scheduled) ticks serially.
 
-        ``network.start()`` ran before the retrofit, so the t=0 ticks are
-        real heap events; firing them executes the original tick path over
-        the facades, and their ``_schedule_next_tick`` (now the override)
-        registers every agent's clock with the kernel.
+        ``network.start()`` ran before the retrofit, so the t=0 ticks sit
+        in a tick bucket on the heap; firing it executes the original tick
+        path over the facades, and every tick's ``_schedule_next_tick``
+        (now the override, idle ticks included) registers the agent's
+        clock with the kernel.
         """
         store = self.store
         for lane, sim in enumerate(store.sims):
@@ -835,6 +839,18 @@ class _LockstepKernel:
                 # Deferred: crossing into per-mac Python lists here would
                 # dominate the boundary cost; materialized at teardown.
                 store.q_hist_batches.append((t, il, inn, acc))
+
+        # Idle boundary: with no boundary action pending, every startup over
+        # and every queue empty, phases 1-2 would change nothing.  Checking
+        # every agent, masked or not, is cheaper than masking and still
+        # exact.  The test most likely to find work goes first.
+        kind = store.pend_kind
+        if not (
+            np.count_nonzero(store.queue_level)
+            or np.count_nonzero(~store.startup_finished)
+            or np.count_nonzero((kind != PENDING_NONE) & (kind != PENDING_TRANSMISSION))
+        ):
+            return {}
 
         # Phase 1 — evaluate pendings whose outcome resolves at the boundary.
         eval_backoff = mask & (store.pend_kind == PENDING_BACKOFF)

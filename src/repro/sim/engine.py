@@ -25,6 +25,19 @@ counter, passes the current epoch as the event's argument and bumps it in
 returns at once because the epoch moved on.  QMA subslot ticks, periodic
 processes, traffic generators, TDMA/ALOHA slot clocks and MAC ACK timeouts
 (keyed by the attempt number) all work this way.
+
+Tick buckets
+------------
+QMA subslot ticks (:mod:`repro.core.mac`) share heap entries: every tick
+still draws its own sequence number, but the ticks due at one instant go
+into one bucket, kept in :attr:`Simulator._tick_buckets` by time, whose
+single heap entry carries the first tick's ``(time, seq)`` key.  The
+bucket runs its ticks in seq order and drains every heap event keyed
+before each later tick first, so events fire in exactly the order they
+would with one entry per tick.  Hence :meth:`Simulator.step` runs a whole
+bucket (with any event it interleaves), :meth:`Simulator.pending_events`
+counts one entry per bucket, and ``events_executed`` still counts every
+tick.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -74,6 +87,8 @@ class Simulator:
         self._now = 0.0
         self._queue: List[_HeapEntry] = []
         self._seq = itertools.count()
+        #: Tick buckets not yet fired, by due time (see the module docstring).
+        self._tick_buckets: Dict[float, List[Any]] = {}
         self._running = False
         self._stopped = False
         self.rng = RngRegistry(seed)
@@ -119,7 +134,8 @@ class Simulator:
 
     # ------------------------------------------------------------------- run
     def step(self) -> bool:
-        """Execute the next pending event.
+        """Execute the next pending event (a whole tick bucket counts as one;
+        see the module docstring).
 
         Returns True if an event was executed, False if the queue is empty.
         """
@@ -237,8 +253,9 @@ class Simulator:
 
     # ----------------------------------------------------------------- misc
     def pending_events(self) -> int:
-        """Number of events still on the heap, including stale ones whose
-        callbacks will return at once (see the module docstring)."""
+        """Number of entries still on the heap, including stale ones whose
+        callbacks will return at once; a tick bucket counts once (see the
+        module docstring)."""
         return len(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

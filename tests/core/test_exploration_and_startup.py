@@ -167,3 +167,6 @@ class TestQmaConfig:
             QmaConfig(num_subslots=0)
         with pytest.raises(ValueError):
             QmaConfig(exploration_table=(0.5, 2.0))
+        for duration in (0.0, -1e-3, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                QmaConfig(subslot_duration=duration)
