@@ -3,9 +3,12 @@
 Short runs over non-trivial topologies are *construction-dominated*: the
 17-node ``iotlab-star`` with the ``fading`` propagation model spends about
 half of each run deriving links (O(n²) path-loss + per-pair shadowing
-draws) and wiring the PER matrix — work that is identical for every seed
-once the shadowing seed is pinned.  Two measurements track how much of
-that the configuration-keyed artifact cache recovers:
+draws) — work that is identical for every seed once the shadowing seed is
+pinned.  The cached bundle is the frozen topology plus the propagation
+model that settled it; each run still wires its own channel (PER rows,
+and under SINR the received powers and sensed links) from the bundle.
+Two measurements track how much of the construction the
+configuration-keyed artifact cache recovers:
 
 * ``construction_overhead`` — the in-process fraction of one short run's
   wall-clock spent building artifacts (the cache's upper bound);

@@ -37,8 +37,8 @@ runner is garbage collected.
 Build-once / run-many
 ---------------------
 Per-run *construction* (topology factory, O(n²) propagation-derived links,
-routing tree, PER rows) depends only on the configuration half of a
-scenario, never on the master seed or the MAC — so every worker keeps a
+routing tree) depends only on the configuration half of a scenario, never
+on the master seed, the MAC or the channel settings — so every worker keeps a
 small LRU of construction-artifact bundles
 (:data:`repro.scenario.artifacts.ARTIFACT_CACHE`, configured through the
 pool initializer) and sweeps are dispatched in *configuration-affinity
@@ -490,6 +490,11 @@ class WorkerPool:
     changes; successive campaigns over the same sweep shape reuse the warm
     workers.  The pool is released by :meth:`close` or, failing that, by a
     garbage-collection finalizer.
+
+    Work handed out by :meth:`ensure` keeps the pool *busy* until the
+    dispatcher reports it finished through :meth:`settle`.  :meth:`close`
+    shuts an idle pool down gracefully (the workers exit on their own) and
+    terminates only a busy one, whose outstanding tasks are abandoned.
     """
 
     def __init__(self, processes: int) -> None:
@@ -497,6 +502,7 @@ class WorkerPool:
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._blob: Optional[bytes] = None
         self._finalizer = None
+        self._busy = False
 
     def ensure(
         self,
@@ -506,7 +512,8 @@ class WorkerPool:
         cache_size: Optional[int] = None,
         fault_plan: Optional[Any] = None,
     ):
-        """Return a pool whose workers carry the given template and cache config."""
+        """Return a pool whose workers carry the given template and cache
+        config; the pool counts as busy until :meth:`settle`."""
         blob = pickle.dumps(
             (template, keep_raw, build_cache, cache_size, fault_plan),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -518,7 +525,12 @@ class WorkerPool:
             )
             self._blob = blob
             self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
+        self._busy = True
         return self._pool
+
+    def settle(self) -> None:
+        """Report every task dispatched since :meth:`ensure` as finished."""
+        self._busy = False
 
     @property
     def alive(self) -> bool:
@@ -526,13 +538,21 @@ class WorkerPool:
         return self._pool is not None
 
     def close(self) -> None:
-        """Release the worker processes; safe to call repeatedly."""
+        """Release the worker processes; safe to call repeatedly.
+
+        ``Pool.terminate`` can block on the task queue's write lock while
+        workers compete for the CPU, so it is kept for abandoned work.
+        """
         if self._pool is not None:
             self._finalizer.detach()
-            self._pool.terminate()
+            if self._busy:
+                self._pool.terminate()
+            else:
+                self._pool.close()
             self._pool.join()
             self._pool = None
             self._blob = None
+            self._busy = False
 
 
 class CampaignRunner:
@@ -551,8 +571,8 @@ class CampaignRunner:
         amortise IPC for short runs; ``1`` reproduces the pre-warm-pool
         dispatch behaviour.
     build_cache:
-        Reuse construction artifacts (topology, O(n²) link derivation, PER
-        rows) across runs sharing a configuration cache key (default on;
+        Reuse construction artifacts (topology, O(n²) link derivation,
+        routing tree) across runs sharing a configuration cache key (default on;
         ``--no-build-cache`` on the CLI).  Sweeps are additionally
         dispatched in configuration-affinity order — runs sharing a key
         land consecutively in the same worker chunk — while records are
@@ -794,7 +814,8 @@ class CampaignRunner:
         chunk = resolve_chunksize(self.chunksize, size, self.jobs)
         if scenarios is None:
             template = ScenarioTemplate.of(sweep)
-            pool = self._worker_pool().ensure(
+            workers = self._worker_pool()
+            pool = workers.ensure(
                 template, self.keep_raw, self.build_cache, self.cache_size,
                 self.fault_plan,
             )
@@ -840,7 +861,8 @@ class CampaignRunner:
             else:
                 results = dispatch(delta_of(s) for s in expand())
         else:
-            pool = self._worker_pool().ensure(
+            workers = self._worker_pool()
+            pool = workers.ensure(
                 None, self.keep_raw, self.build_cache, self.cache_size,
                 self.fault_plan,
             )
@@ -849,6 +871,7 @@ class CampaignRunner:
         try:
             yield from results
             completed = True
+            workers.settle()
         finally:
             if not completed:
                 # Closed early (caller stopped consuming, or a worker/sink

@@ -41,28 +41,21 @@ EXPERIMENT_KINDS = (
 #: Scenario fields that cannot double as sweep parameters.
 _RESERVED_PARAMS = ("mac", "seed", "propagation", "metrics")
 
-#: Runner parameters that shape *construction* (topology, link set, PER
-#: rows) per experiment family.  The campaign runner groups runs sharing
-#: these values — plus the propagation axis and, where construction is
-#: seeded, the seed — consecutively, so each warm worker's artifact LRU
-#: sees long same-key streaks (configuration-affinity dispatch).  Traffic
-#: parameters (``delta``, ``packets_per_node``, durations, ...) are
-#: deliberately absent: they never split an artifact group.
+#: Runner parameters that shape *construction* (the topology and the
+#: propagation draw that settles its links) per experiment family.  The
+#: campaign runner groups runs sharing these values — plus the propagation
+#: axis and, where construction is seeded, the seed — consecutively, so
+#: each warm worker's artifact LRU sees long same-key streaks
+#: (configuration-affinity dispatch).  Traffic and channel parameters
+#: (``delta``, ``packets_per_node``, durations, ``link_error_rate``,
+#: ``interference``, ``sinr_threshold_db``, ...) are deliberately absent:
+#: they never split an artifact group.
 CONSTRUCTION_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "hidden-node": (
-        "link_distance", "propagation_params", "interference", "sinr_threshold_db",
-    ),
-    "sinr-hidden-node": ("propagation_params", "sinr_threshold_db"),
-    "testbed-tree": (
-        "link_error_rate", "propagation_params", "interference", "sinr_threshold_db",
-    ),
-    "testbed-star": (
-        "link_error_rate", "propagation_params", "interference", "sinr_threshold_db",
-    ),
-    "scalability": (
-        "topology", "nodes", "rings", "propagation_params",
-        "interference", "sinr_threshold_db",
-    ),
+    "hidden-node": ("link_distance", "propagation_params"),
+    "sinr-hidden-node": ("propagation_params",),
+    "testbed-tree": ("propagation_params",),
+    "testbed-star": ("propagation_params",),
+    "scalability": ("topology", "nodes", "rings", "propagation_params"),
 }
 
 #: The topology each experiment family builds when no ``topology``

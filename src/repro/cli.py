@@ -136,7 +136,7 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
         dest="build_cache",
         action="store_false",
         default=True,
-        help="rebuild topology/links/PER rows for every run instead of "
+        help="rebuild topology and links for every run instead of "
         "reusing cached construction artifacts across runs that share a "
         "configuration (results are bit-identical either way)",
     )

@@ -10,7 +10,7 @@ of Fig. 21 / Fig. 22.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.core.config import QmaConfig
 from repro.dsme.node import DsmeNode
@@ -110,8 +110,6 @@ class DsmeNetwork:
         interference: str = "collision",
         sinr_threshold_db: float = 10.0,
         propagation_model: Optional[object] = None,
-        prebuilt_links: Optional[Mapping[int, Sequence[Tuple[int, float, float]]]] = None,
-        prebuilt_cs: Optional[Mapping[int, Sequence[Tuple[int, float]]]] = None,
     ) -> None:
         if cap_mac not in MAC_REGISTRY:
             raise ValueError(
@@ -138,8 +136,6 @@ class DsmeNetwork:
             interference=interference,
             sinr_threshold_db=sinr_threshold_db,
             propagation_model=propagation_model,
-            prebuilt_links=prebuilt_links,
-            prebuilt_cs=prebuilt_cs,
         )
         self.dsme_nodes: Dict[int, DsmeNode] = {}
         for node_id, node in self.network.nodes.items():

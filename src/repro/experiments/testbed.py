@@ -27,7 +27,6 @@ from repro.scenario.builder import BuiltScenario, ScenarioBuilder
 from repro.scenario.config import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.scenario.artifacts import ScenarioArtifacts
     from repro.sim.engine import Simulator
 
 #: Default collector composition of the testbed runners.
@@ -121,7 +120,6 @@ def prepare_topology_run(
     collectors: Optional[Sequence[str]] = None,
     trace: bool = False,
     trace_limit: Optional[int] = None,
-    artifacts: Optional["ScenarioArtifacts"] = None,
 ) -> PreparedTopologyRun:
     scenario = _scenario_config(
         topology_name,
@@ -136,7 +134,7 @@ def prepare_topology_run(
         trace,
         trace_limit,
     )
-    built = ScenarioBuilder(scenario).build(artifacts=artifacts)
+    built = ScenarioBuilder(scenario).build()
     sim, network = built.sim, built.network
     sources = tuple(node.node_id for node in network.sources())
 
@@ -228,7 +226,6 @@ def prepare_tree(
     collectors: Optional[Sequence[str]] = None,
     trace: bool = False,
     trace_limit: Optional[int] = None,
-    artifacts: Optional["ScenarioArtifacts"] = None,
 ) -> PreparedTopologyRun:
     """Assemble (but do not run) the tree-topology verification of Fig. 18."""
     return prepare_topology_run(
@@ -248,7 +245,6 @@ def prepare_tree(
         collectors=collectors,
         trace=trace,
         trace_limit=trace_limit,
-        artifacts=artifacts,
     )
 
 
@@ -268,7 +264,6 @@ def prepare_star(
     collectors: Optional[Sequence[str]] = None,
     trace: bool = False,
     trace_limit: Optional[int] = None,
-    artifacts: Optional["ScenarioArtifacts"] = None,
 ) -> PreparedTopologyRun:
     """Assemble (but do not run) the star-topology verification of Fig. 19."""
     return prepare_topology_run(
@@ -288,7 +283,6 @@ def prepare_star(
         collectors=collectors,
         trace=trace,
         trace_limit=trace_limit,
-        artifacts=artifacts,
     )
 
 

@@ -4,11 +4,19 @@ A :class:`Network` owns the simulator's wireless channel, one radio, MAC
 and :class:`~repro.net.node.Node` per topology node, and exposes the
 aggregate metrics (PDR, end-to-end delay, queue levels, transmission
 attempts) that the experiment runners report.
+
+The network is the one place that wires a topology into a channel: radios
+in node-id order, then one ``connect`` per topology link.  That sequence
+fixes the channel's per-receiver delivery order (and with it the order in
+which per-link error draws consume the channel RNG), and every run —
+cached construction artifacts or not — goes through it.  SINR runs
+additionally derive per-link received powers and carrier-sense-only links
+from the propagation model that settled the topology.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.net.node import Node
 from repro.phy.channel import WirelessChannel
@@ -38,8 +46,6 @@ class Network:
         interference: str = "collision",
         sinr_threshold_db: float = 10.0,
         propagation_model: Optional["PropagationModel"] = None,
-        prebuilt_links: Optional[Mapping[int, Sequence[Tuple[int, float, float]]]] = None,
-        prebuilt_cs: Optional[Mapping[int, Sequence[Tuple[int, float]]]] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -67,65 +73,38 @@ class Network:
             )
 
         # This wiring sequence (node-id-ordered set creation above, link-set
-        # iteration order here) defines the channel's delivery order;
-        # repro.scenario.artifacts.link_table_skeleton replays it verbatim,
-        # and the build-cache test suite pins the parity per topology.
+        # iteration order here) defines the channel's delivery order.
         for link in topology.links:
             a, b = tuple(link)
             self.channel.connect(a, b)
             if link_error_rate > 0.0:
                 self.channel.set_link_error_rate(a, b, link_error_rate)
         if interference == "sinr":
-            self._wire_sinr(propagation_model, prebuilt_links, prebuilt_cs)
-        if prebuilt_links is not None:
-            # Cached construction artifacts: the channel's first transmission
-            # maps these shared (receiver, power, PER) rows onto this run's
-            # radios instead of re-deriving receiver order from the
-            # neighbour sets.  Installed last — power/sensed wiring above
-            # invalidates (and would drop) an earlier preset.
-            self.channel.preset_link_table(prebuilt_links)
+            self._wire_sinr(propagation_model)
 
-    def _wire_sinr(
-        self,
-        model: Optional["PropagationModel"],
-        prebuilt_links: Optional[Mapping[int, Sequence[Tuple[int, float, float]]]],
-        prebuilt_cs: Optional[Mapping[int, Sequence[Tuple[int, float]]]],
-    ) -> None:
+    def _wire_sinr(self, model: Optional["PropagationModel"]) -> None:
         """Wire per-link received powers and carrier-sense-only links.
 
-        Powers and sensed pairs come from the prebuilt construction
-        artifacts when available (the cached fast path), otherwise they are
-        derived live from the propagation model — the same enumeration
-        order :func:`repro.scenario.artifacts.carrier_sense_skeleton` uses,
-        so both routes produce identical channel wiring.
+        Both are derived from the propagation model that settled the
+        topology; sensed pairs are enumerated in node-id order, which fixes
+        the channel's sensed-neighbour insertion order.
         """
         channel = self.channel
         topology = self.topology
-        if prebuilt_links is not None and prebuilt_cs is not None:
-            for sender, rows in prebuilt_links.items():
-                for receiver, power_dbm, _per in rows:
-                    channel.set_link_power(sender, receiver, power_dbm)
-            for sender, rows in prebuilt_cs.items():
-                for receiver, power_dbm in rows:
-                    channel.connect_sensed(sender, receiver, power_dbm)
-            return
         if model is None:
             raise ValueError(
-                "interference='sinr' needs prebuilt link/carrier-sense tables "
-                "or a propagation model to derive received powers from"
+                "interference='sinr' needs a propagation model to derive "
+                "received powers from"
             )
-        positions = {node_id: topology.position(node_id) for node_id in topology.node_ids}
-        linked: Dict[int, set] = {node_id: set() for node_id in topology.node_ids}
+        positions = topology.positions
         for link in topology.links:
             a, b = tuple(link)
-            linked[a].add(b)
-            linked[b].add(a)
             channel.set_link_power(a, b, model.received_power_dbm(positions[a], positions[b]))
             channel.set_link_power(b, a, model.received_power_dbm(positions[b], positions[a]))
-        ids = list(topology.node_ids)
+        ids = topology.node_ids
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                if b in linked[a]:
+                if channel.hears(b, a):
                     continue
                 pos_a, pos_b = positions[a], positions[b]
                 if model.in_carrier_sense_range(pos_a, pos_b):

@@ -55,21 +55,14 @@ Links are fixed after the first transmission: every wiring call
 (``register`` / ``connect`` / ``connect_sensed`` / ``set_link_error_rate``
 / ``set_link_power``) made after it raises :class:`RuntimeError`.
 
-Prebuilt skeleton
------------------
-The construction cache (:mod:`repro.scenario.artifacts`) shares one
-link-table *skeleton* — per sender, the ordered ``(receiver_id,
-rx_power_dbm, PER)`` rows — across every run of a sweep.
-:meth:`WirelessChannel.preset_link_table` installs such a skeleton after
-wiring; the first transmission then maps it onto this run's radios and
-arriving lists instead of re-deriving the receiver order from the
-neighbour sets.  The skeleton is read-only and shared: wiring after the
-preset only drops this channel's reference (the table is then derived
-from the live wiring), so no run ever edits the bundle other runs still
-consume.  The SINR model rides the same table: its rows additionally
-carry the precomputed linear signal power, and a parallel *sense table*
-maps senders onto the sensing lists of their carrier-sense-only
-receivers.
+The SINR model rides the same table: its rows additionally carry the
+precomputed linear signal power, and a parallel *sense table* maps senders
+onto the sensing lists of their carrier-sense-only receivers.
+
+The channel's neighbour sets are the only record of the wiring order:
+:class:`~repro.net.network.Network` wires every run, cached construction
+artifacts or not, through the same ``register``/``connect`` sequence, and
+the table is always derived from the result.
 """
 
 from __future__ import annotations
@@ -80,7 +73,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -143,7 +135,7 @@ class WirelessChannel:
         ``"sinr"`` — signal-power interference with capture (see the
         module docstring).  SINR channels need per-link received powers
         (:meth:`set_link_power`); :class:`~repro.net.network.Network`
-        wires them from the propagation model or the cached skeleton.
+        wires them from the propagation model.
     sinr_threshold_db:
         Capture threshold of the SINR model (ignored by the collision
         model).
@@ -184,10 +176,6 @@ class WirelessChannel:
         self._rng = sim.rng.stream("channel")
         self._link_table: Optional[Dict[int, Tuple[_LinkRow, ...]]] = None
         self._sense_table: Optional[Dict[int, Tuple[_SenseRow, ...]]] = None
-        #: Shared (receiver_id, power_dbm, PER) skeleton installed by
-        #: preset_link_table; read-only — later wiring drops the
-        #: reference, never edits it.
-        self._skeleton: Optional[Mapping[int, Sequence[Tuple[int, float, float]]]] = None
         self._noise_mw = 10.0 ** (self.phy.noise_floor_dbm / 10.0)
         self._capture_ratio = 10.0 ** (sinr_threshold_db / 10.0)
         # statistics
@@ -198,17 +186,9 @@ class WirelessChannel:
 
     # --------------------------------------------------------------- wiring
     def _begin_wiring(self) -> None:
-        """Guard of every wiring call: links are fixed after first use.
-
-        Before the first transmission wiring is free, though a preset
-        skeleton no longer matching the wiring is dropped (the table is
-        then derived from the live neighbour sets).  A shared skeleton is
-        never edited, only dereferenced, so other runs consuming the same
-        bundle are unaffected.
-        """
+        """Guard of every wiring call: links are fixed after first use."""
         if self._link_table is not None:
             raise RuntimeError("links are fixed after the first transmission")
-        self._skeleton = None
 
     def register(self, radio: "Radio") -> None:
         """Attach a radio to the channel."""
@@ -299,63 +279,25 @@ class WirelessChannel:
         return receiver in self._cs_neighbours.get(sender, self._EMPTY_NEIGHBOURS)
 
     # ----------------------------------------------------------- link table
-    def preset_link_table(
-        self, skeleton: Mapping[int, Sequence[Tuple[int, float, float]]]
-    ) -> None:
-        """Install a shared ``sender -> ((receiver, power_dbm, PER), ...)`` skeleton.
-
-        Called by :class:`~repro.net.network.Network` after wiring when the
-        scenario builder supplied cached construction artifacts; the first
-        transmission then maps the skeleton onto this run's radios and
-        arriving lists instead of re-deriving receiver order from the
-        neighbour sets.  The skeleton must describe exactly the current
-        wiring — any later wiring call discards it.
-        """
-        if self._link_table is not None:
-            raise RuntimeError("cannot preset the link table after its first use")
-        self._skeleton = skeleton
-
     def _build_link_table(self) -> Dict[int, Tuple[_LinkRow, ...]]:
-        """Precompute per-sender delivery rows (neighbour-set order kept).
-
-        Signal powers come from the channel's own ``_power_mw`` wiring (the
-        skeleton's power column was already applied through
-        :meth:`set_link_power` at construction), so the skeleton-mapped and
-        live-derived tables agree by construction.
-        """
+        """Precompute per-sender delivery rows (neighbour-set order kept)."""
         radios = self._radios
         arriving = self._arriving
         power = self._power_mw
-        skeleton = self._skeleton
-        if skeleton is not None:
-            table = {
-                sender_id: tuple(
-                    (
-                        receiver_id,
-                        radios[receiver_id],
-                        arriving[receiver_id],
-                        per,
-                        power.get((sender_id, receiver_id), 0.0),
-                    )
-                    for receiver_id, _power_dbm, per in skeleton.get(sender_id, ())
+        link_error = self._link_error
+        table = {
+            sender_id: tuple(
+                (
+                    receiver_id,
+                    radios[receiver_id],
+                    arriving[receiver_id],
+                    link_error.get((sender_id, receiver_id), 0.0),
+                    power.get((sender_id, receiver_id), 0.0),
                 )
-                for sender_id in radios
-            }
-        else:
-            link_error = self._link_error
-            table = {
-                sender_id: tuple(
-                    (
-                        receiver_id,
-                        radios[receiver_id],
-                        arriving[receiver_id],
-                        link_error.get((sender_id, receiver_id), 0.0),
-                        power.get((sender_id, receiver_id), 0.0),
-                    )
-                    for receiver_id in self._neighbours.get(sender_id, ())
-                )
-                for sender_id in radios
-            }
+                for receiver_id in self._neighbours.get(sender_id, ())
+            )
+            for sender_id in radios
+        }
         self._link_table = table
         if self._sinr:
             sensing = self._sensing

@@ -12,12 +12,9 @@ traffic, run, and collect metrics.
 from repro.scenario.artifacts import (
     ARTIFACT_CACHE,
     ArtifactCache,
-    CarrierSenseSkeleton,
     ScenarioArtifacts,
     artifact_cache_stats,
-    carrier_sense_skeleton,
     configure_artifact_cache,
-    link_table_skeleton,
 )
 from repro.scenario.builder import (
     BuiltDsmeScenario,
@@ -35,7 +32,6 @@ __all__ = [
     "ARTIFACT_CACHE",
     "ArtifactCache",
     "BuiltDsmeScenario",
-    "CarrierSenseSkeleton",
     "BuiltScenario",
     "ScenarioArtifacts",
     "ScenarioBuilder",
@@ -43,9 +39,7 @@ __all__ = [
     "TOPOLOGY_REGISTRY",
     "artifact_cache_stats",
     "build_scenario",
-    "carrier_sense_skeleton",
     "configure_artifact_cache",
-    "link_table_skeleton",
     "topology_accepts_node_count",
     "topology_accepts_seed",
     "topology_kinds",

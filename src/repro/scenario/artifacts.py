@@ -2,16 +2,17 @@
 
 Building a scenario splits into two very different kinds of work:
 
-* **artifacts** — the topology (positions, O(n²) propagation-derived links,
-  routing tree) and the channel's link-table skeleton (per-sender ordered
-  ``(receiver, packet-error-rate)`` rows).  These depend only on the
-  construction-relevant half of a :class:`~repro.scenario.config.ScenarioConfig`
-  (its :meth:`~repro.scenario.config.ScenarioConfig.cache_key`), not on the
-  master seed, the MAC kind or tracing — so every run of a sweep that
-  shares the key can share one artifact bundle;
+* **artifacts** — the frozen topology (positions, O(n²) propagation-derived
+  links, routing tree) and the propagation model whose draw settled it.
+  These depend only on the construction-relevant half of a
+  :class:`~repro.scenario.config.ScenarioConfig` (its
+  :meth:`~repro.scenario.config.ScenarioConfig.cache_key`), not on the
+  master seed, the MAC kind, the channel mode or tracing — so every run of
+  a sweep that shares the key can share one artifact bundle;
 * **per-run assembly** — the :class:`~repro.sim.engine.Simulator`, radios,
-  MAC instances, nodes and RNG streams, which are stateful and rebuilt for
-  every run.
+  MAC instances, nodes, RNG streams and the channel wiring (delivery rows,
+  link error rates, SINR powers and sensed links, all derived from the
+  bundle by :class:`~repro.net.network.Network`), rebuilt for every run.
 
 :class:`ArtifactCache` is a small LRU keyed by ``cache_key()``.  One
 process-wide instance (:data:`ARTIFACT_CACHE`) backs the scenario builder:
@@ -22,13 +23,8 @@ once per run.  The campaign runner configures it through the pool
 initializer; ``--no-build-cache`` (or ``CampaignRunner(build_cache=False)``)
 disables it.
 
-Staleness: artifacts snapshot ``topology.version`` at build time.  Builder-
-produced cached artifacts freeze their topology, so mutation raises; for
-explicitly constructed (unfrozen) artifact bundles, a topology mutated
-between runs is detected via the version counter and the stale link-table
-skeleton is discarded — the next run re-derives delivery rows from the live
-topology state instead of serving stale rows (see
-:meth:`ScenarioArtifacts.current_link_table`).
+A cached bundle's topology is frozen, so no run can mutate what later runs
+share; uncacheable configs build a fresh, mutable bundle per run.
 """
 
 from __future__ import annotations
@@ -36,144 +32,29 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Hashable, Iterator, Optional, TYPE_CHECKING
 
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from repro.phy.propagation import PropagationModel
 
-#: Per-sender ordered delivery rows:
-#: sender id -> ((receiver id, rx power dBm, PER), ...).  The power column
-#: feeds the SINR interference model; collision-model runs carry 0.0.
-LinkTableSkeleton = Dict[int, Tuple[Tuple[int, float, float], ...]]
-
-#: Per-sender ordered carrier-sense-only rows:
-#: sender id -> ((receiver id, rx power dBm), ...).  Receivers that sense a
-#: sender's energy (CCA busy, interference) without being able to decode it.
-CarrierSenseSkeleton = Dict[int, Tuple[Tuple[int, float], ...]]
-
 #: Default LRU capacity: small on purpose — a sweep rarely interleaves more
 #: than a handful of construction configurations per worker.
 DEFAULT_CACHE_SIZE = 8
-
-
-def link_table_skeleton(
-    topology: Topology,
-    link_error_rate: float,
-    model: Optional["PropagationModel"] = None,
-) -> LinkTableSkeleton:
-    """Precompute the channel's per-sender ``(receiver, power, PER)`` rows.
-
-    The receiver order of each row reproduces exactly the neighbour-set
-    iteration order a :class:`~repro.phy.channel.WirelessChannel` arrives at
-    when :class:`~repro.net.network.Network` wires the same topology: sets
-    are created in node-id order and filled in ``topology.links`` iteration
-    order, the same insertion sequence the channel's ``connect`` calls
-    perform — so deliveries (and therefore per-link error draws, which
-    consume the channel RNG in delivery order) are bit-identical whether
-    the skeleton or the channel's own lazy build produced the table.
-
-    ``model`` (the settled propagation model the topology was derived from)
-    supplies each directed link's received power; without one the power
-    column is 0.0 — correct for the collision model, which never reads it.
-    """
-    neighbours: Dict[int, set] = {node_id: set() for node_id in topology.node_ids}
-    for link in topology.links:
-        a, b = tuple(link)
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    per = float(link_error_rate)
-    if model is None:
-        return {
-            sender: tuple((receiver, 0.0, per) for receiver in neighbours[sender])
-            for sender in topology.node_ids
-        }
-    positions = topology.positions
-    return {
-        sender: tuple(
-            (
-                receiver,
-                model.received_power_dbm(positions[sender], positions[receiver]),
-                per,
-            )
-            for receiver in neighbours[sender]
-        )
-        for sender in topology.node_ids
-    }
-
-
-def carrier_sense_skeleton(
-    topology: Topology, model: "PropagationModel"
-) -> CarrierSenseSkeleton:
-    """Precompute per-sender carrier-sense-only rows for the SINR model.
-
-    A receiver is sensed-only for a sender when it lies inside the model's
-    carrier-sense range but shares no communication link with it in the
-    topology.  Pairs are enumerated in node-id order — the same ordered
-    iteration :meth:`Network` uses when wiring sensed links live, so the
-    channel's ``_cs_neighbours`` insertion order is identical either way.
-    """
-    linked: Dict[int, set] = {node_id: set() for node_id in topology.node_ids}
-    for link in topology.links:
-        a, b = tuple(link)
-        linked[a].add(b)
-        linked[b].add(a)
-    positions = topology.positions
-    ids = list(topology.node_ids)
-    sensed: Dict[int, list] = {node_id: [] for node_id in ids}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if b in linked[a]:
-                continue
-            pos_a, pos_b = positions[a], positions[b]
-            if model.in_carrier_sense_range(pos_a, pos_b):
-                sensed[a].append((b, model.received_power_dbm(pos_a, pos_b)))
-            if model.in_carrier_sense_range(pos_b, pos_a):
-                sensed[b].append((a, model.received_power_dbm(pos_b, pos_a)))
-    return {sender: tuple(rows) for sender, rows in sensed.items()}
 
 
 @dataclass(frozen=True)
 class ScenarioArtifacts:
     """The immutable, run-independent part of one scenario configuration.
 
-    ``key`` is the producing config's ``cache_key()`` (None when the config
-    is uncacheable); ``topology_version`` snapshots ``topology.version`` at
-    build time so stale bundles are detected when an unfrozen shared
-    topology is mutated between runs.
+    ``model`` is the propagation model instance of the draw that settled
+    ``topology``'s links (None without a propagation model); SINR runs
+    derive their received powers and sensed links from it.
     """
 
-    key: Optional[Hashable]
     topology: Topology
-    topology_version: int
-    link_table: LinkTableSkeleton
-    #: Registered topology name of the producing config; lets the builder
-    #: reject cross-config bundle reuse even when ``key`` is None
-    #: (uncacheable configs).  None for hand-assembled bundles, which opt
-    #: out of validation entirely.
-    topology_kind: Optional[str] = None
-    #: Carrier-sense-only rows for SINR runs; None for collision-model
-    #: bundles (whose cache keys can never collide with SINR ones — the
-    #: interference model is part of the key).
-    cs_table: Optional[CarrierSenseSkeleton] = None
-
-    def is_current(self) -> bool:
-        """True while the topology still matches the snapshotted artifacts."""
-        return self.topology.version == self.topology_version
-
-    def current_link_table(self) -> Optional[LinkTableSkeleton]:
-        """The skeleton, or None when the topology was mutated after build.
-
-        A stale skeleton is never served: the channel then derives its
-        delivery rows from the live topology wiring before the first
-        transmission, after which links are fixed.
-        """
-        return self.link_table if self.is_current() else None
-
-    def current_cs_table(self) -> Optional[CarrierSenseSkeleton]:
-        """The carrier-sense skeleton, guarded by the same staleness check."""
-        return self.cs_table if self.is_current() else None
+    model: Optional["PropagationModel"] = None
 
 
 @dataclass
@@ -196,19 +77,11 @@ class ArtifactCache:
     )
 
     def get(self, key: Optional[Hashable]) -> Optional[ScenarioArtifacts]:
-        """The cached bundle for ``key``, refreshing its LRU position.
-
-        Stale bundles (topology mutated since build) are dropped and
-        reported as misses, so callers always rebuild from a clean slate.
-        """
+        """The cached bundle for ``key``, refreshing its LRU position."""
         if not self.enabled or key is None:
             return None
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
-            return None
-        if not entry.is_current():
-            del self._entries[key]
             self.misses += 1
             return None
         self._entries.move_to_end(key)

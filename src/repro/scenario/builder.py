@@ -19,12 +19,7 @@ from repro.mac.registry import get_mac_spec
 from repro.net.network import MacFactory, Network
 from repro.phy.registry import get_propagation_spec
 from repro.registry import Registry
-from repro.scenario.artifacts import (
-    ARTIFACT_CACHE,
-    ScenarioArtifacts,
-    carrier_sense_skeleton,
-    link_table_skeleton,
-)
+from repro.scenario.artifacts import ARTIFACT_CACHE, ScenarioArtifacts
 from repro.scenario.config import ScenarioConfig
 from repro.sim.engine import Simulator
 from repro.topology.base import Topology
@@ -304,63 +299,24 @@ class ScenarioBuilder:
         """Build the run-independent construction artifacts of this config.
 
         The expensive half of assembly: topology factory, O(n²)
-        propagation-derived links (with connectivity redraws), routing tree
-        and the channel's link-table skeleton.  With ``freeze`` (the
-        default for cached bundles) the topology is sealed so sharing it
-        across runs is safe; pass ``freeze=False`` to keep it mutable —
-        the version counter then guards consumers against stale skeletons.
+        propagation-derived links (with connectivity redraws) and routing
+        tree, bundled with the propagation model that settled them.  With
+        ``freeze`` (the default for cached bundles) the topology is sealed
+        so sharing it across runs is safe; ``freeze=False`` keeps it
+        mutable for a bundle only one run consumes.
         """
         topology, model = self.make_topology_and_model()
-        sinr = self.config.interference == "sinr"
-        # The power column (and the carrier-sense rows) are only derived for
-        # SINR runs — collision-model bundles stay exactly as cheap (and as
-        # bit-identical) as before the column existed.
-        skeleton = link_table_skeleton(
-            topology, self.config.link_error_rate, model=model if sinr else None
-        )
-        cs_table = carrier_sense_skeleton(topology, model) if sinr else None
         if freeze:
             topology.freeze()
-        return ScenarioArtifacts(
-            key=self.config.cache_key(),
-            topology=topology,
-            topology_version=topology.version,
-            link_table=skeleton,
-            topology_kind=self.config.topology,
-            cs_table=cs_table,
-        )
+        return ScenarioArtifacts(topology=topology, model=model)
 
-    def resolve_artifacts(
-        self, artifacts: Optional[ScenarioArtifacts] = None
-    ) -> ScenarioArtifacts:
+    def resolve_artifacts(self) -> ScenarioArtifacts:
         """The artifact bundle a build should consume.
 
-        Explicit ``artifacts`` are validated against this config's cache
-        key (a mismatch means they were built for a different scenario);
-        for uncacheable configs (key None) the bundle's recorded topology
-        kind still guards against cross-config reuse.  Hand-assembled
-        bundles with neither field opt out of validation — the caller
-        vouches for them.  Otherwise the process-wide
-        :data:`ARTIFACT_CACHE` is consulted when enabled; misses build
-        (and cache) a frozen bundle, uncacheable configs build a fresh
-        mutable bundle per run.
+        The process-wide :data:`ARTIFACT_CACHE` is consulted when enabled;
+        misses build (and cache) a frozen bundle, uncacheable configs
+        build a fresh mutable bundle per run.
         """
-        if artifacts is not None:
-            key = self.config.cache_key()
-            if artifacts.key is not None and key is not None and artifacts.key != key:
-                raise ValueError(
-                    "artifact bundle was built for a different scenario "
-                    "configuration (cache keys differ)"
-                )
-            if (
-                artifacts.topology_kind is not None
-                and artifacts.topology_kind != self.config.topology
-            ):
-                raise ValueError(
-                    f"artifact bundle was built for topology "
-                    f"{artifacts.topology_kind!r}, not {self.config.topology!r}"
-                )
-            return artifacts
         key = self.config.cache_key() if ARTIFACT_CACHE.enabled else None
         if key is None:
             return self.build_artifacts(freeze=False)
@@ -372,15 +328,15 @@ class ScenarioBuilder:
         return artifacts
 
     # ------------------------------------------------------------- assembly
-    def build(self, artifacts: Optional[ScenarioArtifacts] = None) -> BuiltScenario:
+    def build(self) -> BuiltScenario:
         """Assemble simulator, topology, MACs and network.
 
-        Per-run assembly consumes an artifact bundle (cached, explicit via
-        ``artifacts``, or freshly built) and only creates the stateful
-        objects: Simulator, radios, MAC instances, nodes and RNG streams.
-        Results are bit-identical with and without the cache.
+        Per-run assembly consumes an artifact bundle (cached or freshly
+        built) and only creates the stateful objects: Simulator, radios,
+        MAC instances, nodes, RNG streams and the channel wiring.  Results
+        are bit-identical with and without the cache.
         """
-        artifacts = self.resolve_artifacts(artifacts)
+        artifacts = self.resolve_artifacts()
         sim = self.make_simulator()
         topology = artifacts.topology
         network = Network(
@@ -390,8 +346,7 @@ class ScenarioBuilder:
             link_error_rate=self.config.link_error_rate,
             interference=self.config.interference,
             sinr_threshold_db=self.config.sinr_threshold_db,
-            prebuilt_links=artifacts.current_link_table(),
-            prebuilt_cs=artifacts.current_cs_table(),
+            propagation_model=artifacts.model,
         )
         return BuiltScenario(config=self.config, sim=sim, topology=topology, network=network)
 
@@ -399,7 +354,6 @@ class ScenarioBuilder:
         self,
         superframe_config: Optional["SuperframeConfig"] = None,
         route_discovery_period: Optional[float] = 2.0,
-        artifacts: Optional[ScenarioArtifacts] = None,
     ) -> BuiltDsmeScenario:
         """Assemble a DSME network whose CAP uses the configured MAC.
 
@@ -410,7 +364,7 @@ class ScenarioBuilder:
         """
         from repro.dsme.network import DsmeNetwork
 
-        artifacts = self.resolve_artifacts(artifacts)
+        artifacts = self.resolve_artifacts()
         sim = self.make_simulator()
         topology = artifacts.topology
         dsme = DsmeNetwork(
@@ -423,8 +377,7 @@ class ScenarioBuilder:
             link_error_rate=self.config.link_error_rate,
             interference=self.config.interference,
             sinr_threshold_db=self.config.sinr_threshold_db,
-            prebuilt_links=artifacts.current_link_table(),
-            prebuilt_cs=artifacts.current_cs_table(),
+            propagation_model=artifacts.model,
         )
         return BuiltDsmeScenario(config=self.config, sim=sim, topology=topology, dsme=dsme)
 

@@ -120,11 +120,12 @@ class ScenarioConfig:
         """Deterministic key of the construction-relevant half of the config.
 
         Two configs with equal keys build identical construction artifacts
-        (topology, link set, PER rows) — so artifacts can be cached under
-        the key and shared across runs.  The key covers topology,
-        topology params, propagation model/params, link error rate and the
-        channel mode; it deliberately *excludes* the master ``seed``, the
-        MAC axis and tracing, which only shape per-run state.
+        (frozen topology plus the propagation model that settled it) — so
+        artifacts can be cached under the key and shared across runs.  The
+        key covers topology, topology params and propagation model/params;
+        it deliberately *excludes* the master ``seed``, the MAC axis,
+        tracing and the channel settings (link error rate, interference
+        model, SINR threshold), which only shape per-run state.
 
         The seed re-enters the key exactly where it feeds construction:
         when the topology factory or the propagation model accepts a
@@ -148,9 +149,7 @@ class ScenarioConfig:
             )
         except (TypeError, RegistryError):
             return None
-        # Version bumped to /2 when the skeleton rows grew the received-power
-        # column — a /1-era bundle must never be served to this code.
-        parts: list = ["scenario-artifacts/2", self.topology, topology_params]
+        parts: list = [self.topology, topology_params]
         if topology_seeded:
             parts.append(("topology-seed", self.seed))
         parts.append(self.propagation)
@@ -159,14 +158,4 @@ class ScenarioConfig:
             spec = get_propagation_spec(self.propagation)
             if "seed" not in self.propagation_params and spec.accepts_seed():
                 parts.append(("propagation-seed", self.seed))
-        parts.append(self.link_error_rate)
-        # The interference model shapes the artifacts themselves (power
-        # column, carrier-sense rows), so a collision-era bundle can never
-        # be served to a SINR run or vice versa.  The carrier-sense range /
-        # CCA sensitivity is part of propagation_params and therefore
-        # already covered above; the SINR threshold only matters when the
-        # SINR model is active.
-        parts.append(("interference", self.interference))
-        if self.interference == "sinr":
-            parts.append(("sinr-threshold", self.sinr_threshold_db))
         return tuple(parts)

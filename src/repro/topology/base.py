@@ -10,16 +10,12 @@ uses to construct its testbed topologies.
 Topologies double as shareable *construction artifacts*: building one
 (positions, O(n²) link derivation, routing tree) is the expensive part of
 scenario assembly, so the scenario layer caches built topologies and reuses
-them across runs of a sweep.  Two mechanisms make that sharing safe:
-
-* every mutating method bumps :attr:`Topology.version`, so a consumer that
-  snapshotted derived state (e.g. the channel's link-table skeleton) can
-  detect that the topology changed underneath it and invalidate the
-  snapshot instead of serving stale rows;
-* :meth:`Topology.freeze` seals the topology — further calls to mutating
-  methods raise :class:`FrozenTopologyError` — and makes :func:`hash`
-  stable, so frozen topologies are safe dictionary keys and safe to hand to
-  concurrent runs.
+them across runs of a sweep.  :meth:`Topology.freeze` makes that sharing
+safe: it seals the topology — further calls to mutating methods raise
+:class:`FrozenTopologyError` — and makes :func:`hash` stable, so frozen
+topologies are safe dictionary keys and safe to hand to concurrent runs.
+Each run derives its channel wiring from the topology afresh, so nothing
+downstream snapshots topology state that could go stale.
 """
 
 from __future__ import annotations
@@ -46,9 +42,6 @@ class Topology:
     sink: Optional[int] = None
     parents: Dict[int, int] = field(default_factory=dict)
     name: str = "topology"
-    #: Bumped by every mutating method; lets artifact caches detect that a
-    #: shared topology changed after their derived state was snapshotted.
-    version: int = field(default=0, init=False, compare=False, repr=False)
     _frozen: bool = field(default=False, init=False, compare=False, repr=False)
     _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
@@ -64,21 +57,19 @@ class Topology:
         Returns ``self`` so construction chains read naturally
         (``factory(**params).freeze()``).  Freezing is idempotent.  Note
         that only the *methods* are guarded — writing to ``topology.links``
-        or ``topology.positions`` directly bypasses both the guard and the
-        version counter, which is why all construction code goes through
-        the methods.
+        or ``topology.positions`` directly bypasses the guard, which is why
+        all construction code goes through the methods.
         """
         self._frozen = True
         return self
 
     def _mutating(self) -> None:
-        """Guard + version bump shared by every mutating method."""
+        """Guard shared by every mutating method; drops the cached hash."""
         if self._frozen:
             raise FrozenTopologyError(
                 f"topology {self.name!r} is frozen (shared as a cached construction "
                 "artifact); build a fresh topology instead of mutating it"
             )
-        self.version += 1
         self._hash = None
 
     def fingerprint(self) -> Tuple:

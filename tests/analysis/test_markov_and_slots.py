@@ -59,6 +59,20 @@ class TestGtsHandshakeChain:
             0.3, retries=1
         )
 
+    @pytest.mark.parametrize("retries", [0, 1, 3, 5])
+    def test_chain_matches_the_closed_form(self, retries):
+        """Oracle: each message gets up to ``retries + 1`` transmissions, so it
+        gets through with s = 1 - (1-p)^(retries+1).  A renewal argument over
+        the three-message handshake, where each transmission costs one
+        message, gives E(p) = (s/p)(1 + s + s²)/s³."""
+        for step in range(1, 101):
+            p = step / 100
+            s = 1.0 - (1.0 - p) ** (retries + 1)
+            closed_form = (s / p) * (1.0 + s + s * s) / s**3
+            assert expected_handshake_messages(p, retries) == pytest.approx(
+                closed_form, rel=1e-9
+            )
+
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             expected_handshake_messages(0.0)

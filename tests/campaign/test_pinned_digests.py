@@ -38,10 +38,10 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 import pytest
 
 from repro.campaign.runner import CampaignRunner, execute_scenario
-from repro.campaign.spec import EXPERIMENT_KINDS, Sweep
+from repro.campaign.spec import EXPERIMENT_KINDS, Sweep, construction_affinity_key
 from repro.mac.registry import MAC_REGISTRY
 from repro.phy.registry import PROPAGATION_REGISTRY
-from repro.scenario import ARTIFACT_CACHE
+from repro.scenario import ARTIFACT_CACHE, ScenarioBuilder
 from repro.service.agent import spawn_agent
 from repro.service.backends import PoolBackend, make_backend
 from repro.service.checkpoint import run_checkpointed
@@ -410,7 +410,9 @@ def _remote_agents(sweep, tmp_path):
 ALL = list(SWEEPS)
 #: Sweeps that build more than one topology, so a one-entry cache evicts.
 EVICTING = [
-    name for name in ALL if name not in ("collectors", "sinr-hidden-node", "config-switch", "dsme")
+    name
+    for name in ALL
+    if name not in ("collectors", "sinr-hidden-node", "sinr-threshold", "config-switch", "dsme")
 ]
 #: Dispatch backends run one hidden-node and one testbed sweep.
 BACKEND = ["short", "config-switch"]
@@ -474,3 +476,33 @@ def test_table_covers_every_registered_mac_propagation_and_family():
     matrix = {(mac, prop) for _, mac, prop, _, label in PINNED if label == "matrix"}
     assert matrix == {(mac, prop) for mac in MACS for prop in (None, *PROPAGATIONS)}
     assert {key[0] for key in PINNED} == set(EXPERIMENT_KINDS)
+
+
+class _Built(Exception):
+    """Raised by the cache-key spy once a run has resolved its config."""
+
+
+def test_affinity_key_is_coarser_than_cache_key(monkeypatch):
+    """Runs the campaign runner groups together (equal affinity key) must
+    share one construction bundle (equal ``cache_key()``), across the rows
+    that vary channel settings and the scalability topology.  Each run is
+    stopped right after its scenario config is resolved."""
+
+    def spy(builder):
+        raise _Built(builder.config.cache_key())
+
+    monkeypatch.setattr(ScenarioBuilder, "resolve_artifacts", spy)
+    groups: Dict[Tuple, set] = {}
+    for name in ("interference", "link-errors", "star-sinr", "topology"):
+        _, sweep = SWEEPS[name]
+        for scenario in sweep:
+            with pytest.raises(_Built) as built:
+                execute_scenario(scenario)
+            affinity = construction_affinity_key(
+                scenario.experiment, scenario.propagation, scenario.seed, scenario.params
+            )
+            groups.setdefault((scenario.experiment, affinity), set()).add(built.value.args[0])
+    assert all(len(keys) == 1 and None not in keys for keys in groups.values())
+    # Collision and SINR runs of one deployment group together, and so do
+    # the lossy CSMA star runs and the SINR QMA star runs on log-distance.
+    assert len(groups) < sum(SWEEPS[n][1].size for n in ("interference", "link-errors"))

@@ -9,6 +9,9 @@ pool machinery.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.pool
+
 import pytest
 
 from repro.campaign.runner import (
@@ -28,6 +31,19 @@ def _tiny_sweep(seeds=(0, 1), macs=("qma", "unslotted-csma")) -> Sweep:
         fixed={"packets_per_node": 8, "warmup": 5.0},
         seeds=seeds,
     )
+
+
+def _spy_terminate(monkeypatch):
+    """Record every ``Pool.terminate`` call (the call still goes through)."""
+    calls = []
+    original = multiprocessing.pool.Pool.terminate
+
+    def terminate(pool):
+        calls.append(pool)
+        original(pool)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    return calls
 
 
 class TestEmptyCampaigns:
@@ -120,15 +136,27 @@ class TestPersistentPool:
         runner.close()
         assert runner._pool is None
 
-    def test_abandoned_iterator_terminates_the_pool(self):
+    def test_close_after_a_finished_run_lets_workers_exit(self, monkeypatch):
+        """An idle pool is closed and joined, never terminated: its workers
+        exit on their own and none is left behind."""
+        terminated = _spy_terminate(monkeypatch)
+        runner = CampaignRunner(jobs=2)
+        runner.run(_tiny_sweep())
+        runner.close()
+        assert terminated == []
+        assert multiprocessing.active_children() == []
+
+    def test_abandoned_iterator_terminates_the_pool(self, monkeypatch):
         """Regression: walking away from iter_records must not leave the
         imap feeder executing the rest of the sweep in the background."""
+        terminated = _spy_terminate(monkeypatch)
         runner = CampaignRunner(jobs=2)
         iterator = runner.iter_records(_tiny_sweep(seeds=tuple(range(8))))
         first = next(iterator)
         assert first.metrics
         iterator.close()
         assert runner._pool is None  # outstanding tasks died with the pool
+        assert len(terminated) == 1
         # The runner recovers: the next campaign re-warms a fresh pool.
         records = runner.run(_tiny_sweep()).records
         assert len(records) == 4

@@ -113,3 +113,31 @@ def test_aloha_stop_cancels_slot_clock():
     mac.stop()
     sim.run_until(1.0)
     assert sim.pending_events() == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("num_senders", [2, 5, 10])
+def test_saturated_slotted_aloha_matches_the_analytic_success_rate(num_senders, seed):
+    """Oracle: with N saturated senders each picking one of K slots per frame
+    uniformly at random, an attempt succeeds iff the other N-1 senders all
+    picked another slot, so the per-attempt success rate is (1-1/K)^(N-1).
+    Checked per seed within four binomial standard deviations."""
+    sim = Simulator(seed=seed)
+    config = AlohaConfig(slots_per_frame=10, max_frame_retries=1000)
+    sink, senders = build_star(sim, SlottedAloha, num_senders=num_senders, config=config)
+
+    def refill():
+        for index, sender in enumerate(senders, start=1):
+            if sender.queue.level < 2:
+                sender.send(Frame(FrameKind.DATA, src=index, dst=0))
+        sim.schedule(config.slot_duration, refill)
+
+    sim.schedule(0.0, refill)
+    sim.run_until(60.0)
+
+    attempts = sum(sender.stats.tx_attempts for sender in senders)
+    successes = sum(sender.stats.tx_success for sender in senders)
+    expected = (1.0 - 1.0 / config.slots_per_frame) ** (num_senders - 1)
+    sigma = (expected * (1.0 - expected) / attempts) ** 0.5
+    assert attempts > 1000 * num_senders  # saturated: about one attempt per frame
+    assert abs(successes / attempts - expected) <= 4.0 * sigma

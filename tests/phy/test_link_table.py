@@ -1,9 +1,8 @@
 """Tests for the channel's precomputed link table.
 
-The table is the channel's only delivery path.  It is built on the first
-transmission, either from the live wiring or from a preset skeleton, and
-links are fixed from then on: every wiring call after the first
-transmission raises.
+The table is the channel's only delivery path.  It is built from the live
+wiring on the first transmission, and links are fixed from then on: every
+wiring call after the first transmission raises.
 """
 
 from __future__ import annotations
@@ -72,46 +71,26 @@ WIRING_CALLS = {
     "connect_sensed": lambda sim, channel: channel.connect_sensed(2, 0, -85.0),
 }
 
-#: Skeleton of the line network: (receiver, power_dbm, PER) rows in
-#: neighbour-set order.
-LINE_SKELETON = {
-    0: ((1, -60.0, 0.0),),
-    1: ((0, -60.0, 0.0), (2, -60.0, 0.0)),
-    2: ((1, -60.0, 0.0),),
-}
+#: Received powers of the line network's directed links.
+LINE_POWERS = {(0, 1): -60.0, (1, 0): -60.0, (1, 2): -60.0, (2, 1): -60.0}
 
 
 @pytest.mark.parametrize("interference", ["collision", "sinr"])
-@pytest.mark.parametrize("skeleton", [False, True], ids=["derived", "skeleton"])
 @pytest.mark.parametrize("call", list(WIRING_CALLS))
-def test_wiring_is_fixed_after_the_first_transmission(call, skeleton, interference):
+def test_wiring_is_fixed_after_the_first_transmission(call, interference):
     sim, channel, radios = _line_network(interference)
     Radio(sim, channel, 3)
-    for sender, rows in LINE_SKELETON.items():
-        for receiver, power_dbm, _per in rows:
-            channel.set_link_power(sender, receiver, power_dbm)
-    if skeleton:
-        channel.preset_link_table(LINE_SKELETON)
+    for (sender, receiver), power_dbm in LINE_POWERS.items():
+        channel.set_link_power(sender, receiver, power_dbm)
 
     WIRING_CALLS[call](sim, channel)  # before first use: allowed
-    assert channel._skeleton is None  # a stale preset is never served
     radios[1].transmit(make_frame(1, 0))
     sim.run_until(1.0)
     assert channel.frames_delivered == 2  # B's frame reaches A and C
+    assert [row[0] for row in channel._link_table[1]] == [0, 2]
 
     with pytest.raises(RuntimeError, match="fixed after the first transmission"):
         WIRING_CALLS[call](sim, channel)
-
-
-def test_preset_skeleton_is_served_without_later_wiring():
-    sim, channel, radios = _line_network()
-    channel.preset_link_table(LINE_SKELETON)
-    radios[1].transmit(make_frame(1, 0))
-    sim.run_until(1.0)
-    assert channel._skeleton is LINE_SKELETON
-    assert [row[0] for row in channel._link_table[1]] == [0, 2]
-    with pytest.raises(RuntimeError):
-        channel.preset_link_table(LINE_SKELETON)
 
 
 def test_construction_time_wiring_keeps_static_mode():

@@ -3,15 +3,15 @@
 The cache's contract has three parts, each pinned here:
 
 * the **cache key** covers exactly the construction-relevant half of a
-  :class:`ScenarioConfig` — seed excluded, except where the seed feeds
-  construction (seeded topology placement, unpinned seeded propagation);
+  :class:`ScenarioConfig` (topology and propagation) — seed excluded,
+  except where the seed feeds construction (seeded topology placement,
+  unpinned seeded propagation), and channel settings excluded, since every
+  run wires its channel from the bundle itself;
 * **artifact reuse is invisible**: assembled simulations are bit-identical
-  with and without the cache, under LRU eviction, and under explicit
-  artifact bundles;
-* **staleness is never served**: a topology mutated between runs of a
-  shared (unfrozen) bundle invalidates the prebuilt link-table skeleton,
-  so the next run derives its rows from the live wiring (within a run,
-  links are fixed after the first transmission).
+  with and without the cache and under LRU eviction, and one bundle
+  serves collision and SINR runs of a deployment alike;
+* **shared topologies are frozen**: a cached bundle's topology cannot be
+  mutated, so no run sees state another run changed.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ import pytest
 
 from repro.scenario import (
     ARTIFACT_CACHE,
-    ScenarioArtifacts,
     ScenarioBuilder,
     ScenarioConfig,
-    link_table_skeleton,
     topology_accepts_seed,
 )
 from repro.topology.base import FrozenTopologyError
@@ -39,12 +37,16 @@ def _clean_cache():
 
 
 def _rows(network):
-    """The channel's delivery table reduced to comparable (id, per) rows."""
-    table = network.channel._build_link_table()
-    return {
-        sender: tuple((receiver, per) for receiver, _, _, per, _ in rows)
+    """The channel's delivery table reduced to comparable (id, per, signal)
+    rows, plus the sensed-only links."""
+    channel = network.channel
+    table = channel._build_link_table()
+    rows = {
+        sender: tuple((receiver, per, signal) for receiver, _, _, per, signal in rows)
         for sender, rows in table.items()
     }
+    sensed = {node: tuple(peers) for node, peers in channel._cs_neighbours.items()}
+    return rows, sensed
 
 
 class TestCacheKey:
@@ -59,14 +61,14 @@ class TestCacheKey:
         b.mac_params = {}  # mac_params never reach construction either
         assert a.cache_key() == b.cache_key()
 
-    def test_topology_params_and_link_error_rate_included(self):
+    def test_topology_params_included_link_error_rate_excluded(self):
         base = ScenarioConfig(topology="hidden-node")
         narrow = ScenarioConfig(
             topology="hidden-node", topology_params={"link_distance": 45.0}
         )
         lossy = ScenarioConfig(topology="hidden-node", link_error_rate=0.1)
         assert base.cache_key() != narrow.cache_key()
-        assert base.cache_key() != lossy.cache_key()
+        assert base.cache_key() == lossy.cache_key()
 
     def test_unpinned_seeded_propagation_keys_per_seed(self):
         a = ScenarioConfig(topology="iotlab-star", propagation="fading", seed=0)
@@ -111,28 +113,24 @@ _SINR_PARAMS = {"communication_range": 100.0, "carrier_sense_range": 250.0}
 
 
 class TestInterferenceCacheKey:
-    """Regression (PR 6): the cache key must cover the interference model,
-    SINR threshold and carrier-sense range — a collision-model bundle served
-    to a SINR config (or vice versa) would silently drop the power column
-    and sensed-only links."""
+    """The interference model and SINR threshold shape the channel wiring
+    of a run, not the bundle: a collision run and a SINR run of one
+    deployment share the bundle, and each derives its own powers and
+    sensed links from the bundle's propagation model."""
 
-    def test_interference_model_splits_key(self):
-        collision = ScenarioConfig(propagation="unit-disk", propagation_params=_SINR_PARAMS)
-        sinr = ScenarioConfig(
-            propagation="unit-disk", propagation_params=_SINR_PARAMS, interference="sinr"
-        )
-        assert collision.cache_key() != sinr.cache_key()
-
-    def test_sinr_threshold_splits_key(self):
-        a = ScenarioConfig(
-            propagation="unit-disk", propagation_params=_SINR_PARAMS,
-            interference="sinr", sinr_threshold_db=10.0,
-        )
-        b = ScenarioConfig(
-            propagation="unit-disk", propagation_params=_SINR_PARAMS,
-            interference="sinr", sinr_threshold_db=3.0,
-        )
-        assert a.cache_key() != b.cache_key()
+    def test_channel_settings_share_key(self):
+        configs = [
+            ScenarioConfig(propagation="unit-disk", propagation_params=_SINR_PARAMS),
+            ScenarioConfig(
+                propagation="unit-disk", propagation_params=_SINR_PARAMS,
+                interference="sinr", sinr_threshold_db=10.0,
+            ),
+            ScenarioConfig(
+                propagation="unit-disk", propagation_params=_SINR_PARAMS,
+                interference="sinr", sinr_threshold_db=3.0,
+            ),
+        ]
+        assert len({config.cache_key() for config in configs}) == 1
 
     def test_carrier_sense_range_splits_key(self):
         a = ScenarioConfig(
@@ -151,48 +149,39 @@ class TestInterferenceCacheKey:
         with pytest.raises(ValueError):
             ScenarioConfig(interference="not-a-model")
 
-    def test_forced_eviction_keeps_sinr_and_collision_results_correct(self):
-        """Alternating collision and SINR builds through a single-slot LRU
-        must reproduce the uncached channel state bit-for-bit."""
-
-        def full_rows(network):
-            table = network.channel._build_link_table()
-            return {
-                sender: tuple(
-                    (receiver, per, signal)
-                    for receiver, _, _, per, signal in rows
-                )
-                for sender, rows in table.items()
-            }
-
-        def sensed(network):
-            return {
-                node: tuple(sorted(peers))
-                for node, peers in network.channel._cs_neighbours.items()
-            }
-
+    @pytest.mark.parametrize("assemble", ["build", "build_dsme"])
+    @pytest.mark.parametrize("propagation", ["unit-disk", "fading"])
+    def test_collision_and_sinr_runs_share_one_bundle(self, propagation, assemble):
+        """One miss, then hits: the shared bundle reproduces the uncached
+        channel state of both interference models bit-for-bit, for plain
+        and DSME assembly alike."""
+        params = _SINR_PARAMS if propagation == "unit-disk" else {}
         configs = [
-            ScenarioConfig(propagation="unit-disk", propagation_params=_SINR_PARAMS),
             ScenarioConfig(
-                propagation="unit-disk", propagation_params=_SINR_PARAMS,
-                interference="sinr",
-            ),
+                topology="iotlab-star", propagation=propagation,
+                propagation_params=params, interference=interference,
+            )
+            for interference in ("collision", "sinr")
         ]
-        with ARTIFACT_CACHE.override(maxsize=1):
-            baselines = []
-            with ARTIFACT_CACHE.override(enabled=False):
-                for config in configs:
-                    network = ScenarioBuilder(config).build().network
-                    baselines.append((full_rows(network), sensed(network)))
-            # The collision baseline has no power column or sensed links.
-            assert all(s == 0.0 for rows in baselines[0][0].values() for _, _, s in rows)
-            assert baselines[0][1] == {}
-            assert any(s > 0.0 for rows in baselines[1][0].values() for _, _, s in rows)
-            for _ in range(3):  # alternate so each build evicts the other
-                for config, baseline in zip(configs, baselines):
-                    network = ScenarioBuilder(config).build().network
-                    assert (full_rows(network), sensed(network)) == baseline
-        assert ARTIFACT_CACHE.stats()["evictions"] >= 4
+
+        def build(config):
+            return getattr(ScenarioBuilder(config), assemble)()
+
+        with ARTIFACT_CACHE.override(enabled=False):
+            baselines = [_rows(build(config).network) for config in configs]
+        # The collision baseline has no power column or sensed links.
+        assert all(s == 0.0 for rows in baselines[0][0].values() for _, _, s in rows)
+        assert all(not peers for peers in baselines[0][1].values())
+        assert any(s > 0.0 for rows in baselines[1][0].values() for _, _, s in rows)
+        builds = []
+        for _ in range(2):
+            for config, baseline in zip(configs, baselines):
+                built = build(config)
+                assert _rows(built.network) == baseline
+                builds.append(built)
+        assert len({id(built.topology) for built in builds}) == 1
+        stats = ARTIFACT_CACHE.stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 3, 1)
 
 
 class TestSeededTopologyBuilds:
@@ -239,16 +228,10 @@ class TestArtifactReuse:
     @pytest.mark.parametrize("topology", sorted(["hidden-node", "iotlab-tree",
                                                  "iotlab-star", "concentric", "random"]))
     @pytest.mark.parametrize("propagation", [None, "fading"])
-    def test_prebuilt_rows_match_lazily_derived_rows(self, topology, propagation):
-        """The skeleton's receiver order IS the channel's wiring order.
-
-        This is the load-bearing contract behind bit-identical cached
-        runs: ``link_table_skeleton`` replays the exact neighbour-set
-        insertion sequence of ``Network``'s wiring loop.  Pinned here for
-        every registered topology (and a propagation-derived link set) so
-        any reorder in either place fails loudly instead of silently
-        changing delivery order.
-        """
+    def test_cached_rows_match_uncached_rows(self, topology, propagation):
+        """A run on a cached (frozen, shared) topology wires its channel
+        exactly as a run on a freshly built one — receiver order and PER
+        included — for every registered topology."""
         params = {"random": {"num_nodes": 7}, "concentric": {"rings": 1}}.get(topology, {})
         config = ScenarioConfig(
             topology=topology,
@@ -259,30 +242,10 @@ class TestArtifactReuse:
         )
         with ARTIFACT_CACHE.override(enabled=False):
             plain = ScenarioBuilder(config).build()
+        ScenarioBuilder(config).build()
         cached = ScenarioBuilder(config).build()
-        assert cached.network.channel._skeleton is not None
+        assert ARTIFACT_CACHE.stats()["hits"] == 1
         assert _rows(plain.network) == _rows(cached.network)
-
-    def test_explicit_artifacts_for_other_config_rejected(self):
-        narrow = ScenarioConfig(
-            topology="hidden-node", topology_params={"link_distance": 45.0}
-        )
-        wide = ScenarioConfig(topology="hidden-node")
-        artifacts = ScenarioBuilder(narrow).build_artifacts()
-        with pytest.raises(ValueError, match="different scenario"):
-            ScenarioBuilder(wide).build(artifacts=artifacts)
-
-    def test_uncacheable_bundle_still_guards_topology_kind(self):
-        """key=None (uncacheable config) must not bypass cross-config reuse
-        detection: the recorded topology kind still catches the mismatch."""
-        uncacheable = ScenarioConfig(
-            topology="iotlab-star", propagation_params={"note": bytearray(b"x")}
-        )
-        artifacts = ScenarioBuilder(uncacheable).build_artifacts()
-        assert artifacts.key is None
-        other = ScenarioConfig(topology="hidden-node")
-        with pytest.raises(ValueError, match="built for topology"):
-            ScenarioBuilder(other).build(artifacts=artifacts)
 
     def test_lru_eviction_keeps_results_correct(self):
         configs = [
@@ -317,12 +280,6 @@ class TestFrozenTopology:
         with pytest.raises(FrozenTopologyError):
             topology.build_routing_tree(NODE_B)
 
-    def test_version_counts_mutations(self):
-        topology = hidden_node_topology()
-        before = topology.version
-        topology.add_link(NODE_A, NODE_C)
-        assert topology.version == before + 1
-
     def test_frozen_topologies_hash_by_content(self):
         a = hidden_node_topology().freeze()
         b = hidden_node_topology().freeze()
@@ -335,47 +292,3 @@ class TestFrozenTopology:
         built = ScenarioBuilder(config).build()
         with pytest.raises(FrozenTopologyError):
             built.topology.add_link(NODE_A, NODE_C)
-
-
-class TestCrossRunMutation:
-    """Regression: a topology mutated *between* runs of a shared artifact
-    bundle must invalidate the prebuilt link-table skeleton — the next run
-    derives delivery rows from the live wiring instead of stale rows."""
-
-    def test_mutation_between_runs_invalidates_stale_skeleton(self):
-        config = ScenarioConfig(topology="hidden-node", mac="unslotted-csma")
-        builder = ScenarioBuilder(config)
-        artifacts = builder.build_artifacts(freeze=False)
-
-        first = builder.build(artifacts=artifacts)
-        assert (NODE_C, 0.0) not in _rows(first.network)[NODE_A]  # A–C hidden
-
-        # Mutate the shared topology between runs: A and C are now in range.
-        artifacts.topology.add_link(NODE_A, NODE_C)
-        assert not artifacts.is_current()
-        assert artifacts.current_link_table() is None
-
-        second = builder.build(artifacts=artifacts)
-        rows = _rows(second.network)
-        assert (NODE_C, 0.0) in rows[NODE_A]
-        assert (NODE_A, 0.0) in rows[NODE_C]
-        # ... and matches a bundle freshly derived from the mutated topology.
-        fresh = ScenarioArtifacts(
-            key=None,
-            topology=artifacts.topology,
-            topology_version=artifacts.topology.version,
-            link_table=link_table_skeleton(artifacts.topology, 0.0),
-        )
-        reference = builder.build(artifacts=fresh)
-        assert rows == _rows(reference.network)
-
-    def test_stale_cache_entries_rebuild(self):
-        """A stale *cached* bundle (unfrozen topology mutated behind the
-        cache's back) is dropped and rebuilt, never served."""
-        config = ScenarioConfig(topology="hidden-node")
-        artifacts = ScenarioBuilder(config).build_artifacts(freeze=False)
-        ARTIFACT_CACHE.put(config.cache_key(), artifacts)
-        artifacts.topology.add_link(NODE_A, NODE_C)
-        rebuilt = ScenarioBuilder(config).build()
-        assert rebuilt.topology is not artifacts.topology
-        assert not rebuilt.topology.connected(NODE_A, NODE_C)
