@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.actions import ALL_ACTIONS, QAction
@@ -58,39 +60,148 @@ _BACKOFF = QAction.QBACKOFF.value
 _CCA = QAction.QCCA.value
 _SEND = QAction.QSEND.value
 _ACTION_CODES = tuple(action.value for action in ALL_ACTIONS)
+_first = itemgetter(0)
+_rank = attrgetter("_rank")
 
 
-def _run_tick_bucket(ticks: List[Tuple[int, "QmaMac", int]]) -> None:
-    """Heap callback of a tick bucket: the QMA ticks due at one instant.
+class _SubslotGrid:
+    """The subslot clock of the QMA nodes that started together (README
+    "Grid clock"): one heap entry per boundary, at which the members with
+    work take their turns in rank order, the order of their ``start()``
+    seqs.  Each turn draws a mark, the seq its tick would have drawn on
+    re-arming; the entry carries the first member's."""
 
-    The engine has popped the bucket's one heap entry, keyed by its first
-    tick's ``(time, seq)``, and set the clock.  The ticks run in seq order,
-    and before each later tick every heap event keyed before it is drained,
-    so events fire exactly as if each tick had its own heap entry.  After a
-    :meth:`~repro.sim.engine.Simulator.stop`, the remaining ticks go back on
-    the heap as a bucket of their own, keyed by the next tick.
-    """
-    members = iter(ticks)
-    seq, mac, epoch = next(members)
-    sim = mac.sim
-    time = sim._now
-    # Ticks due now from here on (a restart) open a bucket of their own.
-    sim._tick_buckets.pop(time, None)
-    queue = sim._queue
-    # Every tick here drew its seq before the bucket fired, so only an event
-    # already due now can be keyed between two of them.
-    interleave = bool(queue) and queue[0][0] == time
-    sim.events_executed += len(ticks) - 1
-    mac._on_subslot(epoch)
-    for seq, mac, epoch in members:
-        if interleave:
-            sim._drain_before(time, seq)
-        if sim._stopped:
-            rest = [(seq, mac, epoch), *members]
-            sim.events_executed -= len(rest)
-            heapq.heappush(queue, (time, seq, _run_tick_bucket, rest))
+    def __init__(self, sim: "Simulator", key: Tuple) -> None:
+        self.sim, self.key = sim, key
+        self.time, self.duration, self.num_subslots, self.gate = key
+        #: All members, and those due at the next boundary and at this one,
+        #: each in rank order; the ``(rank, seq)`` marks drawn for the next
+        #: boundary and for this one.
+        self.members, self.due, self.running = [], [], []  # List[QmaMac]
+        self.marks, self.bounds = [], []  # List[Tuple[int, int]]
+        #: Boundaries begun, the subslots of the last two and of the next,
+        #: the times that began a frame, the rank of the last turn taken at
+        #: this boundary (inf between boundaries) and its turn entries left.
+        self.ticks = self.subslot = self.prior = self.next_subslot = self.left = 0
+        self.frame_times: List[float] = []
+        self.cursor = math.inf
+
+    @classmethod
+    def join(cls, mac: "QmaMac", time: float) -> None:
+        """Add ``mac`` to the grid whose first boundary is at ``time``."""
+        sim = mac.sim
+        key = (time, mac._subslot_duration, mac._num_subslots, mac.gate if mac._gated else None)
+        grid = sim._grids.get(key)
+        rank = next(sim._seq)
+        if grid is None:
+            grid = sim._grids[key] = cls(sim, key)
+            heapq.heappush(sim._queue, (time, rank, grid._open, None))
+        grid.members.append(mac)
+        grid.due.append(mac)
+        grid.marks.append((rank, rank))
+        mac._grid, mac._rank, mac._on_loop = grid, rank, True
+
+    def leave(self, mac: "QmaMac") -> None:
+        mac._catch_up()
+        self.members.remove(mac)
+        due = self.running if mac._rank > self.cursor else self.due
+        if mac._on_loop and mac in due:
+            due.remove(mac)
+        mac._grid, mac._on_loop = None, False
+
+    def rejoin(self, mac: "QmaMac") -> None:
+        """Put ``mac`` back on the loop, at this boundary if its turn is to come."""
+        mac._catch_up()
+        mac._on_loop = True
+        insort(self.running if mac._rank > self.cursor else self.due, mac, key=_rank)
+
+    def _open(self) -> None:
+        """The first boundary: later starts at this instant form a new grid."""
+        del self.sim._grids[self.key]
+        self._boundary()
+
+    def _boundary(self) -> None:
+        """Heap callback: the due members take their turns, in rank order."""
+        members = self.members
+        if not members:  # every member stopped
             return
-        mac._on_subslot(epoch)
+        sim = self.sim
+        running = self.running = self.due
+        self.due = []
+        self.bounds = self.marks
+        marks = self.marks = []
+        self.ticks += 1
+        self.prior = self.subslot
+        subslot = self.subslot = self.next_subslot
+        time = self.time
+        if not subslot:
+            self.frame_times.append(time)
+        self.cursor = -1
+        queue = sim._queue
+        if queue and queue[0][0] == time:
+            self._expand()
+            return
+        if not running or running[0] is not members[0]:
+            marks.append((members[0]._rank, next(sim._seq)))
+        for mac in running:
+            self.cursor = mac._rank
+            mac._on_subslot(subslot)
+            if sim._stopped:
+                self._expand()
+                return
+        self._rearm()
+
+    def _expand(self) -> None:
+        """Give each remaining turn, idle ones included, a heap entry keyed by
+        its mark, or else just after the last mark before it (between two
+        integers, so unique): an event due now may be keyed between two
+        turns, and a ``stop()`` must leave them pending."""
+        bounds = self.bounds
+        rest = self.members[bisect_right(self.members, self.cursor, key=_rank):]
+        self.left = len(rest)
+        for mac in rest:
+            mark_rank, seq = bounds[bisect_right(bounds, mac._rank, key=_first) - 1]
+            key = seq if mark_rank == mac._rank else seq + 0.5
+            heapq.heappush(self.sim._queue, (self.time, key, self._turn, mac))
+        if not rest:
+            self._rearm()
+
+    def _turn(self, mac: "QmaMac") -> None:
+        """Heap callback of one turn of an expanded boundary."""
+        if mac._grid is self:
+            self.cursor = mac._rank
+            if mac._on_loop:
+                mac._on_subslot(self.subslot)
+            else:
+                self.marks.append((mac._rank, next(self.sim._seq)))
+        self.left -= 1
+        if not self.left:
+            self._rearm()
+
+    def _rearm(self) -> None:
+        """Push the next boundary, keyed by its first mark."""
+        self.cursor = math.inf
+        members, marks = self.members, self.marks
+        if not members:
+            return
+        if not marks:  # the first member stopped during its own turn
+            marks.append((members[0]._rank, next(self.sim._seq)))
+        time = self.time + self.duration
+        subslot = (self.subslot + 1) % self.num_subslots
+        if self.gate is not None and not self.gate.active(time):
+            time, subslot = self.gate.next_active_time(time), 0
+        self.time, self.next_subslot = time, subslot
+        heapq.heappush(self.sim._queue, (time, marks[0][1], self._boundary, None))
+
+
+def _caught_up(name: str, doc: str) -> property:
+    """A read-only view of a clock field that catches the node up first."""
+
+    def get(mac: "QmaMac") -> object:
+        mac._catch_up()
+        return getattr(mac, name)
+
+    return property(get, doc=doc)
 
 
 @dataclass
@@ -168,10 +279,7 @@ class QmaMac(MacProtocol):
         self._track_history = config.track_history
         self._gated = type(self.gate) is not AlwaysActiveGate
 
-        self._subslot = 0
-        self._next_subslot = 0
-        self._counter = 0
-        self.frames_elapsed = 0
+        self._subslot = self._counter = self._frames_elapsed = 0
         #: The pending slot: the action selected last and not yet learned
         #: from.  One preallocated set of fields, rewritten per decision;
         #: ``_pend_counter`` is the tick counter of the decision and tells a
@@ -182,132 +290,109 @@ class QmaMac(MacProtocol):
         self._pend_counter = 0
         self._pend_frame: Optional[Frame] = None
         self._pend_overheard = False
-        #: Tick-chain epoch: ticks carry the epoch they were scheduled in
-        #: and no-op once it moves on, so stop()/start() cannot leave a
-        #: stale chain running.  This is the engine's one way to stop a
-        #: timer (events have no cancel handle; see repro.sim.engine).
-        self._tick_epoch = 0
+        #: The subslot grid this node ticks on (None while stopped), its
+        #: rank there, whether it takes turns, and, while it does not, the
+        #: grid's boundary and frame counts its clock fields stand at.
+        self._grid: Optional[_SubslotGrid] = None
+        self._rank = self._synced_ticks = self._synced_frames = 0
+        self._on_loop = False
 
-        #: (time, cumulative Q-value of the policy) recorded at every frame boundary
-        self.q_history: List[Tuple[float, float]] = []
+        self._q_history: List[Tuple[float, float]] = []
         #: (time, ρ) recorded at every action selection
         self.rho_history: List[Tuple[float, float]] = []
 
     # --------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Start the subslot clock (aligned to the activity gate)."""
+        """Start the subslot clock (aligned to the activity gate) on a grid."""
         super().start()
         now = self.sim.now
         start_time = max(self.gate.next_active_time(now), now)
         if not start_time < math.inf:
             raise self.sim._time_error(start_time)
-        self._next_subslot = 0
-        self._tick_epoch += 1
-        self._arm_tick(start_time)
+        self.stop()
+        _SubslotGrid.join(self, start_time)
 
     def stop(self) -> None:
-        """Stop the subslot clock (used by tests and node shutdown).
-
-        Engine events cannot be cancelled; the pending tick stays in its
-        bucket, fires once more and no-ops on the stale epoch, the engine's
-        common idiom for stopping a timer.
-        """
-        self._tick_epoch += 1
+        """Stop the subslot clock (used by tests and node shutdown)."""
+        if self._grid is not None:
+            self._grid.leave(self)
 
     def _notify_enqueue(self) -> None:
-        # Action selection happens only at subslot boundaries.
-        pass
+        # Actions are selected only at subslot boundaries: an idle node rejoins its grid's loop.
+        if not self._on_loop and self._grid is not None:
+            self._grid.rejoin(self)
 
     # ------------------------------------------------------------ subslot clock
-    @property
-    def current_subslot(self) -> int:
-        """Index of the subslot currently in progress."""
-        return self._subslot
-
-    def _on_subslot(self, epoch: int) -> None:
-        """One subslot boundary: learn, then select, then re-arm the clock.
-
-        Most ticks are idle: nothing pending, cautious startup over, queue
-        empty.  An idle tick only advances its clock fields and re-arms.
-        It is still a tick of its own, though, with its own sequence
-        number drawn where a busy tick draws it; only its heap entry is
-        shared (:func:`_run_tick_bucket`).  Skipping or re-arming idle
-        ticks lazily would break the ``(time, seq)`` event order:
-
-        * nodes tick on one shared subslot grid: in the hidden-node
-          scenario (seed 1) every one of the 11,426 distinct tick times is
-          shared by more than one node, so same-time ticks are ordered only
-          by their sequence numbers;
-        * that order decides same-subslot outcomes — a QSend started by an
-          earlier tick makes a later tick's QCCA fail (Table 4 semantics);
-        * an idle tick re-armed on enqueue would draw a later sequence
-          number than its peers' ticks and reorder them.
-        """
-        if epoch != self._tick_epoch:
+    def _catch_up(self) -> None:
+        """Advance the clock fields of a node off its grid's loop as its idle
+        turns would have.  Its Q-table cannot change while it is idle, so
+        every missed frame start samples the current cumulative Q-value."""
+        grid = self._grid
+        if grid is None or self._on_loop:
             return
-        subslot = self._subslot = self._next_subslot
+        ticks, frames, subslot = grid.ticks, len(grid.frame_times), grid.subslot
+        if self._rank > grid.cursor:  # its turn at this boundary is still to come
+            ticks, frames, subslot = ticks - 1, frames - (subslot == 0), grid.prior
+        synced = self._synced_frames
+        if self._track_history and frames > synced:
+            value = self.qtable.cumulative_policy_value()
+            self._q_history.extend((time, value) for time in grid.frame_times[synced:frames])
+        self._subslot = subslot
+        self._counter += ticks - self._synced_ticks
+        self._frames_elapsed += frames - synced
+        self._synced_ticks, self._synced_frames = ticks, frames
+
+    current_subslot = _caught_up("_subslot", "Index of the subslot currently in progress.")
+    subslot_ticks = _caught_up("_counter", "Subslot boundaries ticked since creation.")
+    frames_elapsed = _caught_up("_frames_elapsed", "Frames begun since creation.")
+    q_history = _caught_up(
+        "_q_history", "(time, cumulative Q-value of the policy) at every frame start."
+    )
+
+    def _on_subslot(self, subslot: int) -> None:
+        """This node's turn at a subslot boundary: learn, then select, then
+        re-arm.  The grid calls it at the node's first boundary and then
+        only while the node has work (see :class:`_SubslotGrid`)."""
+        self._subslot = subslot
         self._counter += 1
         if subslot == 0:
-            self.frames_elapsed += 1
+            self._frames_elapsed += 1
             if self._track_history:
-                self.q_history.append((self.sim.now, self.qtable.cumulative_policy_value()))
+                self._q_history.append((self.sim.now, self.qtable.cumulative_policy_value()))
 
+        # 1. Evaluate an action whose outcome becomes known at a subslot
+        #    boundary (everything but a transmission).
         kind = self._pend_kind
-        # The fields behind ``queue.empty`` and ``startup.active``: every
-        # tick reads them.
-        if kind or self.queue._frames or not self.startup._finished:
-            # 1. Evaluate an action whose outcome becomes known at a subslot
-            #    boundary (everything but a transmission).
-            if kind and kind != PENDING_TRANSMISSION:
-                self._evaluate_boundary_action(kind)
-                kind = self._pend_kind = PENDING_NONE
+        if kind and kind != PENDING_TRANSMISSION:
+            self._evaluate_boundary_action(kind)
+            kind = self._pend_kind = PENDING_NONE
 
-            # 2. Select the next action (or observe, during cautious
-            # startup).  No action is selected while the radio is busy (e.g.
-            # transmitting an ACK for a frame received just before the
-            # subslot boundary).
-            if not kind:
-                if self.startup.active:
-                    if not self.radio.transmitting:
-                        self._begin_startup_observation()
-                elif not self.queue.empty and not self.radio.transmitting:
-                    self._select_and_execute()
+        # 2. Select the next action (or observe, during cautious startup).
+        # No action is selected while the radio is busy (e.g. transmitting
+        # an ACK for a frame received just before the subslot boundary).
+        if not kind:
+            if self.startup.active:
+                if not self.radio.transmitting:
+                    self._begin_startup_observation()
+            elif not self.queue.empty and not self.radio.transmitting:
+                self._select_and_execute()
 
-        # 3. Schedule the next subslot boundary.
+        # 3. Re-arm for the next subslot boundary.
         self._schedule_next_tick()
 
     def _schedule_next_tick(self) -> None:
-        sim = self.sim
-        next_time = sim._now + self._subslot_duration
-        next_index = self._subslot + 1
-        if next_index == self._num_subslots:
-            next_index = 0
-        if self._gated and not self.gate.active(next_time):
-            next_time = self.gate.next_active_time(next_time)
-            next_index = 0
-        self._next_subslot = next_index
-        # _arm_tick(next_time), inlined: this runs at every tick.
-        seq = next(sim._seq)
-        bucket = sim._tick_buckets.get(next_time)
-        if bucket is None:
-            bucket = sim._tick_buckets[next_time] = []
-            heapq.heappush(sim._queue, (next_time, seq, _run_tick_bucket, bucket))
-        bucket.append((seq, self, self._tick_epoch))
-
-    def _arm_tick(self, time: float) -> None:
-        """Put this node's next tick into the bucket of ticks due at ``time``.
-
-        The tick draws its sequence number here, as a heap event would; the
-        first tick due at ``time`` opens the bucket and pushes its one heap
-        entry under that tick's key.
-        """
-        sim = self.sim
-        seq = next(sim._seq)
-        bucket = sim._tick_buckets.get(time)
-        if bucket is None:
-            bucket = sim._tick_buckets[time] = []
-            heapq.heappush(sim._queue, (time, seq, _run_tick_bucket, bucket))
-        bucket.append((seq, self, self._tick_epoch))
+        """End a turn: draw its mark, and stay on the loop only while there
+        is work.  The seed-batch facade overrides this re-arm seam."""
+        grid = self._grid
+        if grid is None:  # stopped during its own turn
+            return
+        grid.marks.append((self._rank, next(self.sim._seq)))
+        if self._pend_kind or self.queue._frames or not self.startup._finished:
+            grid.due.append(self)
+        else:
+            self._on_loop = False
+            self._synced_ticks = grid.ticks
+            self._synced_frames = len(grid.frame_times)
 
     # ------------------------------------------------------------ action choice
     def _select_and_execute(self) -> None:
@@ -441,7 +526,3 @@ class QmaMac(MacProtocol):
     def transmission_subslots(self) -> List[int]:
         """Subslots in which the current policy transmits (QCCA or QSend)."""
         return self.qtable.transmission_subslots()
-
-    def cumulative_q_value(self) -> float:
-        """Current value of the Fig. 10 convergence metric."""
-        return self.qtable.cumulative_policy_value()

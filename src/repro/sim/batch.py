@@ -22,18 +22,14 @@ serial engine is pinned down:
   per-agent word buffer.  ``random()`` and ``choice()`` are re-implemented
   word-for-word (including the rejection loop of ``_randbelow``), so each
   lane consumes exactly the 32-bit words the serial run would have.
-* **Event ordering.**  The serial engine already shares one heap entry
-  among the ticks due at one instant (tick buckets, see
-  :mod:`repro.core.mac`); here subslot ticks never enter the heap at
-  all.  The kernel keeps their would-be ``(time, seq)`` keys and drains
-  each lane's real heap events strictly *before* that key at every
-  boundary through the engine's own drain loop
-  (``Simulator._drain_before``, which ``run_until`` runs too).  Sequence numbers are consumed in the exact
-  serial pattern, so everything scheduled relative to a tick
-  lands on identical ``(time, seq)`` keys.  If a heap event is ever
-  interleaved *between* two tick keys of one lane (same timestamp), that
-  lane's boundary falls back to running its ticks serially through the
-  original ``QmaMac._on_subslot`` — exactness never rests on "that never
+* **Event ordering.**  Subslot ticks never enter the heap: the kernel
+  keeps each tick's would-be ``(time, seq)`` key, drawn where the serial
+  grid clock (:mod:`repro.core.mac`) draws a turn's mark, and drains each
+  lane's heap events strictly *before* it through
+  ``Simulator._drain_before``.  Every event thus keeps its place relative
+  to the ticks.  If a heap event is ever keyed *between* two tick keys of
+  one lane, that lane's boundary falls back to running its ticks serially
+  through ``QmaMac._on_subslot`` — exactness never rests on "that never
   happens".
 * **Floating point.**  All vectorized arithmetic replicates the serial
   expression trees operation-for-operation in float64 (e.g. the Eq. 5
@@ -228,7 +224,6 @@ class _BatchStore:
         self.P[lane, node] = qtable._policy
         self.updates[lane, node] = qtable.updates
         self.subslot[lane, node] = mac._subslot
-        self.next_subslot[lane, node] = mac._next_subslot
         self.counter[lane, node] = mac._counter
         self.frames_elapsed[lane, node] = mac.frames_elapsed
         startup = mac.startup
@@ -284,7 +279,7 @@ class _BatchStore:
         in by timestamp — an agent never receives a vector sample and a
         serial sample for the same boundary, so the merge is unambiguous.
         """
-        self._merge_history(self.q_hist_batches, "q_history")
+        self._merge_history(self.q_hist_batches, "_q_history")
         self._merge_history(self.rho_hist_batches, "rho_history")
 
     def _merge_history(self, batches: List[Tuple[float, Any, Any, Any]], attr: str) -> None:
@@ -649,9 +644,8 @@ class BatchQmaMac(QmaMac):
     """
 
     _subslot = _store_field("subslot", int)
-    _next_subslot = _store_field("next_subslot", int)
     _counter = _store_field("counter", int)
-    frames_elapsed = _store_field("frames_elapsed", int)
+    _frames_elapsed = _store_field("frames_elapsed", int)
     _pend_kind = _store_field("pend_kind", int)
     _pend_action = _store_field("pend_action", int)
     _pend_state = _store_field("pend_state", int)
@@ -674,11 +668,14 @@ class BatchQmaMac(QmaMac):
         self._bstore.active[self._bl, self._bn] = False
 
     def _schedule_next_tick(self) -> None:
-        # The tick never enters the heap: record the (time, seq) key it
+        # The node leaves its subslot grid at its first turn, and its tick
+        # never enters the heap again: record the (time, seq) key it
         # would have carried.  The sequence number is drawn from the lane's
         # real counter, so heap events scheduled later sort exactly as they
         # would in a serial run.  Gate handling is omitted on purpose — the
         # batch only absorbs AlwaysActiveGate MACs.
+        if self._grid is not None:
+            self._grid.leave(self)
         store, lane, node = self._bstore, self._bl, self._bn
         sim = self.sim
         store.next_subslot[lane, node] = (
@@ -713,11 +710,12 @@ class _LockstepKernel:
     def _bootstrap(self) -> None:
         """Run each lane's first (heap-scheduled) ticks serially.
 
-        ``network.start()`` ran before the retrofit, so the t=0 ticks sit
-        in a tick bucket on the heap; firing it executes the original tick
-        path over the facades, and every tick's ``_schedule_next_tick``
-        (now the override, idle ticks included) registers the agent's
-        clock with the kernel.
+        ``network.start()`` ran before the retrofit, so the t=0 boundary of
+        the lane's subslot grid sits on the heap with every node due;
+        firing it takes each node's turn over the facades, and every
+        turn's ``_schedule_next_tick`` (now the override) registers the
+        agent's clock with the kernel and takes it off the grid, which
+        then pushes no further boundary.
         """
         store = self.store
         for lane, sim in enumerate(store.sims):
@@ -764,8 +762,8 @@ class _LockstepKernel:
                 )
             sim._now = t
             # A live heap event between this lane's tick keys?
-            key = sim._next_key()
-            if key is not None and key[0] == t and key[1] < seq_hi[lane]:
+            queue = sim._queue
+            if queue and queue[0][0] == t and queue[0][1] < seq_hi[lane]:
                 serial_lanes.append(lane)
             else:
                 vector_lane[lane] = True
@@ -786,14 +784,13 @@ class _LockstepKernel:
         """
         store = self.store
         sim = store.sims[lane]
+        sim.events_executed += 1  # one boundary, as the serial grid counts it
         for node in np.argsort(store.tick_seq[lane], kind="stable").tolist():
             if not store.active[lane, node]:
                 continue
             sim._drain_before(t, int(store.tick_seq[lane, node]))
             sim._now = t
-            sim.events_executed += 1
-            mac = store.macs[lane][node]
-            mac._on_subslot(mac._tick_epoch)
+            store.macs[lane][node]._on_subslot(int(store.next_subslot[lane, node]))
 
     # --------------------------------------------------------- vector phases
     def _vector_update(self, il: Any, inn: Any, action: int, reward: Any) -> None:
@@ -976,8 +973,8 @@ class _LockstepKernel:
 
         Per lane, nodes are visited in tick-seq (== node) order so that a
         QSend of an earlier node is visible to a later node's CCA exactly
-        as in a serial run, and sequence numbers are consumed in the serial
-        pattern (action events first, then the node's next tick).
+        as in a serial run, and sequence numbers are drawn in the serial
+        order (action events first, then the node's next tick).
         """
         store = self.store
         next_time = t + store.subslot_duration
@@ -1012,7 +1009,7 @@ class _LockstepKernel:
                     nodes = np.nonzero(mask[lane])[0]
                     store.tick_seq[lane, nodes] = base + np.arange(count, dtype=np.int64)
                 sim._seq = itertools.count(base + count)
-            sim.events_executed += count
+            sim.events_executed += 1  # one boundary, as the serial grid counts it
 
 
 # --------------------------------------------------------------------------

@@ -22,22 +22,20 @@ one) argument as they are and returns nothing.  Events cannot be
 cancelled.  A component that needs to stop a timer keeps an epoch
 counter, passes the current epoch as the event's argument and bumps it in
 ``stop()``/``start()``; the stale event still fires once and its callback
-returns at once because the epoch moved on.  QMA subslot ticks, periodic
-processes, traffic generators, TDMA/ALOHA slot clocks and MAC ACK timeouts
-(keyed by the attempt number) all work this way.
+returns at once because the epoch moved on.  Periodic processes, traffic
+generators, TDMA/ALOHA slot clocks and MAC ACK timeouts (keyed by the
+attempt number) all work this way.
 
-Tick buckets
-------------
-QMA subslot ticks (:mod:`repro.core.mac`) share heap entries: every tick
-still draws its own sequence number, but the ticks due at one instant go
-into one bucket, kept in :attr:`Simulator._tick_buckets` by time, whose
-single heap entry carries the first tick's ``(time, seq)`` key.  The
-bucket runs its ticks in seq order and drains every heap event keyed
-before each later tick first, so events fire in exactly the order they
-would with one entry per tick.  Hence :meth:`Simulator.step` runs a whole
-bucket (with any event it interleaves), :meth:`Simulator.pending_events`
-counts one entry per bucket, and ``events_executed`` still counts every
-tick.
+The grid clock
+--------------
+QMA subslot ticks (:mod:`repro.core.mac`) have no heap entries of their
+own: the nodes that started together form a subslot grid, which pushes
+one entry per boundary and gives a turn only to the nodes with work, in
+their fixed rank order.  So :meth:`Simulator.step` runs a whole boundary
+(turn by turn only when an event falls between two turns), and
+``events_executed`` counts boundaries, not ticks.
+:attr:`Simulator._grids` holds the grids whose first boundary is still to
+come, which nodes starting at that instant join.
 """
 
 from __future__ import annotations
@@ -87,9 +85,9 @@ class Simulator:
         self._now = 0.0
         self._queue: List[_HeapEntry] = []
         self._seq = itertools.count()
-        #: Tick buckets not yet fired, by due time (see the module docstring).
-        self._tick_buckets: Dict[float, List[Any]] = {}
-        self._running = False
+        #: QMA subslot grids still to take their first boundary, by start
+        #: time and clock settings (see the module docstring).
+        self._grids: Dict[Tuple, Any] = {}
         self._stopped = False
         self.rng = RngRegistry(seed)
         self.tracer: Optional[TraceRecorder] = (
@@ -134,7 +132,7 @@ class Simulator:
 
     # ------------------------------------------------------------------- run
     def step(self) -> bool:
-        """Execute the next pending event (a whole tick bucket counts as one;
+        """Execute the next pending event (a grid boundary counts as one;
         see the module docstring).
 
         Returns True if an event was executed, False if the queue is empty.
@@ -160,12 +158,8 @@ class Simulator:
             raise SimulationError(
                 f"end_time {end_time} lies in the past (now={self._now})"
             )
-        self._running = True
         self._stopped = False
-        try:
-            self._drain_before(end_time, _INF)
-        finally:
-            self._running = False
+        self._drain_before(end_time, _INF)
         if not self._stopped:
             self._now = max(self._now, end_time)
 
@@ -199,25 +193,11 @@ class Simulator:
         finally:
             self.events_executed += executed
 
-    def _next_key(self) -> Optional[Tuple[float, int]]:
-        """The ``(time, seq)`` key of the next event (None if none)."""
-        queue = self._queue
-        return queue[0][:2] if queue else None
-
-    def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the event queue is exhausted (or ``max_events`` fired)."""
-        self._running = True
+    def run(self) -> None:
+        """Run until the event queue is exhausted or :meth:`stop` is called."""
         self._stopped = False
-        executed = 0
-        try:
-            while not self._stopped:
-                if max_events is not None and executed >= max_events:
-                    break
-                if not self.step():
-                    break
-                executed += 1
-        finally:
-            self._running = False
+        while not self._stopped and self.step():
+            pass
 
     def stop(self) -> None:
         """Stop the current :meth:`run` / :meth:`run_until` after the current event."""
@@ -254,7 +234,7 @@ class Simulator:
     # ----------------------------------------------------------------- misc
     def pending_events(self) -> int:
         """Number of entries still on the heap, including stale ones whose
-        callbacks will return at once; a tick bucket counts once (see the
+        callbacks will return at once; a grid boundary counts once (see the
         module docstring)."""
         return len(self._queue)
 

@@ -39,6 +39,7 @@ import pytest
 
 from repro.campaign.runner import CampaignRunner, execute_scenario
 from repro.campaign.spec import EXPERIMENT_KINDS, Sweep, construction_affinity_key
+from repro.core.mac import _SubslotGrid
 from repro.mac.registry import MAC_REGISTRY
 from repro.phy.registry import PROPAGATION_REGISTRY
 from repro.scenario import ARTIFACT_CACHE, ScenarioBuilder
@@ -476,6 +477,30 @@ def test_table_covers_every_registered_mac_propagation_and_family():
     matrix = {(mac, prop) for _, mac, prop, _, label in PINNED if label == "matrix"}
     assert matrix == {(mac, prop) for mac in MACS for prop in (None, *PROPAGATIONS)}
     assert {key[0] for key in PINNED} == set(EXPERIMENT_KINDS)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, (_, sweep) in SWEEPS.items() if "qma" in sweep.macs]
+)
+def test_qma_rows_never_expand_a_boundary(name, monkeypatch):
+    """No pinned QMA row ever has an event keyed between two turns of one
+    subslot boundary, so the grid clock never gives turns entries of their
+    own (``_SubslotGrid._expand``): every boundary is one heap entry whose
+    due nodes take their turns in rank order."""
+    expanded = []
+    expand = _SubslotGrid._expand
+
+    def spy(grid):
+        expanded.append(grid.time)
+        expand(grid)
+
+    monkeypatch.setattr(_SubslotGrid, "_expand", spy)
+    base, sweep = SWEEPS[name]
+    for scenario in sweep:
+        if scenario.mac == "qma":
+            key = _key(base, sweep, scenario)
+            assert record_digest(execute_scenario(scenario).to_dict()) == PINNED[key]
+    assert expanded == []
 
 
 class _Built(Exception):

@@ -27,13 +27,15 @@ import pytest
 from repro.campaign.runner import execute_scenario
 from repro.campaign.spec import Scenario
 from repro.core.actions import ALL_ACTIONS
+from repro.core.mac import PENDING_NONE, PENDING_STARTUP, QmaMac
 from repro.scenario.builder import ScenarioBuilder
+from repro.sim.engine import Simulator
 
 #: Per node: [qtable.updates, selected (B, C, S), random, greedy,
 #: frames_elapsed, len(q_history), len(rho_history)].
 HIDDEN_NODE_SEED_1 = {
-    "events_executed": 34585,
-    "seqs_drawn": 34588,
+    "events_executed": 11733,
+    "seqs_drawn": 13326,
     "subslot_ticks": 34278,
     "rng_sha256": "e1334a2df3c3bc7d49bd6d01659bdbad61523351be1122e1e081f44cb8a23940",
     "qtable_sha256": "06067ff2645f65b7ab277031cfe7d93e7b5e2992b2e7c19f09b2f80be9faf1cf",
@@ -45,8 +47,8 @@ HIDDEN_NODE_SEED_1 = {
 }
 
 DSME_ONE_RING_SEED_0 = {
-    "events_executed": 24949,
-    "seqs_drawn": 24976,
+    "events_executed": 3703,
+    "seqs_drawn": 20326,
     "subslot_ticks": 24787,
     "rng_sha256": "44045a390e05263c059815021985fbb401986e72e7be955e89925205ef54b1e0",
     "qtable_sha256": "4b1b9da5367802b2ebf65716f34bc009ad148b52ee43813a9b994b0970fcd0ff",
@@ -65,8 +67,8 @@ DSME_ONE_RING_SEED_0 = {
 #: Short and contended enough to reach all seven reward constants of
 #: Table 4, cca_failed and send_tx_failed included.
 SINR_HIDDEN_NODE_SEED_0 = {
-    "events_executed": 35769,
-    "seqs_drawn": 35773,
+    "events_executed": 9399,
+    "seqs_drawn": 18308,
     "subslot_ticks": 35160,
     "rng_sha256": "6227420d9964e9e6b48558085c080485921e534783e3a472ffff43d0001bc10b",
     "qtable_sha256": "9117aaf68298f6f57767021798e8c357ebbb94a853782d735b69c6e3849a3d4e",
@@ -113,7 +115,7 @@ def _counters(sim: Any, macs: Dict[int, Any]) -> Dict[str, Any]:
     return {
         "events_executed": sim.events_executed,
         "seqs_drawn": next(copy.copy(sim._seq)),
-        "subslot_ticks": sum(mac._counter for mac in macs.values()),
+        "subslot_ticks": sum(mac.subslot_ticks for mac in macs.values()),
         "rng_sha256": _rng_digest(sim),
         "qtable_sha256": _qtable_digest(macs),
         "nodes": nodes,
@@ -138,40 +140,91 @@ def _qtable_digest(macs: Dict[int, Any]) -> str:
     return digest.hexdigest()
 
 
-def test_hidden_node_qma_counters(captured_builds):
-    execute_scenario(
-        Scenario(
-            "hidden-node",
-            mac="qma",
-            seed=1,
-            params={"delta": 10.0, "packets_per_node": 30, "warmup": 5.0},
-        )
-    )
+#: name -> (scenario, pinned counters, the built scenario's MACs).
+RUNS = {
+    "hidden-node": (
+        Scenario("hidden-node", mac="qma", seed=1,
+                 params={"delta": 10.0, "packets_per_node": 30, "warmup": 5.0}),
+        HIDDEN_NODE_SEED_1,
+        lambda built: built.network.macs,
+    ),
+    "dsme": (
+        Scenario("scalability", mac="qma", seed=0,
+                 params={"rings": 1, "duration": 8.0, "warmup": 2.0}),
+        DSME_ONE_RING_SEED_0,
+        lambda built: built.dsme.network.macs,
+    ),
+    "sinr-hidden-node": (
+        Scenario("sinr-hidden-node", mac="qma", seed=0,
+                 params={"delta": 10.0, "packets_per_node": 30, "warmup": 2.0}),
+        SINR_HIDDEN_NODE_SEED_0,
+        lambda built: built.network.macs,
+    ),
+}
+
+
+def _check_counters(name: str, captured_builds: List[Any]) -> None:
+    scenario, pinned, macs = RUNS[name]
+    execute_scenario(scenario)
     (built,) = captured_builds
-    assert _counters(built.sim, built.network.macs) == HIDDEN_NODE_SEED_1
+    assert _counters(built.sim, macs(built)) == pinned
+
+
+def test_hidden_node_qma_counters(captured_builds):
+    _check_counters("hidden-node", captured_builds)
 
 
 def test_dsme_qma_cap_counters(captured_builds):
-    execute_scenario(
-        Scenario(
-            "scalability",
-            mac="qma",
-            seed=0,
-            params={"rings": 1, "duration": 8.0, "warmup": 2.0},
-        )
-    )
-    (built,) = captured_builds
-    assert _counters(built.sim, built.dsme.network.macs) == DSME_ONE_RING_SEED_0
+    _check_counters("dsme", captured_builds)
 
 
 def test_sinr_hidden_node_qma_counters(captured_builds):
-    execute_scenario(
-        Scenario(
-            "sinr-hidden-node",
-            mac="qma",
-            seed=0,
-            params={"delta": 10.0, "packets_per_node": 30, "warmup": 2.0},
-        )
-    )
+    _check_counters("sinr-hidden-node", captured_builds)
+
+
+def _assert_conserved(macs: Dict[int, Any], punished: Dict[int, int]) -> None:
+    """Per node: every offered frame is finished or still queued, and every
+    decision has made its Q-table updates unless it is still pending."""
+    for node_id, mac in macs.items():
+        stats = mac.stats
+        finished = sum(stats.per_kind_sent.values()) + sum(stats.per_kind_failed.values())
+        assert stats.offered == finished + mac.queue.level, node_id
+        decisions = mac.action_stats.total + mac.startup.elapsed_subslots
+        pending = mac._pend_kind != PENDING_NONE
+        expected = decisions + 2 * punished.get(id(mac), 0) - pending
+        assert mac.qtable.updates == expected, node_id
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_conservation_holds_mid_run_and_at_the_end(name, captured_builds, monkeypatch):
+    """The invariants hold at a cut halfway through the run, where most
+    nodes are idle and read their clock fields through lazy catch-up, and
+    at the end; reading at the cut leaves every pinned counter unchanged."""
+    scenario, pinned, macs = RUNS[name]
+    punished: Dict[int, int] = {}
+    evaluate = QmaMac._evaluate_boundary_action
+
+    def counting_evaluate(mac, kind):
+        if kind == PENDING_STARTUP and mac._pend_overheard:
+            punished[id(mac)] = punished.get(id(mac), 0) + 1
+        evaluate(mac, kind)
+
+    run_until = Simulator.run_until
+    cuts = []
+
+    def run_in_halves(sim, end_time):
+        run_until(sim, sim.now + (end_time - sim.now) / 2)
+        cuts.append(_counters(sim, macs(captured_builds[-1])))
+        _assert_conserved(macs(captured_builds[-1]), punished)
+        run_until(sim, end_time)
+
+    monkeypatch.setattr(QmaMac, "_evaluate_boundary_action", counting_evaluate)
+    monkeypatch.setattr(Simulator, "run_until", run_in_halves)
+    execute_scenario(scenario)
     (built,) = captured_builds
-    assert _counters(built.sim, built.network.macs) == SINR_HIDDEN_NODE_SEED_0
+    assert len(cuts) == 1 and cuts[0]["subslot_ticks"] < pinned["subslot_ticks"]
+    # Startup observations occur in every run; overheard ones (punished)
+    # occur in none of the three, so that term is zero here.
+    assert sum(mac.startup.elapsed_subslots for mac in macs(built).values()) > 0
+    _assert_conserved(macs(built), punished)
+    assert _counters(built.sim, macs(built)) == pinned
