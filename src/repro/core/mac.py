@@ -80,9 +80,9 @@ class _SubslotGrid:
         self.members, self.due, self.running = [], [], []  # List[QmaMac]
         self.marks, self.bounds = [], []  # List[Tuple[int, int]]
         #: Boundaries begun, the subslots of the last two and of the next,
-        #: the times that began a frame, the rank of the last turn taken at
-        #: this boundary (inf between boundaries) and its turn entries left.
-        self.ticks = self.subslot = self.prior = self.next_subslot = self.left = 0
+        #: the times that began a frame and the rank of the last turn taken
+        #: at this boundary (inf between boundaries).
+        self.ticks = self.subslot = self.prior = self.next_subslot = 0
         self.frame_times: List[float] = []
         self.cursor = math.inf
 
@@ -138,8 +138,8 @@ class _SubslotGrid:
             self.frame_times.append(time)
         self.cursor = -1
         queue = sim._queue
-        if queue and queue[0][0] == time:
-            self._expand()
+        if queue and queue[0][0] == time:  # an event may fall between two turns
+            self._walk()
             return
         if not running or running[0] is not members[0]:
             marks.append((members[0]._rank, next(sim._seq)))
@@ -147,36 +147,31 @@ class _SubslotGrid:
             self.cursor = mac._rank
             mac._on_subslot(subslot)
             if sim._stopped:
-                self._expand()
+                self._walk()
                 return
         self._rearm()
 
-    def _expand(self) -> None:
-        """Give each remaining turn, idle ones included, a heap entry keyed by
-        its mark, or else just after the last mark before it (between two
-        integers, so unique): an event due now may be keyed between two
-        turns, and a ``stop()`` must leave them pending."""
-        bounds = self.bounds
-        rest = self.members[bisect_right(self.members, self.cursor, key=_rank):]
-        self.left = len(rest)
-        for mac in rest:
-            mark_rank, seq = bounds[bisect_right(bounds, mac._rank, key=_first) - 1]
-            key = seq if mark_rank == mac._rank else seq + 0.5
-            heapq.heappush(self.sim._queue, (self.time, key, self._turn, mac))
-        if not rest:
-            self._rearm()
-
-    def _turn(self, mac: "QmaMac") -> None:
-        """Heap callback of one turn of an expanded boundary."""
-        if mac._grid is self:
+    def _walk(self) -> None:
+        """Visit the members whose turn is still to come one by one, idle
+        ones included, each after the events keyed before the last mark at
+        or before its rank (no other entry carries a mark's seq, and an idle
+        member drew none).  After a ``stop()`` the rest waits on one heap
+        entry under the next member's key."""
+        sim, time, members, bounds = self.sim, self.time, self.members, self.bounds
+        for mac in members[bisect_right(members, self.cursor, key=_rank):]:
+            if mac._grid is not self:  # it left the grid since the walk began
+                continue
+            key = bounds[bisect_right(bounds, mac._rank, key=_first) - 1][1]
+            sim._drain_before(time, key)
+            if sim._stopped:
+                heapq.heappush(sim._queue, (time, key, self._walk, None))
+                return
             self.cursor = mac._rank
             if mac._on_loop:
                 mac._on_subslot(self.subslot)
-            else:
-                self.marks.append((mac._rank, next(self.sim._seq)))
-        self.left -= 1
-        if not self.left:
-            self._rearm()
+            else:  # events may have drawn seqs since the last mark
+                self.marks.append((mac._rank, next(sim._seq)))
+        self._rearm()
 
     def _rearm(self) -> None:
         """Push the next boundary, keyed by its first mark."""
@@ -526,3 +521,7 @@ class QmaMac(MacProtocol):
     def transmission_subslots(self) -> List[int]:
         """Subslots in which the current policy transmits (QCCA or QSend)."""
         return self.qtable.transmission_subslots()
+
+    def cumulative_q_value(self) -> float:
+        """Current value of the Fig. 10 convergence metric."""
+        return self.qtable.cumulative_policy_value()

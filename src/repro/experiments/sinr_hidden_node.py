@@ -23,7 +23,7 @@ metrics through registered collectors, results as a
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import QmaConfig
 from repro.mac.registry import get_mac_spec
@@ -182,3 +182,36 @@ def run_sinr_hidden_node(
     for collector in active:
         collector.finalize(ctx, report)
     return report
+
+
+def sweep_sinr_hidden_node(
+    macs: Sequence[str] = ("qma", "unslotted-csma"),
+    deltas: Sequence[float] = (10.0,),
+    packets_per_node: int = 200,
+    repetitions: int = 5,
+    warmup: float = 10.0,
+    base_seed: int = 0,
+    jobs: int = 1,
+    metrics: Optional[Sequence[str]] = None,
+    **kwargs,
+) -> Dict[str, Dict[float, List[SimReport]]]:
+    """Sweep the SINR hidden-node scenario through the campaign layer."""
+    from repro.campaign.runner import CampaignRunner  # local import: campaign imports us
+    from repro.campaign.spec import Sweep
+
+    sweep = Sweep(
+        experiment="sinr-hidden-node",
+        macs=macs,
+        grid={"delta": list(deltas)},
+        fixed={"packets_per_node": packets_per_node, "warmup": warmup, **kwargs},
+        seeds=[base_seed + rep for rep in range(repetitions)],
+        metrics=metrics,
+    )
+    campaign = CampaignRunner(jobs=jobs, keep_raw=True).run(sweep)
+
+    results: Dict[str, Dict[float, List[SimReport]]] = {}
+    for record in campaign:
+        mac = record.scenario.mac
+        delta = record.scenario.params["delta"]
+        results.setdefault(mac, {}).setdefault(delta, []).append(record.raw)
+    return results

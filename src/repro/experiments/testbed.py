@@ -206,6 +206,10 @@ def prepare_topology_run(
     return PreparedTopologyRun(built=built, end_time=end_time, _finalize=finalize)
 
 
+def _run_topology(*args: Any, **kwargs: Any) -> SimReport:
+    return prepare_topology_run(*args, **kwargs).run()
+
+
 def prepare_tree(
     mac: str = "qma",
     delta: float = 10.0,

@@ -47,6 +47,10 @@ class MacSpec:
     config_cls: Optional[type] = None
     description: str = ""
 
+    def default_config(self) -> Optional[Any]:
+        """A fresh default-config instance (None for config-less protocols)."""
+        return self.config_cls() if self.config_cls is not None else None
+
     def config_defaults(self) -> Dict[str, Any]:
         """Field name -> default value of the protocol's config dataclass."""
         if self.config_cls is None or not is_dataclass(self.config_cls):

@@ -37,7 +37,7 @@ import queue
 import threading
 import time
 import traceback
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.records import RunRecord
 from repro.campaign.runner import CampaignRunner, execute_scenario
@@ -489,3 +489,11 @@ def make_backend(
             hosts, registry=host_registry, fault_plan=fault_plan, **options
         )
     return PoolBackend(fault_plan=fault_plan, **options)
+
+
+def backend_pool_config(options: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
+    """Effective backend description for status output and export meta."""
+    options = dict(options or {})
+    kind = options.get("backend", "pool")
+    return {"backend": kind, **{k: v for k, v in options.items() if k != "backend"}}
+

@@ -762,8 +762,8 @@ class _LockstepKernel:
                 )
             sim._now = t
             # A live heap event between this lane's tick keys?
-            queue = sim._queue
-            if queue and queue[0][0] == t and queue[0][1] < seq_hi[lane]:
+            key = sim._next_key()
+            if key is not None and key[0] == t and key[1] < seq_hi[lane]:
                 serial_lanes.append(lane)
             else:
                 vector_lane[lane] = True

@@ -31,9 +31,9 @@ The grid clock
 QMA subslot ticks (:mod:`repro.core.mac`) have no heap entries of their
 own: the nodes that started together form a subslot grid, which pushes
 one entry per boundary and gives a turn only to the nodes with work, in
-their fixed rank order.  So :meth:`Simulator.step` runs a whole boundary
-(turn by turn only when an event falls between two turns), and
-``events_executed`` counts boundaries, not ticks.
+their fixed rank order.  So :meth:`Simulator.step` runs a whole boundary,
+with any event keyed between two of its turns, and ``events_executed``
+counts boundaries, not ticks.
 :attr:`Simulator._grids` holds the grids whose first boundary is still to
 come, which nodes starting at that instant join.
 """
@@ -88,6 +88,7 @@ class Simulator:
         #: QMA subslot grids still to take their first boundary, by start
         #: time and clock settings (see the module docstring).
         self._grids: Dict[Tuple, Any] = {}
+        self._running = False
         self._stopped = False
         self.rng = RngRegistry(seed)
         self.tracer: Optional[TraceRecorder] = (
@@ -136,9 +137,11 @@ class Simulator:
         see the module docstring).
 
         Returns True if an event was executed, False if the queue is empty.
+        A :meth:`stop` from an earlier run no longer applies.
         """
         if not self._queue:
             return False
+        self._stopped = False
         time, _, callback, arg = heapq.heappop(self._queue)
         self._now = time
         self.events_executed += 1
@@ -158,8 +161,12 @@ class Simulator:
             raise SimulationError(
                 f"end_time {end_time} lies in the past (now={self._now})"
             )
+        self._running = True
         self._stopped = False
-        self._drain_before(end_time, _INF)
+        try:
+            self._drain_before(end_time, _INF)
+        finally:
+            self._running = False
         if not self._stopped:
             self._now = max(self._now, end_time)
 
@@ -193,11 +200,25 @@ class Simulator:
         finally:
             self.events_executed += executed
 
-    def run(self) -> None:
-        """Run until the event queue is exhausted or :meth:`stop` is called."""
+    def _next_key(self) -> Optional[Tuple[float, int]]:
+        """The ``(time, seq)`` key of the next event (None if none)."""
+        queue = self._queue
+        return queue[0][:2] if queue else None
+
+    def run(self, max_events: Optional[int] = None) -> None:
+        """Run until the event queue is exhausted (or ``max_events`` fired)."""
+        self._running = True
         self._stopped = False
-        while not self._stopped and self.step():
-            pass
+        executed = 0
+        try:
+            while not self._stopped:
+                if max_events is not None and executed >= max_events:
+                    break
+                if not self.step():
+                    break
+                executed += 1
+        finally:
+            self._running = False
 
     def stop(self) -> None:
         """Stop the current :meth:`run` / :meth:`run_until` after the current event."""

@@ -6,7 +6,9 @@ maps ``(experiment, mac, propagation, seed, label)`` to the literal
 :func:`test_path_reproduces_pinned_digests` requires every execution path
 to reproduce every row it runs, one case per path and sweep:
 
-* serial :func:`~repro.campaign.runner.execute_scenario`;
+* serial :func:`~repro.campaign.runner.execute_scenario`, which also
+  requires that no QMA subslot boundary has an event keyed between two
+  of its turns;
 * ``CampaignRunner(jobs=1)`` with the build cache on, off and at
   ``cache_size=1`` (forced eviction);
 * ``CampaignRunner(jobs=2)`` through ``run`` and ``stream``, chunked;
@@ -260,7 +262,16 @@ def _clean_cache():
 
 
 def _serial(sweep, tmp_path):
-    return [execute_scenario(scenario) for scenario in sweep]
+    """Also requires that no QMA boundary of a pinned row ever has an event
+    keyed between two of its turns, so none is walked turn by turn
+    (``_SubslotGrid._walk``)."""
+    walked = []
+    walk = _SubslotGrid._walk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_SubslotGrid, "_walk", lambda grid: walked.append(grid.time) or walk(grid))
+        records = [execute_scenario(scenario) for scenario in sweep]
+    assert walked == []
+    return records
 
 
 def _runner(**options):
@@ -477,30 +488,6 @@ def test_table_covers_every_registered_mac_propagation_and_family():
     matrix = {(mac, prop) for _, mac, prop, _, label in PINNED if label == "matrix"}
     assert matrix == {(mac, prop) for mac in MACS for prop in (None, *PROPAGATIONS)}
     assert {key[0] for key in PINNED} == set(EXPERIMENT_KINDS)
-
-
-@pytest.mark.parametrize(
-    "name", [name for name, (_, sweep) in SWEEPS.items() if "qma" in sweep.macs]
-)
-def test_qma_rows_never_expand_a_boundary(name, monkeypatch):
-    """No pinned QMA row ever has an event keyed between two turns of one
-    subslot boundary, so the grid clock never gives turns entries of their
-    own (``_SubslotGrid._expand``): every boundary is one heap entry whose
-    due nodes take their turns in rank order."""
-    expanded = []
-    expand = _SubslotGrid._expand
-
-    def spy(grid):
-        expanded.append(grid.time)
-        expand(grid)
-
-    monkeypatch.setattr(_SubslotGrid, "_expand", spy)
-    base, sweep = SWEEPS[name]
-    for scenario in sweep:
-        if scenario.mac == "qma":
-            key = _key(base, sweep, scenario)
-            assert record_digest(execute_scenario(scenario).to_dict()) == PINNED[key]
-    assert expanded == []
 
 
 class _Built(Exception):

@@ -118,14 +118,12 @@ def test_event_between_two_starts_runs_between_their_first_turns():
     # One grid entry for both t=0 turns, plus the probe keyed between them.
     assert sim.pending_events() == 2
 
-    # The probe is due at the boundary's instant: each turn gets an entry.
-    assert sim.step() and sim.pending_events() == 3
-    assert sim.step()  # mac1's turn
-    assert sim.step()  # the probe
-    assert sim.step()  # mac2's turn
+    # The probe is due at the boundary's instant: the boundary fires it
+    # between the two turns, within one step.
+    assert sim.step()
     assert seen == [[1, 0]]
     assert _ticks((mac1, mac2)) == [1, 1]
-    assert sim.events_executed == 4
+    assert sim.events_executed == 2
     # 2 joins, the probe, mac1's and mac2's marks.
     assert next(copy.copy(sim._seq)) == 5
     assert [name for _, name, _ in _grid_entries(sim)] == ["_boundary"]
@@ -250,6 +248,99 @@ def test_cap_gate_jumps_to_the_next_window_for_busy_and_idle_nodes():
     assert next_boundary[0] == _reference_boundaries(gate, 0.2)[len(expected)][0]
 
 
+def test_idle_members_after_one_mark_keep_their_order_when_an_event_is_due_now():
+    # After the first boundary every node is idle, so only mac1 draws a mark
+    # per boundary; at boundary 5 events keyed after its entry are due, so
+    # mac2-mac4 are visited one by one behind that one mark.
+    sim = Simulator(seed=4)
+    macs = _macs(sim, 4)
+    boundary = _boundary_time(5)
+    sim.schedule_at(boundary, macs[2].send, _frame(3, 1))  # keyed before the boundary
+
+    def enqueue_after_the_boundary():
+        sim.schedule_at(boundary, macs[3].send, _frame(4, 1))
+        sim.schedule_at(boundary, macs[1].send, _frame(2, 1))
+
+    sim.schedule_at(boundary - SUBSLOT / 2, enqueue_after_the_boundary)
+    for mac in macs:
+        mac.start()
+    sim.run_until(_boundary_time(9))
+    # The same values as with one heap entry per tick.
+    assert [mac.rho_history[0][0] if mac.rho_history else None for mac in macs] == [
+        None, _boundary_time(6), boundary, _boundary_time(6)
+    ]
+    assert _ticks(macs) == [10, 10, 10, 10]
+    assert [mac.qtable.updates for mac in macs] == [0, 3, 4, 3]
+
+
+def test_stop_inside_a_boundary_after_idle_boundaries_resumes_at_the_next_turn():
+    sim = Simulator(seed=3)
+    macs = _macs(sim, 4)
+    boundary = _boundary_time(6)
+    turn = macs[1]._on_subslot
+
+    def turn_schedules_a_stop(subslot):
+        if sim.now == boundary:
+            # Drawn during mac2's turn: keyed before its turn at boundary 7.
+            sim.schedule(SUBSLOT, sim.stop)
+        turn(subslot)
+
+    macs[1]._on_subslot = turn_schedules_a_stop
+    sim.schedule_at(boundary - SUBSLOT / 2, macs[1].send, _frame(2, 1))
+    for mac in macs:
+        mac.start()
+    sim.run_until(0.05)
+    assert sim.now == _boundary_time(7)
+    assert _ticks(macs) == [8, 7, 7, 7]
+    # The rest of the boundary waits on one entry keyed by mac2's mark.
+    (grid,) = {mac._grid for mac in macs}
+    assert [(time, name) for time, name, _ in _grid_entries(sim)] == [(sim.now, "_walk")]
+    assert [entry[1] for entry in sim._queue if entry[0] == sim.now] == [grid.bounds[1][1]]
+    assert grid.bounds[1][0] == macs[1]._rank
+    macs[2].send(_frame(3, 4))  # its turn at the stopped boundary is still to come
+    sim.run_until(0.05)
+    # The same values as with one heap entry per tick.
+    assert [mac.rho_history[0][0] if mac.rho_history else None for mac in macs] == [
+        None, boundary, _boundary_time(7), None
+    ]
+    assert _ticks(macs) == [25, 25, 25, 25]
+    assert [mac.qtable.updates for mac in macs] == [0, 18, 17, 0]
+
+
+def test_restart_between_two_turns_ticks_once_there_on_its_new_grid():
+    sim = Simulator(seed=7)
+    mac1, mac2, mac3 = macs = _macs(sim)
+    turn = mac2._on_subslot
+
+    def restart():
+        mac3.stop()
+        mac3.start()
+
+    def turn_schedules_a_restart(subslot):
+        if sim.now == _boundary_time(3):
+            # Drawn during mac2's turn: keyed before mac3's turn at boundary 4.
+            sim.schedule(SUBSLOT, restart)
+        turn(subslot)
+
+    mac2._on_subslot = turn_schedules_a_restart
+    sim.schedule_at(_boundary_time(3) - SUBSLOT / 2, mac2.send, _frame(2, 1))
+    for mac in macs:
+        mac.start()
+    sim.run_until(_boundary_time(4))
+    # mac3 skips its turn on the old grid and takes boundary 4 on the new one.
+    assert _ticks(macs) == [5, 5, 5]
+    for k in range(6):
+        sim.schedule(k * SUBSLOT, mac2.send, _frame(2, 1))
+        sim.schedule(k * SUBSLOT, mac3.send, _frame(3, 1))
+    sim.run_until(_boundary_time(12))
+    # The same values as with one heap entry per tick.
+    assert _ticks(macs) == [13, 13, 13]
+    assert [mac.rho_history[0][0] for mac in (mac2, mac3)] == [
+        _boundary_time(3), _boundary_time(5)
+    ]
+    assert [mac.qtable.updates for mac in macs] == [0, 9, 6]
+
+
 def test_member_stop_and_an_off_grid_restart_on_a_grid_of_its_own():
     sim = Simulator(seed=2)
     mac1, mac2, mac3 = macs = _macs(sim)
@@ -318,7 +409,7 @@ def _stop_run(interrupt: bool):
 
 #: events_executed, seqs drawn, per-node ticks, mac1's deliveries and
 #: per-node Q-table updates after the resumed run.
-PINNED_STOP_RUN = (43, 45, [25, 25, 25], 2, [24, 0, 0])
+PINNED_STOP_RUN = (41, 45, [25, 25, 25], 2, [24, 0, 0])
 
 
 def test_stop_inside_a_boundary_leaves_its_remaining_turns_pending():
@@ -326,11 +417,11 @@ def test_stop_inside_a_boundary_leaves_its_remaining_turns_pending():
     sim.run_until(0.05)
     assert sim.now == 0.0
     assert _ticks(macs) == [1, 0, 0]
-    # The remaining turns wait on entries keyed by their joins.
-    assert [(time, name) for time, name, _ in _grid_entries(sim)] == [(0.0, "_turn")] * 2
-    assert sorted(entry[1] for entry in sim._queue if entry[0] == 0.0) == [
-        mac._rank for mac in macs[1:]
-    ]
+    # The remaining turns wait on one entry keyed by mac2's join.
+    assert [(time, name) for time, name, _ in _grid_entries(sim)] == [(0.0, "_walk")]
+    assert [entry[1] for entry in sim._queue if entry[0] == 0.0] == [macs[1]._rank]
+    # A step after the stopped run finishes the boundary.
+    assert sim.step() and _ticks(macs) == [1, 1, 1]
 
     sim.run_until(0.05)
     counters = (
@@ -341,11 +432,11 @@ def test_stop_inside_a_boundary_leaves_its_remaining_turns_pending():
         [mac.qtable.updates for mac in macs],
     )
     assert counters == PINNED_STOP_RUN
-    # The same run without the interrupting event: no stop event, and the
-    # t=0 boundary runs its three turns from its own entry.
+    # The same run without the interrupting event: no stop event and no
+    # entry to resume the t=0 boundary from.
     sim, macs = _stop_run(interrupt=False)
     sim.run_until(0.05)
-    assert sim.events_executed == PINNED_STOP_RUN[0] - 4
+    assert sim.events_executed == PINNED_STOP_RUN[0] - 2
     assert _ticks(macs) == PINNED_STOP_RUN[2]
     assert [mac.qtable.updates for mac in macs] == PINNED_STOP_RUN[4]
 
