@@ -69,7 +69,9 @@ class _SubslotGrid:
     "Grid clock"): one heap entry per boundary, at which the members with
     work take their turns in rank order, the order of their ``start()``
     seqs.  Each turn draws a mark, the seq its tick would have drawn on
-    re-arming; the entry carries the first member's."""
+    re-arming; the entry carries the first member's.  With no member due,
+    the grid leaps over the boundaries before the next event (see
+    :meth:`_rearm`)."""
 
     def __init__(self, sim: "Simulator", key: Tuple) -> None:
         self.sim, self.key = sim, key
@@ -158,12 +160,16 @@ class _SubslotGrid:
         member drew none).  After a ``stop()`` the rest waits on one heap
         entry under the next member's key."""
         sim, time, members, bounds = self.sim, self.time, self.members, self.bounds
+        # A grid re-armed by the nested drains must not leap: the turns
+        # still to come may schedule events before the heap's head.
+        bound, sim._bound = sim._bound, -math.inf
         for mac in members[bisect_right(members, self.cursor, key=_rank):]:
             if mac._grid is not self:  # it left the grid since the walk began
                 continue
             key = bounds[bisect_right(bounds, mac._rank, key=_first) - 1][1]
             sim._drain_before(time, key)
             if sim._stopped:
+                sim._bound = bound
                 heapq.heappush(sim._queue, (time, key, self._walk, None))
                 return
             self.cursor = mac._rank
@@ -171,22 +177,45 @@ class _SubslotGrid:
                 mac._on_subslot(self.subslot)
             else:  # events may have drawn seqs since the last mark
                 self.marks.append((mac._rank, next(sim._seq)))
+        sim._bound = bound
         self._rearm()
 
     def _rearm(self) -> None:
-        """Push the next boundary, keyed by its first mark."""
+        """Push the next boundary, keyed by its first mark.  With no member
+        due, leap: pass every boundary before both the heap's head and the
+        end of the ``run_until`` in progress as an idle one, without an
+        entry, and key the first boundary after them by one fresh mark (no
+        event can draw a seq between the marks of the boundaries passed)."""
         self.cursor = math.inf
-        members, marks = self.members, self.marks
+        members, marks, sim = self.members, self.marks, self.sim
         if not members:
             return
         if not marks:  # the first member stopped during its own turn
-            marks.append((members[0]._rank, next(self.sim._seq)))
-        time = self.time + self.duration
-        subslot = (self.subslot + 1) % self.num_subslots
-        if self.gate is not None and not self.gate.active(time):
-            time, subslot = self.gate.next_active_time(time), 0
-        self.time, self.next_subslot = time, subslot
-        heapq.heappush(self.sim._queue, (time, marks[0][1], self._boundary, None))
+            marks.append((members[0]._rank, next(sim._seq)))
+        queue, until = sim._queue, sim._bound
+        if self.due or sim._stopped:
+            until = -math.inf
+        elif queue and queue[0][0] < until:
+            until = queue[0][0]
+        duration, num_subslots, gate = self.duration, self.num_subslots, self.gate
+        time, subslot, prior, passed = self.time, self.subslot, self.prior, 0
+        while True:
+            time += duration
+            following = (subslot + 1) % num_subslots
+            if gate is not None and not gate.active(time):
+                time, following = gate.next_active_time(time), 0
+            if not time < until:
+                break
+            passed += 1
+            prior, subslot = subslot, following
+            if not subslot:
+                self.frame_times.append(time)
+        if passed:
+            self.ticks += passed
+            self.prior, self.subslot = prior, subslot
+            self.marks = marks = [(members[0]._rank, next(sim._seq))]
+        self.time, self.next_subslot = time, following
+        heapq.heappush(queue, (time, marks[0][1], self._boundary, None))
 
 
 def _caught_up(name: str, doc: str) -> property:

@@ -2,10 +2,10 @@
 
 A :class:`MetricCollector` observes one simulation run and contributes
 scalars, time series and per-node tables to its
-:class:`~repro.metrics.report.SimReport`.  Collectors subscribe to typed
-hooks (delivery/generation hooks on :class:`~repro.net.network.Network`,
-trace hooks on :class:`~repro.sim.engine.Simulator`) in :meth:`attach` and
-write their results in :meth:`finalize` — no post-hoc trace scraping.
+:class:`~repro.metrics.report.SimReport`.  Collectors subscribe to the
+typed delivery hooks on :class:`~repro.net.network.Network` or read the
+run's components in :meth:`attach` and write their results in
+:meth:`finalize` — no post-hoc trace scraping.
 
 The :class:`CollectionContext` is the collector's window into the run: the
 simulator, the network (and the DSME substrate when present), the source

@@ -151,12 +151,6 @@ class Network:
         for node in nodes:
             node.delivery_hooks.append(hook)
 
-    def add_generate_hook(self, hook, node_ids: Optional[Iterable[int]] = None) -> None:
-        """Subscribe ``hook(node, frame)`` to data-packet generation events."""
-        nodes = self.nodes.values() if node_ids is None else (self.nodes[i] for i in node_ids)
-        for node in nodes:
-            node.generate_hooks.append(hook)
-
     # ------------------------------------------------------------------ metrics
     def packets_generated(self, node_ids: Optional[Iterable[int]] = None) -> int:
         nodes = self._select(node_ids)

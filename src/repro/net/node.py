@@ -58,11 +58,9 @@ class Node:
         self._handlers: Dict[FrameKind, Callable[[Frame], None]] = {}
 
         # Typed observation hooks (see repro.metrics): called as
-        # hook(node, record) when a delivery is recorded here, and
-        # hook(node, frame) when this node generates a data packet.
+        # hook(node, record) when a delivery is recorded here.
         # Observers only — they must not send frames or schedule events.
         self.delivery_hooks: List[Callable[["Node", "DeliveryRecord"], None]] = []
-        self.generate_hooks: List[Callable[["Node", Frame], None]] = []
 
         # statistics
         self.packets_generated = 0
@@ -103,9 +101,6 @@ class Node:
         )
         self.packets_generated += 1
         self.mac.send(frame)
-        if self.generate_hooks:
-            for hook in self.generate_hooks:
-                hook(self, frame)
         return frame
 
     def send_frame(self, frame: Frame) -> bool:

@@ -52,6 +52,7 @@ executor degrades to exactly the per-seed behaviour instead of guessing.
 from __future__ import annotations
 
 import itertools
+import math
 import random as _py_random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -698,6 +699,11 @@ class _LockstepKernel:
     def run(self, end_time: float) -> None:
         self._bootstrap()
         store = self.store
+        self._end_time = end_time
+        #: Per lane, the first boundary time that counts as an event (see
+        #: _count); ``step()`` counted the bootstrap's boundary already.
+        self._count_from = [-math.inf] * store.num_lanes
+        self._count(0.0, range(store.num_lanes), self._lane_busy(), events=0)
         while True:
             t = self._next_boundary_time()
             if t is None or t > end_time:
@@ -768,29 +774,63 @@ class _LockstepKernel:
             else:
                 vector_lane[lane] = True
                 vector_lanes.append(lane)
-        for lane in serial_lanes:
-            self._serial_boundary(lane, t)
+        due = [self._serial_boundary(lane, t) for lane in serial_lanes]
         if vector_lanes:
             mask = active & vector_lane[:, None]
             delegates = self._vector_phases(t, mask)
             self._finish_boundary(t, mask, vector_lanes, delegates)
+        if t >= min(self._count_from):
+            busy = self._lane_busy()
+            for lane, lane_due in zip(serial_lanes, due):
+                busy[lane] = busy[lane] or lane_due
+            self._count(t, serial_lanes + vector_lanes, busy)
 
-    def _serial_boundary(self, lane: int, t: float) -> None:
+    def _lane_busy(self) -> List[bool]:
+        """Per lane: does an active node have work (an action pending, a
+        frame queued or cautious startup still running)?"""
+        store = self.store
+        # On bools ``a >= b`` is ``a or not b``: fewer whole-array ops.
+        busy = np.logical_or(store.pend_kind, store.queue_level) >= store.startup_finished
+        busy &= store.active
+        return busy.any(axis=1).tolist()
+
+    def _count(self, t: float, lanes: Any, busy: List[bool], events: int = 1) -> None:
+        """Count one event per lane boundary the serial grid clock gives a
+        heap entry: one with a node due, or the first at or after both the
+        heap's head and the run's end seen when the lane last went idle.
+        The boundaries an idle serial grid leaps over count nothing."""
+        count_from, sims, end = self._count_from, self.store.sims, self._end_time
+        for lane in lanes:
+            if t >= count_from[lane]:
+                sim = sims[lane]
+                sim.events_executed += events
+                if busy[lane]:
+                    count_from[lane] = -math.inf
+                else:
+                    queue = sim._queue
+                    count_from[lane] = min(queue[0][0], end) if queue else end
+
+    def _serial_boundary(self, lane: int, t: float) -> bool:
         """Exact fallback: run this lane's boundary through the real tick.
 
         Triggered when a heap event's ``(time, seq)`` key falls between two
         tick keys of the lane — the vector phases cannot honour that
         ordering, the original per-node ``_on_subslot`` trivially does.
+        Returns whether a node ended its turn with work, as the serial grid
+        tests it at the end of each turn.
         """
         store = self.store
         sim = store.sims[lane]
-        sim.events_executed += 1  # one boundary, as the serial grid counts it
+        due = False
         for node in np.argsort(store.tick_seq[lane], kind="stable").tolist():
             if not store.active[lane, node]:
                 continue
             sim._drain_before(t, int(store.tick_seq[lane, node]))
             sim._now = t
-            store.macs[lane][node]._on_subslot(int(store.next_subslot[lane, node]))
+            mac = store.macs[lane][node]
+            mac._on_subslot(int(store.next_subslot[lane, node]))
+            due = due or bool(mac._pend_kind or mac.queue._frames or not mac.startup._finished)
+        return due
 
     # --------------------------------------------------------- vector phases
     def _vector_update(self, il: Any, inn: Any, action: int, reward: Any) -> None:
@@ -1009,7 +1049,6 @@ class _LockstepKernel:
                     nodes = np.nonzero(mask[lane])[0]
                     store.tick_seq[lane, nodes] = base + np.arange(count, dtype=np.int64)
                 sim._seq = itertools.count(base + count)
-            sim.events_executed += 1  # one boundary, as the serial grid counts it
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,11 @@ own: the nodes that started together form a subslot grid, which pushes
 one entry per boundary and gives a turn only to the nodes with work, in
 their fixed rank order.  So :meth:`Simulator.step` runs a whole boundary,
 with any event keyed between two of its turns, and ``events_executed``
-counts boundaries, not ticks.
+counts boundary entries, not ticks.  A grid with no node due leaps: it
+passes every boundary before both the heap's head and
+:attr:`Simulator._bound`, the end of the :meth:`run_until` in progress,
+without an entry.  ``step()`` and ``run()`` set no bound, so they never
+leap.
 :attr:`Simulator._grids` holds the grids whose first boundary is still to
 come, which nodes starting at that instant join.
 """
@@ -88,13 +92,14 @@ class Simulator:
         #: QMA subslot grids still to take their first boundary, by start
         #: time and clock settings (see the module docstring).
         self._grids: Dict[Tuple, Any] = {}
-        self._running = False
+        #: The end of the :meth:`run_until` in progress, up to which an idle
+        #: grid may leap (-inf outside one: ``step()`` and ``run()`` never leap).
+        self._bound = -_INF
         self._stopped = False
         self.rng = RngRegistry(seed)
         self.tracer: Optional[TraceRecorder] = (
             TraceRecorder(max_records=trace_limit) if trace else None
         )
-        self._trace_hooks: List[Callable[[float, str, dict], None]] = []
         self.events_executed = 0
 
     # ------------------------------------------------------------------ time
@@ -161,12 +166,12 @@ class Simulator:
             raise SimulationError(
                 f"end_time {end_time} lies in the past (now={self._now})"
             )
-        self._running = True
+        self._bound = end_time
         self._stopped = False
         try:
             self._drain_before(end_time, _INF)
         finally:
-            self._running = False
+            self._bound = -_INF
         if not self._stopped:
             self._now = max(self._now, end_time)
 
@@ -207,18 +212,14 @@ class Simulator:
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue is exhausted (or ``max_events`` fired)."""
-        self._running = True
         self._stopped = False
         executed = 0
-        try:
-            while not self._stopped:
-                if max_events is not None and executed >= max_events:
-                    break
-                if not self.step():
-                    break
-                executed += 1
-        finally:
-            self._running = False
+        while not self._stopped:
+            if max_events is not None and executed >= max_events:
+                break
+            if not self.step():
+                break
+            executed += 1
 
     def stop(self) -> None:
         """Stop the current :meth:`run` / :meth:`run_until` after the current event."""
@@ -227,30 +228,17 @@ class Simulator:
     # ----------------------------------------------------------------- trace
     @property
     def tracing(self) -> bool:
-        """True when trace records are observed (recorder or hooks attached).
+        """True when a :class:`TraceRecorder` is attached.
 
         Components emitting hot-path traces guard on this so that building
         the record's field dictionary costs nothing when nobody listens.
         """
-        return self.tracer is not None or bool(self._trace_hooks)
-
-    def add_trace_hook(self, hook: Callable[[float, str, dict], None]) -> None:
-        """Subscribe a typed hook called as ``hook(time, category, fields)``
-        for every trace record emitted via :meth:`record`.
-
-        Hooks fire regardless of whether a :class:`TraceRecorder` is
-        attached, so metric collectors can observe trace events without the
-        memory cost of retaining them.
-        """
-        self._trace_hooks.append(hook)
+        return self.tracer is not None
 
     def record(self, category: str, **fields: Any) -> None:
-        """Emit a trace record if tracing is enabled; notify trace hooks."""
+        """Emit a trace record if tracing is enabled."""
         if self.tracer is not None:
             self.tracer.record(self._now, category, fields)
-        if self._trace_hooks:
-            for hook in self._trace_hooks:
-                hook(self._now, category, fields)
 
     # ----------------------------------------------------------------- misc
     def pending_events(self) -> int:

@@ -1,9 +1,12 @@
-"""The QMA grid clock: one heap entry per subslot boundary, idle nodes off the loop.
+"""The QMA grid clock: one heap entry per subslot boundary, idle nodes off
+the loop, idle grids leaping.
 
 Nodes that start together tick on one subslot grid, in ``start()`` order.
 Only nodes with work take turns; an idle node leaves the loop, rejoins it
 at its rank on its next enqueue and catches up its clock fields when they
-are read.  Events must still run exactly as with one heap entry per tick.
+are read.  A grid with no member due passes the boundaries before the
+heap's head and the end of the ``run_until`` in progress without heap
+entries.  Events must still run exactly as with one heap entry per tick.
 """
 
 from __future__ import annotations
@@ -31,15 +34,23 @@ def _config(**overrides):
     return QmaConfig(**defaults)
 
 
-def _macs(sim, count=3, gate=None, **overrides):
-    """``count`` fully connected QMA nodes with ids 1..count, not started."""
+def _radios(sim, count):
+    """``count`` fully connected radios with ids 1..count."""
     channel = WirelessChannel(sim)
     radios = [Radio(sim, channel, node) for node in range(1, count + 1)]
     for a in radios:
         for b in radios:
             if a.node_id < b.node_id:
                 channel.connect(a.node_id, b.node_id)
-    return [QmaMac(sim, radio, config=_config(**overrides), gate=gate) for radio in radios]
+    return radios
+
+
+def _macs(sim, count=3, gate=None, **overrides):
+    """``count`` fully connected QMA nodes with ids 1..count, not started."""
+    return [
+        QmaMac(sim, radio, config=_config(**overrides), gate=gate)
+        for radio in _radios(sim, count)
+    ]
 
 
 def _frame(src=1, dst=2):
@@ -67,7 +78,7 @@ def _ticks(macs):
     return [mac.subslot_ticks for mac in macs]
 
 
-def test_idle_nodes_leave_the_loop_and_share_one_entry_per_boundary():
+def test_idle_nodes_leave_the_loop_and_an_idle_grid_leaps_to_the_run_end():
     sim = Simulator(seed=1)
     macs = _macs(sim)
     for mac in macs:
@@ -75,10 +86,12 @@ def test_idle_nodes_leave_the_loop_and_share_one_entry_per_boundary():
     (grid,) = sim._grids.values()
     assert [mac._rank for mac in grid.members] == sorted(mac._rank for mac in macs)
     sim.run_until(_boundary_time(10))
-    # Every node's first turn was idle: since then only the grid ticks.
+    # Every node's first turn was idle: the grid leapt from boundary 0 to
+    # the run's end, boundary 10, which took the run's only other entry.
     assert not grid.due and not any(mac._on_loop for mac in macs)
-    assert sim.events_executed == 11
-    assert next(copy.copy(sim._seq)) == 3 + 3 + 10  # joins, first turns, idle keys
+    assert sim.events_executed == 2
+    # Joins, first turns, the leap's mark and boundary 10's idle key.
+    assert next(copy.copy(sim._seq)) == 3 + 3 + 1 + 1
     assert [(time, name) for time, name, _ in _grid_entries(sim)] == [
         (_boundary_time(11), "_boundary")
     ]
@@ -353,9 +366,11 @@ def test_member_stop_and_an_off_grid_restart_on_a_grid_of_its_own():
     (grid,) = {entry[2] for entry in _grid_entries(sim)}
     assert grid.members == [mac1, mac3] and mac2._grid is None
     sim.run_until(0.041)
-    # The stopped node's clock froze; the others kept ticking.
+    # The stopped node's clock froze; the others kept ticking.  The idle
+    # grid ran boundary 0 and leapt to the first boundary after each run's
+    # end, which the next run took.
     assert _ticks(macs) == [21, 11, 21]
-    assert sim.events_executed == 21
+    assert sim.events_executed == 2
 
     mac2.start()  # at t=0.041, off the 2 ms grid
     assert mac2._grid is not grid and mac2._grid.members == [mac2]
@@ -364,7 +379,9 @@ def test_member_stop_and_an_off_grid_restart_on_a_grid_of_its_own():
     ]
     sim.run_until(0.0605)
     assert _ticks(macs) == [31, 21, 31]
-    assert sim.events_executed == 21 + 10 + 10
+    # The two grids' boundaries interleave, so each is the other's heap
+    # head and neither leaps.
+    assert sim.events_executed == 2 + 10 + 10
 
 
 def test_restart_at_a_boundary_already_run_forms_a_later_grid_on_the_same_instants():
@@ -392,6 +409,186 @@ def test_restart_at_a_boundary_already_run_forms_a_later_grid_on_the_same_instan
     assert [t for t, _ in mac1.rho_history][:3] == [t for t, _ in mac2.rho_history][:3]
     assert _ticks((mac1, mac2)) == [13, 14]
     assert mac2.current_subslot == 0 and mac1.current_subslot == 4
+
+
+# Leaps.  Every expected value but ``events_executed`` is a literal taken
+# from the per-boundary clock, which gave every boundary a heap entry.
+
+
+def test_a_leap_across_frame_starts_backfills_q_history_with_the_learned_value():
+    sim = Simulator(seed=5)
+    macs = _macs(sim, 2, cautious_startup_subslots=10)
+    for mac in macs:
+        mac.start()
+    sim.run_until(_boundary_time(60))
+    # Boundaries 0-10 run the startup; then the grid leaps to boundary 60.
+    assert sim.events_executed == 12  # 61 with an entry per boundary
+    for mac in macs:
+        assert mac.q_history == [
+            (0.0, -80.0), (0.016, -76.5), (0.032000000000000015, -74.825),
+            (0.04800000000000003, -74.825), (0.06400000000000004, -74.825),
+            (0.08000000000000006, -74.825), (0.09600000000000007, -74.825),
+            (0.11200000000000009, -74.825),
+        ]
+    assert _ticks(macs) == [61, 61]
+    assert [mac.frames_elapsed for mac in macs] == [8, 8]
+    assert [mac.current_subslot for mac in macs] == [4, 4]
+    assert [mac.qtable.updates for mac in macs] == [10, 10]
+    assert [(time, name) for time, name, _ in _grid_entries(sim)] == [
+        (0.1220000000000001, "_boundary")
+    ]
+
+
+def test_a_gated_grid_leaps_over_cap_gaps_to_the_window_of_an_enqueue():
+    gate = WindowedGate(period=10 * SUBSLOT, window=3 * SUBSLOT, offset=SUBSLOT)
+    sim = Simulator(seed=6)
+    mac1, mac2 = macs = _macs(sim, 2, gate=gate)
+    sim.schedule_at(0.0615, mac1.send, _frame(1, 2))  # in the fourth window
+    for mac in macs:
+        mac.start()
+    sim.run_until(0.1)
+    assert sim.events_executed == 8  # 16 with an entry per boundary
+    assert _ticks(macs) == [15, 15]
+    assert [mac.frames_elapsed for mac in macs] == [5, 5]
+    assert [mac.current_subslot for mac in macs] == [2, 2]
+    for mac in macs:
+        assert [t for t, _ in mac.q_history] == [0.002, 0.022, 0.042, 0.062, 0.082]
+    assert [t for t, _ in mac1.rho_history] == [
+        0.062, 0.064, 0.066, 0.082, 0.084, 0.08600000000000001
+    ]
+    assert [time for time, _, _ in _grid_entries(sim)] == [0.10200000000000001]
+
+
+def test_a_run_cut_between_skipped_boundaries_reads_the_clock_at_the_cut():
+    sim = Simulator(seed=2)
+    macs = _macs(sim)
+    for mac in macs:
+        mac.start()
+    sim.run_until(_boundary_time(10) + SUBSLOT / 3)
+    assert sim.events_executed == 1  # boundary 11's entry lies past the cut
+    assert _ticks(macs) == [11, 11, 11]
+    assert [mac.current_subslot for mac in macs] == [2, 2, 2]
+    assert [mac.frames_elapsed for mac in macs] == [2, 2, 2]
+    assert [[t for t, _ in mac.q_history] for mac in macs] == [[0.0, 0.016]] * 3
+    macs[1].send(_frame(2, 1))  # at the cut: due at boundary 11
+    sim.run_until(_boundary_time(20))
+    assert sim.events_executed == 11  # 21 with an entry per boundary
+    assert macs[1].rho_history[0][0] == 0.022000000000000006
+    assert _ticks(macs) == [21, 21, 21]
+    assert [mac.qtable.updates for mac in macs] == [0, 9, 0]
+
+
+def test_an_enqueue_from_the_event_that_ends_a_leap_runs_at_the_next_boundary():
+    sim = Simulator(seed=3)
+    macs = _macs(sim)
+    sim.schedule_at(_boundary_time(7) + SUBSLOT / 4, macs[2].send, _frame(3, 1))
+    for mac in macs:
+        mac.start()
+    sim.run_until(_boundary_time(14))
+    assert sim.events_executed == 9  # 16 with an entry per boundary
+    assert macs[2].rho_history[0][0] == 0.016
+    assert _ticks(macs) == [15, 15, 15]
+    assert [mac.current_subslot for mac in macs] == [6, 6, 6]
+    assert [mac.qtable.updates for mac in macs] == [0, 0, 6]
+
+
+def test_an_event_due_at_the_first_boundary_after_a_leap_walks_it(monkeypatch):
+    sim = Simulator(seed=4)
+    macs = _macs(sim)
+    walks = []
+    walk = _SubslotGrid._walk
+
+    def spy(grid):
+        walks.append(sim.now)
+        walk(grid)
+
+    def end_the_leap():
+        macs[1].send(_frame(2, 1))
+        # Drawn after boundary 8's mark: keyed after all its turns.
+        sim.schedule_at(_boundary_time(8), macs[0].send, _frame(1, 3))
+
+    monkeypatch.setattr(_SubslotGrid, "_walk", spy)
+    sim.schedule_at(_boundary_time(7) + SUBSLOT / 2, end_the_leap)
+    for mac in macs:
+        mac.start()
+    sim.run_until(_boundary_time(14))
+    assert walks == [0.016]
+    assert sim.events_executed == 10  # 17 with an entry per boundary
+    assert [[t for t, _ in mac.rho_history][:1] for mac in macs] == [
+        [0.018000000000000002], [0.016], []
+    ]
+    assert _ticks(macs) == [15, 15, 15]
+    assert [mac.qtable.updates for mac in macs] == [5, 6, 0]
+
+
+def test_a_grid_rearmed_inside_another_grids_walk_does_not_leap():
+    # mac2 ticks on the same instants as mac1 and mac3 but on a grid of its
+    # own (4 subslots, not 8), keyed between their turns: each boundary of
+    # its grid runs in the walk of theirs.
+    sim = Simulator(seed=9)
+    mac1, mac2, mac3 = macs = [
+        QmaMac(sim, radio, config=_config(num_subslots=4 if radio.node_id == 2 else 8))
+        for radio in _radios(sim, 3)
+    ]
+    turn = mac3._on_subslot
+
+    def first_turn_schedules_an_enqueue(subslot):
+        if sim.now == 0.0:
+            # Drawn after mac2's grid re-armed from its first boundary.
+            sim.schedule(SUBSLOT / 2, mac2.send, _frame(2, 1))
+        turn(subslot)
+
+    mac3._on_subslot = first_turn_schedules_an_enqueue
+    for mac in macs:
+        mac.start()
+    sim.run_until(_boundary_time(10))
+    assert mac1._grid is mac3._grid is not mac2._grid
+    assert [t for t, _ in mac2.rho_history][:2] == [0.002, 0.004]
+    assert _ticks(macs) == [11, 11, 11]
+    assert [mac.current_subslot for mac in macs] == [2, 2, 2]
+    assert [mac.qtable.updates for mac in macs] == [0, 9, 0]
+    assert sim.events_executed == 23  # neither grid leaps: each bounds the other
+
+
+def test_step_runs_one_boundary_at_a_time_and_never_leaps():
+    sim = Simulator(seed=1)
+    macs = _macs(sim, 2)
+    for mac in macs:
+        mac.start()
+    seen = []
+    for _ in range(6):
+        assert sim.step()
+        seen.append((sim.now, sim.events_executed, _ticks(macs)))
+    assert seen == [
+        (0.0, 1, [1, 1]), (0.002, 2, [2, 2]), (0.004, 3, [3, 3]),
+        (0.006, 4, [4, 4]), (0.008, 5, [5, 5]), (0.01, 6, [6, 6]),
+    ]
+    assert [(time, name) for time, name, _ in _grid_entries(sim)] == [(0.012, "_boundary")]
+
+
+def test_a_rearm_after_stop_does_not_leap_past_events_scheduled_before_the_next_run():
+    sim = Simulator(seed=8)
+    macs = _macs(sim)
+    turn = macs[2]._on_subslot
+
+    def last_turn_stops(subslot):
+        turn(subslot)
+        if sim.now == 0.0:
+            sim.stop()
+
+    macs[2]._on_subslot = last_turn_stops
+    for mac in macs:
+        mac.start()
+    sim.run_until(0.05)
+    # Every member is idle, yet the grid re-armed for boundary 1 only.
+    assert sim.now == 0.0 and _ticks(macs) == [1, 1, 1]
+    assert [(time, name) for time, name, _ in _grid_entries(sim)] == [(0.002, "_boundary")]
+    sim.schedule_at(_boundary_time(5) + SUBSLOT / 2, macs[1].send, _frame(2, 1))
+    sim.run_until(_boundary_time(10))
+    assert sim.events_executed == 8  # 12 with an entry per boundary
+    assert macs[1].rho_history[0][0] == 0.012
+    assert _ticks(macs) == [11, 11, 11]
+    assert [mac.qtable.updates for mac in macs] == [0, 4, 0]
 
 
 def _stop_run(interrupt: bool):

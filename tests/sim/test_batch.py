@@ -26,6 +26,20 @@ class TestExecutor:
         SeedBatchExecutor().run(batched)
         assert batched[0].sim.events_executed == serial[0].sim.events_executed
 
+    def test_every_lane_counts_the_events_its_serial_run_executes(self):
+        # Idle serial grids leap over boundaries without heap entries; each
+        # lane must count only the boundaries its own serial run pushes,
+        # however the other lanes' idle stretches fall.
+        seeds = [0, 1, 2]
+        serial = _lanes(seeds)
+        for lane in serial:
+            lane.run()
+        batched = _lanes(seeds)
+        SeedBatchExecutor().run(batched)
+        assert [lane.sim.events_executed for lane in batched] == [
+            lane.sim.events_executed for lane in serial
+        ]
+
     def test_single_lane_falls_back(self):
         executor = SeedBatchExecutor()
         executor.run(_lanes([0]))
