@@ -11,9 +11,9 @@ Measures the wall-clock of a 500-run short-duration hidden-node sweep at
   delta pickles, adaptive chunk size.
 
 Two shapes are timed: the whole sweep in a single call, and the same 500
-runs as 25 batches of 20 through one runner — the shape of
-``repeat_scalar``-style adaptive campaigns (run a batch, look at the CI,
-run another), where the legacy dispatch pays a pool fork per batch.
+runs as 25 batches of 20 through one runner — the shape of adaptive
+campaigns (run a batch, look at the CI, run another), where the legacy
+dispatch pays a pool fork per batch.
 
 The runs are deliberately tiny (2 packets, 0.2 s warm-up) so that
 orchestration, not simulation, dominates — exactly the regime the warm

@@ -38,7 +38,6 @@ from repro.campaign.runner import (
     execute_scenario,
     experiment_metric_names,
     is_known_metric,
-    map_seeds,
     resolve_chunksize,
 )
 from repro.campaign.spec import EXPERIMENT_KINDS, Scenario, Sweep
@@ -66,6 +65,5 @@ __all__ = [
     "iter_jsonl",
     "load_json",
     "load_jsonl",
-    "map_seeds",
     "resolve_chunksize",
 ]

@@ -28,7 +28,7 @@ from repro.sim.batch import SeedBatchExecutor
 __all__ = ["batchable_experiment", "execute_seed_batch", "iter_seed_groups"]
 
 #: Experiment family -> lane preparer (same signature discipline as the
-#: family's ``run_*`` adapter in :mod:`repro.campaign.runner`).
+#: family's ``run_*`` runner in :mod:`repro.campaign.runner`'s family table).
 _PREPARERS = {
     "testbed-star": prepare_star,
     "testbed-tree": prepare_tree,

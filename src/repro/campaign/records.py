@@ -25,7 +25,7 @@ _SCENARIO_COLUMNS = ("experiment", "mac", "propagation", "seed")
 class AmbiguousKeyError(KeyError):
     """A looked-up key names both a metric and a scenario field/parameter.
 
-    The built-in experiment adapters never collide (the test suite pins
+    The built-in experiment runners never collide (the test suite pins
     that down), but a custom collector is free to emit a scalar named like
     a sweep axis — :meth:`RunRecord.value` then refuses to guess instead of
     silently preferring one side.
@@ -152,7 +152,7 @@ class CampaignResult:
         """
         # A name used both as parameter and metric yields one column holding
         # the metric (metrics shadow parameters in ``row()``); the built-in
-        # experiment adapters avoid such collisions.
+        # experiment runners avoid such collisions.
         columns: List[str] = []
         for name in list(_SCENARIO_COLUMNS) + self.param_names() + self.metric_names():
             if name not in columns:

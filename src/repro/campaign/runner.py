@@ -7,11 +7,13 @@ the *record* order deterministic, which mapping over the sweep's
 deterministic expansion order guarantees.
 
 The worker entry point :func:`execute_scenario` is a module-level function
-(picklable) dispatching on the scenario's experiment family; each family's
-runner instruments the simulation with the scenario's ``metrics``
-collectors (default: the experiment's :data:`DEFAULT_COLLECTORS`) and the
-record's scalar metrics are the resulting report's scalars plus
-``sim_time``.
+(picklable) that looks the scenario's experiment family up in one family
+table and calls the family's ``run_*`` runner with the scenario's MAC,
+seed, propagation axis, ``metrics`` collectors (default: the family
+module's ``DEFAULT_COLLECTORS``) and parameters; the record's scalar
+metrics are the resulting report's scalars plus ``sim_time``.  The same
+table answers which metrics a family can emit
+(:func:`experiment_metric_names`).
 
 :meth:`CampaignRunner.stream` consumes records as they finish (in order)
 and hands them to :class:`~repro.campaign.frame.RecordSink` objects —
@@ -58,6 +60,7 @@ import os
 import pickle
 import weakref
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.frame import RecordSink, ResultFrame
@@ -71,10 +74,6 @@ from repro.campaign.spec import (
     construction_values,
 )
 from repro.experiments import hidden_node, scalability, sinr_hidden_node, testbed
-from repro.experiments.hidden_node import run_hidden_node
-from repro.experiments.scalability import run_scalability
-from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
-from repro.experiments.testbed import run_star, run_tree
 from repro.metrics.registry import build_collectors
 from repro.metrics.report import SimReport
 from repro.scenario.artifacts import ARTIFACT_CACHE
@@ -121,80 +120,16 @@ def _campaign_params(scenario: Scenario) -> Dict[str, Any]:
     return params
 
 
-def _run_hidden_node(scenario: Scenario) -> SimReport:
-    return run_hidden_node(
-        mac=scenario.mac,
-        seed=scenario.seed,
-        propagation=scenario.propagation,
-        collectors=scenario.metrics,
-        **_campaign_params(scenario),
-    )
-
-
-def _run_sinr_hidden_node(scenario: Scenario) -> SimReport:
-    kwargs = _campaign_params(scenario)
-    if scenario.propagation is not None:
-        # The runner's own default ("unit-disk" with a decoupled
-        # carrier-sense range) applies when the sweep leaves the
-        # propagation axis at None — SINR always needs a model.
-        kwargs["propagation"] = scenario.propagation
-    return run_sinr_hidden_node(
-        mac=scenario.mac,
-        seed=scenario.seed,
-        collectors=scenario.metrics,
-        **kwargs,
-    )
-
-
-def _run_testbed_tree(scenario: Scenario) -> SimReport:
-    return run_tree(
-        mac=scenario.mac,
-        seed=scenario.seed,
-        propagation=scenario.propagation,
-        collectors=scenario.metrics,
-        **_campaign_params(scenario),
-    )
-
-
-def _run_testbed_star(scenario: Scenario) -> SimReport:
-    return run_star(
-        mac=scenario.mac,
-        seed=scenario.seed,
-        propagation=scenario.propagation,
-        collectors=scenario.metrics,
-        **_campaign_params(scenario),
-    )
-
-
-def _run_scalability(scenario: Scenario) -> SimReport:
-    return run_scalability(
-        mac=scenario.mac,
-        seed=scenario.seed,
-        propagation=scenario.propagation,
-        collectors=scenario.metrics,
-        **_campaign_params(scenario),
-    )
-
-
-#: Experiment family -> runner returning the scenario's :class:`SimReport`.
-_ADAPTERS: Dict[str, Callable[[Scenario], SimReport]] = {
-    "hidden-node": _run_hidden_node,
-    "sinr-hidden-node": _run_sinr_hidden_node,
-    "testbed-tree": _run_testbed_tree,
-    "testbed-star": _run_testbed_star,
-    "scalability": _run_scalability,
-}
-
-#: Experiment family -> (default collector names, per-collector overrides).
-_EXPERIMENT_COLLECTORS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Dict[str, Any]]]] = {
-    "hidden-node": (hidden_node.DEFAULT_COLLECTORS, hidden_node.COLLECTOR_OVERRIDES),
-    "sinr-hidden-node": (
-        sinr_hidden_node.DEFAULT_COLLECTORS,
-        sinr_hidden_node.COLLECTOR_OVERRIDES,
-    ),
-    "testbed-tree": (testbed.DEFAULT_COLLECTORS, testbed.COLLECTOR_OVERRIDES),
-    "testbed-star": (testbed.DEFAULT_COLLECTORS, testbed.COLLECTOR_OVERRIDES),
-    "scalability": (scalability.DEFAULT_COLLECTORS, scalability.COLLECTOR_OVERRIDES),
+#: Experiment family -> (runner, module holding the family's
+#: ``DEFAULT_COLLECTORS`` and ``COLLECTOR_OVERRIDES``).  Every runner takes
+#: ``mac``, ``seed``, ``propagation`` and ``collectors`` plus the
+#: scenario's parameters as keywords and returns a :class:`SimReport`.
+_FAMILIES: Dict[str, Tuple[Callable[..., SimReport], ModuleType]] = {
+    "hidden-node": (hidden_node.run_hidden_node, hidden_node),
+    "sinr-hidden-node": (sinr_hidden_node.run_sinr_hidden_node, sinr_hidden_node),
+    "testbed-tree": (testbed.run_tree, testbed),
+    "testbed-star": (testbed.run_star, testbed),
+    "scalability": (scalability.run_scalability, scalability),
 }
 
 #: Metrics every record can carry regardless of the collector set.
@@ -212,31 +147,19 @@ def experiment_metric_names(
     newly registered collector is validated with zero campaign changes.
     """
     try:
-        defaults, overrides = _EXPERIMENT_COLLECTORS[experiment]
+        _, module = _FAMILIES[experiment]
     except KeyError:
         raise ValueError(
             f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_KINDS}"
         ) from None
+    chosen = module.DEFAULT_COLLECTORS if collectors is None else collectors
     names: List[str] = []
-    for collector in build_collectors(defaults if collectors is None else collectors, overrides):
+    for collector in build_collectors(chosen, module.COLLECTOR_OVERRIDES):
         for name in collector.provides():
             if name not in names:
                 names.append(name)
     names.extend(_IMPLICIT_METRICS)
     return tuple(names)
-
-
-#: Concrete metric names of every experiment family's *default* collector
-#: set (wildcard families like ``pdr_node_*`` excluded); kept for display
-#: and as the compatibility view of earlier releases' static table.
-EXPERIMENT_METRICS: Dict[str, Tuple[str, ...]] = {
-    experiment: tuple(
-        name
-        for name in experiment_metric_names(experiment)
-        if "*" not in name and name != "trace_dropped"
-    )
-    for experiment in EXPERIMENT_KINDS
-}
 
 
 def is_known_metric(
@@ -250,7 +173,7 @@ def is_known_metric(
     False (not an error) for unknown experiment families, matching the
     pre-redesign lookup-table behaviour.
     """
-    if experiment not in _EXPERIMENT_COLLECTORS:
+    if experiment not in _FAMILIES:
         return False
     for name in experiment_metric_names(experiment, collectors):
         if name == metric or ("*" in name and fnmatch.fnmatchcase(metric, name)):
@@ -275,8 +198,14 @@ def execute_scenario(scenario: Scenario, keep_raw: bool = False) -> RunRecord:
     """
     if FAULT_HOOK is not None:
         FAULT_HOOK(scenario)
-    adapter = _ADAPTERS[scenario.experiment]
-    report = adapter(scenario)
+    run, _ = _FAMILIES[scenario.experiment]
+    report = run(
+        mac=scenario.mac,
+        seed=scenario.seed,
+        propagation=scenario.propagation,
+        collectors=scenario.metrics,
+        **_campaign_params(scenario),
+    )
     return RunRecord(
         scenario=scenario,
         metrics=_report_metrics(report, traced=bool(scenario.params.get("trace"))),
@@ -305,34 +234,6 @@ def resolve_chunksize(chunksize: Union[int, str], n: int, jobs: int) -> int:
     if size < 1:
         raise ValueError(f"chunksize must be positive or 'auto', got {chunksize!r}")
     return size
-
-
-def _pool_map(func: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> List[Any]:
-    """Map ``func`` over ``items`` serially or over a transient pool.
-
-    Legacy helper kept for :func:`map_seeds` (arbitrary callables, no
-    template); order is kept, and an empty item list never touches the
-    pool machinery.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with multiprocessing.Pool(processes=min(jobs, len(items))) as pool:
-        return pool.map(func, items, chunksize=1)
-
-
-def map_seeds(
-    run: Callable[[int], Any],
-    seeds: Sequence[int],
-    jobs: int = 1,
-) -> List[Any]:
-    """Run ``run(seed)`` for every seed, optionally over a worker pool.
-
-    With ``jobs == 1`` any callable works; with more workers ``run`` must be
-    picklable (a module-level function or :func:`functools.partial` of one).
-    Result order always matches ``seeds`` order.
-    """
-    return _pool_map(run, seeds, jobs)
 
 
 # ------------------------------------------------------------- worker pool

@@ -550,7 +550,3 @@ class QmaMac(MacProtocol):
     def transmission_subslots(self) -> List[int]:
         """Subslots in which the current policy transmits (QCCA or QSend)."""
         return self.qtable.transmission_subslots()
-
-    def cumulative_q_value(self) -> float:
-        """Current value of the Fig. 10 convergence metric."""
-        return self.qtable.cumulative_policy_value()

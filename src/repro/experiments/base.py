@@ -1,6 +1,8 @@
 """Shared helpers for the experiment runners.
 
-MAC protocols are resolved through :mod:`repro.mac.registry`; the old
+:func:`scenario_config` turns the hidden-node and testbed runners'
+arguments into a :class:`~repro.scenario.config.ScenarioConfig`.  MAC
+protocols are resolved through :mod:`repro.mac.registry`; the old
 hard-coded if/elif ladder is gone.  :data:`MAC_KINDS` and
 :func:`make_mac_factory` remain as thin registry views for back-compat —
 new code should use :class:`repro.scenario.ScenarioBuilder` (or the
@@ -9,9 +11,8 @@ registry directly).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
-from repro.analysis.stats import confidence_interval_95
 from repro.core.config import QmaConfig
 from repro.core.exploration import ExplorationStrategy
 from repro.core.rewards import RewardFunction
@@ -20,6 +21,7 @@ from repro.mac.csma import CsmaConfig
 from repro.mac.registry import RegistryError, get_mac_spec, mac_kinds
 from repro.mac.tdma import TdmaConfig
 from repro.net.network import MacFactory
+from repro.scenario.config import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.base import MacProtocol
@@ -73,29 +75,12 @@ def make_mac_factory(
     return factory
 
 
-def repeat_scalar(
-    run: Callable[[int], float],
-    repetitions: int,
-    base_seed: int = 0,
-    jobs: int = 1,
-) -> Tuple[float, float, List[float]]:
-    """Run ``run(seed)`` for several seeds; return (mean, 95 % CI half-width, samples).
-
-    With ``jobs > 1`` the seeds are fanned out over a process pool via the
-    campaign layer; ``run`` must then be picklable (a module-level function
-    or a :func:`functools.partial` of one).
-    """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    from repro.campaign.runner import map_seeds  # local import: campaign imports us
-
-    seeds = [base_seed + i for i in range(repetitions)]
-    samples = [float(value) for value in map_seeds(run, seeds, jobs=jobs)]
-    mean, half_width = confidence_interval_95(samples)
-    return mean, half_width, samples
-
-
-def summarize(samples: Sequence[float]) -> Dict[str, float]:
-    """Mean and 95 % confidence half-width of a sample list as a dictionary."""
-    mean, half_width = confidence_interval_95(list(samples))
-    return {"mean": mean, "ci95": half_width, "n": float(len(samples))}
+def scenario_config(
+    topology: str, mac: str, seed: int, qma_config: Optional[QmaConfig], **fields: Any
+) -> ScenarioConfig:
+    """The :class:`ScenarioConfig` of one experiment run; a QMA run gets
+    ``qma_config`` or the default :class:`QmaConfig`."""
+    scenario = ScenarioConfig(topology=topology, mac=mac, seed=seed, **fields)
+    if get_mac_spec(mac).config_cls is QmaConfig:
+        scenario.mac_config = qma_config if qma_config is not None else QmaConfig()
+    return scenario

@@ -12,6 +12,11 @@ collector resolved from :mod:`repro.metrics.registry`, returned as a typed
 registered collector names (default: :data:`DEFAULT_COLLECTORS`); ``mac``
 and ``propagation`` accept any name registered in
 :mod:`repro.mac.registry` / :mod:`repro.phy.registry`.
+
+:func:`run_poisson_scenario` is the run body of both hidden-node families:
+:func:`run_hidden_node` and
+:func:`repro.experiments.sinr_hidden_node.run_sinr_hidden_node` differ only
+in the scenario, the sources and the collector defaults they hand it.
 """
 
 from __future__ import annotations
@@ -20,17 +25,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.slots import SlotUtilisation
 from repro.core.config import QmaConfig
-from repro.mac.registry import get_mac_spec
+from repro.experiments.base import scenario_config
 from repro.metrics.base import CollectionContext
 from repro.metrics.collectors import ConvergenceCollector, SlotUtilisationCollector
 from repro.metrics.registry import build_collectors
 from repro.metrics.report import SimReport
-from repro.scenario.builder import BuiltScenario, ScenarioBuilder
+from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.config import ScenarioConfig
 from repro.topology.hidden_node import NODE_A, NODE_C
-
-#: Packet generation rates of Fig. 7-9.
-PAPER_DELTAS = (1, 2, 4, 6, 8, 10, 25, 50, 100)
 
 #: The two traffic sources of the scenario (B is the sink).
 SOURCES = (NODE_A, NODE_C)
@@ -43,38 +45,100 @@ DEFAULT_COLLECTORS = ("pdr", "queue", "delay", "attempts", "convergence")
 COLLECTOR_OVERRIDES: Dict[str, Dict[str, Any]] = {}
 
 
-def _default_qma_config() -> QmaConfig:
-    return QmaConfig()
+def run_poisson_scenario(
+    experiment: str,
+    scenario: ScenarioConfig,
+    sources: Sequence[int],
+    default_collectors: Sequence[str],
+    collector_overrides: Mapping[str, Dict[str, Any]],
+    collectors: Optional[Sequence[str]],
+    delta: float,
+    packets_per_node: int,
+    warmup: float,
+    management_period: float,
+    drain_time: float,
+    max_duration: Optional[float],
+    report_params: Optional[Mapping[str, Any]] = None,
+) -> SimReport:
+    """The run body of the hidden-node families: build ``scenario``, let
+    every source exchange management traffic during the warm-up and then
+    send ``packets_per_node`` Poisson packets at rate ``delta``.
 
+    ``collectors`` names registered metric collectors (None: the family's
+    ``default_collectors``); ``report_params`` are reported between
+    ``warmup`` and ``seed``.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if packets_per_node <= 0:
+        raise ValueError("packets_per_node must be positive")
 
-def _build(
-    mac: str,
-    seed: int,
-    qma_config: Optional[QmaConfig],
-    propagation: Optional[str],
-    propagation_params: Optional[Mapping[str, Any]],
-    link_distance: float,
-    trace: bool = False,
-    trace_limit: Optional[int] = None,
-    interference: str = "collision",
-    sinr_threshold_db: float = 10.0,
-) -> BuiltScenario:
-    """Assemble the hidden-node scenario through the builder."""
-    scenario = ScenarioConfig(
-        topology="hidden-node",
-        topology_params={"link_distance": link_distance},
-        mac=mac,
-        propagation=propagation,
-        propagation_params=dict(propagation_params or {}),
-        interference=interference,
-        sinr_threshold_db=sinr_threshold_db,
-        seed=seed,
-        trace=trace,
-        trace_limit=trace_limit,
+    built = ScenarioBuilder(scenario).build()
+    sim, network = built.sim, built.network
+
+    # Management traffic during the warm-up (association / beacon exchange).
+    management = [
+        built.attach_management(
+            node_id,
+            period=management_period,
+            start_time=1.0,
+            jitter=management_period * 0.2,
+            rng_name=f"management-{node_id}",
+        )
+        for node_id in sources
+    ]
+
+    ctx = CollectionContext(
+        sim=sim,
+        network=network,
+        sources=sources,
+        warmup=warmup,
+        management_generators=dict(zip(sources, management)),
     )
-    if get_mac_spec(mac).config_cls is QmaConfig:
-        scenario.mac_config = qma_config if qma_config is not None else _default_qma_config()
-    return ScenarioBuilder(scenario).build()
+    active = build_collectors(
+        default_collectors if collectors is None else collectors, collector_overrides
+    )
+    for collector in active:
+        collector.attach(ctx)
+
+    network.start()
+
+    # Primary traffic starts after the warm-up.
+    data_generators = []
+    for node_id, mgmt in zip(sources, management):
+        generator = built.poisson_source(
+            node_id,
+            rate=delta,
+            start_time=warmup,
+            max_packets=packets_per_node,
+            rng_name=f"data-{node_id}",
+            start_at=warmup,
+        )
+        data_generators.append(generator)
+        sim.schedule_at(warmup, mgmt.stop)
+    ctx.data_generators = dict(zip(sources, data_generators))
+
+    expected_duration = warmup + packets_per_node / delta + drain_time
+    end_time = min(expected_duration, max_duration) if max_duration else expected_duration
+    sim.run_until(end_time)
+
+    report = SimReport(
+        experiment=experiment,
+        mac=scenario.mac,
+        topology=built.topology.name,
+        params={
+            "delta": delta,
+            "packets_per_node": packets_per_node,
+            "warmup": warmup,
+            **(report_params or {}),
+            "seed": scenario.seed,
+        },
+        duration=sim.now,
+        trace_dropped=ctx.trace_dropped(),
+    )
+    for collector in active:
+        collector.finalize(ctx, report)
+    return report
 
 
 def run_hidden_node(
@@ -104,120 +168,31 @@ def run_hidden_node(
     ``interference="sinr"`` (with a propagation model) swaps in the
     SINR/capture channel.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if packets_per_node <= 0:
-        raise ValueError("packets_per_node must be positive")
-
-    built = _build(
-        mac, seed, qma_config, propagation, propagation_params, link_distance,
-        trace=trace, trace_limit=trace_limit,
-        interference=interference, sinr_threshold_db=sinr_threshold_db,
+    scenario = scenario_config(
+        "hidden-node",
+        mac,
+        seed,
+        qma_config,
+        topology_params={"link_distance": link_distance},
+        propagation=propagation,
+        propagation_params=dict(propagation_params or {}),
+        interference=interference,
+        sinr_threshold_db=sinr_threshold_db,
+        trace=trace,
+        trace_limit=trace_limit,
     )
-    sim, network = built.sim, built.network
-
-    # Management traffic during the warm-up (association / beacon exchange).
-    management = [
-        built.attach_management(
-            node_id,
-            period=management_period,
-            start_time=1.0,
-            jitter=management_period * 0.2,
-            rng_name=f"management-{node_id}",
-        )
-        for node_id in SOURCES
-    ]
-
-    ctx = CollectionContext(
-        sim=sim,
-        network=network,
-        sources=SOURCES,
-        warmup=warmup,
-        management_generators=dict(zip(SOURCES, management)),
+    return run_poisson_scenario(
+        "hidden-node", scenario, SOURCES, DEFAULT_COLLECTORS, COLLECTOR_OVERRIDES,
+        collectors, delta, packets_per_node, warmup, management_period, drain_time,
+        max_duration,
     )
-    active = build_collectors(
-        DEFAULT_COLLECTORS if collectors is None else collectors, COLLECTOR_OVERRIDES
+
+
+def _paper_scenario(seed: int, qma_config: Optional[QmaConfig]) -> ScenarioConfig:
+    """The QMA hidden-node scenario of Figs. 12-15 (explicit 50 m links)."""
+    return scenario_config(
+        "hidden-node", "qma", seed, qma_config, topology_params={"link_distance": 50.0}
     )
-    for collector in active:
-        collector.attach(ctx)
-
-    network.start()
-
-    # Primary traffic starts after the warm-up.
-    data_generators = []
-    for node_id, mgmt in zip(SOURCES, management):
-        generator = built.poisson_source(
-            node_id,
-            rate=delta,
-            start_time=warmup,
-            max_packets=packets_per_node,
-            rng_name=f"data-{node_id}",
-            start_at=warmup,
-        )
-        data_generators.append(generator)
-        sim.schedule_at(warmup, mgmt.stop)
-    ctx.data_generators = dict(zip(SOURCES, data_generators))
-
-    expected_duration = warmup + packets_per_node / delta + drain_time
-    end_time = min(expected_duration, max_duration) if max_duration else expected_duration
-    sim.run_until(end_time)
-
-    report = SimReport(
-        experiment="hidden-node",
-        mac=mac,
-        topology=built.topology.name,
-        params={
-            "delta": delta,
-            "packets_per_node": packets_per_node,
-            "warmup": warmup,
-            "seed": seed,
-        },
-        duration=sim.now,
-        trace_dropped=ctx.trace_dropped(),
-    )
-    for collector in active:
-        collector.finalize(ctx, report)
-    return report
-
-
-def sweep_hidden_node(
-    macs: Sequence[str] = ("qma", "slotted-csma", "unslotted-csma"),
-    deltas: Sequence[float] = PAPER_DELTAS,
-    packets_per_node: int = 1000,
-    repetitions: int = 15,
-    warmup: float = 100.0,
-    base_seed: int = 0,
-    jobs: int = 1,
-    propagations: Sequence[Optional[str]] = (None,),
-    metrics: Optional[Sequence[str]] = None,
-    **kwargs,
-) -> Dict[str, Dict[float, List[SimReport]]]:
-    """Full sweep over MACs and packet rates (the data behind Figs. 7-9).
-
-    Runs through the campaign layer; ``jobs`` fans the cross-product out
-    over a process pool (results are independent of the worker count).
-    ``metrics`` optionally selects the collector set per run.
-    """
-    from repro.campaign.runner import CampaignRunner  # local import: campaign imports us
-    from repro.campaign.spec import Sweep
-
-    sweep = Sweep(
-        experiment="hidden-node",
-        macs=macs,
-        propagations=propagations,
-        grid={"delta": list(deltas)},
-        fixed={"packets_per_node": packets_per_node, "warmup": warmup, **kwargs},
-        seeds=[base_seed + rep for rep in range(repetitions)],
-        metrics=metrics,
-    )
-    campaign = CampaignRunner(jobs=jobs, keep_raw=True).run(sweep)
-
-    results: Dict[str, Dict[float, List[SimReport]]] = {}
-    for record in campaign:
-        mac = record.scenario.mac
-        delta = record.scenario.params["delta"]
-        results.setdefault(mac, {}).setdefault(delta, []).append(record.raw)
-    return results
 
 
 def run_convergence(
@@ -257,7 +232,7 @@ def run_fluctuating(
     constant rate.  Returns the cumulative-Q-value history per node (the
     ``q_history`` table of a :class:`ConvergenceCollector`).
     """
-    built = _build("qma", seed, qma_config, None, None, link_distance=50.0)
+    built = ScenarioBuilder(_paper_scenario(seed, qma_config)).build()
     sim, network = built.sim, built.network
 
     traffic_a = built.fluctuating_source(
@@ -297,7 +272,7 @@ def run_slot_utilisation(
 
     Returns ``(snapshot, final)`` — the data behind Figs. 13-15.
     """
-    built = _build("qma", seed, qma_config, None, None, link_distance=50.0)
+    built = ScenarioBuilder(_paper_scenario(seed, qma_config)).build()
     sim, network = built.sim, built.network
 
     for node_id in SOURCES:

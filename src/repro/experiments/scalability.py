@@ -25,9 +25,6 @@ from repro.scenario.builder import ScenarioBuilder, topology_accepts_node_count
 from repro.scenario.config import ScenarioConfig
 from repro.traffic.generators import FluctuatingPoissonTraffic
 
-#: Ring counts of the paper, corresponding to 7 / 19 / 43 / 91 nodes.
-PAPER_RINGS = (1, 2, 3, 4)
-
 #: Node count of seeded/placement topologies when ``nodes`` is not given
 #: (matches the 2-ring concentric deployment of the paper).
 DEFAULT_TOPOLOGY_NODES = 19
@@ -159,40 +156,3 @@ def run_scalability(
     for collector in active:
         collector.finalize(ctx, report)
     return report
-
-
-def sweep_scalability(
-    macs: Sequence[str] = ("qma", "slotted-csma", "unslotted-csma"),
-    rings: Sequence[int] = PAPER_RINGS,
-    repetitions: int = 1,
-    base_seed: int = 0,
-    jobs: int = 1,
-    propagations: Sequence[Optional[str]] = (None,),
-    metrics: Optional[Sequence[str]] = None,
-    **kwargs,
-) -> Dict[str, Dict[int, list]]:
-    """Sweep over MACs and ring counts (the data behind Figs. 21-22).
-
-    Runs through the campaign layer; ``jobs`` fans the cross-product out
-    over a process pool (results are independent of the worker count).
-    """
-    from repro.campaign.runner import CampaignRunner  # local import: campaign imports us
-    from repro.campaign.spec import Sweep
-
-    sweep = Sweep(
-        experiment="scalability",
-        macs=macs,
-        propagations=propagations,
-        grid={"rings": list(rings)},
-        fixed=dict(kwargs),
-        seeds=[base_seed + rep for rep in range(repetitions)],
-        metrics=metrics,
-    )
-    campaign = CampaignRunner(jobs=jobs, keep_raw=True).run(sweep)
-
-    results: Dict[str, Dict[int, list]] = {}
-    for record in campaign:
-        mac = record.scenario.mac
-        ring_count = record.scenario.params["rings"]
-        results.setdefault(mac, {}).setdefault(ring_count, []).append(record.raw)
-    return results

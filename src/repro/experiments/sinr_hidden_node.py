@@ -15,23 +15,20 @@ decode range.  The scenario is built so three claims hold simultaneously:
 * NEAR's transmissions are sensed-only at HIDDEN (beyond decode range,
   inside carrier-sense range), driving ``cca_sensed_only_count`` up.
 
-The runner mirrors :func:`repro.experiments.hidden_node.run_hidden_node`:
-management traffic during the warm-up, Poisson data sources afterwards,
-metrics through registered collectors, results as a
-:class:`~repro.metrics.report.SimReport`.
+The run itself is
+:func:`repro.experiments.hidden_node.run_poisson_scenario`, the body of
+:func:`~repro.experiments.hidden_node.run_hidden_node` as well; this module
+only supplies the scenario, the sources and the collector defaults.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.core.config import QmaConfig
-from repro.mac.registry import get_mac_spec
-from repro.metrics.base import CollectionContext
-from repro.metrics.registry import build_collectors
+from repro.experiments.base import scenario_config
+from repro.experiments.hidden_node import run_poisson_scenario
 from repro.metrics.report import SimReport
-from repro.scenario.builder import BuiltScenario, ScenarioBuilder
-from repro.scenario.config import ScenarioConfig
 from repro.topology.sinr_hidden_node import (
     CARRIER_SENSE_RANGE,
     COMMUNICATION_RANGE,
@@ -60,34 +57,6 @@ DEFAULT_PROPAGATION_PARAMS: Dict[str, Any] = {
 }
 
 
-def _build(
-    mac: str,
-    seed: int,
-    qma_config: Optional[QmaConfig],
-    propagation: str,
-    propagation_params: Optional[Mapping[str, Any]],
-    sinr_threshold_db: float,
-    trace: bool,
-    trace_limit: Optional[int],
-) -> BuiltScenario:
-    scenario = ScenarioConfig(
-        topology="sinr-hidden-node",
-        mac=mac,
-        propagation=propagation,
-        propagation_params=dict(
-            DEFAULT_PROPAGATION_PARAMS if propagation_params is None else propagation_params
-        ),
-        interference="sinr",
-        sinr_threshold_db=sinr_threshold_db,
-        seed=seed,
-        trace=trace,
-        trace_limit=trace_limit,
-    )
-    if get_mac_spec(mac).config_cls is QmaConfig:
-        scenario.mac_config = qma_config if qma_config is not None else QmaConfig()
-    return ScenarioBuilder(scenario).build()
-
-
 def run_sinr_hidden_node(
     mac: str = "qma",
     delta: float = 10.0,
@@ -98,7 +67,7 @@ def run_sinr_hidden_node(
     seed: int = 0,
     qma_config: Optional[QmaConfig] = None,
     max_duration: Optional[float] = None,
-    propagation: str = "unit-disk",
+    propagation: Optional[str] = "unit-disk",
     propagation_params: Optional[Mapping[str, Any]] = None,
     sinr_threshold_db: float = 10.0,
     collectors: Optional[Sequence[str]] = None,
@@ -108,110 +77,26 @@ def run_sinr_hidden_node(
     """Run one SINR hidden-node scenario and return its :class:`SimReport`.
 
     Defaults are sized for a quick demonstration run; the scalars of the
-    ``link-asymmetry`` collector carry the regime's physics claims.
+    ``link-asymmetry`` collector carry the regime's physics claims.  The
+    SINR model always needs a propagation model, so ``propagation=None``
+    means the default ``unit-disk``.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if packets_per_node <= 0:
-        raise ValueError("packets_per_node must be positive")
-
-    built = _build(
-        mac, seed, qma_config, propagation, propagation_params,
-        sinr_threshold_db, trace, trace_limit,
+    scenario = scenario_config(
+        "sinr-hidden-node",
+        mac,
+        seed,
+        qma_config,
+        propagation="unit-disk" if propagation is None else propagation,
+        propagation_params=dict(
+            DEFAULT_PROPAGATION_PARAMS if propagation_params is None else propagation_params
+        ),
+        interference="sinr",
+        sinr_threshold_db=sinr_threshold_db,
+        trace=trace,
+        trace_limit=trace_limit,
     )
-    sim, network = built.sim, built.network
-
-    management = [
-        built.attach_management(
-            node_id,
-            period=management_period,
-            start_time=1.0,
-            jitter=management_period * 0.2,
-            rng_name=f"management-{node_id}",
-        )
-        for node_id in SOURCES
-    ]
-
-    ctx = CollectionContext(
-        sim=sim,
-        network=network,
-        sources=SOURCES,
-        warmup=warmup,
-        management_generators=dict(zip(SOURCES, management)),
+    return run_poisson_scenario(
+        "sinr-hidden-node", scenario, SOURCES, DEFAULT_COLLECTORS, COLLECTOR_OVERRIDES,
+        collectors, delta, packets_per_node, warmup, management_period, drain_time,
+        max_duration, report_params={"sinr_threshold_db": sinr_threshold_db},
     )
-    active = build_collectors(
-        DEFAULT_COLLECTORS if collectors is None else collectors, COLLECTOR_OVERRIDES
-    )
-    for collector in active:
-        collector.attach(ctx)
-
-    network.start()
-
-    data_generators = []
-    for node_id, mgmt in zip(SOURCES, management):
-        generator = built.poisson_source(
-            node_id,
-            rate=delta,
-            start_time=warmup,
-            max_packets=packets_per_node,
-            rng_name=f"data-{node_id}",
-            start_at=warmup,
-        )
-        data_generators.append(generator)
-        sim.schedule_at(warmup, mgmt.stop)
-    ctx.data_generators = dict(zip(SOURCES, data_generators))
-
-    expected_duration = warmup + packets_per_node / delta + drain_time
-    end_time = min(expected_duration, max_duration) if max_duration else expected_duration
-    sim.run_until(end_time)
-
-    report = SimReport(
-        experiment="sinr-hidden-node",
-        mac=mac,
-        topology=built.topology.name,
-        params={
-            "delta": delta,
-            "packets_per_node": packets_per_node,
-            "warmup": warmup,
-            "sinr_threshold_db": sinr_threshold_db,
-            "seed": seed,
-        },
-        duration=sim.now,
-        trace_dropped=ctx.trace_dropped(),
-    )
-    for collector in active:
-        collector.finalize(ctx, report)
-    return report
-
-
-def sweep_sinr_hidden_node(
-    macs: Sequence[str] = ("qma", "unslotted-csma"),
-    deltas: Sequence[float] = (10.0,),
-    packets_per_node: int = 200,
-    repetitions: int = 5,
-    warmup: float = 10.0,
-    base_seed: int = 0,
-    jobs: int = 1,
-    metrics: Optional[Sequence[str]] = None,
-    **kwargs,
-) -> Dict[str, Dict[float, List[SimReport]]]:
-    """Sweep the SINR hidden-node scenario through the campaign layer."""
-    from repro.campaign.runner import CampaignRunner  # local import: campaign imports us
-    from repro.campaign.spec import Sweep
-
-    sweep = Sweep(
-        experiment="sinr-hidden-node",
-        macs=macs,
-        grid={"delta": list(deltas)},
-        fixed={"packets_per_node": packets_per_node, "warmup": warmup, **kwargs},
-        seeds=[base_seed + rep for rep in range(repetitions)],
-        metrics=metrics,
-    )
-    campaign = CampaignRunner(jobs=jobs, keep_raw=True).run(sweep)
-
-    results: Dict[str, Dict[float, List[SimReport]]] = {}
-    for record in campaign:
-        mac = record.scenario.mac
-        delta = record.scenario.params["delta"]
-        results.setdefault(mac, {}).setdefault(delta, []).append(record.raw)
-    return results

@@ -16,15 +16,14 @@ returned as a typed :class:`~repro.metrics.report.SimReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.config import QmaConfig
-from repro.mac.registry import get_mac_spec
+from repro.experiments.base import scenario_config
 from repro.metrics.base import CollectionContext
 from repro.metrics.registry import build_collectors
 from repro.metrics.report import SimReport
 from repro.scenario.builder import BuiltScenario, ScenarioBuilder
-from repro.scenario.config import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -73,36 +72,6 @@ class PreparedTopologyRun:
         return self.finish()
 
 
-def _scenario_config(
-    topology_name: str,
-    mac: str,
-    seed: int,
-    qma_config: Optional[QmaConfig],
-    link_error_rate: float,
-    propagation: Optional[str],
-    propagation_params: Optional[Mapping[str, Any]],
-    interference: str,
-    sinr_threshold_db: float,
-    trace: bool,
-    trace_limit: Optional[int],
-) -> ScenarioConfig:
-    scenario = ScenarioConfig(
-        topology=topology_name,
-        mac=mac,
-        propagation=propagation,
-        propagation_params=dict(propagation_params or {}),
-        link_error_rate=link_error_rate,
-        interference=interference,
-        sinr_threshold_db=sinr_threshold_db,
-        seed=seed,
-        trace=trace,
-        trace_limit=trace_limit,
-    )
-    if get_mac_spec(mac).config_cls is QmaConfig:
-        scenario.mac_config = qma_config if qma_config is not None else QmaConfig()
-    return scenario
-
-
 def prepare_topology_run(
     topology_name: str,
     mac: str,
@@ -121,18 +90,18 @@ def prepare_topology_run(
     trace: bool = False,
     trace_limit: Optional[int] = None,
 ) -> PreparedTopologyRun:
-    scenario = _scenario_config(
+    scenario = scenario_config(
         topology_name,
         mac,
         seed,
         qma_config,
-        link_error_rate,
-        propagation,
-        propagation_params,
-        interference,
-        sinr_threshold_db,
-        trace,
-        trace_limit,
+        propagation=propagation,
+        propagation_params=dict(propagation_params or {}),
+        link_error_rate=link_error_rate,
+        interference=interference,
+        sinr_threshold_db=sinr_threshold_db,
+        trace=trace,
+        trace_limit=trace_limit,
     )
     built = ScenarioBuilder(scenario).build()
     sim, network = built.sim, built.network
@@ -204,10 +173,6 @@ def prepare_topology_run(
         return report
 
     return PreparedTopologyRun(built=built, end_time=end_time, _finalize=finalize)
-
-
-def _run_topology(*args: Any, **kwargs: Any) -> SimReport:
-    return prepare_topology_run(*args, **kwargs).run()
 
 
 def prepare_tree(
@@ -294,50 +259,3 @@ def run_tree(mac: str = "qma", **kwargs: Any) -> SimReport:
 def run_star(mac: str = "qma", **kwargs: Any) -> SimReport:
     """The star-topology verification of Fig. 19."""
     return prepare_star(mac=mac, **kwargs).run()
-
-
-def sweep_testbed(
-    scenario: str = "tree",
-    macs: Sequence[str] = ("qma", "unslotted-csma"),
-    seeds: Sequence[int] = (0,),
-    jobs: int = 1,
-    propagations: Sequence[Optional[str]] = (None,),
-    metrics: Optional[Sequence[str]] = None,
-    **kwargs,
-) -> Dict[str, List[SimReport]]:
-    """Run the tree or star verification for several MACs and seeds.
-
-    Runs through the campaign layer; ``jobs`` fans the cross-product out
-    over a process pool (results are independent of the worker count).
-    Returns ``{mac: [report per seed]}`` in seed order.
-    """
-    if scenario not in ("tree", "star"):
-        raise ValueError(f"scenario must be 'tree' or 'star', got {scenario!r}")
-    from repro.campaign.runner import CampaignRunner  # local import: campaign imports us
-    from repro.campaign.spec import Sweep
-
-    sweep = Sweep(
-        experiment=f"testbed-{scenario}",
-        macs=macs,
-        propagations=propagations,
-        fixed=dict(kwargs),
-        seeds=list(seeds),
-        metrics=metrics,
-    )
-    campaign = CampaignRunner(jobs=jobs, keep_raw=True).run(sweep)
-
-    results: Dict[str, List[SimReport]] = {}
-    for record in campaign:
-        results.setdefault(record.scenario.mac, []).append(record.raw)
-    return results
-
-
-def compare_energy_proxy(
-    macs: Sequence[str] = ("qma", "unslotted-csma"),
-    seed: int = 0,
-    jobs: int = 1,
-    **kwargs,
-) -> Dict[str, float]:
-    """Transmission-attempt counts per MAC (the Sect. 6.2.1 energy argument)."""
-    results = sweep_testbed(scenario="star", macs=macs, seeds=(seed,), jobs=jobs, **kwargs)
-    return {mac: runs[0].transmission_attempts for mac, runs in results.items()}

@@ -14,12 +14,12 @@ journal, the service front end or the CLI:
   streamed back and merged.  ``--shards N`` is the same path against one
   private local agent (:class:`~repro.service.remote.LoopbackBackend`).
   Both live in :mod:`repro.service.remote`, imported only when asked for.
-* :class:`SerialBackend` — one run at a time in (or forked from) the
-  calling process.  With ``isolate`` each run executes in a disposable
-  child process with an optional wall-clock timeout, so a poison scenario
-  that segfaults or loops cannot take the caller down — this is the
-  supervision layer's last-resort degradation tier and the substrate that
-  attributes failures to *specific* runs for quarantine.
+* :class:`SerialBackend` — one run at a time, each in a disposable child
+  process forked from the calling process, with an optional wall-clock
+  timeout, so a poison scenario that segfaults or loops cannot take the
+  caller down — this is the supervision layer's last-resort degradation
+  tier and the substrate that attributes failures to *specific* runs for
+  quarantine.
 
 Every backend shares a small supervision surface: :meth:`~DispatchBackend.
 touch` timestamps progress (``last_progress``) for heartbeat watchdogs,
@@ -37,7 +37,7 @@ import queue
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.records import RunRecord
 from repro.campaign.runner import CampaignRunner, execute_scenario
@@ -296,13 +296,11 @@ def _probe_run(conn: Any, scenario: Scenario, fault_plan: Optional[Any]) -> None
 
 
 class SerialBackend(DispatchBackend):
-    """One run at a time, in-process or in disposable child processes.
+    """One run at a time, each in a disposable child process.
 
-    The plain mode (``isolate=False``) executes each scenario inline —
-    the minimal, dependency-free substrate.  With ``isolate=True`` each
-    run happens in a forked child connected by a pipe, with an optional
-    per-run wall-clock ``timeout``: a run that crashes the interpreter,
-    loops forever, or raises is recorded in :attr:`failures` as
+    Each run happens in a forked child connected by a pipe, with an
+    optional per-run wall-clock ``timeout``: a run that crashes the
+    interpreter, loops forever, or raises is recorded in :attr:`failures` as
     ``(index, kind, detail)`` (kind ``error`` | ``crash`` | ``timeout``)
     and execution continues with the next index.  This precise
     per-run failure attribution is what the supervision layer's
@@ -313,7 +311,7 @@ class SerialBackend(DispatchBackend):
     name = "serial"
     ordered = True
 
-    #: Child-pipe poll period in isolate mode.
+    #: Child-pipe poll period.
     POLL_INTERVAL = 0.1
 
     #: Seconds a terminated probe child gets to die before SIGKILL.
@@ -322,14 +320,12 @@ class SerialBackend(DispatchBackend):
     def __init__(
         self,
         timeout: Optional[float] = None,
-        isolate: bool = False,
         fault_plan: Optional[Any] = None,
     ) -> None:
         super().__init__()
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         self.timeout = timeout
-        self.isolate = bool(isolate)
         self.fault_plan = fault_plan
         #: Per-run failures of the most recent ``run`` call.
         self.failures: List[Tuple[int, str, str]] = []
@@ -365,11 +361,6 @@ class SerialBackend(DispatchBackend):
                 on_record(position, payload)
 
     def _execute(self, scenario: Scenario) -> Tuple[str, Any]:
-        if not self.isolate:
-            try:
-                return "ok", execute_scenario(scenario)
-            except Exception:
-                return "error", traceback.format_exc()
         ctx = multiprocessing.get_context()
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
@@ -424,7 +415,7 @@ class SerialBackend(DispatchBackend):
 _BACKEND_OPTIONS = {
     "pool": ("jobs", "chunksize", "build_cache", "cache_size", "batch_seeds", "throttle"),
     "shard": ("shards", "jobs", "chunksize", "build_cache", "batch_seeds"),
-    "serial": ("timeout", "isolate"),
+    "serial": ("timeout",),
     "remote": (
         "hosts",
         "jobs",
@@ -489,11 +480,3 @@ def make_backend(
             hosts, registry=host_registry, fault_plan=fault_plan, **options
         )
     return PoolBackend(fault_plan=fault_plan, **options)
-
-
-def backend_pool_config(options: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
-    """Effective backend description for status output and export meta."""
-    options = dict(options or {})
-    kind = options.get("backend", "pool")
-    return {"backend": kind, **{k: v for k, v in options.items() if k != "backend"}}
-

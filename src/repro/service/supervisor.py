@@ -311,7 +311,6 @@ class SupervisedBackend(DispatchBackend):
                 tiers.append(
                     SerialBackend(
                         timeout=self.policy.run_timeout,
-                        isolate=True,
                         fault_plan=self.fault_plan,
                     )
                 )

@@ -210,16 +210,11 @@ class Simulator:
         queue = self._queue
         return queue[0][:2] if queue else None
 
-    def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the event queue is exhausted (or ``max_events`` fired)."""
+    def run(self) -> None:
+        """Run until the event queue is exhausted."""
         self._stopped = False
-        executed = 0
-        while not self._stopped:
-            if max_events is not None and executed >= max_events:
-                break
-            if not self.step():
-                break
-            executed += 1
+        while not self._stopped and self.step():
+            pass
 
     def stop(self) -> None:
         """Stop the current :meth:`run` / :meth:`run_until` after the current event."""

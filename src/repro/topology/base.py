@@ -190,14 +190,6 @@ class Topology:
         return hops
 
     # ------------------------------------------------------------------ misc
-    def link_lengths(self) -> List[float]:
-        """Lengths of all links (useful for sanity checks in tests)."""
-        return [
-            distance(self.positions[a], self.positions[b])
-            for link in self.links
-            for a, b in [tuple(link)]
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Topology({self.name!r}, nodes={self.num_nodes}, links={len(self.links)}, "

@@ -1,4 +1,4 @@
-"""Campaign-runner adapters, metric declarations and ``map_seeds``.
+"""Campaign-runner family table, metric declarations and ``resolve_jobs``.
 
 Whether every execution path reproduces the same records is checked
 against literal digests in ``test_pinned_digests.py``.
@@ -6,14 +6,11 @@ against literal digests in ``test_pinned_digests.py``.
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 
 from repro.campaign.records import RunRecord
-from repro.campaign.runner import execute_scenario, map_seeds, resolve_jobs
-from repro.campaign.spec import Scenario
-from repro.experiments.hidden_node import run_hidden_node
+from repro.campaign.runner import execute_scenario, resolve_jobs
+from repro.campaign.spec import EXPERIMENT_KINDS, Scenario
 
 
 class TestAdapters:
@@ -78,7 +75,7 @@ class TestAdapters:
         assert "trace_dropped" not in untraced.metrics
 
     def test_declared_metrics_match_what_adapters_emit(self):
-        from repro.campaign.runner import EXPERIMENT_METRICS, is_known_metric
+        from repro.campaign.runner import experiment_metric_names, is_known_metric
 
         tiny = {
             "hidden-node": {"delta": 10.0, "packets_per_node": 8, "warmup": 5.0},
@@ -87,16 +84,34 @@ class TestAdapters:
             "testbed-star": {"delta": 2.0, "packets_per_node": 4, "warmup": 6.0},
             "scalability": {"rings": 1, "duration": 30.0, "warmup": 20.0},
         }
-        for experiment, declared in EXPERIMENT_METRICS.items():
+        for experiment in EXPERIMENT_KINDS:
             record = execute_scenario(
                 Scenario(experiment=experiment, mac="unslotted-csma", params=tiny[experiment])
             )
+            declared = {
+                name
+                for name in experiment_metric_names(experiment)
+                if "*" not in name and name != "trace_dropped"
+            }
             static = {m for m in record.metrics if not m.startswith("pdr_node_")}
-            assert static == set(declared), f"metric drift for {experiment}"
+            assert static == declared, f"metric drift for {experiment}"
             assert all(is_known_metric(experiment, m) for m in record.metrics)
         assert is_known_metric("testbed-star", "pdr_node_17")
         assert not is_known_metric("hidden-node", "pdr_node_17")
         assert not is_known_metric("hidden-node", "nope")
+
+    @pytest.mark.parametrize("mac", ["qma", "unslotted-csma"])
+    def test_sinr_hidden_node_propagation_none_is_unit_disk(self, mac):
+        """SINR needs a propagation model: a sweep that leaves the
+        propagation axis at None runs the runner's ``unit-disk`` default."""
+        params = {"delta": 10.0, "packets_per_node": 8, "warmup": 2.0}
+        default, unit_disk = (
+            execute_scenario(
+                Scenario("sinr-hidden-node", mac=mac, seed=0, params=params, propagation=p)
+            ).metrics
+            for p in (None, "unit-disk")
+        )
+        assert default == unit_disk
 
     def test_records_are_export_ready_without_raw(self):
         record = execute_scenario(
@@ -110,27 +125,7 @@ class TestAdapters:
         assert set(record.metrics) >= {"pdr", "average_queue_level", "average_delay"}
 
 
-def _pdr_for_seed(seed: int) -> float:
-    return run_hidden_node(
-        mac="qma", delta=10.0, packets_per_node=10, warmup=5.0, seed=seed
-    ).pdr
-
-
-class TestMapSeeds:
-    def test_parallel_map_matches_serial(self):
-        seeds = [0, 1, 2, 3]
-        serial = map_seeds(_pdr_for_seed, seeds, jobs=1)
-        parallel = map_seeds(_pdr_for_seed, seeds, jobs=4)
-        assert serial == parallel
-        assert len(serial) == 4
-
-    def test_partial_of_module_function_is_poolable(self):
-        run = functools.partial(
-            run_hidden_node, mac="qma", delta=10.0, packets_per_node=8, warmup=5.0
-        )
-        results = map_seeds(lambda seed: run(seed=seed).pdr, [0, 1], jobs=1)
-        assert len(results) == 2
-
+class TestResolveJobs:
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
         assert resolve_jobs(0) >= 1

@@ -17,7 +17,6 @@ import pytest
 from repro.campaign.runner import (
     CampaignRunner,
     ScenarioTemplate,
-    map_seeds,
     resolve_chunksize,
 )
 from repro.campaign.spec import Scenario, Sweep
@@ -63,9 +62,6 @@ class TestEmptyCampaigns:
     def test_stream_on_empty_scenario_list(self, jobs):
         with CampaignRunner(jobs=jobs) as runner:
             assert len(runner.stream([])) == 0
-
-    def test_map_seeds_on_empty_seed_list(self):
-        assert map_seeds(lambda seed: seed, [], jobs=4) == []
 
 
 class TestChunksize:

@@ -171,12 +171,21 @@ CUT_RUN_COUNTERS = {
     "hidden-node": {"events_executed": 2761, "seqs_drawn": 4372},
 }
 
-#: A hidden-node run of a MAC without the grid clock, for the frame and
+#: Hidden-node runs of every MAC without the grid clock, for the frame and
 #: transmission invariants of the conservation test.
-CSMA_HIDDEN_NODE = Scenario(
-    "hidden-node", mac="unslotted-csma", seed=1,
-    params={"delta": 10.0, "packets_per_node": 30, "warmup": 5.0},
-)
+OTHER_MAC_HIDDEN_NODE = {
+    f"{label}-hidden-node": Scenario(
+        "hidden-node", mac=mac, seed=1,
+        params={"delta": 10.0, "packets_per_node": 30, "warmup": 5.0},
+    )
+    for label, mac in (
+        ("csma", "unslotted-csma"),
+        ("slotted-csma", "slotted-csma"),
+        ("slotted-aloha", "slotted-aloha"),
+        ("aloha-q", "aloha-q"),
+        ("tdma", "tdma"),
+    )
+}
 
 
 def _check_counters(name: str, captured_builds: List[Any]) -> None:
@@ -218,14 +227,15 @@ def _assert_conserved(
         assert mac.qtable.updates == expected, node_id
 
 
-@pytest.mark.parametrize("name", sorted(RUNS) + ["csma-hidden-node"])
+@pytest.mark.parametrize("name", sorted(RUNS) + list(OTHER_MAC_HIDDEN_NODE))
 def test_conservation_holds_mid_run_and_at_the_end(name, captured_builds, monkeypatch):
     """The invariants hold at a cut halfway through the run, where most
     QMA nodes are idle and read their clock fields through lazy catch-up,
     and at the end; reading at the cut leaves every pinned counter
     unchanged."""
-    if name == "csma-hidden-node":
-        scenario, pinned, macs = CSMA_HIDDEN_NODE, None, lambda built: built.network.macs
+    if name in OTHER_MAC_HIDDEN_NODE:
+        scenario = OTHER_MAC_HIDDEN_NODE[name]
+        pinned, macs = None, lambda built: built.network.macs
     else:
         scenario, pinned, macs = RUNS[name]
     punished: Dict[int, int] = {}

@@ -11,16 +11,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core.actions import QAction
-from repro.experiments.base import MAC_KINDS, make_mac_factory, repeat_scalar, summarize
+from repro.experiments.base import MAC_KINDS, make_mac_factory
 from repro.experiments.handshake import handshake_expected_messages
 from repro.experiments.hidden_node import (
     run_convergence,
     run_fluctuating,
     run_hidden_node,
     run_slot_utilisation,
-    sweep_hidden_node,
 )
 from repro.experiments.scalability import run_scalability
+from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
 from repro.experiments.testbed import run_star, run_tree
 
 
@@ -55,26 +55,20 @@ class TestHiddenNodeRunner:
         assert result.packets_delivered <= result.packets_generated + 10  # + management
         assert result.average_queue_level >= 0.0
 
-    def test_sweep_structure(self):
-        results = sweep_hidden_node(
-            macs=("qma",), deltas=(10,), packets_per_node=20, repetitions=2, warmup=5
-        )
-        assert set(results) == {"qma"}
-        assert len(results["qma"][10]) == 2
-
-    def test_invalid_arguments(self):
+    @pytest.mark.parametrize(
+        "run", [run_hidden_node, run_sinr_hidden_node], ids=["hidden", "sinr"]
+    )
+    def test_rejects_bad_arguments(self, run):
         with pytest.raises(ValueError):
-            run_hidden_node(delta=0)
+            run(delta=0)
         with pytest.raises(ValueError):
-            run_hidden_node(packets_per_node=0)
+            run(packets_per_node=0)
 
 
 class TestSinrHiddenNodeRunner:
     def test_asymmetric_delivery_regime(self):
         """The hidden node overhears the network (sensed/received frames)
         but its own uplink never clears the 10 dB SINR threshold."""
-        from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
-
         report = run_sinr_hidden_node(
             mac="unslotted-csma", delta=10.0, packets_per_node=30, warmup=5.0, seed=0
         )
@@ -90,8 +84,6 @@ class TestSinrHiddenNodeRunner:
 
     @pytest.mark.parametrize("mac", MAC_KINDS)
     def test_hidden_uplink_never_decodes_under_any_mac(self, mac):
-        from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
-
         for seed in (0, 1):
             report = run_sinr_hidden_node(
                 mac=mac, delta=25.0, packets_per_node=3, warmup=0.5, seed=seed
@@ -101,8 +93,6 @@ class TestSinrHiddenNodeRunner:
     def test_threshold_sets_whether_the_hidden_uplink_decodes(self):
         """The hidden uplink's SNR is 8.6 dB: a 3 dB threshold lets it
         through, the default 10 dB starves it."""
-        from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
-
         delivered = {
             threshold: run_sinr_hidden_node(
                 mac="unslotted-csma",
@@ -121,20 +111,10 @@ class TestSinrHiddenNodeRunner:
         """NEAR sits in HIDDEN's carrier-sense band (115 m < 250 m) but out
         of communication range, so the hidden node's CCA reacts to frames
         it can never decode."""
-        from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
-
         report = run_sinr_hidden_node(
             mac="unslotted-csma", delta=25.0, packets_per_node=50, warmup=5.0, seed=1
         )
         assert report.scalars["hidden_cca_sensed_only"] > 0
-
-    def test_rejects_invalid_arguments(self):
-        from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
-
-        with pytest.raises(ValueError):
-            run_sinr_hidden_node(delta=0)
-        with pytest.raises(ValueError):
-            run_sinr_hidden_node(packets_per_node=0)
 
 
 class TestConvergenceAndSlots:
@@ -213,12 +193,3 @@ class TestBaseHelpers:
             assert mac.name == kind
         with pytest.raises(ValueError):
             make_mac_factory("not-a-mac")
-
-    def test_repeat_scalar_and_summarize(self):
-        mean, ci, samples = repeat_scalar(lambda seed: float(seed), repetitions=3)
-        assert samples == [0.0, 1.0, 2.0]
-        assert mean == 1.0
-        summary = summarize(samples)
-        assert summary["n"] == 3
-        with pytest.raises(ValueError):
-            repeat_scalar(lambda seed: 0.0, repetitions=0)

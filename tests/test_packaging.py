@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -46,6 +47,18 @@ def test_pyproject_declares_console_entry_point():
     assert data["project"]["name"] == "qma-repro"
     assert data["project"]["scripts"]["qma-repro"] == "repro.cli:main"
     assert data["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda path: path.stem
+)
+def test_example_imports(path):
+    """Every example imports cleanly, so removing a public name it uses
+    fails here; its ``__main__`` guard keeps ``main()`` from running."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 #: Modules a process that only builds, runs and checkpoints simulations never
