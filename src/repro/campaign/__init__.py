@@ -5,13 +5,14 @@ traffic intensity x seed.  This package turns such sweeps into plain data
 (:class:`~repro.campaign.spec.Scenario` / :class:`~repro.campaign.spec.Sweep`),
 executes the cross-product over a ``multiprocessing`` worker pool
 (:class:`~repro.campaign.runner.CampaignRunner`), and collects structured
-:class:`~repro.campaign.records.RunRecord` results with JSON/CSV export and
-confidence-interval aggregation.  Sweeps carry a ``metrics=`` axis naming
-the collectors of :mod:`repro.metrics` that instrument every run, and
-:meth:`~repro.campaign.runner.CampaignRunner.stream` pushes finished
-records through :class:`~repro.campaign.frame.RecordSink` objects
-(JSONL/CSV streaming, grouped aggregation) in constant memory — or
-accumulates them into a columnar :class:`~repro.campaign.frame.ResultFrame`.
+:class:`~repro.campaign.records.RunRecord` results.  Sweeps carry a
+``metrics=`` axis naming the collectors of :mod:`repro.metrics` that
+instrument every run.  Records reach files and tables through one path,
+the :class:`~repro.campaign.frame.RecordSink` objects (JSONL, CSV and JSON
+export, grouped mean/CI aggregation by
+:class:`~repro.campaign.frame.TableAggregator`), which
+:meth:`~repro.campaign.runner.CampaignRunner.stream` feeds in constant
+memory.
 
 Because every simulation draws all randomness from named streams seeded by
 a single master seed (see :mod:`repro.sim.rng`), each scenario is a pure
@@ -24,12 +25,10 @@ from repro.campaign.frame import (
     JsonDocumentSink,
     JsonlRecordSink,
     RecordSink,
-    ResultFrame,
     TableAggregator,
     iter_jsonl,
-    load_jsonl,
 )
-from repro.campaign.records import AmbiguousKeyError, CampaignResult, RunRecord, load_json
+from repro.campaign.records import CampaignResult, RunRecord, load_json
 from repro.campaign.runner import (
     DEFAULT_TRACE_LIMIT,
     CampaignRunner,
@@ -43,7 +42,6 @@ from repro.campaign.runner import (
 from repro.campaign.spec import EXPERIMENT_KINDS, Scenario, Sweep
 
 __all__ = [
-    "AmbiguousKeyError",
     "CampaignResult",
     "CampaignRunner",
     "CsvRecordSink",
@@ -52,7 +50,6 @@ __all__ = [
     "JsonDocumentSink",
     "JsonlRecordSink",
     "RecordSink",
-    "ResultFrame",
     "RunRecord",
     "Scenario",
     "ScenarioTemplate",
@@ -64,6 +61,5 @@ __all__ = [
     "is_known_metric",
     "iter_jsonl",
     "load_json",
-    "load_jsonl",
     "resolve_chunksize",
 ]

@@ -1,8 +1,7 @@
-"""Columnar campaign results and incremental record streaming.
+"""Record sinks: the one path from campaign records to files and tables.
 
-A :class:`ResultFrame` stores campaign rows column-wise (one list per
-column) — the natural layout for aggregating one metric over many runs —
-and the record sinks stream results to disk *while a campaign runs*:
+A campaign pushes every finished record, in sweep-expansion order, through
+:class:`RecordSink` objects:
 
 * :class:`JsonlRecordSink` — one JSON object per line (scenario +
   metrics), flushed per record; constant memory for arbitrarily long
@@ -10,11 +9,12 @@ and the record sinks stream results to disk *while a campaign runs*:
 * :class:`CsvRecordSink` — one flat row per record; the header is fixed
   from the first record (plus optionally declared columns), later columns
   unknown to the header are dropped.
-* :class:`JsonDocumentSink` — the legacy ``{"records": [...]}`` document
-  written at :meth:`close`; retains all records in memory and exists only
-  for compatibility with :func:`repro.campaign.records.load_json`.
+* :class:`JsonDocumentSink` — the ``{"records": [...]}`` document written
+  at :meth:`close` (read back by :func:`repro.campaign.records.load_json`);
+  retains all records in memory until then.
 * :class:`TableAggregator` — constant-memory grouped mean/CI aggregation
-  (one :class:`~repro.analysis.stats.StreamingStats` per group × metric).
+  (one :class:`~repro.analysis.stats.StreamingStats` per group × metric),
+  the only grouped aggregation of the campaign layer.
 
 ``iter_jsonl`` reads a JSONL stream back as records without loading the
 whole file.
@@ -32,121 +32,6 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.analysis.stats import StreamingStats
 from repro.campaign.records import RunRecord, _SCENARIO_COLUMNS
 from repro.campaign.spec import Scenario
-
-
-class ResultFrame:
-    """Campaign rows stored column-wise.
-
-    Rows are flat dictionaries as produced by :meth:`RunRecord.row`
-    (scenario identity, parameters, metrics).  Columns appearing after the
-    first row are backfilled with None; absent cells read as None.
-    """
-
-    def __init__(self) -> None:
-        self._columns: Dict[str, List[Any]] = {}
-        self._length = 0
-
-    # ------------------------------------------------------------- building
-    def append(self, row: Mapping[str, Any]) -> None:
-        """Append one flat row, growing the column set as needed."""
-        for name in row:
-            if name not in self._columns:
-                self._columns[name] = [None] * self._length
-        for name, column in self._columns.items():
-            column.append(row.get(name))
-        self._length += 1
-
-    def append_record(self, record: RunRecord) -> None:
-        """Append a run record's flat row view."""
-        self.append(record.row())
-
-    @classmethod
-    def from_records(cls, records: Sequence[RunRecord]) -> "ResultFrame":
-        frame = cls()
-        for record in records:
-            frame.append_record(record)
-        return frame
-
-    # -------------------------------------------------------------- reading
-    def __len__(self) -> int:
-        return self._length
-
-    def column_names(self) -> List[str]:
-        """Column names in first-appearance order."""
-        return list(self._columns)
-
-    def column(self, name: str) -> List[Any]:
-        """One column as a list (length == number of rows)."""
-        try:
-            return list(self._columns[name])
-        except KeyError:
-            known = ", ".join(self._columns) or "<none>"
-            raise KeyError(f"frame has no column {name!r}; columns: {known}") from None
-
-    def row(self, index: int) -> Dict[str, Any]:
-        """One row as a dictionary (cells absent at append time are None)."""
-        return {name: column[index] for name, column in self._columns.items()}
-
-    def iter_rows(self) -> Iterator[Dict[str, Any]]:
-        for index in range(self._length):
-            yield self.row(index)
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        return self.iter_rows()
-
-    # ---------------------------------------------------------- aggregation
-    def aggregate(
-        self,
-        metric: str,
-        by: Sequence[str] = ("mac",),
-    ) -> Dict[Tuple[Any, ...], Dict[str, float]]:
-        """Group rows and compute ``{"mean", "ci95", "n"}`` per group.
-
-        Same semantics as :meth:`CampaignResult.aggregate`; rows whose
-        metric cell is None (heterogeneous collector sets) are skipped.
-        """
-        metric_column = self.column(metric)
-        key_columns = [self.column(name) for name in by]
-        groups: Dict[Tuple[Any, ...], StreamingStats] = {}
-        for index in range(self._length):
-            value = metric_column[index]
-            if value is None:
-                continue
-            key = tuple(column[index] for column in key_columns)
-            groups.setdefault(key, StreamingStats()).push(float(value))
-        result: Dict[Tuple[Any, ...], Dict[str, float]] = {}
-        for key, stats in groups.items():
-            mean, half_width = stats.ci95()
-            result[key] = {"mean": mean, "ci95": half_width, "n": float(stats.n)}
-        return result
-
-    # --------------------------------------------------------------- export
-    def to_jsonl(self, path: Union[str, Any]) -> int:
-        """Write one JSON object per row; returns the row count."""
-        handle, owned = _open_for_write(path)
-        try:
-            for row in self.iter_rows():
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-        finally:
-            if owned:
-                handle.close()
-        return self._length
-
-    def to_csv(self, path: Union[str, Any]) -> int:
-        """Write a flat CSV (all columns, None cells empty); returns the row count."""
-        handle, owned = _open_for_write(path)
-        try:
-            writer = csv.DictWriter(handle, fieldnames=self.column_names(), restval="")
-            writer.writeheader()
-            for row in self.iter_rows():
-                writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-        finally:
-            if owned:
-                handle.close()
-        return self._length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ResultFrame(rows={self._length}, columns={len(self._columns)})"
 
 
 def _open_for_write(path: Union[str, Any]):
@@ -259,12 +144,11 @@ class CsvRecordSink(RecordSink):
 
 
 class JsonDocumentSink(RecordSink):
-    """Accumulate records and write the legacy ``{"records": [...]}`` JSON.
+    """Accumulate records and write one ``{"records": [...]}`` JSON document.
 
     Unlike the JSONL sink this retains every record dictionary until
-    :meth:`close` — use it only when a consumer needs the old document
-    format (:func:`repro.campaign.records.load_json` reads it back).
-    ``meta`` optionally adds a top-level ``"meta"`` object to the document
+    :meth:`close` (:func:`repro.campaign.records.load_json` reads the
+    document back).  ``meta`` optionally adds a top-level ``"meta"`` object to the document
     (ignored by ``load_json``).
     """
 
@@ -297,9 +181,11 @@ class TableAggregator(RecordSink):
     """Constant-memory grouped aggregation over a record stream.
 
     Groups by scenario fields and parameters (never by metrics, so a
-    colliding name cannot shadow an axis) and keeps one
+    metric named like a sweep axis cannot shadow the axis) and keeps one
     :class:`StreamingStats` per ``(metric, group)`` — memory is bounded by
-    the grid size, not the seed count.
+    the grid size, not the seed count.  A record lacking a metric simply
+    does not count towards that metric's groups; ``by=()`` aggregates the
+    whole stream as one group keyed ``()``.
     """
 
     def __init__(self, by: Sequence[str] = ("mac",)) -> None:
@@ -334,12 +220,13 @@ class TableAggregator(RecordSink):
         """Metric names seen so far, sorted."""
         return sorted(self._stats)
 
-    def groups(self, metric: str) -> Dict[Tuple[Any, ...], Dict[str, float]]:
-        """``{"mean", "ci95", "n"}`` per group, in first-appearance order."""
-        result: Dict[Tuple[Any, ...], Dict[str, float]] = {}
+    def groups(self, metric: str) -> Dict[Tuple[Any, ...], Dict[str, Any]]:
+        """``{"mean", "ci95", "n"}`` per group, in first-appearance order
+        (empty for a metric no record carried)."""
+        result: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
         for key, stats in self._stats.get(metric, {}).items():
             mean, half_width = stats.ci95()
-            result[key] = {"mean": mean, "ci95": half_width, "n": float(stats.n)}
+            result[key] = {"mean": mean, "ci95": half_width, "n": stats.n}
         return result
 
 
@@ -393,11 +280,3 @@ def iter_jsonl(source: Union[str, Any]) -> Iterator[RunRecord]:
         return
     with open(source, "r", encoding="utf-8") as handle:
         yield from records(handle, str(source))
-
-
-def load_jsonl(source: Union[str, Any]) -> ResultFrame:
-    """Load a JSONL record stream into a :class:`ResultFrame`."""
-    frame = ResultFrame()
-    for record in iter_jsonl(source):
-        frame.append_record(record)
-    return frame

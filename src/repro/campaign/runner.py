@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from types import ModuleType
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.frame import RecordSink, ResultFrame
+from repro.campaign.frame import RecordSink
 from repro.campaign.records import CampaignResult, RunRecord
 from repro.campaign.spec import (
     EXPERIMENT_KINDS,
@@ -792,27 +792,20 @@ class CampaignRunner:
         self,
         sweep: Union[Sweep, Iterable[Scenario]],
         sinks: Sequence[RecordSink] = (),
-        collect: bool = True,
-    ) -> ResultFrame:
+    ) -> None:
         """Run the sweep, pushing each record through the sinks as it finishes.
 
-        Memory stays constant when ``collect`` is False (records are
-        dropped after the sinks have seen them — pair with a
-        :class:`~repro.campaign.frame.JsonlRecordSink` and/or
-        :class:`~repro.campaign.frame.TableAggregator`); with ``collect``
-        the scalar rows are additionally accumulated into the returned
-        columnar :class:`ResultFrame`.  Sinks are closed on return, also
-        on error — including ``KeyboardInterrupt``, so an interrupted
-        checkpointed sweep always leaves readable (flushed and closed)
-        output files and no orphan worker processes.
+        Memory stays constant: records are dropped after the sinks have
+        seen them (pair with a :class:`~repro.campaign.frame.JsonlRecordSink`
+        and/or :class:`~repro.campaign.frame.TableAggregator`).  Sinks are
+        closed on return, also on error — including ``KeyboardInterrupt``,
+        so an interrupted checkpointed sweep always leaves readable
+        (flushed and closed) output files and no orphan worker processes.
         """
-        frame = ResultFrame()
         try:
             for record in self.iter_records(sweep):
                 for sink in sinks:
                     sink.write(record)
-                if collect:
-                    frame.append_record(record)
         except BaseException:
             # BaseException on purpose: Ctrl-C raises KeyboardInterrupt in
             # the consumer loop (e.g. inside a sink write), which abandons
@@ -825,4 +818,3 @@ class CampaignRunner:
         finally:
             for sink in sinks:
                 sink.close()
-        return frame

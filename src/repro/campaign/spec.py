@@ -27,46 +27,30 @@ from repro.metrics.registry import COLLECTOR_REGISTRY, collector_kinds
 from repro.phy.registry import PROPAGATION_REGISTRY, get_propagation_spec, propagation_kinds
 from repro.scenario.builder import topology_accepts_seed
 
-#: Experiment families runnable by the campaign layer.  Each fixes a
-#: topology and traffic model; see :mod:`repro.campaign.runner` for the
-#: mapping onto the experiment runners.
-EXPERIMENT_KINDS = (
-    "hidden-node",
-    "sinr-hidden-node",
-    "testbed-tree",
-    "testbed-star",
-    "scalability",
-)
+#: Experiment families runnable by the campaign layer, each with the
+#: topology it builds when no ``topology`` parameter overrides it (which
+#: decides seed-dependence below) and the runner parameters that shape its
+#: *construction* (the topology and the propagation draw that settles its
+#: links).  The campaign runner groups runs sharing these values — plus
+#: the propagation axis and, where construction is seeded, the seed —
+#: consecutively, so each warm worker's artifact LRU sees long same-key
+#: streaks (configuration-affinity dispatch).  Traffic and channel
+#: parameters (``delta``, ``packets_per_node``, durations,
+#: ``link_error_rate``, ``interference``, ``sinr_threshold_db``, ...) are
+#: deliberately absent: they never split an artifact group.  See
+#: :mod:`repro.campaign.runner` for the mapping onto the experiment runners.
+_CONSTRUCTION: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "hidden-node": ("hidden-node", ("link_distance", "propagation_params")),
+    "sinr-hidden-node": ("sinr-hidden-node", ("propagation_params",)),
+    "testbed-tree": ("iotlab-tree", ("propagation_params",)),
+    "testbed-star": ("iotlab-star", ("propagation_params",)),
+    "scalability": ("concentric", ("topology", "nodes", "rings", "propagation_params")),
+}
+
+EXPERIMENT_KINDS = tuple(_CONSTRUCTION)
 
 #: Scenario fields that cannot double as sweep parameters.
 _RESERVED_PARAMS = ("mac", "seed", "propagation", "metrics")
-
-#: Runner parameters that shape *construction* (the topology and the
-#: propagation draw that settles its links) per experiment family.  The
-#: campaign runner groups runs sharing these values — plus the propagation
-#: axis and, where construction is seeded, the seed — consecutively, so
-#: each warm worker's artifact LRU sees long same-key streaks
-#: (configuration-affinity dispatch).  Traffic and channel parameters
-#: (``delta``, ``packets_per_node``, durations, ``link_error_rate``,
-#: ``interference``, ``sinr_threshold_db``, ...) are deliberately absent:
-#: they never split an artifact group.
-CONSTRUCTION_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "hidden-node": ("link_distance", "propagation_params"),
-    "sinr-hidden-node": ("propagation_params",),
-    "testbed-tree": ("propagation_params",),
-    "testbed-star": ("propagation_params",),
-    "scalability": ("topology", "nodes", "rings", "propagation_params"),
-}
-
-#: The topology each experiment family builds when no ``topology``
-#: parameter overrides it (used to decide seed-dependence below).
-_DEFAULT_TOPOLOGY: Dict[str, str] = {
-    "hidden-node": "hidden-node",
-    "sinr-hidden-node": "sinr-hidden-node",
-    "testbed-tree": "iotlab-tree",
-    "testbed-star": "iotlab-star",
-    "scalability": "concentric",
-}
 
 
 def construction_seed_dependent(
@@ -84,9 +68,7 @@ def construction_seed_dependent(
         if "seed" not in propagation_params:
             if get_propagation_spec(propagation).accepts_seed():
                 return True
-    topology = params.get("topology") or _DEFAULT_TOPOLOGY.get(experiment)
-    if topology is None:
-        return False
+    topology = params.get("topology") or _CONSTRUCTION[experiment][0]
     try:
         return topology_accepts_seed(str(topology))
     except KeyError:
@@ -98,8 +80,7 @@ def construction_seed_dependent(
 def construction_values(experiment: str, params: Mapping[str, Any]) -> Tuple[str, ...]:
     """The construction-relevant parameter values of one run, repr-rendered
     (sortable across heterogeneous axes)."""
-    names = CONSTRUCTION_PARAMS.get(experiment, ())
-    return tuple(repr(params.get(name)) for name in names)
+    return tuple(repr(params.get(name)) for name in _CONSTRUCTION[experiment][1])
 
 
 def construction_affinity_key(

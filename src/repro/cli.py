@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.frame import (
     CsvRecordSink,
@@ -53,16 +53,6 @@ def _print_table(header: List[str], rows: List[List[str]]) -> None:
     print("-" * len(line))
     for row in rows:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-
-
-def _export(campaign: CampaignResult, args: argparse.Namespace) -> None:
-    """Write the per-run records behind a table to JSON/CSV when requested."""
-    if getattr(args, "json_path", None):
-        campaign.to_json(args.json_path)
-        print(f"wrote {len(campaign)} records to {args.json_path} (json)")
-    if getattr(args, "csv_path", None):
-        campaign.to_csv(args.csv_path)
-        print(f"wrote {len(campaign)} records to {args.csv_path} (csv)")
 
 
 def _add_propagation_option(parser: argparse.ArgumentParser) -> None:
@@ -318,23 +308,18 @@ def cmd_fig7(args: argparse.Namespace) -> None:
         seeds=list(range(args.repetitions)),
         metrics=args.collectors,
     )
-    with CampaignRunner(
-        jobs=args.jobs,
-        chunksize=args.chunksize,
-        build_cache=args.build_cache,
-        batch_seeds=args.batch_seeds,
-    ) as runner:
-        campaign = runner.run(sweep)
     by = ("delta", "mac")
-    try:
-        pdr = campaign.aggregate("pdr", by=by)
-        queue = campaign.aggregate("average_queue_level", by=by)
-        delay = campaign.aggregate("average_delay", by=by)
-    except KeyError as exc:
-        raise SystemExit(
-            f"qma-repro fig7: error: {exc.args[0]} — the chosen --collectors "
-            "must include pdr, queue and delay"
-        )
+    _, sinks = _run_figure(args, sweep, by)
+    aggregator = sinks[0]
+    for metric in ("pdr", "average_queue_level", "average_delay"):
+        if metric not in aggregator.metric_names():
+            raise SystemExit(
+                f"qma-repro fig7: error: metric {metric!r} missing — the chosen "
+                "--collectors must include pdr, queue and delay"
+            )
+    pdr = aggregator.groups("pdr")
+    queue = aggregator.groups("average_queue_level")
+    delay = aggregator.groups("average_delay")
     rows = []
     for delta in args.deltas:
         for mac in args.macs:
@@ -350,7 +335,7 @@ def cmd_fig7(args: argparse.Namespace) -> None:
                 ]
             )
     _print_table(["delta", "mac", "pdr", "ci95", "avg queue", "avg delay"], rows)
-    _export(campaign, args)
+    _print_sink_lines(sinks)
 
 
 def cmd_fig12(args: argparse.Namespace) -> None:
@@ -382,14 +367,7 @@ def cmd_testbed(args: argparse.Namespace) -> None:
         seeds=[args.seed],
         metrics=args.collectors,
     )
-    with CampaignRunner(
-        jobs=args.jobs,
-        keep_raw=True,
-        chunksize=args.chunksize,
-        build_cache=args.build_cache,
-        batch_seeds=args.batch_seeds,
-    ) as runner:
-        campaign = runner.run(sweep)
+    campaign, sinks = _run_figure(args, sweep, ("mac",), keep_raw=True)
     rows = []
     for record in campaign:
         report = record.raw
@@ -400,7 +378,7 @@ def cmd_testbed(args: argparse.Namespace) -> None:
                 [args.scenario, record.scenario.mac, "overall", f"{report.scalars['overall_pdr']:.3f}"]
             )
     _print_table(["topology", "mac", "node", "pdr"], rows)
-    _export(campaign, args)
+    _print_sink_lines(sinks)
 
 
 def cmd_fig21(args: argparse.Namespace) -> None:
@@ -413,13 +391,7 @@ def cmd_fig21(args: argparse.Namespace) -> None:
         seeds=[args.seed],
         metrics=args.collectors,
     )
-    with CampaignRunner(
-        jobs=args.jobs,
-        chunksize=args.chunksize,
-        build_cache=args.build_cache,
-        batch_seeds=args.batch_seeds,
-    ) as runner:
-        campaign = runner.run(sweep)
+    campaign, sinks = _run_figure(args, sweep, ("rings", "mac"))
     records = {
         (record.scenario.params["rings"], record.scenario.mac): record for record in campaign
     }
@@ -447,7 +419,7 @@ def cmd_fig21(args: argparse.Namespace) -> None:
         ["nodes", "mac", "secondary pdr", "gts-req success", "(de)alloc rate", "primary pdr"],
         rows,
     )
-    _export(campaign, args)
+    _print_sink_lines(sinks)
 
 
 def _sweep_from_args(args: argparse.Namespace) -> Sweep:
@@ -532,7 +504,7 @@ def _print_aggregate(
         for key, stats in aggregator.groups(metric).items():
             rows.append(
                 list(key)
-                + [metric, f"{stats['mean']:.4f}", f"±{stats['ci95']:.4f}", int(stats["n"])]
+                + [metric, f"{stats['mean']:.4f}", f"±{stats['ci95']:.4f}", stats["n"]]
             )
     _print_table(list(by) + ["metric", "mean", "ci95", "n"], rows)
 
@@ -629,7 +601,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     pool_config = runner.pool_config(sweep.size)
 
     # Stream records through sinks: aggregation, JSONL and CSV run in
-    # constant memory; only the legacy --json document buffers records.
+    # constant memory; only the --json document buffers records.
     sinks = _sweep_sinks(args, sweep, by, meta={"pool": pool_config})
     aggregator = sinks[0]
 
@@ -640,7 +612,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     )
     try:
         with runner:
-            runner.stream(sweep, sinks=sinks, collect=False)
+            runner.stream(sweep, sinks=sinks)
     except TypeError as exc:
         # Unknown --grid/--set keys surface as unexpected-keyword errors from
         # the experiment runner (possibly re-raised by the pool); anything
@@ -674,6 +646,29 @@ def _sweep_sinks(
     if getattr(args, "json_path", None):
         sinks.append(JsonDocumentSink(args.json_path, meta=meta))
     return sinks
+
+
+def _run_figure(
+    args: argparse.Namespace, sweep: Sweep, by: tuple, keep_raw: bool = False
+) -> Tuple[CampaignResult, List[Any]]:
+    """Run a figure command's sweep, then pass its records through the
+    sinks of the ``sweep`` command (aggregator first, ``--json``/``--csv``
+    after), so both commands export the same records the same way."""
+    runner = CampaignRunner(
+        jobs=args.jobs,
+        keep_raw=keep_raw,
+        chunksize=args.chunksize,
+        build_cache=args.build_cache,
+        batch_seeds=args.batch_seeds,
+    )
+    with runner:
+        campaign = runner.run(sweep)
+    sinks = _sweep_sinks(args, sweep, by, meta={"pool": runner.pool_config(sweep.size)})
+    for sink in sinks:
+        for record in campaign:
+            sink.write(record)
+        sink.close()
+    return campaign, sinks
 
 
 def _run_checkpointed_sweep(args: argparse.Namespace, sweep: Sweep, by: tuple) -> None:

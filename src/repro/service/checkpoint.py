@@ -15,9 +15,9 @@ record's content digest as it is read back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
-from repro.campaign.records import CampaignResult, RunRecord
+from repro.campaign.records import RunRecord
 from repro.campaign.spec import Sweep
 from repro.service.backends import DispatchBackend, PoolBackend
 from repro.service.journal import CheckpointJournal
@@ -45,12 +45,6 @@ class CheckpointOutcome:
     records: Optional[List[RunRecord]] = field(default=None, repr=False)
     status: str = "complete"
     quarantined: List[int] = field(default_factory=list)
-
-    def result(self) -> CampaignResult:
-        """The merged records as a :class:`CampaignResult` (needs ``collect``)."""
-        if self.records is None:
-            raise ValueError("run_checkpointed(..., collect=True) to keep records")
-        return CampaignResult(records=list(self.records))
 
 
 def run_checkpointed(
@@ -167,5 +161,3 @@ def resume_sweep(journal_path: str) -> Sweep:
     finally:
         journal.close()
 
-
-_ = Dict  # typing import kept for annotations in docstrings

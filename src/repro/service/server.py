@@ -6,8 +6,8 @@ Two layers, separable for testing:
   submissions from any thread, queues them onto a single dispatcher
   thread (campaigns execute one at a time — worker pools and the
   artifact-cache override are not safe to interleave in one process) and
-  tracks per-job progress plus live per-metric
-  :class:`~repro.analysis.stats.StreamingStats` built from records *as
+  tracks per-job progress plus a live
+  :class:`~repro.campaign.frame.TableAggregator` fed with records *as
   they finish*, so a million-run campaign reports running means and 95 %
   confidence intervals mid-flight in constant memory.  Every job is
   journalled under the service root, keyed by spec digest — submitting a
@@ -40,7 +40,7 @@ import traceback
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.analysis.stats import StreamingStats
+from repro.campaign.frame import TableAggregator
 from repro.campaign.records import RunRecord
 from repro.campaign.spec import Sweep
 from repro.service.checkpoint import run_checkpointed
@@ -77,24 +77,20 @@ class CampaignJob:
         self.error: Optional[str] = None
         self.submitted_at = time.time()
         self.finished_at: Optional[float] = None
-        self.stats: Dict[str, StreamingStats] = {}
+        self.table = TableAggregator(by=())
         self.quarantined = 0
         self.events: List[Dict[str, Any]] = []
 
     def observe(self, record: RunRecord) -> None:
         self.completed += 1
-        for name, value in record.metrics.items():
-            stats = self.stats.get(name)
-            if stats is None:
-                stats = self.stats[name] = StreamingStats()
-            stats.push(float(value))
+        self.table.write(record)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready view: identity, progress, live metric aggregates."""
         metrics = {}
-        for name, stats in sorted(self.stats.items()):
-            mean, ci95 = stats.ci95()
-            metrics[name] = {"n": stats.n, "mean": mean, "ci95": ci95}
+        for name in self.table.metric_names():
+            stats = self.table.groups(name)[()]
+            metrics[name] = {"n": stats["n"], "mean": stats["mean"], "ci95": stats["ci95"]}
         return {
             "job": self.job_id,
             "state": self.state,
@@ -269,10 +265,10 @@ class CampaignService:
                 # observe(); rebuild the aggregates from the journal before
                 # the terminal state is published, so no poller can see a
                 # finished job whose stats miss the resumed runs.
-                stats = self._backfill(job) if outcome.resumed else None
+                table = self._backfill(job) if outcome.resumed else None
                 with self._lock:
-                    if stats is not None:
-                        job.stats = stats
+                    if table is not None:
+                        job.table = table
                     job.resumed = outcome.resumed
                     job.completed = outcome.resumed + outcome.executed
                     job.quarantined = len(outcome.quarantined)
@@ -309,10 +305,10 @@ class CampaignService:
         with self._lock:
             job.observe(record)
 
-    def _backfill(self, job: CampaignJob) -> Dict[str, StreamingStats]:
-        """Final stats rebuilt from the journal when runs were resumed.
+    def _backfill(self, job: CampaignJob) -> TableAggregator:
+        """Final aggregates rebuilt from the journal when runs were resumed.
 
-        Live stats only saw newly executed records; replaying the full
+        The live table only saw newly executed records; replaying the full
         journal in expansion order makes the end-state aggregates both
         complete and deterministic.
         """
@@ -320,13 +316,9 @@ class CampaignService:
 
         journal = CheckpointJournal.open(job.journal_path)
         try:
-            fresh: Dict[str, StreamingStats] = {}
+            fresh = TableAggregator(by=())
             for _, record in journal.iter_completed():
-                for name, value in record.metrics.items():
-                    stats = fresh.get(name)
-                    if stats is None:
-                        stats = fresh[name] = StreamingStats()
-                    stats.push(float(value))
+                fresh.write(record)
             return fresh
         finally:
             journal.close()

@@ -1,4 +1,4 @@
-"""Tests for ResultFrame, the streaming record sinks and CampaignRunner.stream."""
+"""Tests for the streaming record sinks and CampaignRunner.stream."""
 
 from __future__ import annotations
 
@@ -11,10 +11,9 @@ from repro.campaign.frame import (
     CsvRecordSink,
     JsonDocumentSink,
     JsonlRecordSink,
-    ResultFrame,
+    RecordSink,
     TableAggregator,
     iter_jsonl,
-    load_jsonl,
 )
 from repro.campaign.records import RunRecord, load_json
 from repro.campaign.runner import CampaignRunner
@@ -69,49 +68,6 @@ class TestStreamingStats:
         assert stats.ci95() == (3.0, 0.0)
 
 
-class TestResultFrame:
-    def test_columnar_append_and_backfill(self):
-        frame = ResultFrame()
-        frame.append({"a": 1, "b": 2})
-        frame.append({"a": 3, "c": 4})
-        assert len(frame) == 2
-        assert frame.column("a") == [1, 3]
-        assert frame.column("b") == [2, None]
-        assert frame.column("c") == [None, 4]
-        assert frame.row(1) == {"a": 3, "b": None, "c": 4}
-        with pytest.raises(KeyError):
-            frame.column("nope")
-
-    def test_from_records_and_aggregate_matches_campaign_result(self, records):
-        from repro.campaign.records import CampaignResult
-
-        frame = ResultFrame.from_records(records)
-        by_frame = frame.aggregate("pdr", by=("mac",))
-        by_result = CampaignResult(records=records).aggregate("pdr", by=("mac",))
-        for key, stats in by_result.items():
-            assert by_frame[key]["mean"] == stats["mean"]
-            assert by_frame[key]["n"] == stats["n"]
-            assert by_frame[key]["ci95"] == pytest.approx(stats["ci95"], rel=1e-12)
-
-    def test_aggregate_skips_rows_missing_the_metric(self, records):
-        frame = ResultFrame.from_records(records)
-        frame.append({"mac": "tdma", "delta": 10.0})  # no pdr cell
-        stats = frame.aggregate("pdr", by=("mac",))
-        assert ("tdma",) not in stats
-
-    def test_jsonl_and_csv_export(self, records, tmp_path):
-        frame = ResultFrame.from_records(records)
-        jsonl_path = tmp_path / "rows.jsonl"
-        csv_path = tmp_path / "rows.csv"
-        assert frame.to_jsonl(str(jsonl_path)) == 4
-        assert frame.to_csv(str(csv_path)) == 4
-        lines = jsonl_path.read_text().strip().splitlines()
-        assert len(lines) == 4
-        assert json.loads(lines[0])["pdr"] == 0.9
-        header = csv_path.read_text().splitlines()[0]
-        assert header.startswith("experiment,mac")
-
-
 class TestSinks:
     def test_jsonl_sink_round_trips_records(self, records, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -122,9 +78,6 @@ class TestSinks:
         assert sink.written == 4
         loaded = list(iter_jsonl(str(path)))
         assert loaded == records
-        frame = load_jsonl(str(path))
-        assert len(frame) == 4
-        assert frame.column("pdr") == [0.9, 1.0, 0.6, 0.8]
 
     def test_csv_sink_streams_flat_rows(self, records, tmp_path):
         import csv as csv_module
@@ -163,36 +116,59 @@ class TestSinks:
         assert loaded.records == records
 
     def test_table_aggregator_matches_batch_aggregation(self, records):
-        from repro.campaign.records import CampaignResult
-
         aggregator = TableAggregator(by=("mac", "delta"))
         for record in records:
             aggregator.write(record)
         assert aggregator.metric_names() == ["pdr"]
         groups = aggregator.groups("pdr")
-        batch = CampaignResult(records=records).aggregate("pdr", by=("mac", "delta"))
-        assert list(groups) == list(batch)  # first-appearance order preserved
-        for key, stats in batch.items():
-            assert groups[key]["mean"] == stats["mean"]
-            assert groups[key]["n"] == stats["n"]
+        assert list(groups) == [("qma", 10.0), ("unslotted-csma", 10.0)]  # first appearance
+        for key in groups:
+            samples = [
+                r.metrics["pdr"]
+                for r in records
+                if (r.scenario.mac, r.scenario.params["delta"]) == key
+            ]
+            mean, ci = confidence_interval_95(samples)
+            assert groups[key]["mean"] == mean  # running sum == sum() in the same order
+            # Welford's variance may differ from the two-pass one in the last ulps.
+            assert groups[key]["ci95"] == pytest.approx(ci, rel=1e-12, abs=1e-15)
+            assert groups[key]["n"] == len(samples)
+
+    def test_table_aggregator_skips_records_missing_the_metric(self, records):
+        aggregator = TableAggregator(by=("mac",))
+        for record in records:
+            aggregator.write(record)
+        aggregator.write(
+            RunRecord(scenario=Scenario(experiment="hidden-node", mac="tdma"), metrics={"x": 1.0})
+        )
+        assert ("tdma",) not in aggregator.groups("pdr")
+        assert list(aggregator.groups("x")) == [("tdma",)]
+        assert aggregator.groups("absent") == {}
+
+    def test_table_aggregator_groups_by_param_not_colliding_metric(self):
+        """A metric named like a sweep axis never shadows the axis."""
+        aggregator = TableAggregator(by=("delta",))
+        for delta, value in ((10.0, 0.5), (25.0, 0.5)):
+            aggregator.write(
+                RunRecord(
+                    scenario=Scenario(experiment="hidden-node", params={"delta": delta}),
+                    metrics={"delta": value},
+                )
+            )
+        assert list(aggregator.groups("delta")) == [(10.0,), (25.0,)]
 
 
 class TestStream:
-    def test_stream_collects_a_frame_and_feeds_sinks(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        sink = JsonlRecordSink(str(path))
-        frame = CampaignRunner(jobs=1).stream(_tiny_sweep(), sinks=[sink])
-        assert len(frame) == 2
-        assert sink.written == 2
-        assert len(list(iter_jsonl(str(path)))) == 2
-        assert 0.0 <= frame.column("pdr")[0] <= 1.0
-
     def test_stream_without_collect_keeps_no_rows(self, tmp_path):
+        """stream has no collecting mode: it returns nothing and the
+        records only reach the sinks (constant memory)."""
         path = tmp_path / "stream.jsonl"
         sink = JsonlRecordSink(str(path))
-        frame = CampaignRunner(jobs=1).stream(_tiny_sweep(), sinks=[sink], collect=False)
-        assert len(frame) == 0  # constant memory: nothing retained in-process
-        assert sink.written == 2  # ... but everything reached the stream
+        assert CampaignRunner(jobs=1).stream(_tiny_sweep(), sinks=[sink]) is None
+        assert sink.written == 2
+        loaded = list(iter_jsonl(str(path)))
+        assert len(loaded) == 2
+        assert 0.0 <= loaded[0].metrics["pdr"] <= 1.0
 
     def test_stream_closes_sinks_on_error(self, tmp_path):
         class Boom(RuntimeError):
@@ -208,12 +184,22 @@ class TestStream:
         assert sink._handle is None  # closed despite the failure
 
     def test_stream_matches_run_and_is_worker_count_independent(self):
+        class Rows(RecordSink):
+            def __init__(self):
+                super().__init__()
+                self.rows = []
+
+            def write(self, record):
+                super().write(record)
+                self.rows.append(record.row())
+
         sweep = _tiny_sweep(metrics=("pdr", "delay", "attempts"))
-        serial = CampaignRunner(jobs=1).stream(sweep)
-        parallel = CampaignRunner(jobs=4).stream(sweep)
+        serial, parallel = Rows(), Rows()
+        CampaignRunner(jobs=1).stream(sweep, sinks=[serial])
+        CampaignRunner(jobs=4).stream(sweep, sinks=[parallel])
         batch = CampaignRunner(jobs=1).run(sweep)
-        assert list(serial.iter_rows()) == list(parallel.iter_rows())
-        assert list(serial.iter_rows()) == [record.row() for record in batch]
+        assert serial.rows == parallel.rows
+        assert serial.rows == [record.row() for record in batch]
 
 
 class TestTolerantJsonlReader:

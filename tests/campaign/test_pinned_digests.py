@@ -309,7 +309,7 @@ class _ListSink:
 def _streamed(sweep, tmp_path):
     sink = _ListSink()
     with CampaignRunner(jobs=2, chunksize=3) as runner:
-        runner.stream(sweep, sinks=[sink], collect=False)
+        runner.stream(sweep, sinks=[sink])
     return sink.records
 
 

@@ -1,14 +1,16 @@
-"""Tests for RunRecord / CampaignResult export and aggregation."""
+"""Tests for RunRecord / CampaignResult through the export and aggregation sinks."""
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import pytest
 
 from repro.analysis.stats import confidence_interval_95
-from repro.campaign.records import AmbiguousKeyError, CampaignResult, RunRecord, load_json
+from repro.campaign.frame import CsvRecordSink, JsonDocumentSink, TableAggregator
+from repro.campaign.records import CampaignResult, RunRecord, load_json
 from repro.campaign.spec import Scenario
 
 
@@ -19,6 +21,19 @@ def _record(mac: str, seed: int, delta: float, pdr: float) -> RunRecord:
         ),
         metrics={"pdr": pdr},
     )
+
+
+def _feed(sink, records):
+    for record in records:
+        sink.write(record)
+    sink.close()
+    return sink
+
+
+def _csv_text(records) -> str:
+    buffer = io.StringIO()
+    _feed(CsvRecordSink(buffer), records)
+    return buffer.getvalue()
 
 
 @pytest.fixture
@@ -34,36 +49,6 @@ def campaign() -> CampaignResult:
 
 
 class TestRunRecord:
-    def test_value_resolves_metrics_scenario_and_params(self):
-        record = _record("qma", 3, 25.0, 0.75)
-        assert record.value("pdr") == 0.75
-        assert record.value("mac") == "qma"
-        assert record.value("seed") == 3
-        assert record.value("delta") == 25.0
-        assert record.value("experiment") == "hidden-node"
-        with pytest.raises(KeyError):
-            record.value("does-not-exist")
-
-    def test_value_raises_on_metric_param_ambiguity(self):
-        """A metric named like a scenario param must not silently win."""
-        record = RunRecord(
-            scenario=Scenario(experiment="hidden-node", params={"delta": 10.0}),
-            metrics={"delta": 0.5, "pdr": 1.0},
-        )
-        with pytest.raises(AmbiguousKeyError, match="delta"):
-            record.value("delta")
-        # The explicit accessors disambiguate.
-        assert record.metric("delta") == 0.5
-        assert record.param("delta") == 10.0
-
-    def test_value_raises_when_metric_shadows_scenario_field(self):
-        record = RunRecord(
-            scenario=Scenario(experiment="hidden-node", mac="qma"),
-            metrics={"mac": 1.0},
-        )
-        with pytest.raises(AmbiguousKeyError):
-            record.value("mac")
-
     def test_row_flattens_scenario_and_metrics(self):
         row = _record("qma", 0, 10.0, 0.9).row()
         assert row == {
@@ -79,14 +64,15 @@ class TestRunRecord:
 class TestExport:
     def test_json_round_trip(self, campaign, tmp_path):
         path = tmp_path / "records.json"
-        text = campaign.to_json(str(path))
-        assert json.loads(text)["records"]
+        _feed(JsonDocumentSink(str(path)), campaign)
+        assert json.loads(path.read_text())["records"]
         loaded = load_json(str(path))
         assert loaded.records == campaign.records
+        assert len(loaded) == 4
 
     def test_csv_has_one_row_per_run(self, campaign, tmp_path):
         path = tmp_path / "records.csv"
-        campaign.to_csv(str(path))
+        _feed(CsvRecordSink(str(path)), campaign)
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4
@@ -95,16 +81,15 @@ class TestExport:
         assert rows[0]["delta"] == "10.0"
 
     def test_csv_columns_cover_params_and_metrics(self, campaign):
-        header = campaign.to_csv().splitlines()[0].split(",")
-        assert header[:4] == ["experiment", "mac", "propagation", "seed"]
-        assert "delta" in header and "pdr" in header
+        header = _csv_text(campaign).splitlines()[0].split(",")
+        assert header == ["experiment", "mac", "propagation", "seed", "delta", "pdr"]
 
     def test_csv_header_never_duplicates_colliding_names(self):
         record = RunRecord(
             scenario=Scenario(experiment="scalability", params={"duration": 40.0}),
             metrics={"duration": 40.0, "pdr": 1.0},
         )
-        header = CampaignResult(records=[record]).to_csv().splitlines()[0].split(",")
+        header = _csv_text([record]).splitlines()[0].split(",")
         assert header.count("duration") == 1
 
     def test_builtin_adapters_avoid_param_metric_collisions(self):
@@ -119,22 +104,19 @@ class TestExport:
             )
         )
         assert not set(record.metrics) & set(record.scenario.params)
-        assert record.value("duration") == 30.0  # the parameter, not the sim clock
+        assert record.scenario.params["duration"] == 30.0
         assert record.metrics["sim_time"] == 30.0
 
 
 class TestAggregate:
     def test_groups_by_mac_and_matches_stats_helper(self, campaign):
-        stats = campaign.aggregate("pdr", by=("mac",))
+        stats = _feed(TableAggregator(by=("mac",)), campaign).groups("pdr")
         mean, ci = confidence_interval_95([0.9, 1.0])
-        assert stats[("qma",)] == {"mean": mean, "ci95": ci, "n": 2.0}
+        assert stats[("qma",)]["mean"] == mean
+        assert stats[("qma",)]["ci95"] == pytest.approx(ci, rel=1e-12)
+        assert stats[("qma",)]["n"] == 2
         assert stats[("unslotted-csma",)]["mean"] == pytest.approx(0.7)
 
     def test_group_order_is_first_appearance(self, campaign):
-        keys = list(campaign.aggregate("pdr", by=("mac", "delta")))
+        keys = list(_feed(TableAggregator(by=("mac", "delta")), campaign).groups("pdr"))
         assert keys == [("qma", 10.0), ("unslotted-csma", 10.0)]
-
-    def test_metric_and_param_name_unions(self, campaign):
-        assert campaign.metric_names() == ["pdr"]
-        assert campaign.param_names() == ["delta"]
-        assert len(campaign) == 4

@@ -8,12 +8,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign import runner
 from repro.campaign.records import RunRecord
 from repro.campaign.runner import execute_scenario, resolve_jobs
 from repro.campaign.spec import EXPERIMENT_KINDS, Scenario
 
 
 class TestAdapters:
+    def test_runner_family_table_matches_experiment_kinds(self):
+        """Every family the spec accepts has a runner, and no runner is
+        reachable without a spec entry (construction keys included)."""
+        assert tuple(runner._FAMILIES) == EXPERIMENT_KINDS
+
     def test_testbed_and_scalability_scenarios_execute(self):
         testbed = execute_scenario(
             Scenario(

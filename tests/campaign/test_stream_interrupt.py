@@ -57,7 +57,7 @@ def test_interrupt_closes_sinks_and_pool(exc_type):
     tripping = TrippingSink(2, exc_type())
     witness = TrippingSink(10**9, RuntimeError())  # never trips, just observes
     with pytest.raises(exc_type):
-        runner.stream(make_sweep(), sinks=[tripping, witness], collect=False)
+        runner.stream(make_sweep(), sinks=[tripping, witness])
     assert tripping.closed and witness.closed
     assert runner._pool is None, "worker pool must be terminated on interrupt"
 
@@ -70,7 +70,7 @@ def test_interrupted_jsonl_output_stays_loadable(tmp_path):
     tripping = TrippingSink(3, KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
         # jsonl first: it sees each record before the tripping sink raises.
-        runner.stream(make_sweep(), sinks=[jsonl, tripping], collect=False)
+        runner.stream(make_sweep(), sinks=[jsonl, tripping])
     loaded = list(iter_jsonl(path))
     assert len(loaded) == 3  # every record written before the interrupt
     assert tripping.closed
@@ -80,5 +80,5 @@ def test_serial_interrupt_also_closes_sinks():
     runner = CampaignRunner(jobs=1)
     tripping = TrippingSink(1, KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
-        runner.stream(make_sweep(), sinks=[tripping], collect=False)
+        runner.stream(make_sweep(), sinks=[tripping])
     assert tripping.closed

@@ -14,6 +14,7 @@ import multiprocessing.pool
 
 import pytest
 
+from repro.campaign.frame import TableAggregator
 from repro.campaign.runner import (
     CampaignRunner,
     ScenarioTemplate,
@@ -60,8 +61,10 @@ class TestEmptyCampaigns:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_stream_on_empty_scenario_list(self, jobs):
+        sink = TableAggregator()
         with CampaignRunner(jobs=jobs) as runner:
-            assert len(runner.stream([])) == 0
+            runner.stream([], sinks=[sink])
+        assert sink.written == 0 and sink.metric_names() == []
 
 
 class TestChunksize:

@@ -213,7 +213,7 @@ class TestCheckpointOutcome:
         outcome = run_checkpointed(sweep, str(tmp_path / "j.jsonl"), collect=True)
         assert (outcome.resumed, outcome.executed) == (0, sweep.size)
         assert outcome.total == sweep.size
-        assert len(outcome.result()) == sweep.size
+        assert len(outcome.records) == sweep.size
 
     def test_noop_resume_executes_nothing(self, tmp_path):
         sweep = hidden_sweep()
@@ -227,8 +227,6 @@ class TestCheckpointOutcome:
         sweep = hidden_sweep()
         outcome = run_checkpointed(sweep, str(tmp_path / "j.jsonl"))
         assert outcome.records is None
-        with pytest.raises(ValueError):
-            outcome.result()
 
     def test_sinks_see_expansion_order(self, tmp_path):
         """Sinks receive the merged records in expansion order and get closed."""

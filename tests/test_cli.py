@@ -280,6 +280,46 @@ def test_sweep_command_exports_json_and_csv(tmp_path, capsys):
     assert str(json_path) in output and str(csv_path) in output
 
 
+@pytest.mark.parametrize(
+    "figure, sweep",
+    [
+        (
+            "fig7 --macs qma unslotted-csma --deltas 10 25 --packets 8 --warmup 2 "
+            "--repetitions 2",
+            "sweep hidden-node --macs qma unslotted-csma --grid delta=10.0,25.0 "
+            "--set packets_per_node=8 --set warmup=2.0 --seeds 2",
+        ),
+        (
+            "testbed star --macs unslotted-csma --packets 4",
+            "sweep testbed-star --macs unslotted-csma --set delta=10.0 "
+            "--set packets_per_node=4 --seeds 1",
+        ),
+        (
+            "fig21 --macs unslotted-csma --rings 1 --duration 30 --warmup 20",
+            "sweep scalability --macs unslotted-csma --grid rings=1 "
+            "--set duration=30.0 --set warmup=20.0 --seeds 1",
+        ),
+    ],
+    ids=["fig7", "testbed", "fig21"],
+)
+def test_figure_export_matches_the_equivalent_sweep(figure, sweep, tmp_path, capsys):
+    """A figure command's --json/--csv files equal those of ``sweep`` over
+    the same grid and seeds, byte for byte."""
+    from repro.campaign.records import load_json
+
+    files = {}
+    for label, command in (("figure", figure), ("sweep", sweep)):
+        json_path, csv_path = tmp_path / f"{label}.json", tmp_path / f"{label}.csv"
+        argv = command.split() + ["--json", str(json_path), "--csv", str(csv_path)]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert f"to {json_path} (json)" in output and f"to {csv_path} (csv)" in output
+        files[label] = (json_path.read_text(), csv_path.read_text())
+    assert files["figure"] == files["sweep"]
+    records = load_json(str(tmp_path / "figure.json")).records
+    assert records and len(files["figure"][1].splitlines()) == len(records) + 1
+
+
 def test_sweep_command_parallel_jobs(capsys):
     assert (
         main(
