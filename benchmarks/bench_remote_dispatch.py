@@ -1,25 +1,23 @@
-"""Shard dispatch overhead: remote agents and ``--shards`` vs. bare workers.
+"""Shard dispatch overhead: remote agents vs. bare shard workers.
 
-Every shard runs on a campaign agent: ``--hosts`` dispatches to remote
-agents, ``--shards N`` to one private local agent
-(:class:`~repro.service.remote.LoopbackBackend`).  Either way the agent
-hands a :func:`~repro.service.manifest.shard_job_document` to a
+Every shard runs on a campaign agent (``--hosts``): the agent hands a
+:func:`~repro.service.manifest.shard_job_document` to a
 ``python -m repro.service.shard_worker`` subprocess, so the reference is
 those same workers started directly on the same job documents — no
-agent, no transport, no merge.  What the two dispatch paths cost on top
-is the agent round-trip, journal byte streaming over TCP, heartbeats and
-the digest-verified stream merge (plus, for ``--shards``, the agent
-spawn).  On a loopback network that must stay small.
+agent, no transport, no merge.  What remote dispatch costs on top is the
+agent round-trip, journal byte streaming over TCP, heartbeats and the
+digest-verified stream merge.  On a loopback network that must stay
+small.
 
 Two checks on the standard orchestration-dominated short sweep:
 
-* **identity** — the reference workers' journals, the two-agent remote
-  merge and the ``--shards 4`` loopback merge hold identical records
-  (per-record dict equality over every index);
-* **overhead** — remote and loopback wall-clock each at most
-  ``OVERHEAD_CEILING`` x the reference (paired rounds, median ratio; the
-  quick CI workload gets a looser ceiling because fixed costs — agent
-  spawn and connect, stream header — weigh more on a 5x shorter sweep).
+* **identity** — the reference workers' journals and the two-agent
+  remote merge hold identical records (per-record dict equality over
+  every index);
+* **overhead** — remote wall-clock at most ``OVERHEAD_CEILING`` x the
+  reference (paired rounds, median ratio; the quick CI workload gets a
+  looser ceiling because fixed costs — agent connect, stream header —
+  weigh more on a 5x shorter sweep).
 
 Every round starts fresh agents with fresh workdirs, and checks that the
 agents' shard journals hold every run: agent job ids are deterministic,
@@ -47,9 +45,9 @@ from bench_sweep_orchestration import short_sweep
 from repro.service.agent import spawn_agent
 from repro.service.journal import CheckpointJournal
 from repro.service.manifest import affinity_order, shard_job_document, split_shards
-from repro.service.remote import LoopbackBackend, RemoteBackend
+from repro.service.remote import RemoteBackend
 
-#: Two agents x two shard slots each — matches the loopback shard count.
+#: Two agents x two shard slots each.
 AGENTS = 2
 CAP = 2
 SHARDS = AGENTS * CAP
@@ -126,60 +124,40 @@ def _run_reference(sweep, tmp: str) -> tuple:
     return wall, merged
 
 
-def _dispatch(backend, sweep, tmp: str, name: str, workdirs) -> tuple:
-    """(wall_s, records) of one backend; checks its agents ran every shard."""
-    journal = CheckpointJournal.create(os.path.join(tmp, name), sweep)
-    try:
-        start = time.perf_counter()
-        backend.run(sweep, list(range(sweep.size)), journal)
-        wall = time.perf_counter() - start
-        merged = {i: record.to_dict() for i, record in journal.iter_completed()}
-        executed = sum(_executed_runs(workdir) for workdir in workdirs(backend))
-    finally:
-        journal.close()
-        backend.close()
-    if len(merged) != sweep.size or executed != sweep.size:
-        raise RuntimeError(
-            f"{name}: merged {len(merged)} and executed {executed} "
-            f"of {sweep.size} runs"
-        )
-    return wall, merged
-
-
 def _run_remote(sweep, tmp: str) -> tuple:
-    """(wall_s, records): two freshly spawned agents x ``CAP`` slots."""
+    """(wall_s, records): two freshly spawned agents x ``CAP`` slots;
+    checks the agents ran every shard."""
     agents = []
     try:
         for i in range(AGENTS):
             workdir = os.path.join(tmp, f"agent{i}")
             proc, address = spawn_agent(workdir=workdir, name=f"bench{i}")
             agents.append((proc, workdir, f"{address}*{CAP}"))
-        return _dispatch(
-            RemoteBackend([host for _, _, host in agents]),
-            sweep,
-            tmp,
-            "remote.jsonl",
-            lambda _backend: [workdir for _, workdir, _ in agents],
-        )
+        backend = RemoteBackend([host for _, _, host in agents])
+        journal = CheckpointJournal.create(os.path.join(tmp, "remote.jsonl"), sweep)
+        try:
+            start = time.perf_counter()
+            backend.run(sweep, list(range(sweep.size)), journal)
+            wall = time.perf_counter() - start
+            merged = {i: record.to_dict() for i, record in journal.iter_completed()}
+            executed = sum(_executed_runs(workdir) for _, workdir, _ in agents)
+        finally:
+            journal.close()
+            backend.close()
     finally:
         for proc, _, _ in agents:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-
-
-def _run_loopback(sweep, tmp: str) -> tuple:
-    """(wall_s, records): ``--shards SHARDS``, agent spawn included."""
-    return _dispatch(
-        LoopbackBackend(shards=SHARDS),
-        sweep,
-        tmp,
-        "loopback.jsonl",
-        lambda backend: [backend.workdir],
-    )
+    if len(merged) != sweep.size or executed != sweep.size:
+        raise RuntimeError(
+            f"remote: merged {len(merged)} and executed {executed} "
+            f"of {sweep.size} runs"
+        )
+    return wall, merged
 
 
 def measure_remote_overhead(runs: int, rounds: int = ROUNDS) -> dict:
-    """Median paired overheads of remote and loopback dispatch."""
+    """Median paired overhead of remote dispatch."""
     # Seeds far away from the other orchestration benchmarks so warm
     # caches never cross-pollinate the comparison.
     sweep = short_sweep(40_000, runs)
@@ -189,38 +167,29 @@ def measure_remote_overhead(runs: int, rounds: int = ROUNDS) -> dict:
         try:
             reference_s, reference = _run_reference(sweep, tmp)
             remote_s, remote = _run_remote(sweep, tmp)
-            loopback_s, loopback = _run_loopback(sweep, tmp)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-        if not reference == remote == loopback:
-            raise RuntimeError(
-                "reference, remote and loopback records differ"
-            )
-        timings.append((reference_s, remote_s, loopback_s))
-
-    def median_ratio(column: int) -> float:
-        ratios = sorted(row[column] / row[0] for row in timings)
-        return ratios[len(ratios) // 2]
-
+        if reference != remote:
+            raise RuntimeError("reference and remote records differ")
+        timings.append((reference_s, remote_s))
+    ratios = sorted(remote_s / reference_s for reference_s, remote_s in timings)
     return {
         "runs": runs,
         "timings": timings,
-        "remote_overhead": median_ratio(1),
-        "loopback_overhead": median_ratio(2),
+        "remote_overhead": ratios[len(ratios) // 2],
     }
 
 
 def check_ceiling(result: dict, quick: bool) -> None:
-    """Raise if either dispatch path costs more than the ceiling."""
+    """Raise if remote dispatch costs more than the ceiling."""
     ceiling = SMOKE_OVERHEAD_CEILING if quick else OVERHEAD_CEILING
-    for path in ("remote", "loopback"):
-        overhead = result[f"{path}_overhead"]
-        if overhead > ceiling:
-            raise RuntimeError(
-                f"{path} dispatch overhead {overhead:.3f}x exceeds the "
-                f"{ceiling}x ceiling over {result['runs']} runs "
-                f"(rounds: {result['timings']})"
-            )
+    overhead = result["remote_overhead"]
+    if overhead > ceiling:
+        raise RuntimeError(
+            f"remote dispatch overhead {overhead:.3f}x exceeds the "
+            f"{ceiling}x ceiling over {result['runs']} runs "
+            f"(rounds: {result['timings']})"
+        )
 
 
 def main(argv: list) -> int:
@@ -229,18 +198,16 @@ def main(argv: list) -> int:
     result = measure_remote_overhead(runs)
     print(
         f"shard dispatch over {result['runs']} runs, {SHARDS} shards "
-        f"(remote: {AGENTS} agents x {CAP} slots; loopback: --shards {SHARDS})"
+        f"({AGENTS} agents x {CAP} slots)"
     )
-    for number, (reference_s, remote_s, loopback_s) in enumerate(
-        result["timings"], start=1
-    ):
+    for number, (reference_s, remote_s) in enumerate(result["timings"], start=1):
         print(
             f"  round {number}: bare workers {reference_s:.3f}s, "
-            f"remote {remote_s:.3f}s, loopback {loopback_s:.3f}s"
+            f"remote {remote_s:.3f}s"
         )
     print(
-        f"median overhead: remote {result['remote_overhead']:.3f}x, "
-        f"loopback {result['loopback_overhead']:.3f}x (records identical)"
+        f"median overhead: remote {result['remote_overhead']:.3f}x "
+        "(records identical)"
     )
     check_ceiling(result, quick)
     print(

@@ -55,6 +55,7 @@ expansion-order dispatch.
 from __future__ import annotations
 
 import fnmatch
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -377,10 +378,20 @@ def _iter_subset(sweep: Sweep, indices: Sequence[int]) -> Iterator[Scenario]:
             return
 
 
+def _run_chunk(task: Tuple[Callable, Tuple]) -> List[Any]:
+    """Worker entry of :meth:`WorkerPool.imap`: one ``(func, items)`` chunk."""
+    func, chunk = task
+    return [func(item) for item in chunk]
+
+
 def _shutdown_pool(pool: "multiprocessing.pool.Pool") -> None:
     """Finalizer target: release a raw pool's worker processes."""
     pool.terminate()
     pool.join()
+
+
+class WorkerDied(RuntimeError):
+    """A pool worker exited while the pool had tasks outstanding."""
 
 
 class WorkerPool:
@@ -396,11 +407,20 @@ class WorkerPool:
     dispatcher reports it finished through :meth:`settle`.  :meth:`close`
     shuts an idle pool down gracefully (the workers exit on their own) and
     terminates only a busy one, whose outstanding tasks are abandoned.
+
+    Workers are never recycled, so one that exits while tasks are
+    outstanding has died with its task, which ``multiprocessing`` never
+    returns.  :meth:`imap` checks the workers whenever no result arrives
+    for :data:`POLL_INTERVAL` and raises :class:`WorkerDied`.
     """
+
+    #: Seconds without a result before the workers' exit codes are checked.
+    POLL_INTERVAL = 0.2
 
     def __init__(self, processes: int) -> None:
         self.processes = processes
         self._pool: Optional[multiprocessing.pool.Pool] = None
+        self._workers: List[Any] = []
         self._blob: Optional[bytes] = None
         self._finalizer = None
         self._busy = False
@@ -412,9 +432,9 @@ class WorkerPool:
         build_cache: bool = True,
         cache_size: Optional[int] = None,
         fault_plan: Optional[Any] = None,
-    ):
-        """Return a pool whose workers carry the given template and cache
-        config; the pool counts as busy until :meth:`settle`."""
+    ) -> None:
+        """Warm workers carrying the given template and cache config; the
+        pool counts as busy until :meth:`settle`."""
         blob = pickle.dumps(
             (template, keep_raw, build_cache, cache_size, fault_plan),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -424,19 +444,40 @@ class WorkerPool:
             self._pool = multiprocessing.Pool(
                 processes=self.processes, initializer=_worker_init, initargs=(blob,)
             )
+            # The processes the pool started (it keeps no public handle).
+            self._workers = list(self._pool._pool)
             self._blob = blob
             self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
         self._busy = True
-        return self._pool
+
+    def imap(self, func: Callable, iterable: Iterable, chunksize: int) -> Iterator:
+        """``Pool.imap`` that raises :class:`WorkerDied` when a worker exits.
+
+        Chunks are formed here, as ``Pool.imap`` would, because only its
+        unchunked iterator can be waited on with a timeout.
+        """
+        workers = self._workers
+        items = iter(iterable)
+        chunks = iter(lambda: tuple(itertools.islice(items, chunksize)), ())
+        results = self._pool.imap(_run_chunk, ((func, chunk) for chunk in chunks))
+        while True:
+            try:
+                chunk = results.next(self.POLL_INTERVAL)
+            except StopIteration:
+                return
+            except multiprocessing.TimeoutError:
+                for worker in workers:
+                    if worker.exitcode is not None:
+                        raise WorkerDied(
+                            f"pool worker {worker.pid} exited with code "
+                            f"{worker.exitcode} while tasks were outstanding"
+                        ) from None
+                continue
+            yield from chunk
 
     def settle(self) -> None:
         """Report every task dispatched since :meth:`ensure` as finished."""
         self._busy = False
-
-    @property
-    def alive(self) -> bool:
-        """True while worker processes exist."""
-        return self._pool is not None
 
     def close(self) -> None:
         """Release the worker processes; safe to call repeatedly.
@@ -445,13 +486,16 @@ class WorkerPool:
         workers compete for the CPU, so it is kept for abandoned work.
         """
         if self._pool is not None:
+            # Unset first: an imap in another thread that sees the workers
+            # terminated then finds this pool already closed.
+            pool, self._pool = self._pool, None
             self._finalizer.detach()
             if self._busy:
-                self._pool.terminate()
+                pool.terminate()
             else:
-                self._pool.close()
-            self._pool.join()
-            self._pool = None
+                pool.close()
+            pool.join()
+            self._workers = []
             self._blob = None
             self._busy = False
 
@@ -713,13 +757,12 @@ class CampaignRunner:
                 yield record
             return
         chunk = resolve_chunksize(self.chunksize, size, self.jobs)
+        workers = self._worker_pool()
+        workers.ensure(
+            ScenarioTemplate.of(sweep) if scenarios is None else None,
+            self.keep_raw, self.build_cache, self.cache_size, self.fault_plan,
+        )
         if scenarios is None:
-            template = ScenarioTemplate.of(sweep)
-            workers = self._worker_pool()
-            pool = workers.ensure(
-                template, self.keep_raw, self.build_cache, self.cache_size,
-                self.fault_plan,
-            )
             axes = sweep.axes
 
             def delta_of(s: Scenario) -> Tuple:
@@ -737,14 +780,14 @@ class CampaignRunner:
                 below is oblivious to batching.
                 """
                 if not batching:
-                    return pool.imap(_execute_delta_task, deltas, chunksize=chunk)
+                    return workers.imap(_execute_delta_task, deltas, chunk)
                 groups = _iter_delta_groups(deltas, self.batch_seeds)
                 group_chunk = resolve_chunksize(
                     self.chunksize, max(1, size // self.batch_seeds), self.jobs
                 )
                 return (
                     record
-                    for group in pool.imap(_execute_batch_task, groups, chunksize=group_chunk)
+                    for group in workers.imap(_execute_batch_task, groups, group_chunk)
                     for record in group
                 )
 
@@ -762,12 +805,7 @@ class CampaignRunner:
             else:
                 results = dispatch(delta_of(s) for s in expand())
         else:
-            workers = self._worker_pool()
-            pool = workers.ensure(
-                None, self.keep_raw, self.build_cache, self.cache_size,
-                self.fault_plan,
-            )
-            results = pool.imap(_execute_scenario_task, scenarios, chunksize=chunk)
+            results = workers.imap(_execute_scenario_task, scenarios, chunk)
         completed = False
         try:
             yield from results
@@ -777,8 +815,11 @@ class CampaignRunner:
             if not completed:
                 # Closed early (caller stopped consuming, or a worker/sink
                 # raised): drop the pool so the outstanding tasks die with
-                # it instead of burning CPU behind the caller's back.
-                self.close()
+                # it instead of burning CPU behind the caller's back (only
+                # this pool: another thread may already run a fresh one).
+                workers.close()
+                if self._pool is workers:
+                    self._pool = None
 
     def run(self, sweep: Union[Sweep, Iterable[Scenario]]) -> CampaignResult:
         """Run every scenario of the sweep; records keep expansion order.

@@ -33,6 +33,7 @@ from repro.campaign.frame import (
 from repro.campaign.records import CampaignResult
 from repro.campaign.runner import (
     CampaignRunner,
+    WorkerDied,
     experiment_metric_names,
     is_known_metric,
 )
@@ -367,15 +368,20 @@ def cmd_testbed(args: argparse.Namespace) -> None:
         seeds=[args.seed],
         metrics=args.collectors,
     )
-    campaign, sinks = _run_figure(args, sweep, ("mac",), keep_raw=True)
+    campaign, sinks = _run_figure(args, sweep, ("mac",))
     rows = []
     for record in campaign:
-        report = record.raw
-        for node_id, pdr in sorted(report.tables.get("pdr_per_node", {}).items()):
-            rows.append([args.scenario, record.scenario.mac, node_id, f"{pdr:.3f}"])
-        if "overall_pdr" in report.scalars:
+        metrics = record.metrics
+        # Numeric node order: the metric names sort as strings.
+        prefix = "pdr_node_"
+        nodes = sorted(int(name[len(prefix):]) for name in metrics if name.startswith(prefix))
+        for node_id in nodes:
             rows.append(
-                [args.scenario, record.scenario.mac, "overall", f"{report.scalars['overall_pdr']:.3f}"]
+                [args.scenario, record.scenario.mac, node_id, f"{metrics[f'{prefix}{node_id}']:.3f}"]
+            )
+        if "overall_pdr" in metrics:
+            rows.append(
+                [args.scenario, record.scenario.mac, "overall", f"{metrics['overall_pdr']:.3f}"]
             )
     _print_table(["topology", "mac", "node", "pdr"], rows)
     _print_sink_lines(sinks)
@@ -530,9 +536,6 @@ def _supervision_options(args: argparse.Namespace) -> Dict[str, Any]:
     if getattr(args, "hosts", None):
         options["backend"] = "remote"
         options["hosts"] = list(args.hosts)
-    elif getattr(args, "shards", None):
-        options["backend"] = "shard"
-        options["shards"] = args.shards
     if getattr(args, "no_supervise", False):
         options["supervise"] = False
     if getattr(args, "retries", None) is not None:
@@ -613,6 +616,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     try:
         with runner:
             runner.stream(sweep, sinks=sinks)
+    except WorkerDied as exc:
+        raise SystemExit(f"qma-repro sweep: error: {exc}")
     except TypeError as exc:
         # Unknown --grid/--set keys surface as unexpected-keyword errors from
         # the experiment runner (possibly re-raised by the pool); anything
@@ -649,14 +654,13 @@ def _sweep_sinks(
 
 
 def _run_figure(
-    args: argparse.Namespace, sweep: Sweep, by: tuple, keep_raw: bool = False
+    args: argparse.Namespace, sweep: Sweep, by: tuple
 ) -> Tuple[CampaignResult, List[Any]]:
     """Run a figure command's sweep, then pass its records through the
     sinks of the ``sweep`` command (aggregator first, ``--json``/``--csv``
     after), so both commands export the same records the same way."""
     runner = CampaignRunner(
         jobs=args.jobs,
-        keep_raw=keep_raw,
         chunksize=args.chunksize,
         build_cache=args.build_cache,
         batch_seeds=args.batch_seeds,
@@ -696,7 +700,7 @@ def _run_checkpointed_sweep(args: argparse.Namespace, sweep: Sweep, by: tuple) -
             sinks=sinks,
             meta={"cli": "sweep"},
         )
-    except JournalError as exc:
+    except (JournalError, WorkerDied) as exc:
         raise SystemExit(f"qma-repro sweep: error: {exc}")
     except TypeError as exc:
         if "unexpected keyword argument" not in str(exc):
@@ -757,8 +761,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
             + ", ".join(f"{spec.key}*{spec.cap}" for spec in specs),
             file=sys.stderr,
         )
-    elif args.backend == "shard":
-        options["shards"] = args.shards
     elif args.backend == "pool" and args.throttle:
         options["throttle"] = args.throttle
     if args.no_supervise:
@@ -805,7 +807,6 @@ def _submit_options(args: argparse.Namespace) -> Dict[str, Any]:
         ("backend", "backend"),
         ("jobs", "jobs"),
         ("batch_seeds", "batch_seeds"),
-        ("shards", "shards"),
         ("hosts", "hosts"),
     ):
         value = getattr(args, key, None)
@@ -1137,15 +1138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "command resumes from the journal instead of recomputing "
         "(output is bit-identical to an uninterrupted sweep)",
     )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --checkpoint: run the campaign as N affinity-ordered shards "
-        "on a private local agent (the --hosts path over loopback), each "
-        "shard with --jobs workers",
-    )
     _add_hosts_option(p)
     _add_campaign_options(p)
     _add_supervision_options(p)
@@ -1163,14 +1155,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("pool", "shard", "remote"),
+        choices=("pool", "remote"),
         default="pool",
         help="dispatch backend for submitted campaigns (default: pool)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="job slots of the private local agent when --backend shard "
-        "(default: 2)",
     )
     _add_hosts_option(p)
     p.add_argument(
@@ -1189,17 +1176,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_spec_options(p)
     _add_service_address_options(p)
     p.add_argument(
-        "--backend", choices=("pool", "shard", "remote"), default=None,
+        "--backend", choices=("pool", "remote"), default=None,
         help="override the service's dispatch backend for this campaign",
     )
     p.add_argument("--jobs", type=int, default=None, help="override worker processes")
     p.add_argument(
         "--batch-seeds", type=int, default=None, metavar="N",
         help="override seed batching",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="override the local agent's shard count (--backend shard)",
     )
     _add_hosts_option(p)
     p.add_argument(
@@ -1252,10 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jsonl", dest="jsonl_path", metavar="PATH",
         help="stream the merged records to a JSONL file",
     )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the remaining work as N shards on a private local agent",
-    )
     _add_hosts_option(p)
     _add_campaign_options(p)
     _add_supervision_options(p)
@@ -1273,10 +1252,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-dispatch a journal's quarantined runs with a fresh attempt budget",
     )
     p.add_argument("journal", help="checkpoint journal of the partial campaign")
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the retries as N shards on a private local agent",
-    )
     _add_hosts_option(p)
     _add_campaign_options(p)
     _add_supervision_options(p)

@@ -19,8 +19,8 @@ million-run sweeps:
   CLI and the service;
 * :mod:`repro.service.remote` / :mod:`repro.service.agent` — shard
   dispatch: agents executing shard job documents, with host-health
-  quarantine and byte-offset-resumable journal streaming; ``--hosts``
-  drives remote agents, ``--shards N`` one private local agent;
+  quarantine and byte-offset-resumable journal streaming, driven by
+  ``--hosts``;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   long-lived asyncio front end and its blocking client.
 

@@ -5,9 +5,9 @@ a small TCP server (``qma-repro agent``) that accepts shard job
 documents, runs each one through the ordinary
 :mod:`repro.service.shard_worker` subprocess, and streams the growing
 shard journal back to the dispatcher as raw byte chunks.  Agents run on
-remote hosts (``--hosts``) or, started by :func:`spawn_agent`, as the
-private local agent behind ``--shards N``.  Importing this module loads
-only the standard library, so an agent starts without the campaign stack.
+the hosts that ``--hosts`` names; :func:`spawn_agent` starts one as a
+local subprocess.  Importing this module loads only the standard
+library, so an agent starts without the campaign stack.
 The protocol is the service's line-delimited JSON, one request line per
 connection::
 
@@ -418,7 +418,6 @@ def serve(
 
 def spawn_agent(
     workdir: Optional[str] = None,
-    max_jobs: int = 0,
     name: Optional[str] = None,
 ) -> Tuple[subprocess.Popen, str]:
     """Start ``python -m repro.service.agent --port 0`` as a subprocess.
@@ -427,10 +426,7 @@ def spawn_agent(
     agent leads its own session, so ``os.killpg(proc.pid, ...)`` reaches
     its shard workers too.
     """
-    argv = [
-        sys.executable, "-m", "repro.service.agent",
-        "--port", "0", "--max-jobs", str(int(max_jobs)),
-    ]
+    argv = [sys.executable, "-m", "repro.service.agent", "--port", "0"]
     if workdir is not None:
         argv += ["--workdir", workdir]
     if name is not None:

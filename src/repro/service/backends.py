@@ -11,9 +11,8 @@ journal, the service front end or the CLI:
   build cache, seed batches) executing the pending set in expansion order.
 * :class:`~repro.service.remote.RemoteBackend` — affinity-ordered shard
   slices shipped to campaign agents (``--hosts``), their journals
-  streamed back and merged.  ``--shards N`` is the same path against one
-  private local agent (:class:`~repro.service.remote.LoopbackBackend`).
-  Both live in :mod:`repro.service.remote`, imported only when asked for.
+  streamed back and merged; it lives in :mod:`repro.service.remote`,
+  imported only when asked for.
 * :class:`SerialBackend` — one run at a time, each in a disposable child
   process forked from the calling process, with an optional wall-clock
   timeout, so a poison scenario that segfaults or loops cannot take the
@@ -134,12 +133,13 @@ class PoolBackend(DispatchBackend):
     that would otherwise finish in milliseconds.
 
     Results are consumed through a bounded queue fed by a daemon pump
-    thread, so ``run`` itself never blocks on the pool: a dead or wedged
-    worker shows up as a stalled ``last_progress`` (caught by the
-    supervisor's watchdog) and :meth:`abort` returns promptly even while
-    the pump is stuck mid-``imap`` — ``Pool.terminate`` cannot unblock a
-    waiting ``IMapIterator``, so the pump is abandoned (daemon) rather
-    than joined.
+    thread, so ``run`` itself never blocks on the pool.  A dead worker
+    makes ``run`` raise :class:`~repro.campaign.runner.WorkerDied` (the
+    supervisor counts a failed attempt and retries); a wedged one shows
+    up as a stalled ``last_progress``, which only the supervisor's
+    watchdog catches, and only with a ``run_timeout``.  :meth:`abort`
+    returns without joining the pump; the pump sees the closed pool
+    within a poll interval and exits.
     """
 
     name = "pool"
@@ -252,8 +252,8 @@ class PoolBackend(DispatchBackend):
         finally:
             if interrupted:
                 # Cancelled, aborted, or an error: drop the pool so
-                # outstanding tasks die with it (the abandoned pump thread
-                # then unblocks or exits with the pool's pipes).
+                # outstanding tasks die with it (the pump thread then sees
+                # the closed pool and exits).
                 self._runner.close()
 
     @staticmethod
@@ -414,7 +414,6 @@ class SerialBackend(DispatchBackend):
 #: Option keys understood by each backend kind (validated by make_backend).
 _BACKEND_OPTIONS = {
     "pool": ("jobs", "chunksize", "build_cache", "cache_size", "batch_seeds", "throttle"),
-    "shard": ("shards", "jobs", "chunksize", "build_cache", "batch_seeds"),
     "serial": ("timeout",),
     "remote": (
         "hosts",
@@ -439,7 +438,7 @@ def make_backend(
 ) -> DispatchBackend:
     """Build a dispatch backend from a plain options mapping.
 
-    ``{"backend": "pool"|"shard"|"serial"|"remote", ...}`` — remaining
+    ``{"backend": "pool"|"serial"|"remote", ...}`` — remaining
     keys are forwarded to the backend constructor; unknown keys raise
     :class:`ValueError` (the service front end surfaces this as a 400
     instead of running a sweep under silently-dropped options), with
@@ -466,10 +465,6 @@ def make_backend(
         )
     if kind == "serial":
         return SerialBackend(fault_plan=fault_plan, **options)
-    if kind == "shard":
-        from repro.service.remote import LoopbackBackend
-
-        return LoopbackBackend(fault_plan=fault_plan, **options)
     if kind == "remote":
         from repro.service.remote import RemoteBackend, parse_hosts
 

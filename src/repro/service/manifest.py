@@ -6,8 +6,8 @@ serialised with sorted keys).  Because sweep expansion order is
 deterministic, the digest plus an integer *run index* (the position in the
 expansion) stably names every run of the campaign: two processes that
 agree on the digest agree on what run 137 is, without shipping the
-expanded scenario list.  The checkpoint journal, the remote and loopback
-shard dispatch and the service front end all address runs this way.
+expanded scenario list.  The checkpoint journal, remote shard dispatch
+and the service front end all address runs this way.
 
 :func:`affinity_order` reproduces the campaign runner's
 configuration-affinity grouping at the manifest level: a stable sort of
@@ -115,8 +115,8 @@ def shard_job_document(
     """The canonical shard job document, host-agnostic by construction.
 
     This is the single wire/disk format a shard worker consumes: the
-    remote dispatcher (``--hosts`` and ``--shards`` alike) ships it to an
-    agent over the wire with ``journal`` left for the agent to localise.
+    remote dispatcher (``--hosts``) ships it to an agent over the wire
+    with ``journal`` left for the agent to localise.
     ``faults`` is a :class:`~repro.service.faults.FaultPlan` or None.
     """
     doc: dict = {

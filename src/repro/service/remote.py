@@ -6,10 +6,7 @@
 back incrementally, and merges completions through the digest-verified
 journal path.  Run identity is (spec digest, expansion index, seed), so
 any mix of retries, reconnects and host reassignment yields output
-bit-identical to a single-host run.  This is the only way a shard runs:
-``--hosts`` names remote agents, and ``--shards N``
-(:class:`LoopbackBackend`) spawns one private local agent with N job
-slots and dispatches to it the same way.
+bit-identical to a single-host run.  ``--hosts`` names the agents.
 
 Robustness model, layer by layer:
 
@@ -44,15 +41,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
-import shutil
-import signal
 import socket
-import tempfile
 import threading
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -66,7 +58,6 @@ from repro.service.manifest import affinity_order, shard_job_document, split_sha
 __all__ = [
     "HostRegistry",
     "HostSpec",
-    "LoopbackBackend",
     "RemoteBackend",
     "RemoteDispatchError",
     "ShardFailure",
@@ -831,87 +822,3 @@ class RemoteBackend(DispatchBackend):
             if self._stop.is_set() or self._cancel.is_set():
                 return
             time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
-
-
-# ---------------------------------------------------------- loopback shards
-
-
-def _stop_agent(proc: Any, workdir: str) -> None:
-    """Kill a loopback agent with its shard workers; remove its workdir."""
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)  # the agent leads its own group
-    except (AttributeError, OSError):  # no process groups, or group gone
-        proc.kill()
-    proc.wait()
-    shutil.rmtree(workdir, ignore_errors=True)
-
-
-class LoopbackBackend(RemoteBackend):
-    """``--shards N``: remote dispatch to one private local agent.
-
-    The first ``run`` spawns ``python -m repro.service.agent --port 0``
-    with a job cap of ``shards`` and a workdir this backend owns; from
-    there on it is a one-host :class:`RemoteBackend` — same job
-    documents, same streamed merge, same chaos faults as ``--hosts``.
-    The host lives in a private :class:`HostRegistry`, so it never shows
-    up in ``qma-repro hosts``.  A dead agent is not respawned: like any
-    dead host it is quarantined and the supervisor degrades.
-    :meth:`close` (or interpreter exit) kills the agent together with its
-    shard workers and removes the workdir.
-    """
-
-    name = "shard"
-
-    def __init__(
-        self,
-        shards: int = 2,
-        jobs: int = 1,
-        chunksize: Any = "auto",
-        build_cache: bool = True,
-        batch_seeds: int = 1,
-        fault_plan: Optional[Any] = None,
-    ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-        super().__init__(
-            [],
-            jobs=jobs,
-            chunksize=chunksize,
-            build_cache=build_cache,
-            batch_seeds=batch_seeds,
-            fault_plan=fault_plan,
-        )
-        self.shards = int(shards)
-        #: The agent subprocess and its workdir, once spawned.
-        self.agent: Optional[Any] = None
-        self.workdir: Optional[str] = None
-        self._cleanup: Optional[weakref.finalize] = None
-
-    def run(
-        self,
-        sweep: Sweep,
-        indices: Sequence[int],
-        journal: CheckpointJournal,
-        on_record: Optional[RecordCallback] = None,
-    ) -> None:
-        if indices and self.agent is None:
-            from repro.service.agent import spawn_agent
-
-            workdir = tempfile.mkdtemp(prefix="qma-shards-")
-            try:
-                proc, address = spawn_agent(
-                    workdir=workdir, max_jobs=self.shards, name="loopback"
-                )
-            except BaseException:
-                shutil.rmtree(workdir, ignore_errors=True)
-                raise
-            self.agent, self.workdir = proc, workdir
-            self._cleanup = weakref.finalize(self, _stop_agent, proc, workdir)
-            spec = parse_host_entry(f"{address}*{self.shards}")
-            self.registry.register(spec)
-            self.specs = [spec]
-        super().run(sweep, indices, journal, on_record)
-
-    def close(self) -> None:
-        if self._cleanup is not None:
-            self._cleanup()

@@ -13,11 +13,13 @@ exceptions into recorded, retried, or quarantined events:
   path rejects nothing twice and loses nothing once committed.
 * **Heartbeat watchdog.**  With :attr:`RetryPolicy.run_timeout` set, an
   attempt whose backend reports no progress (``last_progress``) for the
-  timeout plus a grace period is aborted — a hung run or a dead pool
-  worker stalls one attempt, not the campaign.
+  timeout plus a grace period is aborted — a hung run stalls one
+  attempt, not the campaign.  A dead pool worker needs no timeout: the
+  pool raises :class:`~repro.campaign.runner.WorkerDied`, which fails
+  the attempt like any backend exception.
 * **Graceful degradation.**  After :attr:`RetryPolicy.backend_attempts`
   consecutive failures on one execution tier the supervisor falls back:
-  remote (``--hosts``) or shard (``--shards``) → pool → isolated serial.
+  remote (``--hosts``) → pool → isolated serial.
   Every fallback is a structured ``degrade`` event in the journal.
 * **Poison-run quarantine.**  The terminal serial tier executes each run
   in a disposable child process, so it can attribute crashes, hangs and
@@ -295,8 +297,8 @@ class SupervisedBackend(DispatchBackend):
 
             tiers: List[DispatchBackend] = [self.inner]
             if isinstance(self.inner, RemoteBackend):
-                # Remote and loopback-shard dispatch degrade to the local
-                # pool with the same runner options.
+                # Remote dispatch degrades to the local pool with the
+                # same runner options.
                 opts = self.inner.options
                 tiers.append(
                     PoolBackend(

@@ -16,9 +16,8 @@ to reproduce every row it runs, one case per path and sweep:
   the testbed rows;
 * :func:`~repro.service.checkpoint.run_checkpointed` cut part-way and
   resumed, including a cut inside a seed-batch group;
-* the loopback ``--shards`` backend, the pool backend, and two
-  ``spawn_agent`` agents through ``RemoteBackend`` resuming a partial
-  journal.
+* the pool backend, and two ``spawn_agent`` agents through
+  ``RemoteBackend`` resuming a partial journal.
 
 The oracle is the table, never another path, so a change that moves every
 path the same way — MAC logic, channel delivery order, RNG draws, metric
@@ -46,7 +45,7 @@ from repro.mac.registry import MAC_REGISTRY
 from repro.phy.registry import PROPAGATION_REGISTRY
 from repro.scenario import ARTIFACT_CACHE, ScenarioBuilder
 from repro.service.agent import spawn_agent
-from repro.service.backends import PoolBackend, make_backend
+from repro.service.backends import PoolBackend
 from repro.service.checkpoint import run_checkpointed
 from repro.service.journal import CheckpointJournal
 from repro.service.manifest import record_digest
@@ -457,7 +456,6 @@ PATHS = [
         ),
         TESTBED,
     ),
-    ("shard-backend", _backend(lambda: make_backend({"backend": "shard", "shards": 2})), BACKEND),
     ("pool-backend", _backend(lambda: PoolBackend(jobs=2)), BACKEND),
     ("remote-agents-resume", _remote_agents, BACKEND),
 ]

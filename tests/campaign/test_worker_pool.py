@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.pool
+import threading
 
 import pytest
 
@@ -18,9 +19,12 @@ from repro.campaign.frame import TableAggregator
 from repro.campaign.runner import (
     CampaignRunner,
     ScenarioTemplate,
+    WorkerDied,
     resolve_chunksize,
 )
 from repro.campaign.spec import Scenario, Sweep
+from repro.service import faults
+from repro.service.faults import FaultPlan
 
 
 def _tiny_sweep(seeds=(0, 1), macs=("qma", "unslotted-csma")) -> Sweep:
@@ -160,6 +164,33 @@ class TestPersistentPool:
         records = runner.run(_tiny_sweep()).records
         assert len(records) == 4
         runner.close()
+
+
+class TestDeadWorker:
+    def test_dead_worker_raises_instead_of_hanging(self):
+        """A crashed worker's task never returns; the runner must raise
+        (naming the exit code) instead of waiting for it forever."""
+        errors = []
+        runner = CampaignRunner(jobs=2, fault_plan=FaultPlan.from_spec("crash@seed=0"))
+
+        def run():
+            try:
+                runner.run(_tiny_sweep())
+            except WorkerDied as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "the runner hung on a dead worker"
+        finally:
+            runner.close()
+            faults.install(None)
+        assert len(errors) == 1
+        assert "exited with code 86" in str(errors[0])
+        assert runner._pool is None  # the busy pool was dropped
+        assert multiprocessing.active_children() == []
 
 
 class TestDeltaDispatchEquivalence:

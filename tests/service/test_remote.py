@@ -12,6 +12,9 @@ The robustness contracts of :mod:`repro.service.remote`:
   reassigned to the surviving host and the merged records equal an
   in-process run (that remote runs reproduce the pinned record digests
   is checked in ``tests/campaign/test_pinned_digests.py``);
+* a shard worker that crashes raises :class:`ShardFailure` with its
+  stderr tail, a retry of the same slice re-runs it, and ``abort`` stops
+  the agent's shard workers;
 * injected network faults (``drop-stream``, ``partition``,
   ``slow-link``, ``agent-crash``) heal through transport retry, host
   quarantine and slice reassignment — and when every host is gone the
@@ -21,6 +24,7 @@ The robustness contracts of :mod:`repro.service.remote`:
 from __future__ import annotations
 
 import json
+import os
 import re
 import signal
 import threading
@@ -42,6 +46,7 @@ from repro.service.remote import (
     JournalStreamMerger,
     RemoteBackend,
     RemoteDispatchError,
+    ShardFailure,
     StreamProtocolError,
     parse_host_entry,
     parse_hosts,
@@ -162,8 +167,7 @@ class TestMakeBackendErrors:
         message = str(excinfo.value)
         assert "unknown dispatch backend 'bogus'" in message
         assert "(from --backend)" in message
-        for kind in ("pool", "shard", "serial", "remote"):
-            assert kind in message
+        assert "['pool', 'remote', 'serial']" in message
 
     def test_unknown_option_names_source(self):
         with pytest.raises(ValueError) as excinfo:
@@ -358,6 +362,115 @@ class TestAgentLoss:
                 if proc.poll() is None:
                     proc.kill()
                 proc.wait()
+
+
+# ------------------------------------------------------ shard worker faults
+
+
+def _live_group_members(pgid):
+    """Pids of non-zombie processes in process group ``pgid`` (Linux)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rpartition(")")[2].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.fixture()
+def spawned_agent(tmp_path):
+    """One ``spawn_agent`` subprocess; yields ``(proc, "HOST:PORT")``."""
+    proc, address = spawn_agent(str(tmp_path / "agent"), name="spawned")
+    yield proc, address
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)  # the agent leads its own group
+    except OSError:
+        pass
+    proc.wait()
+
+
+class TestShardWorkerFaults:
+    """A shard worker that crashes or hangs on a spawned agent."""
+
+    def test_worker_crash_surfaces_stderr(self, tmp_path, spawned_agent):
+        _proc, address = spawned_agent
+        sweep = make_sweep(seeds=1)
+        backend = RemoteBackend(
+            [f"{address}*1"], fault_plan=FaultPlan.from_spec("crash@seed=0")
+        )
+        journal = CheckpointJournal.create(str(tmp_path / "b.jsonl"), sweep)
+        try:
+            with pytest.raises(ShardFailure, match="status 86") as excinfo:
+                backend.run(sweep, list(range(sweep.size)), journal)
+        finally:
+            journal.close()
+            backend.close()
+        assert "injected crash fault at crash[seed=0]" in excinfo.value.stderr_tail
+
+    def test_retry_reruns_the_failed_job(self, tmp_path, spawned_agent):
+        """Same slice, same job id: the agent re-runs the failed worker."""
+        _proc, address = spawned_agent
+        sweep = make_sweep(seeds=1)
+        backend = RemoteBackend(
+            [f"{address}*1"], fault_plan=FaultPlan.from_spec("crash@delta=50.0")
+        )
+        journal = CheckpointJournal.create(str(tmp_path / "b.jsonl"), sweep)
+        try:
+            with pytest.raises(ShardFailure):
+                backend.run(sweep, [0], journal)
+            backend.run(sweep, [0], journal)  # the crash fault is spent
+            merged = {i: r.to_dict() for i, r in journal.iter_completed()}
+        finally:
+            journal.close()
+            backend.close()
+        assert merged == {0: reference_records(sweep)[0]}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_abort_ends_shard_workers(self, tmp_path, spawned_agent):
+        """abort stops the agent's shard workers and leaves the agent up."""
+        proc, address = spawned_agent
+        sweep = make_sweep(seeds=1)  # 2 runs, both hung
+        backend = RemoteBackend(
+            [f"{address}*2"],
+            fault_plan=FaultPlan.from_spec("hang:60@delta=50.0;hang:60@delta=100.0"),
+        )
+        journal = CheckpointJournal.create(str(tmp_path / "b.jsonl"), sweep)
+        errors = []
+
+        def dispatch():
+            try:
+                backend.run(sweep, list(range(sweep.size)), journal)
+            except Exception as exc:
+                errors.append(exc)
+
+        runner = threading.Thread(target=dispatch)
+        try:
+            runner.start()
+            deadline = time.monotonic() + 30
+            # The agent plus one hung worker per shard.
+            while len(_live_group_members(proc.pid)) < 3:
+                assert time.monotonic() < deadline, "shard workers never started"
+                time.sleep(0.05)
+            backend.abort()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+            deadline = time.monotonic() + 10
+            while len(_live_group_members(proc.pid)) > 1:
+                assert time.monotonic() < deadline, "workers outlived abort"
+                time.sleep(0.05)
+            assert proc.poll() is None
+            assert errors == []
+        finally:
+            journal.close()
+            backend.close()
 
 
 # ------------------------------------------------------------ chaos matrix

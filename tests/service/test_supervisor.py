@@ -113,6 +113,19 @@ class TestChaosMatrix:
         # journal carries the same audit trail for post-mortems.
         assert any(e["kind"] == "retry" for e in backend.events)
 
+    def test_dead_pool_worker_retried_without_run_timeout(self, tmp_path):
+        """No watchdog runs without ``run_timeout``: the pool itself must
+        notice the crashed worker, or the attempt waits forever."""
+        baseline = baseline_records(tmp_path)
+        options = {key: value for key, value in FAST.items() if key != "run_timeout"}
+        outcome, backend = run_supervised(
+            tmp_path, "no-timeout.jsonl", {**options, "faults": "crash@seed=2"}
+        )
+        assert outcome.status == "complete"
+        assert [r.to_dict() for r in outcome.records] == baseline
+        retries = [e for e in backend.events if e["kind"] == "retry"]
+        assert retries and "exited with code 86" in retries[0]["error"]
+
     def test_degrades_to_serial_when_tier_budget_exhausted(self, tmp_path):
         baseline = baseline_records(tmp_path)
         # With a one-attempt tier budget the pool's crash immediately

@@ -320,6 +320,18 @@ def test_figure_export_matches_the_equivalent_sweep(figure, sweep, tmp_path, cap
     assert records and len(files["figure"][1].splitlines()) == len(records) + 1
 
 
+def test_testbed_table_lists_nodes_in_numeric_order(capsys):
+    """Per-node rows come from the ``pdr_node_<id>`` metrics, whose names
+    sort as strings (``pdr_node_15`` < ``pdr_node_2``); the table must not."""
+    assert main(["testbed", "tree", "--macs", "unslotted-csma", "--packets", "5"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    nodes = [row[2] for row in rows if row[0] == "tree"]
+    assert nodes[-1] == "overall"
+    ids = [int(node) for node in nodes[:-1]]
+    assert ids == sorted(ids) and len(ids) > 1
+    assert sorted(map(str, ids)) != [str(node) for node in ids]  # string order differs
+
+
 def test_sweep_command_parallel_jobs(capsys):
     assert (
         main(
@@ -513,18 +525,22 @@ def test_resume_command_rejects_missing_journal(tmp_path):
         main(["resume", str(tmp_path / "nope.jsonl")])
 
 
-def test_sweep_checkpoint_with_shards(tmp_path, capsys):
-    """--checkpoint --shards executes through a private loopback agent."""
-    journal = str(tmp_path / "campaign.journal.jsonl")
-    assert main([
+def test_sweep_checkpoint_retries_after_a_dead_pool_worker(tmp_path, capsys):
+    """Without --run-timeout, a crashed pool worker costs one attempt;
+    unsupervised, it ends the sweep with an error instead of a hang."""
+    argv = [
         "sweep", "hidden-node", "--macs", "unslotted-csma",
         "--grid", "delta=50,100",
         "--set", "packets_per_node=2", "--set", "warmup=0.2",
-        "--seeds", "1", "--checkpoint", journal, "--shards", "2",
-    ]) == 0
-    output = capsys.readouterr().out
-    assert "backend shard" in output
-    assert "executed 2" in output
+        "--seeds", "2", "--jobs", "2", "--inject-faults", "crash@seed=1",
+    ]
+    assert main(argv + ["--checkpoint", str(tmp_path / "a.jsonl")]) == 0
+    captured = capsys.readouterr()
+    assert "WorkerDied: pool worker" in captured.err
+    assert "exited with code 86" in captured.err
+    assert "executed 4" in captured.out
+    with pytest.raises(SystemExit, match="exited with code 86"):
+        main(argv + ["--checkpoint", str(tmp_path / "b.jsonl"), "--no-supervise"])
 
 
 def test_sweep_with_injected_poison_exits_4_and_retry_quarantined_heals(
