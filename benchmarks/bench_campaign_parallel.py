@@ -12,17 +12,16 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import HIDDEN_NODE_WARMUP
-
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import Sweep
+from repro.experiments.figures import FIGURES
 
 #: Reduced fig7 sweep: 2 MACs x 2 rates x 3 seeds = 12 scenarios.
 _SWEEP = Sweep(
     experiment="hidden-node",
     macs=("qma", "unslotted-csma"),
     grid={"delta": [10.0, 25.0]},
-    fixed={"packets_per_node": 80, "warmup": HIDDEN_NODE_WARMUP},
+    fixed={"packets_per_node": 80, "warmup": FIGURES["fig7"].reduced["warmup"]},
     seeds=(0, 1, 2),
 )
 

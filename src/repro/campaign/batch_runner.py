@@ -91,13 +91,12 @@ def _prepare_lane(scenario: Scenario):
 
 def execute_seed_batch(
     scenarios: Sequence[Scenario],
-    keep_raw: bool = False,
     executor: Optional[SeedBatchExecutor] = None,
 ) -> List[RunRecord]:
     """Run a same-configuration seed group, batched; records keep input order.
 
-    Scalar metrics (and raw reports, with ``keep_raw``) are bit-identical
-    to running each scenario through ``execute_scenario`` on its own.
+    Scalar metrics are bit-identical to running each scenario through
+    ``execute_scenario`` on its own.
     """
     from repro.campaign import runner
     from repro.campaign.runner import _report_metrics, execute_scenario
@@ -106,7 +105,7 @@ def execute_seed_batch(
     if not scenarios:
         return []
     if len(scenarios) == 1 or not batchable_experiment(scenarios[0].experiment):
-        return [execute_scenario(s, keep_raw=keep_raw) for s in scenarios]
+        return [execute_scenario(s) for s in scenarios]
     if runner.FAULT_HOOK is not None:
         # The batched path bypasses execute_scenario; give the chaos
         # harness the same per-scenario injection point.
@@ -118,7 +117,6 @@ def execute_seed_batch(
         RunRecord(
             scenario=scenario,
             metrics=_report_metrics(report, traced=bool(scenario.params.get("trace"))),
-            raw=report if keep_raw else None,
         )
         for scenario, report in zip(scenarios, reports)
     ]

@@ -1,11 +1,12 @@
 """Campaign records: one :class:`RunRecord` per run, in expansion order.
 
 A :class:`RunRecord` pairs a scenario with the scalar metrics its run
-produced (and optionally the raw experiment result object for callers that
-need time series or per-node detail).  A :class:`CampaignResult` is the
-ordered record list of one campaign.  Export and aggregation go through
-the record sinks of :mod:`repro.campaign.frame`; :func:`load_json` reads
-back the document :class:`~repro.campaign.frame.JsonDocumentSink` writes.
+produced; callers that need time series or per-node detail run the
+scenario through :func:`repro.campaign.runner.scenario_report` instead.  A
+:class:`CampaignResult` is the ordered record list of one campaign.  Export
+and aggregation go through the record sinks of :mod:`repro.campaign.frame`;
+:func:`load_json` reads back the document
+:class:`~repro.campaign.frame.JsonDocumentSink` writes.
 """
 
 from __future__ import annotations
@@ -23,16 +24,10 @@ _SCENARIO_COLUMNS = ("experiment", "mac", "propagation", "seed")
 
 @dataclass
 class RunRecord:
-    """The outcome of one scenario: scalar metrics keyed by name.
-
-    ``raw`` optionally holds the full experiment result object (histories,
-    per-node dictionaries, ...).  It is excluded from JSON/CSV export, which
-    covers the scalar metrics only.
-    """
+    """The outcome of one scenario: scalar metrics keyed by name."""
 
     scenario: Scenario
     metrics: Dict[str, float] = field(default_factory=dict)
-    raw: Any = None
 
     def row(self) -> Dict[str, Any]:
         """Flat dictionary view: scenario identity, parameters and metrics."""

@@ -190,27 +190,27 @@ def is_known_metric(
 FAULT_HOOK: Optional[Callable[[Scenario], None]] = None
 
 
-def execute_scenario(scenario: Scenario, keep_raw: bool = False) -> RunRecord:
-    """Run one scenario and return its :class:`RunRecord`.
-
-    With ``keep_raw`` the record also carries the full
-    :class:`~repro.metrics.report.SimReport` (series, tables, details); the
-    scalar metrics are identical either way.
-    """
+def scenario_report(scenario: Scenario) -> SimReport:
+    """Run one scenario and return its full :class:`SimReport` (series,
+    tables and details besides the scalars a record keeps)."""
     if FAULT_HOOK is not None:
         FAULT_HOOK(scenario)
     run, _ = _FAMILIES[scenario.experiment]
-    report = run(
+    return run(
         mac=scenario.mac,
         seed=scenario.seed,
         propagation=scenario.propagation,
         collectors=scenario.metrics,
         **_campaign_params(scenario),
     )
+
+
+def execute_scenario(scenario: Scenario) -> RunRecord:
+    """Run one scenario and return its :class:`RunRecord`."""
+    report = scenario_report(scenario)
     return RunRecord(
         scenario=scenario,
         metrics=_report_metrics(report, traced=bool(scenario.params.get("trace"))),
-        raw=report if keep_raw else None,
     )
 
 
@@ -263,15 +263,14 @@ class ScenarioTemplate:
 
 #: Per-worker state installed by :func:`_worker_init` (fork-safe module
 #: global; each worker process has its own copy).
-_WORKER_STATE: Dict[str, Any] = {"template": None, "keep_raw": False}
+_WORKER_STATE: Dict[str, Any] = {"template": None}
 
 
 def _worker_init(blob: bytes) -> None:
     """Pool initializer: install the shared scenario template once per worker
     and configure the worker's construction-artifact cache."""
-    template, keep_raw, build_cache, cache_size, fault_plan = pickle.loads(blob)
+    template, build_cache, cache_size, fault_plan = pickle.loads(blob)
     _WORKER_STATE["template"] = template
-    _WORKER_STATE["keep_raw"] = keep_raw
     ARTIFACT_CACHE.configure(enabled=build_cache, maxsize=cache_size)
     if fault_plan is not None:
         from repro.service import faults
@@ -288,7 +287,7 @@ def _worker_init(blob: bytes) -> None:
 
 def _execute_scenario_task(scenario: Scenario) -> RunRecord:
     """Worker entry for explicit scenario lists (no shared template)."""
-    return execute_scenario(scenario, keep_raw=_WORKER_STATE["keep_raw"])
+    return execute_scenario(scenario)
 
 
 def _scenario_from_delta(
@@ -310,8 +309,7 @@ def _scenario_from_delta(
 def _execute_delta_task(delta: Tuple[str, Optional[str], int, Dict[str, Any]]) -> RunRecord:
     """Worker entry for sweep deltas: rebuild the scenario from the
     initializer-shipped template plus ``(mac, propagation, seed, axes)``."""
-    scenario = _scenario_from_delta(_WORKER_STATE["template"], delta)
-    return execute_scenario(scenario, keep_raw=_WORKER_STATE["keep_raw"])
+    return execute_scenario(_scenario_from_delta(_WORKER_STATE["template"], delta))
 
 
 def _execute_batch_task(
@@ -323,7 +321,7 @@ def _execute_batch_task(
 
     template: ScenarioTemplate = _WORKER_STATE["template"]
     scenarios = [_scenario_from_delta(template, delta) for delta in deltas]
-    return execute_seed_batch(scenarios, keep_raw=_WORKER_STATE["keep_raw"])
+    return execute_seed_batch(scenarios)
 
 
 def _iter_delta_groups(
@@ -398,7 +396,7 @@ class WorkerPool:
     """A persistent multiprocessing pool with warm, template-initialised workers.
 
     The raw ``multiprocessing.Pool`` is (re)created only when the
-    initializer payload — the pickled ``(template, keep_raw)`` pair —
+    initializer payload — the pickled template and cache configuration —
     changes; successive campaigns over the same sweep shape reuse the warm
     workers.  The pool is released by :meth:`close` or, failing that, by a
     garbage-collection finalizer.
@@ -428,7 +426,6 @@ class WorkerPool:
     def ensure(
         self,
         template: Optional[ScenarioTemplate],
-        keep_raw: bool,
         build_cache: bool = True,
         cache_size: Optional[int] = None,
         fault_plan: Optional[Any] = None,
@@ -436,7 +433,7 @@ class WorkerPool:
         """Warm workers carrying the given template and cache config; the
         pool counts as busy until :meth:`settle`."""
         blob = pickle.dumps(
-            (template, keep_raw, build_cache, cache_size, fault_plan),
+            (template, build_cache, cache_size, fault_plan),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         if self._pool is None or blob != self._blob:
@@ -508,8 +505,6 @@ class CampaignRunner:
     jobs:
         Worker-process count; ``1`` (the default) runs serially in-process,
         ``0`` means one worker per CPU.
-    keep_raw:
-        Attach the full :class:`SimReport` to every record.
     chunksize:
         Tasks per pool chunk: ``"auto"`` (default) uses
         ``max(1, n // (jobs * 8))``, an integer pins it.  Larger chunks
@@ -549,7 +544,6 @@ class CampaignRunner:
     def __init__(
         self,
         jobs: int = 1,
-        keep_raw: bool = False,
         chunksize: Union[int, str] = "auto",
         build_cache: bool = True,
         cache_size: Optional[int] = None,
@@ -557,7 +551,6 @@ class CampaignRunner:
         fault_plan: Optional[Any] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.keep_raw = keep_raw
         resolve_chunksize(chunksize, 0, self.jobs)  # validate eagerly
         self.chunksize = chunksize
         self.build_cache = bool(build_cache)
@@ -743,7 +736,7 @@ class CampaignRunner:
                     with ARTIFACT_CACHE.override(
                         enabled=self.build_cache, maxsize=self.cache_size
                     ):
-                        records = execute_seed_batch(group, keep_raw=self.keep_raw)
+                        records = execute_seed_batch(group)
                     yield from records
                 return
             for scenario in expand():
@@ -753,14 +746,14 @@ class CampaignRunner:
                 with ARTIFACT_CACHE.override(
                     enabled=self.build_cache, maxsize=self.cache_size
                 ):
-                    record = execute_scenario(scenario, keep_raw=self.keep_raw)
+                    record = execute_scenario(scenario)
                 yield record
             return
         chunk = resolve_chunksize(self.chunksize, size, self.jobs)
         workers = self._worker_pool()
         workers.ensure(
             ScenarioTemplate.of(sweep) if scenarios is None else None,
-            self.keep_raw, self.build_cache, self.cache_size, self.fault_plan,
+            self.build_cache, self.cache_size, self.fault_plan,
         )
         if scenarios is None:
             axes = sweep.axes

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.campaign.frame import (
     CsvRecordSink,
@@ -30,7 +30,6 @@ from repro.campaign.frame import (
     JsonlRecordSink,
     TableAggregator,
 )
-from repro.campaign.records import CampaignResult
 from repro.campaign.runner import (
     CampaignRunner,
     WorkerDied,
@@ -39,7 +38,8 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import EXPERIMENT_KINDS, Sweep
 from repro.core.rewards import format_reward_table
-from repro.experiments.handshake import PAPER_PROBABILITIES, handshake_expected_messages
+from repro.experiments.figures import FIGURES
+from repro.experiments.handshake import handshake_expected_messages
 from repro.experiments.hidden_node import run_fluctuating, run_slot_utilisation
 from repro.mac.registry import MAC_REGISTRY, mac_kinds
 from repro.metrics.registry import COLLECTOR_REGISTRY, collector_kinds
@@ -299,46 +299,6 @@ def cmd_list(args: argparse.Namespace) -> None:
         print(f"  {'':<16} scalars: {provides}")
 
 
-def cmd_fig7(args: argparse.Namespace) -> None:
-    sweep = Sweep(
-        experiment="hidden-node",
-        macs=args.macs,
-        propagations=[args.propagation],
-        grid={"delta": args.deltas},
-        fixed={"packets_per_node": args.packets, "warmup": args.warmup},
-        seeds=list(range(args.repetitions)),
-        metrics=args.collectors,
-    )
-    by = ("delta", "mac")
-    _, sinks = _run_figure(args, sweep, by)
-    aggregator = sinks[0]
-    for metric in ("pdr", "average_queue_level", "average_delay"):
-        if metric not in aggregator.metric_names():
-            raise SystemExit(
-                f"qma-repro fig7: error: metric {metric!r} missing — the chosen "
-                "--collectors must include pdr, queue and delay"
-            )
-    pdr = aggregator.groups("pdr")
-    queue = aggregator.groups("average_queue_level")
-    delay = aggregator.groups("average_delay")
-    rows = []
-    for delta in args.deltas:
-        for mac in args.macs:
-            key = (delta, mac)
-            rows.append(
-                [
-                    delta,
-                    mac,
-                    f"{pdr[key]['mean']:.3f}",
-                    f"±{pdr[key]['ci95']:.3f}",
-                    f"{queue[key]['mean']:.2f}",
-                    f"{delay[key]['mean'] * 1000:.1f} ms",
-                ]
-            )
-    _print_table(["delta", "mac", "pdr", "ci95", "avg queue", "avg delay"], rows)
-    _print_sink_lines(sinks)
-
-
 def cmd_fig12(args: argparse.Namespace) -> None:
     histories = run_fluctuating(duration=args.duration)
     for node_id, history in histories.items():
@@ -359,72 +319,30 @@ def cmd_slots(args: argparse.Namespace) -> None:
         print(f"node {node}: {used}")
 
 
-def cmd_testbed(args: argparse.Namespace) -> None:
-    sweep = Sweep(
-        experiment=f"testbed-{args.scenario}",
-        macs=args.macs,
-        propagations=[args.propagation],
-        fixed={"delta": args.delta, "packets_per_node": args.packets},
-        seeds=[args.seed],
-        metrics=args.collectors,
-    )
-    campaign, sinks = _run_figure(args, sweep, ("mac",))
-    rows = []
-    for record in campaign:
-        metrics = record.metrics
-        # Numeric node order: the metric names sort as strings.
-        prefix = "pdr_node_"
-        nodes = sorted(int(name[len(prefix):]) for name in metrics if name.startswith(prefix))
-        for node_id in nodes:
-            rows.append(
-                [args.scenario, record.scenario.mac, node_id, f"{metrics[f'{prefix}{node_id}']:.3f}"]
-            )
-        if "overall_pdr" in metrics:
-            rows.append(
-                [args.scenario, record.scenario.mac, "overall", f"{metrics['overall_pdr']:.3f}"]
-            )
-    _print_table(["topology", "mac", "node", "pdr"], rows)
-    _print_sink_lines(sinks)
-
-
-def cmd_fig21(args: argparse.Namespace) -> None:
-    sweep = Sweep(
-        experiment="scalability",
-        macs=args.macs,
-        propagations=[args.propagation],
-        grid={"rings": args.rings},
-        fixed={"duration": args.duration, "warmup": args.warmup},
-        seeds=[args.seed],
-        metrics=args.collectors,
-    )
-    campaign, sinks = _run_figure(args, sweep, ("rings", "mac"))
-    records = {
-        (record.scenario.params["rings"], record.scenario.mac): record for record in campaign
-    }
-    rows = []
-    for rings in args.rings:
-        for mac in args.macs:
-            metrics = records[(rings, mac)].metrics
-            try:
-                rows.append(
-                    [
-                        int(metrics["num_nodes"]),
-                        mac,
-                        f"{metrics['secondary_pdr']:.3f}",
-                        f"{metrics['gts_request_success']:.3f}",
-                        f"{metrics['allocation_rate']:.2f}/s",
-                        f"{metrics['primary_pdr']:.3f}",
-                    ]
-                )
-            except KeyError as exc:
+def cmd_figure(args: argparse.Namespace) -> None:
+    """``fig7``, ``testbed`` and ``fig21``: stream the figure's sweep
+    through the ``sweep`` command's sinks, then print the figure's table."""
+    verb = args.command
+    figure = FIGURES[f"testbed-{args.scenario}" if verb == "testbed" else verb]
+    try:
+        sweep = figure.sweep(args)
+        for metric in figure.metrics:
+            if not is_known_metric(sweep.experiment, metric, collectors=sweep.metrics):
+                providers = [
+                    name
+                    for name in collector_kinds()
+                    if is_known_metric(sweep.experiment, metric, collectors=[name])
+                ]
                 raise SystemExit(
-                    f"qma-repro fig21: error: metric {exc.args[0]!r} missing — "
-                    "the chosen --collectors must include dsme"
+                    f"qma-repro {verb}: error: metric {metric!r} missing — the chosen "
+                    f"--collectors must include {' or '.join(providers)}"
                 )
-    _print_table(
-        ["nodes", "mac", "secondary pdr", "gts-req success", "(de)alloc rate", "primary pdr"],
-        rows,
-    )
+    except ValueError as exc:
+        raise SystemExit(f"qma-repro {verb}: error: {exc}")
+    runner = _runner_from_args(args)
+    sinks = _sweep_sinks(args, sweep, figure.by, meta={"pool": runner.pool_config(sweep.size)})
+    _stream(runner, sweep, sinks, verb)
+    _print_table(list(figure.header), figure.table(sinks[0], args))
     _print_sink_lines(sinks)
 
 
@@ -586,6 +504,32 @@ def _backend_from_args(args: argparse.Namespace) -> "DispatchBackend":
         raise SystemExit(f"qma-repro: error: {exc}")
 
 
+def _runner_from_args(args: argparse.Namespace) -> CampaignRunner:
+    return CampaignRunner(
+        jobs=args.jobs,
+        chunksize=args.chunksize,
+        build_cache=args.build_cache,
+        batch_seeds=args.batch_seeds,
+    )
+
+
+def _stream(runner: CampaignRunner, sweep: Sweep, sinks: List[Any], verb: str) -> None:
+    """Run the sweep through the sinks; a dead pool worker or an unknown
+    parameter ends the command with ``qma-repro <verb>: error: ...``."""
+    try:
+        with runner:
+            runner.stream(sweep, sinks=sinks)
+    except WorkerDied as exc:
+        raise SystemExit(f"qma-repro {verb}: error: {exc}")
+    except TypeError as exc:
+        # Unknown --grid/--set keys surface as unexpected-keyword errors from
+        # the experiment runner (possibly re-raised by the pool); anything
+        # else is a real bug whose traceback must be kept.
+        if "unexpected keyword argument" not in str(exc):
+            raise
+        raise SystemExit(f"qma-repro {verb}: error: {exc}")
+
+
 def cmd_sweep(args: argparse.Namespace) -> None:
     sweep = _sweep_from_args(args)
     by = _by_axes(sweep)
@@ -593,12 +537,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         _run_checkpointed_sweep(args, sweep, by)
         return
 
-    runner = CampaignRunner(
-        jobs=args.jobs,
-        chunksize=args.chunksize,
-        build_cache=args.build_cache,
-        batch_seeds=args.batch_seeds,
-    )
+    runner = _runner_from_args(args)
     # The effective pool configuration rides along in --json/--jsonl output
     # so throughput anomalies can be traced to their dispatch settings.
     pool_config = runner.pool_config(sweep.size)
@@ -606,27 +545,14 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     # Stream records through sinks: aggregation, JSONL and CSV run in
     # constant memory; only the --json document buffers records.
     sinks = _sweep_sinks(args, sweep, by, meta={"pool": pool_config})
-    aggregator = sinks[0]
 
     print(
         f"running {sweep.size} scenarios ({args.experiment}) with "
         f"jobs={pool_config['jobs']} chunksize={pool_config['chunksize']} "
         f"pool={pool_config['pool']}"
     )
-    try:
-        with runner:
-            runner.stream(sweep, sinks=sinks)
-    except WorkerDied as exc:
-        raise SystemExit(f"qma-repro sweep: error: {exc}")
-    except TypeError as exc:
-        # Unknown --grid/--set keys surface as unexpected-keyword errors from
-        # the experiment runner (possibly re-raised by the pool); anything
-        # else is a real bug whose traceback must be kept.
-        if "unexpected keyword argument" not in str(exc):
-            raise
-        raise SystemExit(f"qma-repro sweep: error: {exc}")
-
-    _print_aggregate(aggregator, by, args.metrics, "sweep")
+    _stream(runner, sweep, sinks, "sweep")
+    _print_aggregate(sinks[0], by, args.metrics, "sweep")
     _print_sink_lines(sinks)
 
 
@@ -651,28 +577,6 @@ def _sweep_sinks(
     if getattr(args, "json_path", None):
         sinks.append(JsonDocumentSink(args.json_path, meta=meta))
     return sinks
-
-
-def _run_figure(
-    args: argparse.Namespace, sweep: Sweep, by: tuple
-) -> Tuple[CampaignResult, List[Any]]:
-    """Run a figure command's sweep, then pass its records through the
-    sinks of the ``sweep`` command (aggregator first, ``--json``/``--csv``
-    after), so both commands export the same records the same way."""
-    runner = CampaignRunner(
-        jobs=args.jobs,
-        chunksize=args.chunksize,
-        build_cache=args.build_cache,
-        batch_seeds=args.batch_seeds,
-    )
-    with runner:
-        campaign = runner.run(sweep)
-    sinks = _sweep_sinks(args, sweep, by, meta={"pool": runner.pool_config(sweep.size)})
-    for sink in sinks:
-        for record in campaign:
-            sink.write(record)
-        sink.close()
-    return campaign, sinks
 
 
 def _run_checkpointed_sweep(args: argparse.Namespace, sweep: Sweep, by: tuple) -> None:
@@ -1067,56 +971,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table4", help="local/global reward table")
-    p.add_argument("--agents", type=int, default=3)
-    p.set_defaults(func=cmd_table4)
+    p.add_argument("--agents", type=int)
+    p.set_defaults(func=cmd_table4, **FIGURES["table4"].paper)
 
     p = sub.add_parser(
         "list", help="registered MAC kinds, propagation models and topologies"
     )
     p.set_defaults(func=cmd_list)
 
+    # Figure commands take their defaults (the paper's sizes) from their
+    # rows in repro.experiments.figures.
     p = sub.add_parser("fig7", help="hidden-node PDR / queue / delay sweep (Figs. 7-9)")
-    p.add_argument("--macs", nargs="+", default=["qma", "slotted-csma", "unslotted-csma"])
-    p.add_argument("--deltas", nargs="+", type=float, default=[1, 10, 25, 50, 100])
-    p.add_argument("--packets", type=int, default=1000)
-    p.add_argument("--warmup", type=float, default=100.0)
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--macs", nargs="+")
+    p.add_argument("--deltas", nargs="+", type=float)
+    p.add_argument("--packets", type=int)
+    p.add_argument("--warmup", type=float)
+    p.add_argument("--repetitions", type=int)
     _add_propagation_option(p)
     _add_collectors_option(p)
     _add_campaign_options(p)
-    p.set_defaults(func=cmd_fig7)
+    p.set_defaults(func=cmd_figure, **FIGURES["fig7"].paper)
 
     p = sub.add_parser("fig12", help="fluctuating-traffic convergence (Fig. 12)")
-    p.add_argument("--duration", type=float, default=1500.0)
-    p.set_defaults(func=cmd_fig12)
+    p.add_argument("--duration", type=float)
+    p.set_defaults(func=cmd_fig12, **FIGURES["fig12"].paper)
 
     p = sub.add_parser("slots", help="subslot utilisation (Figs. 13-15)")
-    p.add_argument("--delta", type=float, default=10.0)
-    p.add_argument("--snapshot", type=float, default=150.0)
-    p.add_argument("--duration", type=float, default=400.0)
-    p.set_defaults(func=cmd_slots)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--snapshot", type=float)
+    p.add_argument("--duration", type=float)
+    p.set_defaults(func=cmd_slots, **FIGURES["slots"].paper)
 
     p = sub.add_parser("testbed", help="tree / star per-node PDR (Figs. 18-19)")
     p.add_argument("scenario", choices=["tree", "star"])
-    p.add_argument("--macs", nargs="+", default=["qma", "unslotted-csma"])
-    p.add_argument("--delta", type=float, default=10.0)
-    p.add_argument("--packets", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--macs", nargs="+")
+    p.add_argument("--delta", type=float)
+    p.add_argument("--packets", type=int)
+    p.add_argument("--seed", type=int)
     _add_propagation_option(p)
     _add_collectors_option(p)
     _add_campaign_options(p)
-    p.set_defaults(func=cmd_testbed)
+    # Both topologies run at the same paper size.
+    p.set_defaults(func=cmd_figure, **FIGURES["testbed-tree"].paper)
 
     p = sub.add_parser("fig21", help="DSME secondary-traffic scalability (Figs. 21-22)")
-    p.add_argument("--macs", nargs="+", default=["qma", "slotted-csma", "unslotted-csma"])
-    p.add_argument("--rings", nargs="+", type=int, default=[1, 2, 3, 4])
-    p.add_argument("--duration", type=float, default=300.0)
-    p.add_argument("--warmup", type=float, default=200.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--macs", nargs="+")
+    p.add_argument("--rings", nargs="+", type=int)
+    p.add_argument("--duration", type=float)
+    p.add_argument("--warmup", type=float)
+    p.add_argument("--seed", type=int)
     _add_propagation_option(p)
     _add_collectors_option(p)
     _add_campaign_options(p)
-    p.set_defaults(func=cmd_fig21)
+    p.set_defaults(func=cmd_figure, **FIGURES["fig21"].paper)
 
     p = sub.add_parser("sweep", help="run an arbitrary campaign grid in parallel")
     _add_sweep_spec_options(p)
@@ -1272,12 +1179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compact)
 
     p = sub.add_parser("fig26", help="expected handshake messages (Fig. 26)")
-    p.add_argument(
-        "--probabilities", nargs="+", type=_parse_probability,
-        default=list(PAPER_PROBABILITIES), metavar="P",
-    )
-    p.add_argument("--retries", type=_parse_non_negative_int, default=3, metavar="N")
-    p.set_defaults(func=cmd_fig26)
+    p.add_argument("--probabilities", nargs="+", type=_parse_probability, metavar="P")
+    p.add_argument("--retries", type=_parse_non_negative_int, metavar="N")
+    p.set_defaults(func=cmd_fig26, **FIGURES["fig26"].paper)
 
     return parser
 

@@ -10,7 +10,8 @@ allocate subslots.
 
 ε-greedy (with exponential decay) and a constant exploration rate are also
 implemented because the paper discusses them as the conventional
-alternatives; the ablation benchmark compares all three.
+alternatives; the ``ablation-exploration`` row of
+:mod:`repro.experiments.figures` compares all three.
 """
 
 from __future__ import annotations

@@ -19,9 +19,7 @@ from repro.core.actions import QAction
 class RewardFunction:
     """The local reward constants of Eq. 6-8.
 
-    The defaults reproduce the paper's values; the ablation benchmarks vary
-    them to show that, e.g., increasing the QSend success reward to 8 makes
-    every node send in every subslot.
+    The defaults reproduce the paper's values.
     """
 
     backoff_overheard: float = 2.0
@@ -132,7 +130,7 @@ def _all_combinations(num_agents: int) -> List[Tuple[QAction, ...]]:
 
 
 def format_reward_table(num_agents: int = 3, rewards: RewardFunction = DEFAULT_REWARDS) -> str:
-    """Render the reward table as text (used by the CLI and the Table 4 bench)."""
+    """Render the reward table as text (printed by ``qma-repro table4``)."""
     table = reward_table(num_agents, rewards)
     lines = ["actions          local rewards        global"]
     for combo, entry in table.items():

@@ -8,9 +8,8 @@ corresponding figure plots (``collectors=`` selects a different set).  A
 runner executes one run; sweeps over MACs, parameters and seeds go through
 :class:`repro.campaign.Sweep` and :class:`repro.campaign.CampaignRunner`
 (``qma-repro sweep``), whose family table maps each experiment family onto
-its runner.  The benchmarks in ``benchmarks/`` call these runners with
-reduced workloads; the CLI (`qma-repro`) exposes them with paper-scale
-defaults.
+its runner.  :mod:`repro.experiments.figures` holds each figure's runs at
+paper size (the CLI defaults) and at reduced size (the tier-1 claims).
 """
 
 from repro.experiments.base import MAC_KINDS, make_mac_factory

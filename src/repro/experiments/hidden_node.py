@@ -163,10 +163,10 @@ def run_hidden_node(
     """Run one hidden-node scenario and return its :class:`SimReport`.
 
     ``packets_per_node`` and ``warmup`` default to the paper values (1000
-    packets, 100 s); benchmarks pass smaller values.  ``collectors`` names
-    registered metric collectors (default: :data:`DEFAULT_COLLECTORS`);
-    ``interference="sinr"`` (with a propagation model) swaps in the
-    SINR/capture channel.
+    packets, 100 s); the figure rows' reduced runs pass smaller values.
+    ``collectors`` names registered metric collectors (default:
+    :data:`DEFAULT_COLLECTORS`); ``interference="sinr"`` (with a propagation
+    model) swaps in the SINR/capture channel.
     """
     scenario = scenario_config(
         "hidden-node",

@@ -6,10 +6,10 @@ into frames of ``slots_per_frame`` slots, every node learns a single Q-value
 per slot using stateless Q-learning, transmits in the best slot of every
 frame and updates the slot's Q-value with +1 on success and -1 on failure.
 
-These baselines are used by the related-work example and by the ablation
-benchmarks; they also demonstrate the limitation the paper points out:
-a node can use at most one slot per frame, so asymmetric traffic rates and
-hidden traffic patterns cannot be learned.
+These baselines are used by the related-work example; they also
+demonstrate the limitation the paper points out: a node can use at most one
+slot per frame, so asymmetric traffic rates and hidden traffic patterns
+cannot be learned.
 """
 
 from __future__ import annotations

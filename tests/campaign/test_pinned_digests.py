@@ -281,12 +281,8 @@ def _runner(**options):
     return run
 
 
-def _pool_with_raw(sweep, tmp_path):
-    records = _runner(jobs=2, chunksize=3, keep_raw=True)(sweep, tmp_path)
-    for record in records:
-        # The report shipped back from the worker is the pinned run's.
-        assert record.raw.scalars.items() <= record.metrics.items()
-    return records
+def _pool_chunked(sweep, tmp_path):
+    return _runner(jobs=2, chunksize=3)(sweep, tmp_path)
 
 
 def _evicting(sweep, tmp_path):
@@ -434,7 +430,7 @@ PATHS = [
     ("runner-cache-on", _runner(jobs=1), ALL),
     ("runner-cache-off", _runner(jobs=1, build_cache=False), ALL),
     ("runner-cache-size-1", _evicting, EVICTING),
-    ("pool-run-chunked", _pool_with_raw, ALL),
+    ("pool-run-chunked", _pool_chunked, ALL),
     ("pool-stream-chunked", _streamed, ALL),
     ("batch-2-jobs-1", _batched(2, jobs=1), TESTBED),
     ("batch-4-jobs-1", _batched(4, jobs=1), TESTBED),

@@ -10,7 +10,7 @@ import pytest
 
 from repro.campaign import runner
 from repro.campaign.records import RunRecord
-from repro.campaign.runner import execute_scenario, resolve_jobs
+from repro.campaign.runner import execute_scenario, resolve_jobs, scenario_report
 from repro.campaign.spec import EXPERIMENT_KINDS, Scenario
 
 
@@ -21,18 +21,18 @@ class TestAdapters:
         assert tuple(runner._FAMILIES) == EXPERIMENT_KINDS
 
     def test_testbed_and_scalability_scenarios_execute(self):
-        testbed = execute_scenario(
-            Scenario(
-                experiment="testbed-star",
-                mac="unslotted-csma",
-                seed=1,
-                params={"delta": 2.0, "packets_per_node": 6, "warmup": 10.0},
-            ),
-            keep_raw=True,
+        star = Scenario(
+            experiment="testbed-star",
+            mac="unslotted-csma",
+            seed=1,
+            params={"delta": 2.0, "packets_per_node": 6, "warmup": 10.0},
         )
+        testbed = execute_scenario(star)
         assert isinstance(testbed, RunRecord)
         assert 0.0 <= testbed.metrics["overall_pdr"] <= 1.0
-        assert testbed.raw.topology == "iotlab-star"
+        report = scenario_report(star)
+        assert report.topology == "iotlab-star"
+        assert report.scalars.items() <= testbed.metrics.items()
 
         scalability = execute_scenario(
             Scenario(
@@ -127,7 +127,7 @@ class TestAdapters:
                 params={"delta": 10.0, "packets_per_node": 8, "warmup": 5.0},
             )
         )
-        assert record.raw is None
+        assert set(record.to_dict()) == {"scenario", "metrics"}
         assert set(record.metrics) >= {"pdr", "average_queue_level", "average_delay"}
 
 

@@ -209,12 +209,6 @@ class TestDeltaDispatchEquivalence:
             from_list = runner.run(scenarios)
         assert from_sweep.records == from_list.records
 
-    def test_keep_raw_travels_through_the_initializer(self):
-        sweep = _tiny_sweep(seeds=(0,), macs=("qma", "unslotted-csma"))
-        with CampaignRunner(jobs=2, keep_raw=True) as runner:
-            records = runner.run(sweep).records
-        assert all(record.raw is not None for record in records)
-
 
 class TestScenarioTemplate:
     def test_template_of_sweep_round_trips_params(self):

@@ -453,6 +453,49 @@ def test_fig7_accepts_jobs_flag(capsys):
     assert "pdr" in capsys.readouterr().out
 
 
+def test_figure_command_exits_with_an_error_when_a_pool_worker_dies(monkeypatch, capsys):
+    """Figure commands stream through the sweep's path, so a dead worker
+    ends them like ``sweep``: one error line, no traceback."""
+    import functools
+
+    from repro import cli
+    from repro.service import faults
+
+    plan = faults.FaultPlan.from_spec("crash@seed=0")
+    runner = functools.partial(cli.CampaignRunner, fault_plan=plan)
+    monkeypatch.setattr(cli, "CampaignRunner", runner)
+    argv = [
+        "fig7", "--macs", "qma", "--deltas", "10", "--packets", "5", "--warmup", "1",
+        "--repetitions", "2", "--jobs", "2",
+    ]
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+    finally:
+        faults.install(None)
+    assert str(excinfo.value.code).startswith("qma-repro fig7: error: pool worker")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "testbed star --macs qma --packets 4 --collectors attempts",
+            "qma-repro testbed: error: metric 'overall_pdr' missing .* must include pdr",
+        ),
+        ("fig7 --macs nope --packets 4", "qma-repro fig7: error: unknown MAC kind 'nope'"),
+    ],
+    ids=["testbed-without-pdr", "fig7-unknown-mac"],
+)
+def test_figure_commands_reject_bad_input_before_running(argv, message, capsys):
+    """``testbed`` prints only the pdr collector's metrics: without it the
+    command fails up front instead of printing an empty table."""
+    with pytest.raises(SystemExit, match=message):
+        main(argv.split())
+    assert capsys.readouterr().out == ""
+
+
 def test_parser_rejects_unknown_command():
     parser = build_parser()
     with pytest.raises(SystemExit):
