@@ -3,7 +3,7 @@
 The paper's evaluation is built from sweeps over MAC kind x topology x
 traffic intensity x seed.  This package turns such sweeps into plain data
 (:class:`~repro.campaign.spec.Scenario` / :class:`~repro.campaign.spec.Sweep`),
-executes the cross-product over a ``multiprocessing`` worker pool
+executes the cross-product over a process-pool executor
 (:class:`~repro.campaign.runner.CampaignRunner`), and collects structured
 :class:`~repro.campaign.records.RunRecord` results.  Sweeps carry a
 ``metrics=`` axis naming the collectors of :mod:`repro.metrics` that
@@ -33,7 +33,6 @@ from repro.campaign.runner import (
     DEFAULT_TRACE_LIMIT,
     CampaignRunner,
     ScenarioTemplate,
-    WorkerPool,
     execute_scenario,
     experiment_metric_names,
     is_known_metric,
@@ -55,7 +54,6 @@ __all__ = [
     "ScenarioTemplate",
     "Sweep",
     "TableAggregator",
-    "WorkerPool",
     "execute_scenario",
     "experiment_metric_names",
     "is_known_metric",

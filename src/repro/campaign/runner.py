@@ -1,4 +1,4 @@
-"""Campaign execution over a persistent multiprocessing worker pool.
+"""Campaign execution over a persistent process-pool executor.
 
 Every scenario is an independent simulation seeded from its own master
 seed, so scenarios can run in any order on any number of workers and still
@@ -22,19 +22,19 @@ million-run sweep never materialises its record list.
 
 Warm workers
 ------------
-Earlier releases forked a fresh ``multiprocessing.Pool`` per ``run`` /
-``iter_records`` / ``stream`` call and shipped every run as a fully
-pickled :class:`Scenario` with ``chunksize=1`` — for short runs the sweep
-was dominated by orchestration, not simulation.  The runner now owns one
-:class:`WorkerPool` for its lifetime: workers are created once (and reused
-across calls), the sweep's shared *scenario template* (experiment, fixed
-parameters, collector set) is shipped once through the pool initializer,
-and each run crosses the pipe as just its ``(mac, propagation, seed,
-axis-values)`` delta, in adaptively sized chunks
-(``max(1, n // (jobs * 8))`` by default, overridable via ``chunksize``).
+Orchestration must not dominate short runs, so the runner owns one forking
+:class:`~concurrent.futures.ProcessPoolExecutor` for its lifetime: workers
+are created once (and reused across calls), the sweep's shared *scenario
+template* (experiment, fixed parameters, collector set) is shipped once
+through the executor's initializer, and each run crosses the pipe as just
+its ``(mac, propagation, seed, axis-values)`` delta, in adaptively sized
+chunks (``max(1, n // (jobs * 8))`` by default, overridable via
+``chunksize``), at most ``2 * jobs`` chunks in flight.
+The executor watches its workers' exit: one that dies fails the dispatch
+with :class:`WorkerDied` (naming its pid and exit code) instead of a hang.
 Call :meth:`CampaignRunner.close` (or use the runner as a context
-manager) to release the workers early; they are also reclaimed when the
-runner is garbage collected.
+manager) to release the workers early; the executor also reclaims them
+when the runner is garbage collected.
 
 Build-once / run-many
 ---------------------
@@ -59,7 +59,8 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import weakref
+import signal
+from collections import deque
 from dataclasses import dataclass
 from types import ModuleType
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -285,11 +286,6 @@ def _worker_init(blob: bytes) -> None:
         faults.install(None)
 
 
-def _execute_scenario_task(scenario: Scenario) -> RunRecord:
-    """Worker entry for explicit scenario lists (no shared template)."""
-    return execute_scenario(scenario)
-
-
 def _scenario_from_delta(
     template: ScenarioTemplate, delta: Tuple[str, Optional[str], int, Dict[str, Any]]
 ) -> Scenario:
@@ -306,22 +302,36 @@ def _scenario_from_delta(
     )
 
 
-def _execute_delta_task(delta: Tuple[str, Optional[str], int, Dict[str, Any]]) -> RunRecord:
-    """Worker entry for sweep deltas: rebuild the scenario from the
-    initializer-shipped template plus ``(mac, propagation, seed, axes)``."""
-    return execute_scenario(_scenario_from_delta(_WORKER_STATE["template"], delta))
+def _execute_scenarios(scenarios: Sequence[Scenario]) -> List[RunRecord]:
+    """Worker entry for a chunk of an explicit scenario list."""
+    return [execute_scenario(scenario) for scenario in scenarios]
 
 
-def _execute_batch_task(
+def _execute_deltas(
     deltas: Sequence[Tuple[str, Optional[str], int, Dict[str, Any]]]
 ) -> List[RunRecord]:
-    """Worker entry for a same-configuration seed group: run the group's
-    scenarios through the lockstep seed-batch executor."""
+    """Worker entry for a chunk of sweep deltas: rebuild each scenario from
+    the initializer-shipped template plus ``(mac, propagation, seed, axes)``."""
+    template: ScenarioTemplate = _WORKER_STATE["template"]
+    return [execute_scenario(_scenario_from_delta(template, delta)) for delta in deltas]
+
+
+def _execute_seed_groups(
+    groups: Sequence[Sequence[Tuple[str, Optional[str], int, Dict[str, Any]]]]
+) -> List[RunRecord]:
+    """Worker entry for a chunk of same-configuration seed groups, each run
+    through the lockstep seed-batch executor: one record per delta, in
+    dispatch order, so re-emission in expansion order ignores batching."""
     from repro.campaign.batch_runner import execute_seed_batch
 
     template: ScenarioTemplate = _WORKER_STATE["template"]
-    scenarios = [_scenario_from_delta(template, delta) for delta in deltas]
-    return execute_seed_batch(scenarios)
+    return [
+        record
+        for group in groups
+        for record in execute_seed_batch(
+            [_scenario_from_delta(template, delta) for delta in group]
+        )
+    ]
 
 
 def _iter_delta_groups(
@@ -376,125 +386,25 @@ def _iter_subset(sweep: Sweep, indices: Sequence[int]) -> Iterator[Scenario]:
             return
 
 
-def _run_chunk(task: Tuple[Callable, Tuple]) -> List[Any]:
-    """Worker entry of :meth:`WorkerPool.imap`: one ``(func, items)`` chunk."""
-    func, chunk = task
-    return [func(item) for item in chunk]
-
-
-def _shutdown_pool(pool: "multiprocessing.pool.Pool") -> None:
-    """Finalizer target: release a raw pool's worker processes."""
-    pool.terminate()
-    pool.join()
-
-
 class WorkerDied(RuntimeError):
     """A pool worker exited while the pool had tasks outstanding."""
 
 
-class WorkerPool:
-    """A persistent multiprocessing pool with warm, template-initialised workers.
+def _worker_died(workers: Iterable[Any], broken: BaseException) -> WorkerDied:
+    """Name the worker whose exit broke the pool, from the exit codes of a
+    joined executor's workers.
 
-    The raw ``multiprocessing.Pool`` is (re)created only when the
-    initializer payload — the pickled template and cache configuration —
-    changes; successive campaigns over the same sweep shape reuse the warm
-    workers.  The pool is released by :meth:`close` or, failing that, by a
-    garbage-collection finalizer.
-
-    Work handed out by :meth:`ensure` keeps the pool *busy* until the
-    dispatcher reports it finished through :meth:`settle`.  :meth:`close`
-    shuts an idle pool down gracefully (the workers exit on their own) and
-    terminates only a busy one, whose outstanding tasks are abandoned.
-
-    Workers are never recycled, so one that exits while tasks are
-    outstanding has died with its task, which ``multiprocessing`` never
-    returns.  :meth:`imap` checks the workers whenever no result arrives
-    for :data:`POLL_INTERVAL` and raises :class:`WorkerDied`.
+    A broken executor terminates its surviving workers (``-SIGTERM``), so
+    the one that exited otherwise is the one that died.
     """
-
-    #: Seconds without a result before the workers' exit codes are checked.
-    POLL_INTERVAL = 0.2
-
-    def __init__(self, processes: int) -> None:
-        self.processes = processes
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._workers: List[Any] = []
-        self._blob: Optional[bytes] = None
-        self._finalizer = None
-        self._busy = False
-
-    def ensure(
-        self,
-        template: Optional[ScenarioTemplate],
-        build_cache: bool = True,
-        cache_size: Optional[int] = None,
-        fault_plan: Optional[Any] = None,
-    ) -> None:
-        """Warm workers carrying the given template and cache config; the
-        pool counts as busy until :meth:`settle`."""
-        blob = pickle.dumps(
-            (template, build_cache, cache_size, fault_plan),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        if self._pool is None or blob != self._blob:
-            self.close()
-            self._pool = multiprocessing.Pool(
-                processes=self.processes, initializer=_worker_init, initargs=(blob,)
-            )
-            # The processes the pool started (it keeps no public handle).
-            self._workers = list(self._pool._pool)
-            self._blob = blob
-            self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
-        self._busy = True
-
-    def imap(self, func: Callable, iterable: Iterable, chunksize: int) -> Iterator:
-        """``Pool.imap`` that raises :class:`WorkerDied` when a worker exits.
-
-        Chunks are formed here, as ``Pool.imap`` would, because only its
-        unchunked iterator can be waited on with a timeout.
-        """
-        workers = self._workers
-        items = iter(iterable)
-        chunks = iter(lambda: tuple(itertools.islice(items, chunksize)), ())
-        results = self._pool.imap(_run_chunk, ((func, chunk) for chunk in chunks))
-        while True:
-            try:
-                chunk = results.next(self.POLL_INTERVAL)
-            except StopIteration:
-                return
-            except multiprocessing.TimeoutError:
-                for worker in workers:
-                    if worker.exitcode is not None:
-                        raise WorkerDied(
-                            f"pool worker {worker.pid} exited with code "
-                            f"{worker.exitcode} while tasks were outstanding"
-                        ) from None
-                continue
-            yield from chunk
-
-    def settle(self) -> None:
-        """Report every task dispatched since :meth:`ensure` as finished."""
-        self._busy = False
-
-    def close(self) -> None:
-        """Release the worker processes; safe to call repeatedly.
-
-        ``Pool.terminate`` can block on the task queue's write lock while
-        workers compete for the CPU, so it is kept for abandoned work.
-        """
-        if self._pool is not None:
-            # Unset first: an imap in another thread that sees the workers
-            # terminated then finds this pool already closed.
-            pool, self._pool = self._pool, None
-            self._finalizer.detach()
-            if self._busy:
-                pool.terminate()
-            else:
-                pool.close()
-            pool.join()
-            self._workers = []
-            self._blob = None
-            self._busy = False
+    exited = [worker for worker in workers if worker.exitcode is not None]
+    dead = [worker for worker in exited if worker.exitcode != -signal.SIGTERM] or exited
+    if not dead:
+        return WorkerDied(f"the worker pool broke while tasks were outstanding: {broken}")
+    return WorkerDied(
+        f"pool worker {dead[0].pid} exited with code {dead[0].exitcode} "
+        f"while tasks were outstanding"
+    )
 
 
 class CampaignRunner:
@@ -534,11 +444,11 @@ class CampaignRunner:
         configurations the batch kernel does not support fall back to
         serial execution inside the executor.
 
-    With ``jobs > 1`` the runner owns a persistent :class:`WorkerPool`
-    created on first use and reused across ``run`` / ``iter_records`` /
-    ``stream`` calls; :meth:`close` (or ``with CampaignRunner(...) as r:``)
-    releases it.  Results are bit-identical for every worker count and
-    chunk size.
+    With ``jobs > 1`` the runner owns a persistent
+    :class:`~concurrent.futures.ProcessPoolExecutor` created on first use
+    and reused across ``run`` / ``iter_records`` / ``stream`` calls;
+    :meth:`close` (or ``with CampaignRunner(...) as r:``) releases it.
+    Results are bit-identical for every worker count and chunk size.
     """
 
     def __init__(
@@ -574,14 +484,29 @@ class CampaignRunner:
             from repro.service import faults
 
             faults.install(None)
-        self._pool: Optional[WorkerPool] = None
+        self._pool: Optional[Any] = None  # the ProcessPoolExecutor
+        self._blob: Optional[bytes] = None
+        self._workers: Dict[int, Any] = {}
+        self._busy = False
 
     # ---------------------------------------------------------------- pool
     def close(self) -> None:
-        """Release the persistent worker pool (if one was created)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Release the worker processes; safe to call repeatedly, also from
+        a thread other than the one consuming records.
+
+        Idle workers exit on their own.  With a dispatch unfinished they
+        are terminated and their chunks abandoned; the executor sees them
+        die and stops its queues without taking a lock that a dead worker
+        may hold.
+        """
+        executor, self._pool = self._pool, None
+        if executor is None:
+            return
+        if self._busy:
+            for worker in list(self._workers.values()):
+                worker.terminate()
+        executor.shutdown(cancel_futures=True)
+        self._busy = False
 
     def __enter__(self) -> "CampaignRunner":
         return self
@@ -589,10 +514,52 @@ class CampaignRunner:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _worker_pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(self.jobs)
+    def _executor(self, template: Optional[ScenarioTemplate]) -> Any:
+        """The warm executor for this template and cache configuration,
+        busy until its dispatch finishes.
+
+        The executor is recreated only when its initializer payload (the
+        pickled template, cache configuration and fault plan) changes.
+        """
+        from concurrent.futures import ProcessPoolExecutor
+
+        blob = pickle.dumps(
+            (template, self.build_cache, self.cache_size, self.fault_plan),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        if self._pool is None or blob != self._blob:
+            self.close()
+            self._pool = ProcessPoolExecutor(
+                self.jobs,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_worker_init,
+                initargs=(blob,),
+            )
+            self._blob = blob
+            # The executor's process table, filled by the first submit: the
+            # only way to terminate a busy executor's workers before Python
+            # 3.14 (``terminate_workers()``) and to name a dead one.
+            self._workers = self._pool._processes
+        self._busy = True
         return self._pool
+
+    def _dispatch(
+        self, executor: Any, task: Callable, items: Iterable, chunksize: int
+    ) -> Iterator[RunRecord]:
+        """Run ``task`` over ``items`` in chunks; yield records in order.
+
+        At most ``2 * jobs`` chunks are in flight, so every worker has its
+        next chunk queued while a lazily expanded sweep is submitted only
+        as fast as it is consumed (``Executor.map`` would submit it all).
+        """
+        items = iter(items)
+        window: "deque[Any]" = deque()
+        for chunk in iter(lambda: tuple(itertools.islice(items, chunksize)), ()):
+            if len(window) == 2 * self.jobs:
+                yield from window.popleft().result()
+            window.append(executor.submit(task, chunk))
+        while window:
+            yield from window.popleft().result()
 
     def pool_config(self, size: int) -> Dict[str, Any]:
         """The effective pool configuration for a campaign of ``size`` runs
@@ -701,9 +668,11 @@ class CampaignRunner:
         sweeps keep lazy expansion-order dispatch.
 
         Exhaust the iterator (or let :meth:`run` / :meth:`stream` do so):
-        abandoning it mid-sweep terminates the worker pool — ``imap``'s
-        feeder thread would otherwise keep executing the remaining
-        scenarios in the background — and the next campaign re-warms it.
+        abandoning it mid-sweep terminates the workers — they would
+        otherwise keep executing the chunks already submitted — and the
+        next campaign re-warms a fresh executor.  A worker that dies
+        (the executor watches their exit) raises :class:`WorkerDied`,
+        naming its pid and exit code.
         """
         if isinstance(sweep, Sweep):
             scenarios: Optional[List[Scenario]] = None
@@ -749,12 +718,11 @@ class CampaignRunner:
                     record = execute_scenario(scenario)
                 yield record
             return
+        from concurrent.futures.process import BrokenProcessPool
+
         chunk = resolve_chunksize(self.chunksize, size, self.jobs)
-        workers = self._worker_pool()
-        workers.ensure(
-            ScenarioTemplate.of(sweep) if scenarios is None else None,
-            self.build_cache, self.cache_size, self.fault_plan,
-        )
+        executor = self._executor(ScenarioTemplate.of(sweep) if scenarios is None else None)
+        workers = self._workers
         if scenarios is None:
             axes = sweep.axes
 
@@ -765,24 +733,15 @@ class CampaignRunner:
 
             batching = self.batch_seeds > 1 and batchable_experiment(sweep.experiment)
 
-            def dispatch(deltas: Iterable[Tuple]) -> Iterable[RunRecord]:
-                """imap the deltas, grouped into seed batches when enabled.
-
-                Flattening the groups' record lists restores one record per
-                delta in dispatch order, so the expansion-order re-emission
-                below is oblivious to batching.
-                """
+            def dispatch(deltas: Iterable[Tuple]) -> Iterator[RunRecord]:
+                """Dispatch the deltas, grouped into seed batches when enabled."""
                 if not batching:
-                    return workers.imap(_execute_delta_task, deltas, chunk)
+                    return self._dispatch(executor, _execute_deltas, deltas, chunk)
                 groups = _iter_delta_groups(deltas, self.batch_seeds)
                 group_chunk = resolve_chunksize(
                     self.chunksize, max(1, size // self.batch_seeds), self.jobs
                 )
-                return (
-                    record
-                    for group in workers.imap(_execute_batch_task, groups, group_chunk)
-                    for record in group
-                )
+                return self._dispatch(executor, _execute_seed_groups, groups, group_chunk)
 
             order: Optional[List[int]] = None
             if self.build_cache and size <= AFFINITY_REORDER_LIMIT:
@@ -798,21 +757,24 @@ class CampaignRunner:
             else:
                 results = dispatch(delta_of(s) for s in expand())
         else:
-            results = workers.imap(_execute_scenario_task, scenarios, chunk)
+            results = self._dispatch(executor, _execute_scenarios, scenarios, chunk)
         completed = False
         try:
             yield from results
             completed = True
-            workers.settle()
+            self._busy = False
+        except BrokenProcessPool as broken:
+            if self._pool is executor:
+                self.close()  # joins the executor: every worker has exited
+            raise _worker_died(workers.values(), broken) from None
         finally:
-            if not completed:
+            if not completed and self._pool is executor:
                 # Closed early (caller stopped consuming, or a worker/sink
-                # raised): drop the pool so the outstanding tasks die with
-                # it instead of burning CPU behind the caller's back (only
-                # this pool: another thread may already run a fresh one).
-                workers.close()
-                if self._pool is workers:
-                    self._pool = None
+                # raised): terminate the workers so the outstanding chunks
+                # die with them instead of burning CPU behind the caller's
+                # back (only this executor: another thread may already run
+                # a fresh one).
+                self.close()
 
     def run(self, sweep: Union[Sweep, Iterable[Scenario]]) -> CampaignResult:
         """Run every scenario of the sweep; records keep expansion order.

@@ -138,8 +138,10 @@ class PoolBackend(DispatchBackend):
     supervisor counts a failed attempt and retries); a wedged one shows
     up as a stalled ``last_progress``, which only the supervisor's
     watchdog catches, and only with a ``run_timeout``.  :meth:`abort`
-    returns without joining the pump; the pump sees the closed pool
-    within a poll interval and exits.
+    returns without joining the pump; closing the runner fails the chunk
+    the pump waits on at once (or, with the queue full, the pump sees the
+    abort within a poll interval), and the pump exits.  The pump also
+    lets an abort return while a ``jobs=1`` run hangs in-process.
     """
 
     name = "pool"

@@ -15,8 +15,10 @@ exceptions into recorded, retried, or quarantined events:
   attempt whose backend reports no progress (``last_progress``) for the
   timeout plus a grace period is aborted — a hung run stalls one
   attempt, not the campaign.  A dead pool worker needs no timeout: the
-  pool raises :class:`~repro.campaign.runner.WorkerDied`, which fails
-  the attempt like any backend exception.
+  runner's process-pool executor watches its workers' exit, and the
+  runner raises :class:`~repro.campaign.runner.WorkerDied` (naming the
+  worker's pid and exit code), which fails the attempt like any backend
+  exception; the next attempt warms a fresh executor.
 * **Graceful degradation.**  After :attr:`RetryPolicy.backend_attempts`
   consecutive failures on one execution tier the supervisor falls back:
   remote (``--hosts``) → pool → isolated serial.

@@ -17,7 +17,9 @@ to reproduce every row it runs, one case per path and sweep:
 * :func:`~repro.service.checkpoint.run_checkpointed` cut part-way and
   resumed, including a cut inside a seed-batch group;
 * the pool backend, and two ``spawn_agent`` agents through
-  ``RemoteBackend`` resuming a partial journal.
+  ``RemoteBackend`` resuming a partial journal;
+* a supervised pool backend whose worker crashes (exit code 86), retried
+  through :func:`~repro.service.checkpoint.run_checkpointed`.
 
 The oracle is the table, never another path, so a change that moves every
 path the same way — MAC logic, channel delivery order, RNG draws, metric
@@ -44,12 +46,14 @@ from repro.core.mac import _SubslotGrid
 from repro.mac.registry import MAC_REGISTRY
 from repro.phy.registry import PROPAGATION_REGISTRY
 from repro.scenario import ARTIFACT_CACHE, ScenarioBuilder
+from repro.service import faults
 from repro.service.agent import spawn_agent
 from repro.service.backends import PoolBackend
 from repro.service.checkpoint import run_checkpointed
 from repro.service.journal import CheckpointJournal
 from repro.service.manifest import record_digest
 from repro.service.remote import RemoteBackend
+from repro.service.supervisor import make_supervised
 from repro.sim.batch import SeedBatchExecutor
 
 #: Named parameter bases; a row's label is its base plus its grid values.
@@ -414,6 +418,23 @@ def _remote_agents(sweep, tmp_path):
             proc.wait()
 
 
+def _crash_recovered(sweep, tmp_path):
+    """A pool worker dies at seed 1; the supervisor must see the pool name
+    its exit code and retry the pending runs."""
+    backend = make_supervised({"jobs": 2, "faults": "crash@seed=1", "backoff_base": 0.0})
+    assert isinstance(backend.inner, PoolBackend)
+    try:
+        outcome = run_checkpointed(sweep, str(tmp_path / "crash.jsonl"), backend=backend,
+                                   collect=True)
+    finally:
+        backend.close()
+        faults.install(None)
+    retries = [event for event in backend.events if event["kind"] == "retry"]
+    assert retries and "exited with code 86" in retries[0]["error"]
+    assert outcome.status == "complete"
+    return outcome.records
+
+
 ALL = list(SWEEPS)
 #: Sweeps that build more than one topology, so a one-entry cache evicts.
 EVICTING = [
@@ -453,6 +474,7 @@ PATHS = [
         TESTBED,
     ),
     ("pool-backend", _backend(lambda: PoolBackend(jobs=2)), BACKEND),
+    ("pool-crash-recovery", _crash_recovered, BACKEND),
     ("remote-agents-resume", _remote_agents, BACKEND),
 ]
 

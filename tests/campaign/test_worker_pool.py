@@ -1,17 +1,21 @@
 """Tests for the persistent warm worker pool and chunked dispatch.
 
-The pool is an orchestration optimisation: records must be bit-identical
-to serial execution for every worker count and chunk size, the pool must
-be reused across calls (that is the point), and degenerate inputs (empty
-sweeps, empty scenario lists) must yield nothing instead of touching the
-pool machinery.
+The pool (a process-pool executor) is an orchestration optimisation:
+records must be bit-identical to serial execution for every worker count
+and chunk size, the workers must be reused across calls (that is the
+point), degenerate inputs (empty sweeps, empty scenario lists) must yield
+nothing instead of touching the pool machinery, and a dead worker must
+end a dispatch, never hang it or its teardown.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
-import multiprocessing.pool
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -37,16 +41,32 @@ def _tiny_sweep(seeds=(0, 1), macs=("qma", "unslotted-csma")) -> Sweep:
     )
 
 
+def _fast_sweep(seeds=(0, 1)) -> Sweep:
+    """Runs of a few milliseconds each."""
+    return Sweep(
+        experiment="hidden-node",
+        macs=("unslotted-csma",),
+        grid={"delta": [50.0]},
+        fixed={"packets_per_node": 2, "warmup": 0.2, "drain_time": 0.1,
+               "management_period": 0.5},
+        seeds=seeds,
+    )
+
+
+def _worker_pids() -> set:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
 def _spy_terminate(monkeypatch):
-    """Record every ``Pool.terminate`` call (the call still goes through)."""
+    """Record every process ``terminate`` call (the call still goes through)."""
     calls = []
-    original = multiprocessing.pool.Pool.terminate
+    original = multiprocessing.process.BaseProcess.terminate
 
-    def terminate(pool):
-        calls.append(pool)
-        original(pool)
+    def terminate(process):
+        calls.append(process.pid)
+        original(process)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", terminate)
     return calls
 
 
@@ -105,18 +125,20 @@ class TestPersistentPool:
         sweep = _tiny_sweep()
         with CampaignRunner(jobs=2) as runner:
             first = runner.run(sweep)
-            raw_pool = runner._pool._pool
-            assert raw_pool is not None
+            executor, workers = runner._pool, _worker_pids()
+            assert executor is not None and len(workers) == 2
             second = runner.run(_tiny_sweep(seeds=(2, 3)))
             # Same template (experiment/fixed/metrics) -> same warm workers.
-            assert runner._pool._pool is raw_pool
+            assert runner._pool is executor
+            assert _worker_pids() == workers
         assert first.records != second.records  # different seeds, real runs
         assert runner._pool is None  # context exit released the pool
+        assert multiprocessing.active_children() == []
 
     def test_pool_recreated_when_template_changes(self):
         with CampaignRunner(jobs=2) as runner:
             runner.run(_tiny_sweep())
-            raw_pool = runner._pool._pool
+            executor, workers = runner._pool, _worker_pids()
             other = Sweep(
                 experiment="hidden-node",
                 macs=("qma",),
@@ -125,7 +147,9 @@ class TestPersistentPool:
                 seeds=(0, 1),
             )
             runner.run(other)
-            assert runner._pool._pool is not raw_pool
+            assert runner._pool is not executor
+            fresh = _worker_pids()
+            assert len(fresh) == 2 and not fresh & workers  # the old ones exited
 
     def test_serial_runner_never_creates_a_pool(self):
         runner = CampaignRunner(jobs=1)
@@ -140,8 +164,8 @@ class TestPersistentPool:
         assert runner._pool is None
 
     def test_close_after_a_finished_run_lets_workers_exit(self, monkeypatch):
-        """An idle pool is closed and joined, never terminated: its workers
-        exit on their own and none is left behind."""
+        """An idle pool is shut down, never terminated: its workers exit on
+        their own and none is left behind."""
         terminated = _spy_terminate(monkeypatch)
         runner = CampaignRunner(jobs=2)
         runner.run(_tiny_sweep())
@@ -151,19 +175,40 @@ class TestPersistentPool:
 
     def test_abandoned_iterator_terminates_the_pool(self, monkeypatch):
         """Regression: walking away from iter_records must not leave the
-        imap feeder executing the rest of the sweep in the background."""
+        workers executing the submitted rest of the sweep in the background."""
         terminated = _spy_terminate(monkeypatch)
         runner = CampaignRunner(jobs=2)
         iterator = runner.iter_records(_tiny_sweep(seeds=tuple(range(8))))
         first = next(iterator)
         assert first.metrics
+        workers = _worker_pids()
         iterator.close()
         assert runner._pool is None  # outstanding tasks died with the pool
-        assert len(terminated) == 1
+        assert set(terminated) == workers
+        assert multiprocessing.active_children() == []
         # The runner recovers: the next campaign re-warms a fresh pool.
         records = runner.run(_tiny_sweep()).records
         assert len(records) == 4
         runner.close()
+
+    def test_at_most_two_chunks_per_worker_in_flight(self, monkeypatch):
+        """Chunks are submitted as records are consumed, not all at once."""
+        jobs, submitted = 2, []
+        submit = concurrent.futures.ProcessPoolExecutor.submit
+
+        def spy(executor, *args, **kwargs):
+            submitted.append(args[1])
+            return submit(executor, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", spy)
+        sweep = _fast_sweep(seeds=tuple(range(64)))
+        in_flight = []
+        with CampaignRunner(jobs=jobs, chunksize=1) as runner:
+            for consumed, _record in enumerate(runner.iter_records(sweep)):
+                in_flight.append(len(submitted) - consumed)
+        assert len(submitted) == sweep.size
+        assert all(len(chunk) == 1 for chunk in submitted)
+        assert max(in_flight) == 2 * jobs
 
 
 class TestDeadWorker:
@@ -191,6 +236,41 @@ class TestDeadWorker:
         assert "exited with code 86" in str(errors[0])
         assert runner._pool is None  # the busy pool was dropped
         assert multiprocessing.active_children() == []
+
+    def test_killing_an_idle_worker_never_hangs_the_runner(self):
+        """Regression: a worker killed while idle may hold a lock of the
+        pool's task queue.  The next run must still return the serial
+        records or raise ``WorkerDied``, and the teardown must not block
+        on that lock.  Killing either idle worker is tried 20 times."""
+        sweep = _fast_sweep()
+        serial = CampaignRunner(jobs=1).run(sweep).records
+        for attempt in range(20):
+            runner = CampaignRunner(jobs=2)
+            runner.run(sweep)
+            victim = sorted(_worker_pids())[attempt % 2]
+            os.kill(victim, signal.SIGKILL)
+            outcome = {}
+
+            def second_run():
+                try:
+                    outcome["records"] = runner.run(sweep).records
+                except WorkerDied as exc:
+                    outcome["died"] = str(exc)
+                finally:
+                    start = time.monotonic()
+                    runner.close()
+                    outcome["close_s"] = time.monotonic() - start
+
+            watchdog = threading.Thread(target=second_run, daemon=True)
+            watchdog.start()
+            watchdog.join(timeout=60)
+            assert not watchdog.is_alive(), f"try {attempt}: the runner hung"
+            if "died" in outcome:
+                assert f"pool worker {victim} exited with code -9" in outcome["died"]
+            else:
+                assert outcome["records"] == serial, f"try {attempt}"
+            assert outcome["close_s"] < 10.0, f"try {attempt}: close took {outcome}"
+            assert multiprocessing.active_children() == [], f"try {attempt}"
 
 
 class TestDeltaDispatchEquivalence:

@@ -63,10 +63,12 @@ def test_example_imports(path):
 
 #: Modules a process that only builds, runs and checkpoints simulations never
 #: uses: numpy (the batch engine, the Fig. 26 Markov chain and the RNG
-#: substreams import it where they need it) and the asyncio/HTTP/TLS stack of
-#: the server, client and cross-host dispatch.
+#: substreams import it where they need it), the asyncio/HTTP/TLS stack of
+#: the server, client and cross-host dispatch, and ``concurrent.futures``
+#: (it imports ``logging``), which the runner imports where it creates a pool.
 COLD_START_FORBIDDEN = (
     "numpy",
+    "concurrent.futures",
     "asyncio",
     "http.client",
     "ssl",
