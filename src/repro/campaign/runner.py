@@ -30,8 +30,10 @@ through the executor's initializer, and each run crosses the pipe as just
 its ``(mac, propagation, seed, axis-values)`` delta, in adaptively sized
 chunks (``max(1, n // (jobs * 8))`` by default, overridable via
 ``chunksize``), at most ``2 * jobs`` chunks in flight.
-The executor watches its workers' exit: one that dies fails the dispatch
-with :class:`WorkerDied` (naming its pid and exit code) instead of a hang.
+The executor watches its workers' exit: one that dies mid-dispatch fails
+the dispatch with :class:`WorkerDied` (naming its pid and exit code)
+instead of a hang; one that died between dispatches is replaced, with the
+whole executor, when the next dispatch starts.
 Call :meth:`CampaignRunner.close` (or use the runner as a context
 manager) to release the workers early; the executor also reclaims them
 when the runner is garbage collected.
@@ -60,6 +62,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import sys
 from collections import deque
 from dataclasses import dataclass
 from types import ModuleType
@@ -273,17 +276,14 @@ def _worker_init(blob: bytes) -> None:
     template, build_cache, cache_size, fault_plan = pickle.loads(blob)
     _WORKER_STATE["template"] = template
     ARTIFACT_CACHE.configure(enabled=build_cache, maxsize=cache_size)
-    if fault_plan is not None:
-        from repro.service import faults
-
-        faults.mark_worker_process()
-        faults.install(fault_plan)
-    elif FAULT_HOOK is not None:
+    if fault_plan is not None or FAULT_HOOK is not None:
         # Forked workers inherit the parent's process-wide hook; a plan-free
         # campaign must actively uninstall it or stale faults keep firing.
         from repro.service import faults
 
-        faults.install(None)
+        if fault_plan is not None:
+            faults.mark_worker_process()
+        faults.install(fault_plan)
 
 
 def _scenario_from_delta(
@@ -471,19 +471,15 @@ class CampaignRunner:
             raise ValueError(f"batch_seeds must be positive, got {batch_seeds}")
         self.batch_seeds = batch_seeds
         self.fault_plan = fault_plan
-        if fault_plan is not None:
+        if fault_plan is not None or FAULT_HOOK is not None:
             # Opt-in chaos harness: the plan is active process-wide (the
             # serial path runs in this process; crash faults still only
-            # fire in marked worker processes).
+            # fire in marked worker processes).  Without a plan, a previous
+            # campaign's is cleared so this one and its workers run
+            # fault-free.
             from repro.service import faults
 
             faults.install(fault_plan)
-        elif FAULT_HOOK is not None:
-            # A previous campaign's plan is still installed process-wide;
-            # clear it so this (and any forked workers) run fault-free.
-            from repro.service import faults
-
-            faults.install(None)
         self._pool: Optional[Any] = None  # the ProcessPoolExecutor
         self._blob: Optional[bytes] = None
         self._workers: Dict[int, Any] = {}
@@ -494,17 +490,25 @@ class CampaignRunner:
         """Release the worker processes; safe to call repeatedly, also from
         a thread other than the one consuming records.
 
-        Idle workers exit on their own.  With a dispatch unfinished they
-        are terminated and their chunks abandoned; the executor sees them
-        die and stops its queues without taking a lock that a dead worker
-        may hold.
+        Idle workers exit on their own.  With a dispatch unfinished, or a
+        worker lost (it may have died holding the call queue's read lock,
+        which the others need to read their exit request), they are
+        terminated and their chunks abandoned; the executor sees them die
+        and stops its queues without taking a lock that a dead worker may
+        hold, and with the call queue's reader closed no chunk still
+        waiting in its pipe blocks the teardown.
         """
         executor, self._pool = self._pool, None
         if executor is None:
             return
-        if self._busy:
+        if self._busy or self._lost_worker():
             for worker in list(self._workers.values()):
                 worker.terminate()
+            if sys.version_info < (3, 11, 5):
+                # Later versions close it on a break (CPython gh-94777).
+                # Until then, chunks beyond a pipe buffer that no worker
+                # will read block the queue's writer, and shutdown with it.
+                executor._call_queue._reader.close()
         executor.shutdown(cancel_futures=True)
         self._busy = False
 
@@ -514,12 +518,20 @@ class CampaignRunner:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _lost_worker(self) -> bool:
+        """Whether a worker of the current executor has exited."""
+        from multiprocessing.connection import wait
+
+        return bool(wait([worker.sentinel for worker in self._workers.values()], timeout=0))
+
     def _executor(self, template: Optional[ScenarioTemplate]) -> Any:
         """The warm executor for this template and cache configuration,
         busy until its dispatch finishes.
 
-        The executor is recreated only when its initializer payload (the
-        pickled template, cache configuration and fault plan) changes.
+        The executor is recreated when its initializer payload (the pickled
+        template, cache configuration and fault plan) changes, and when a
+        worker died while it sat idle: no run was lost, so the dispatch
+        starts on fresh workers instead of failing on a broken executor.
         """
         from concurrent.futures import ProcessPoolExecutor
 
@@ -527,7 +539,7 @@ class CampaignRunner:
             (template, self.build_cache, self.cache_size, self.fault_plan),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        if self._pool is None or blob != self._blob:
+        if self._pool is None or blob != self._blob or self._lost_worker():
             self.close()
             self._pool = ProcessPoolExecutor(
                 self.jobs,
@@ -538,7 +550,8 @@ class CampaignRunner:
             self._blob = blob
             # The executor's process table, filled by the first submit: the
             # only way to terminate a busy executor's workers before Python
-            # 3.14 (``terminate_workers()``) and to name a dead one.
+            # 3.14 (``terminate_workers()``), to see an idle one die and to
+            # name a dead one.
             self._workers = self._pool._processes
         self._busy = True
         return self._pool
@@ -572,9 +585,6 @@ class CampaignRunner:
             "build_cache": self.build_cache,
             "batch_seeds": self.batch_seeds,
         }
-
-    def _scenarios(self, sweep: Union[Sweep, Iterable[Scenario]]) -> List[Scenario]:
-        return sweep.scenarios() if isinstance(sweep, Sweep) else list(sweep)
 
     def _affinity_order(self, sweep: Sweep, deltas: List[Tuple]) -> Optional[List[int]]:
         """Dispatch permutation grouping runs that share construction artifacts.
@@ -698,25 +708,22 @@ class CampaignRunner:
             return _iter_subset(sweep, indices)
 
         if self.jobs == 1 or size == 1:
+            execute: Callable[[Sequence[Scenario]], List[RunRecord]] = _execute_scenarios
+            groups: Iterable[Sequence[Scenario]] = ([scenario] for scenario in expand())
             if self.batch_seeds > 1:
                 from repro.campaign.batch_runner import execute_seed_batch, iter_seed_groups
 
-                for group in iter_seed_groups(expand(), self.batch_seeds):
-                    with ARTIFACT_CACHE.override(
-                        enabled=self.build_cache, maxsize=self.cache_size
-                    ):
-                        records = execute_seed_batch(group)
-                    yield from records
-                return
-            for scenario in expand():
+                execute = execute_seed_batch
+                groups = iter_seed_groups(expand(), self.batch_seeds)
+            for group in groups:
                 # Scope the runner's cache configuration to the execution
                 # itself (not the yield) so caller code running between
                 # records sees the process-wide defaults.
                 with ARTIFACT_CACHE.override(
                     enabled=self.build_cache, maxsize=self.cache_size
                 ):
-                    record = execute_scenario(scenario)
-                yield record
+                    records = execute(group)
+                yield from records
             return
         from concurrent.futures.process import BrokenProcessPool
 

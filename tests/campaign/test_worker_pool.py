@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
+import multiprocessing.connection
 import os
+import pickle
 import signal
 import threading
 import time
@@ -271,6 +273,80 @@ class TestDeadWorker:
                 assert outcome["records"] == serial, f"try {attempt}"
             assert outcome["close_s"] < 10.0, f"try {attempt}: close took {outcome}"
             assert multiprocessing.active_children() == [], f"try {attempt}"
+
+
+    def test_a_worker_that_died_idle_is_replaced_before_the_next_run(self):
+        """No run was lost, so the next run starts on fresh workers and
+        returns the serial records instead of failing on the dead one."""
+        sweep = _fast_sweep()
+        serial = CampaignRunner(jobs=1).run(sweep).records
+        for attempt in range(6):  # either idle worker may hold a queue lock
+            runner = CampaignRunner(jobs=2)
+            runner.run(sweep)
+            executor = runner._pool
+            victim = list(runner._workers.values())[attempt % 2]
+            os.kill(victim.pid, signal.SIGKILL)
+            assert multiprocessing.connection.wait([victim.sentinel], timeout=10)
+            outcome = {}
+
+            def second_run():
+                outcome["records"] = runner.run(sweep).records
+                outcome["replaced"] = runner._pool is not executor
+                runner.close()
+
+            watchdog = threading.Thread(target=second_run, daemon=True)
+            watchdog.start()
+            watchdog.join(timeout=60)
+            assert not watchdog.is_alive(), f"try {attempt}: the runner hung"
+            assert outcome == {"records": serial, "replaced": True}, f"try {attempt}"
+            assert multiprocessing.active_children() == [], f"try {attempt}"
+
+    @pytest.mark.parametrize("breaker", ["crash", "close"])
+    def test_teardown_never_waits_on_unread_chunks(self, breaker):
+        """Regression: a worker lost while more than a pipe buffer of
+        chunks waits unread in the executor's call queue must not leave
+        the teardown waiting for the queue's writer (Python < 3.11.5 only
+        closes that pipe's reader if the runner does).  One worker runs
+        the first 5000-run chunk, the other hangs in the second, and the
+        third is queued; the busy runner then loses a worker, to a crash
+        or to ``close()`` from another thread."""
+        sweep = _fast_sweep(seeds=tuple(range(15000)))
+        queued = tuple(
+            (s.mac, s.propagation, s.seed, {"delta": s.params["delta"]})
+            for s in sweep.scenarios()[10000:]
+        )
+        assert len(pickle.dumps(queued)) > 65536  # beyond a default pipe buffer
+        spec = "hang:1@seed=5001;crash@seed=5002" if breaker == "crash" else "hang:30@seed=5001"
+        runner = CampaignRunner(jobs=2, chunksize=5000, fault_plan=FaultPlan.from_spec(spec))
+        outcome = {}
+
+        def run():
+            try:
+                runner.run(sweep)
+            except WorkerDied as exc:
+                outcome["died"] = str(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        try:
+            thread.start()
+            if breaker == "close":
+                deadline = time.monotonic() + 30
+                while len(_worker_pids()) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                time.sleep(1.0)  # both workers busy, the third chunk queued
+                closer = threading.Thread(target=runner.close, daemon=True)
+                closer.start()
+                closer.join(timeout=10)
+                assert not closer.is_alive(), "close() hung on the queued chunk"
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "the runner hung on the queued chunk"
+        finally:
+            faults.install(None)
+        assert "died" in outcome
+        if breaker == "crash":
+            assert "exited with code 86" in outcome["died"]
+        assert runner._pool is None
+        assert multiprocessing.active_children() == []
 
 
 class TestDeltaDispatchEquivalence:
