@@ -41,6 +41,7 @@ from repro.mac.base import MacProtocol, TransactionResult
 from repro.mac.gate import ActivityGate, AlwaysActiveGate
 from repro.mac.registry import register_mac
 from repro.phy.frames import Frame, FrameKind
+from repro.phy.radio import RadioState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.radio import Radio
@@ -60,6 +61,7 @@ _BACKOFF = QAction.QBACKOFF.value
 _CCA = QAction.QCCA.value
 _SEND = QAction.QSEND.value
 _ACTION_CODES = tuple(action.value for action in ALL_ACTIONS)
+_TRANSMITTING = RadioState.TRANSMITTING
 _first = itemgetter(0)
 _rank = attrgetter("_rank")
 
@@ -374,32 +376,62 @@ class QmaMac(MacProtocol):
     )
 
     def _on_subslot(self, subslot: int) -> None:
-        """This node's turn at a subslot boundary: learn, then select, then
-        re-arm.  The grid calls it at the node's first boundary and then
-        only while the node has work (see :class:`_SubslotGrid`)."""
+        """This node's turn at a subslot boundary, the simulator's inner loop:
+        learn, select, re-arm.  The grid calls it at the node's first boundary
+        and then only while the node has work (see :class:`_SubslotGrid`).
+        A QBackoff's update and the select are inline over fields the seed-batch
+        facades keep real; the Q-table, tracker expiry and re-arm (facade
+        overrides) and the exploration strategy (three kinds) stay calls."""
         self._subslot = subslot
-        self._counter += 1
+        counter = self._counter = self._counter + 1
         if subslot == 0:
             self._frames_elapsed += 1
             if self._track_history:
-                self._q_history.append((self.sim.now, self.qtable.cumulative_policy_value()))
+                self._q_history.append((self.sim._now, self.qtable.cumulative_policy_value()))
 
-        # 1. Evaluate an action whose outcome becomes known at a subslot
-        #    boundary (everything but a transmission).
+        # 1. Learn from a pending non-transmission: its outcome is known now.
         kind = self._pend_kind
-        if kind and kind != PENDING_TRANSMISSION:
+        if kind == PENDING_BACKOFF:
+            rewards = self.rewards  # Eq. 6
+            reward = rewards.backoff_overheard if self._pend_overheard else rewards.backoff_idle
+            self.qtable.apply(self._pend_state, _BACKOFF, reward, subslot)
+            kind = self._pend_kind = PENDING_NONE
+        elif kind and kind != PENDING_TRANSMISSION:
             self._evaluate_boundary_action(kind)
             kind = self._pend_kind = PENDING_NONE
 
-        # 2. Select the next action (or observe, during cautious startup).
-        # No action is selected while the radio is busy (e.g. transmitting
-        # an ACK for a frame received just before the subslot boundary).
-        if not kind:
-            if self.startup.active:
-                if not self.radio.transmitting:
-                    self._begin_startup_observation()
-            elif not self.queue.empty and not self.radio.transmitting:
-                self._select_and_execute()
+        # 2. Select the next action (or observe, during cautious startup), but
+        # not while the radio is busy (e.g. sending an ACK for a late frame).
+        if not kind and self.radio.state is not _TRANSMITTING:
+            frames = self.queue._frames
+            if not self.startup._finished:
+                self._begin_startup_observation()
+            elif frames:
+                # ρ from the local queue level minus the neighbours' average (Fig. 4).
+                now = self.sim._now
+                neighbours = self.neighbours
+                neighbours._expire(now)
+                known = len(neighbours._levels)
+                average = neighbours._level_sum / known if known else 0.0
+                exploration = self.exploration
+                rho = exploration.probability(len(frames), average, now)
+                exploration.notify_action(now)
+                if self._track_history:
+                    self.rho_history.append((now, rho))
+                rng = self._rng
+                stats = self.action_stats
+                if rng.random() < rho:
+                    code = rng.choice(_ACTION_CODES)
+                    stats.random_selections += 1
+                else:
+                    code = self.qtable.policy_code(subslot)
+                stats.counts[code] += 1
+                if code == _BACKOFF:
+                    self._pend_kind, self._pend_state = PENDING_BACKOFF, subslot
+                    self._pend_action, self._pend_counter = _BACKOFF, counter
+                    self._pend_frame, self._pend_overheard = None, False
+                else:
+                    self._execute(code, subslot)
 
         # 3. Re-arm for the next subslot boundary.
         self._schedule_next_tick()
@@ -419,37 +451,11 @@ class QmaMac(MacProtocol):
             self._synced_frames = len(grid.frame_times)
 
     # ------------------------------------------------------------ action choice
-    def _select_and_execute(self) -> None:
-        now = self.sim.now
-        state = self._subslot
-        exploration = self.exploration
-        rho = exploration.probability(
-            self.queue.level, self.neighbours.average_level(now), now
-        )
-        exploration.notify_action(now)
-        if self._track_history:
-            self.rho_history.append((now, rho))
-        rng = self._rng
-        stats = self.action_stats
-        if rng.random() < rho:
-            code = rng.choice(_ACTION_CODES)
-            stats.random_selections += 1
-        else:
-            code = self.qtable.policy_code(state)
-        stats.counts[code] += 1
-        if code == _BACKOFF:
-            self._pend(PENDING_BACKOFF, _BACKOFF, state)
-        else:
-            self._execute(code, state)
-
     def _pend(self, kind: int, code: int, state: int, frame: Optional[Frame] = None) -> None:
         """Fill the pending slot for a decision taken at this tick."""
-        self._pend_kind = kind
-        self._pend_action = code
-        self._pend_state = state
-        self._pend_counter = self._counter
-        self._pend_frame = frame
-        self._pend_overheard = False
+        self._pend_kind, self._pend_state = kind, state
+        self._pend_action, self._pend_counter = code, self._counter
+        self._pend_frame, self._pend_overheard = frame, False
 
     def _execute(self, code: int, state: int) -> None:
         """Carry out a selected QCCA or QSend (both touch the channel)."""
@@ -476,11 +482,9 @@ class QmaMac(MacProtocol):
     def _transmit_pending(self, counter: int) -> None:
         # Stale unless the transmission decided at tick ``counter`` is
         # still the pending action.
-        if self._pend_kind != PENDING_TRANSMISSION or self._pend_counter != counter:
-            return
-        if self.radio.transmitting:
-            return
-        self._begin_transmission(self._pend_frame)
+        if self._pend_kind == PENDING_TRANSMISSION and self._pend_counter == counter:
+            if not self.radio.transmitting:
+                self._begin_transmission(self._pend_frame)
 
     # ------------------------------------------------------- cautious startup
     def _begin_startup_observation(self) -> None:
@@ -489,16 +493,15 @@ class QmaMac(MacProtocol):
 
     # ------------------------------------------------------------- evaluation
     def _evaluate_boundary_action(self, kind: int) -> None:
-        next_state = self._subslot
-        state = self._pend_state
-        apply = self.qtable.apply
+        """Learn from a failed CCA or a startup observation (not a QBackoff)."""
+        state, next_state, apply = self._pend_state, self._subslot, self.qtable.apply
         if kind == PENDING_CCA_FAILED:
             apply(state, _CCA, self.rewards.cca(cca_success=False), next_state)
             return
-        # PENDING_BACKOFF or PENDING_STARTUP: both rewarded as QBackoff.
+        # PENDING_STARTUP: rewarded as QBackoff.
         overheard = self._pend_overheard
         apply(state, _BACKOFF, self.rewards.backoff(overheard), next_state)
-        if kind == PENDING_STARTUP and overheard:
+        if overheard:
             # Bias the table against subslots already used by other nodes.
             apply(state, _CCA, self.startup.cca_punishment, next_state)
             apply(state, _SEND, self.startup.send_punishment, next_state)
@@ -529,18 +532,15 @@ class QmaMac(MacProtocol):
         # packet because of backoffs, only after max_frame_retries failures.
 
     # -------------------------------------------------------------- overhearing
-    def _register_channel_activity(self, frame: Frame) -> None:
+    def _on_overheard(self, frame: Frame) -> None:
+        """Channel activity, overheard or addressed to this node."""
         kind = self._pend_kind
         if kind == PENDING_BACKOFF or kind == PENDING_STARTUP:
             self._pend_overheard = True
         if frame.kind is not FrameKind.ACK:
             self.neighbours.observe(frame.src, frame.queue_level, self.sim.now)
 
-    def _on_overheard(self, frame: Frame) -> None:
-        self._register_channel_activity(frame)
-
-    def _on_frame_for_us(self, frame: Frame) -> None:
-        self._register_channel_activity(frame)
+    _on_frame_for_us = _on_overheard
 
     # -------------------------------------------------------------- inspection
     def policy_snapshot(self) -> List[QAction]:

@@ -24,6 +24,8 @@ class NeighbourQueueTracker:
     when that bound actually crosses the age cutoff, and the average is a
     division instead of a fresh summation.  Semantics are unchanged —
     entries older than ``max_age`` are gone from every observable result.
+    ``QmaMac._on_subslot`` computes :meth:`average_level` inline, from
+    ``_level_sum`` and ``_levels`` after :meth:`_expire`.
     """
 
     def __init__(self, max_age: Optional[float] = 10.0) -> None:

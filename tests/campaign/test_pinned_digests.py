@@ -13,7 +13,8 @@ to reproduce every row it runs, one case per path and sweep:
   ``cache_size=1`` (forced eviction);
 * ``CampaignRunner(jobs=2)`` through ``run`` and ``stream``, chunked;
 * ``batch_seeds`` 2 and 4 (ragged tails) at ``jobs=1`` and ``jobs=2``, on
-  the testbed rows;
+  the testbed rows, and ``batch_seeds`` 4 with every boundary through the
+  lockstep kernel's serial fallback;
 * :func:`~repro.service.checkpoint.run_checkpointed` cut part-way and
   resumed, including a cut inside a seed-batch group;
 * the pool backend, and two ``spawn_agent`` agents through
@@ -54,7 +55,8 @@ from repro.service.journal import CheckpointJournal
 from repro.service.manifest import record_digest
 from repro.service.remote import RemoteBackend
 from repro.service.supervisor import make_supervised
-from repro.sim.batch import SeedBatchExecutor
+from repro.sim.batch import SeedBatchExecutor, _LockstepKernel
+from repro.sim.engine import Simulator
 
 #: Named parameter bases; a row's label is its base plus its grid values.
 PARAMS = {
@@ -312,7 +314,15 @@ def _streamed(sweep, tmp_path):
     return sink.records
 
 
-def _batched(batch_seeds: int, jobs: int):
+def _no_vector_phases(kernel, t, mask):
+    raise AssertionError("a boundary took the vector phases")
+
+
+def _batched(batch_seeds: int, jobs: int, serial_boundaries: bool = False):
+    """With ``serial_boundaries`` every lane boundary runs through the
+    kernel's exact fallback (``_LockstepKernel._serial_boundary``): a heap
+    key just below every tick key makes each one look interleaved."""
+
     def run(sweep, tmp_path):
         fallbacks = []
         executor_run = SeedBatchExecutor.run
@@ -324,6 +334,9 @@ def _batched(batch_seeds: int, jobs: int):
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(SeedBatchExecutor, "run", spy)
+            if serial_boundaries:
+                patch.setattr(Simulator, "_next_key", lambda sim: (sim._now, -1))
+                patch.setattr(_LockstepKernel, "_vector_phases", _no_vector_phases)
             records = _runner(jobs=jobs, batch_seeds=batch_seeds)(sweep, tmp_path)
         if jobs == 1:
             # The lockstep kernel really ran wherever a QMA seed group
@@ -457,6 +470,7 @@ PATHS = [
     ("batch-4-jobs-1", _batched(4, jobs=1), TESTBED),
     ("batch-2-jobs-2", _batched(2, jobs=2), TESTBED),
     ("batch-4-jobs-2", _batched(4, jobs=2), TESTBED),
+    ("batch-4-serial-boundaries", _batched(4, jobs=1, serial_boundaries=True), TESTBED),
     (
         "checkpoint-cut-resume",
         _checkpointed(PoolBackend, lambda: PoolBackend(jobs=2), lambda sweep: sweep.size // 2),

@@ -258,3 +258,43 @@ def test_neighbour_queue_levels_learned_from_piggyback():
     sim.run_until(1.0)
     # B received A's data frames and therefore knows A's queue level.
     assert 0 in mac_b.neighbours.known_neighbours(sim.now)
+
+
+def test_saturated_lone_sender_reaches_the_q_learning_fixed_point():
+    """Analytic oracle for Eq. 5: a lone node that always has a frame and
+    learns to QSend in subslot 0 is rewarded r = 4 (Eq. 8) for each success,
+    and its exchange ends within the subslot, so the next state is subslot 0
+    again.  Q(0, QSend) then tends to the fixed point of
+    Q = (1 - α) Q + α (r + γ Q), which is r / (1 - γ) = 40 for γ = 0.9.
+
+    The floor ``old - ξ`` of Eq. 5 never binds on this path: starting from
+    ``q_init`` below the target, every candidate lies between the old value
+    and the target, so the value rises monotonically."""
+    sim, mac_a, _ = build_pair()
+    send = QAction.QSEND.value
+    reward = mac_a.rewards.send(True)
+    updates = []
+    apply = mac_a.qtable.apply
+
+    def spy(state, code, value, next_state):
+        old = mac_a.qtable._values[state][code]
+        candidate = apply(state, code, value, next_state)
+        if (state, code) == (0, send):
+            updates.append((old, candidate, value, next_state))
+        return candidate
+
+    mac_a.qtable.apply = spy
+
+    def refill():
+        while mac_a.queue.level < 4:
+            mac_a.send(Frame(FrameKind.DATA, src=0, dst=1, payload_bytes=20))
+        sim.schedule(1e-3, refill)
+
+    refill()
+    sim.run_until(10.0)
+    fixed_point = reward / (1.0 - mac_a.config.discount_factor)
+    assert abs(mac_a.qtable.value(0, QAction.QSEND) - fixed_point) <= 1e-6
+    assert mac_a.policy_snapshot()[0] is QAction.QSEND
+    assert len(updates) > 100
+    assert all(value == reward and next_state == 0 for _, _, value, next_state in updates)
+    assert all(old <= candidate <= fixed_point for old, candidate, _, _ in updates)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from typing import List, Set
+
 import repro.sim.batch as batch_mod
+from repro.core.mac import _SubslotGrid
 from repro.experiments.testbed import prepare_star
-from repro.sim.batch import SeedBatchExecutor, batch_compatibility_error
+from repro.sim.batch import SeedBatchExecutor, _LockstepKernel, batch_compatibility_error
+from repro.sim.engine import Simulator
 
 FAST = {"packets_per_node": 2, "warmup": 0.5, "delta": 40.0, "max_duration": 4.0}
 
@@ -84,6 +88,78 @@ class TestExecutor:
         got = _scalar_sets(executor.run(_lanes([0, 1])))
         assert executor.last_fallback_reason == "numpy is not available"
         assert got == expected
+
+
+def _lane_state(lane):
+    """Events executed, and per QMA node its Q-table, policy, the next draws
+    of its stream (a seed-batch lane replaces the stream's object) and
+    every other named stream's state."""
+    sim = lane.sim
+    macs = lane.built.network.macs
+    nodes = {
+        node_id: (
+            mac.qtable.values_snapshot(),
+            mac.policy_snapshot(),
+            [mac._rng.random() for _ in range(3)],
+        )
+        for node_id, mac in macs.items()
+    }
+    qma_streams = {f"qma-{node_id}" for node_id in macs}
+    streams = {
+        name: stream.getstate()
+        for name, stream in sim.rng._streams.items()
+        if name not in qma_streams
+    }
+    return sim.events_executed, nodes, streams
+
+
+def test_serial_boundary_fallback_matches_serial_runs(monkeypatch):
+    """Every boundary of a four-lane group runs through the kernel's exact
+    fallback, ``_LockstepKernel._serial_boundary``, which takes each node's
+    ``QmaMac._on_subslot`` over the facades: a heap key just below every
+    tick key makes each boundary look interleaved with an event.  Every
+    lane ends as its seed run serially does, and the fallback reports a
+    boundary due exactly where the serial grid ends it with a member due."""
+    seeds = [0, 1, 2, 3]
+    serial = _lanes(seeds)
+    lane_of = {id(lane.sim): index for index, lane in enumerate(serial)}
+    grid_due: List[Set[float]] = [set() for _ in seeds]
+    rearm = _SubslotGrid._rearm
+
+    def recording_rearm(grid):
+        if grid.due:
+            grid_due[lane_of[id(grid.sim)]].add(grid.time)
+        rearm(grid)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_SubslotGrid, "_rearm", recording_rearm)
+        expected = [lane.run().scalars for lane in serial]
+    expected_state = [_lane_state(lane) for lane in serial]
+
+    fallback_due: List[Set[float]] = [set() for _ in seeds]
+    serial_boundary = _LockstepKernel._serial_boundary
+
+    def recording_boundary(kernel, lane, t):
+        due = serial_boundary(kernel, lane, t)
+        if due:
+            fallback_due[lane].add(t)
+        return due
+
+    def no_vector_phases(kernel, t, mask):
+        raise AssertionError("a boundary took the vector phases")
+
+    monkeypatch.setattr(Simulator, "_next_key", lambda sim: (sim._now, -1))
+    monkeypatch.setattr(_LockstepKernel, "_serial_boundary", recording_boundary)
+    monkeypatch.setattr(_LockstepKernel, "_vector_phases", no_vector_phases)
+    batched = _lanes(seeds)
+    executor = SeedBatchExecutor()
+    reports = executor.run(batched)
+    assert executor.last_fallback_reason is None
+    assert [report.scalars for report in reports] == expected
+    assert [_lane_state(lane) for lane in batched] == expected_state
+    # The t=0 boundary runs on the real grid in both (the kernel's bootstrap).
+    assert all(0.0 in times for times in grid_due)
+    assert fallback_due == [times - {0.0} for times in grid_due]
 
 
 class TestBatchedMtStream:
