@@ -44,9 +44,6 @@ class QmaConfig:
     startup_cca_punishment: float = -2.0
     startup_send_punishment: float = -3.0
 
-    # --- instrumentation -----------------------------------------------------
-    track_history: bool = True
-
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")

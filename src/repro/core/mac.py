@@ -16,9 +16,12 @@ during this time the node selects no further actions.  When the outcome of
 the action is known, the Q-table is updated with Eq. 5 and the policy with
 Eq. 3 (see :class:`repro.core.qtable.QTable`).
 
-The MAC also implements the cautious-startup phase (Sect. 4.3) and records
-the per-frame cumulative Q-value and the exploration probability over time,
-which the evaluation figures 10-15 are built from.
+The MAC also implements the cautious-startup phase (Sect. 4.3).  On request
+(:meth:`QmaMac.record_history`, made before the MAC starts) it records the
+per-frame cumulative Q-value and the exploration probability over time,
+which the evaluation figures 10-12 are built from; the convergence collector
+asks for the MACs it reads, and a MAC nobody asked keeps both histories
+empty.
 """
 
 from __future__ import annotations
@@ -283,6 +286,13 @@ class QmaMac(MacProtocol):
             if exploration is not None
             else ParameterBasedExploration(config.exploration_table)
         )
+        #: The strategy's per-selection hook, None where it is the base
+        #: class's empty one (only decaying strategies override it).
+        self._notify_action = (
+            None
+            if type(self.exploration).notify_action is ExplorationStrategy.notify_action
+            else self.exploration.notify_action
+        )
         self.qtable = QTable(
             num_states=config.num_subslots,
             learning_rate=config.learning_rate,
@@ -302,14 +312,14 @@ class QmaMac(MacProtocol):
         # The config is frozen: read what the tick needs once.
         self._num_subslots = config.num_subslots
         self._subslot_duration = config.subslot_duration
-        self._track_history = config.track_history
         self._gated = type(self.gate) is not AlwaysActiveGate
 
         self._subslot = self._counter = self._frames_elapsed = 0
         #: The pending slot: the action selected last and not yet learned
-        #: from.  One preallocated set of fields, rewritten per decision;
-        #: ``_pend_counter`` is the tick counter of the decision and tells a
-        #: stale CCA->transmit callback from the current one.
+        #: from.  One preallocated set of fields, rewritten per decision.
+        #: Only a pending transmission reads ``_pend_action``, ``_pend_frame``
+        #: and ``_pend_counter``, the tick counter of the decision that tells
+        #: a stale CCA->transmit callback from the current one.
         self._pend_kind = PENDING_NONE
         self._pend_action = _BACKOFF
         self._pend_state = 0
@@ -323,9 +333,24 @@ class QmaMac(MacProtocol):
         self._rank = self._synced_ticks = self._synced_frames = 0
         self._on_loop = False
 
+        #: Whether the histories are recorded (see :meth:`record_history`).
+        self._track_history = False
         self._q_history: List[Tuple[float, float]] = []
-        #: (time, ρ) recorded at every action selection
+        #: (time, ρ) at every action selection; empty unless
+        #: :meth:`record_history` was called before the MAC started.
         self.rho_history: List[Tuple[float, float]] = []
+
+    def record_history(self) -> None:
+        """Record ``q_history`` and ``rho_history`` from the start on.
+
+        Called by their reader (the convergence collector) before the run;
+        a MAC nobody asked keeps both empty and pays nothing for them.
+        Asking once the MAC has started raises, so a history that misses
+        its beginning cannot pass as a whole one.
+        """
+        if self._started:
+            raise RuntimeError("record_history() must be called before the MAC starts")
+        self._track_history = True
 
     # --------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -352,7 +377,8 @@ class QmaMac(MacProtocol):
     def _catch_up(self) -> None:
         """Advance the clock fields of a node off its grid's loop as its idle
         turns would have.  Its Q-table cannot change while it is idle, so
-        every missed frame start samples the current cumulative Q-value."""
+        every missed frame start of a recorded history samples the current
+        cumulative Q-value."""
         grid = self._grid
         if grid is None or self._on_loop:
             return
@@ -372,7 +398,9 @@ class QmaMac(MacProtocol):
     subslot_ticks = _caught_up("_counter", "Subslot boundaries ticked since creation.")
     frames_elapsed = _caught_up("_frames_elapsed", "Frames begun since creation.")
     q_history = _caught_up(
-        "_q_history", "(time, cumulative Q-value of the policy) at every frame start."
+        "_q_history",
+        "(time, cumulative Q-value of the policy) at every frame start; empty "
+        "unless :meth:`record_history` was called before the MAC started.",
     )
 
     def _on_subslot(self, subslot: int) -> None:
@@ -381,9 +409,11 @@ class QmaMac(MacProtocol):
         and then only while the node has work (see :class:`_SubslotGrid`).
         A QBackoff's update and the select are inline over fields the seed-batch
         facades keep real; the Q-table, tracker expiry and re-arm (facade
-        overrides) and the exploration strategy (three kinds) stay calls."""
+        overrides) and the exploration strategy (three kinds) stay calls.
+        The strategy's ``notify_action`` hook is called only where its type
+        overrides the base class's empty one."""
         self._subslot = subslot
-        counter = self._counter = self._counter + 1
+        self._counter += 1
         if subslot == 0:
             self._frames_elapsed += 1
             if self._track_history:
@@ -413,9 +443,9 @@ class QmaMac(MacProtocol):
                 neighbours._expire(now)
                 known = len(neighbours._levels)
                 average = neighbours._level_sum / known if known else 0.0
-                exploration = self.exploration
-                rho = exploration.probability(len(frames), average, now)
-                exploration.notify_action(now)
+                rho = self.exploration.probability(len(frames), average, now)
+                if self._notify_action is not None:
+                    self._notify_action(now)
                 if self._track_history:
                     self.rho_history.append((now, rho))
                 rng = self._rng
@@ -427,9 +457,9 @@ class QmaMac(MacProtocol):
                     code = self.qtable.policy_code(subslot)
                 stats.counts[code] += 1
                 if code == _BACKOFF:
-                    self._pend_kind, self._pend_state = PENDING_BACKOFF, subslot
-                    self._pend_action, self._pend_counter = _BACKOFF, counter
-                    self._pend_frame, self._pend_overheard = None, False
+                    self._pend_kind, self._pend_state, self._pend_overheard = (
+                        PENDING_BACKOFF, subslot, False
+                    )
                 else:
                     self._execute(code, subslot)
 
@@ -451,32 +481,35 @@ class QmaMac(MacProtocol):
             self._synced_frames = len(grid.frame_times)
 
     # ------------------------------------------------------------ action choice
-    def _pend(self, kind: int, code: int, state: int, frame: Optional[Frame] = None) -> None:
-        """Fill the pending slot for a decision taken at this tick."""
-        self._pend_kind, self._pend_state = kind, state
-        self._pend_action, self._pend_counter = code, self._counter
-        self._pend_frame, self._pend_overheard = frame, False
+    def _pend(self, kind: int, state: int) -> None:
+        """Fill the pending slot for a decision evaluated at a boundary."""
+        self._pend_kind, self._pend_state, self._pend_overheard = kind, state, False
+
+    def _pend_transmission(self, code: int, state: int, frame: Frame) -> None:
+        """Fill the pending slot for a transmission decided at this tick."""
+        self._pend_kind, self._pend_state = PENDING_TRANSMISSION, state
+        self._pend_action, self._pend_counter, self._pend_frame = code, self._counter, frame
 
     def _execute(self, code: int, state: int) -> None:
         """Carry out a selected QCCA or QSend (both touch the channel)."""
         frame = self.queue.peek()
         if frame is None:  # defensive: queue drained between check and execution
-            self._pend(PENDING_BACKOFF, _BACKOFF, state)
+            self._pend(PENDING_BACKOFF, state)
             return
         if code == _CCA:
             if self._cca():
-                self._pend(PENDING_TRANSMISSION, _CCA, state, frame)
+                self._pend_transmission(_CCA, state, frame)
                 delay = self.phy.cca_duration + self.phy.turnaround_time
                 self.sim.schedule(delay, self._transmit_pending, self._counter)
             else:
-                self._pend(PENDING_CCA_FAILED, _CCA, state)
+                self._pend(PENDING_CCA_FAILED, state)
             return
         # QSend: transmit immediately, without assessing the channel.
         if self.radio.transmitting:
             # The radio is busy (e.g. finishing an ACK); defer to the next subslot.
-            self._pend(PENDING_BACKOFF, _BACKOFF, state)
+            self._pend(PENDING_BACKOFF, state)
             return
-        self._pend(PENDING_TRANSMISSION, _SEND, state, frame)
+        self._pend_transmission(_SEND, state, frame)
         self._begin_transmission(frame)
 
     def _transmit_pending(self, counter: int) -> None:
@@ -488,7 +521,7 @@ class QmaMac(MacProtocol):
 
     # ------------------------------------------------------- cautious startup
     def _begin_startup_observation(self) -> None:
-        self._pend(PENDING_STARTUP, _BACKOFF, self._subslot)
+        self._pend(PENDING_STARTUP, self._subslot)
         self.startup.tick()
 
     # ------------------------------------------------------------- evaluation

@@ -191,15 +191,14 @@ class QTable:
     def cumulative_policy_value(self) -> float:
         """Sum of Q-values of the policy actions over all subslots (Fig. 10 metric).
 
-        The MAC samples this at every frame boundary, so the sum is cached
-        and recomputed — in the same subslot order — only after a change
-        it covers.
+        A MAC recording its history samples this at every frame boundary,
+        so the sum is cached and recomputed — in the same subslot order —
+        only after a change it covers.
         """
         total = self._cumulative
         if total is None:
-            values, policy = self._values, self._policy
             total = self._cumulative = sum(
-                values[m][policy[m]] for m in range(self.num_states)
+                [row[code] for row, code in zip(self._values, self._policy)]
             )
         return total
 

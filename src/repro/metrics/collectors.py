@@ -233,6 +233,11 @@ class ConvergenceCollector(MetricCollector):
     def provides(self) -> Tuple[str, ...]:
         return ("convergence_time",) if self.emit_scalar else ()
 
+    def attach(self, ctx: CollectionContext) -> None:
+        # The MACs record their histories only for a reader that asks.
+        for _, mac in ctx.qma_macs():
+            mac.record_history()
+
     def finalize(self, ctx: CollectionContext, report: SimReport) -> None:
         q_history: Dict[int, List[Tuple[float, float]]] = {}
         rho_history: Dict[int, List[Tuple[float, float]]] = {}

@@ -143,7 +143,9 @@ class _BatchStore:
         self.num_nodes = num_nodes
         self.num_subslots = config.num_subslots
         self.subslot_duration = config.subslot_duration
-        self.track_history = config.track_history
+        #: Per node, whether its history is recorded: every lane's MACs
+        #: agree (:func:`batch_compatibility_error`), so lane 0 decides.
+        self.track_history = np.array([mac._track_history for mac in self.macs[0]])
 
         qtable = sample.qtable
         self.alpha = qtable.learning_rate
@@ -865,8 +867,9 @@ class _LockstepKernel:
         frame_start = mask & (store.subslot == 0)
         if frame_start.any():
             store.frames_elapsed[frame_start] += 1
-            if store.track_history:
-                il, inn = np.nonzero(frame_start)
+            recorded = frame_start & store.track_history
+            if recorded.any():
+                il, inn = np.nonzero(recorded)
                 rows = np.take_along_axis(
                     store.Q[il, inn], store.P[il, inn][:, :, None], axis=2
                 )[:, :, 0]
@@ -923,9 +926,7 @@ class _LockstepKernel:
         startup_obs = idle & ~store.startup_finished
         if startup_obs.any():
             store.pend_kind[startup_obs] = PENDING_STARTUP
-            store.pend_action[startup_obs] = QAction.QBACKOFF.value
             store.pend_state[startup_obs] = store.subslot[startup_obs]
-            store.pend_counter[startup_obs] = store.counter[startup_obs]
             store.pend_overheard[startup_obs] = False
             store.startup_elapsed[startup_obs] += 1
             store.startup_finished |= startup_obs & (
@@ -950,8 +951,9 @@ class _LockstepKernel:
             table = store.exploration_table
             index = np.clip(difference.astype(np.int64), 0, len(table) - 1)
             rho = np.where(difference > 0, table[index], table[0])
-            if store.track_history:
-                store.rho_hist_batches.append((t, il, inn, rho))
+            recorded = store.track_history[inn]
+            if recorded.any():
+                store.rho_hist_batches.append((t, il[recorded], inn[recorded], rho[recorded]))
 
             # The ρ-draw: two MT words per element, CPython random() exactly.
             need = np.nonzero(store.cursor[il, inn] > store.WORD_BUFFER - 2)[0]
@@ -994,9 +996,7 @@ class _LockstepKernel:
             if backoff.any():
                 bl, bn = il[backoff], inn[backoff]
                 store.pend_kind[bl, bn] = PENDING_BACKOFF
-                store.pend_action[bl, bn] = QAction.QBACKOFF.value
                 store.pend_state[bl, bn] = store.subslot[bl, bn]
-                store.pend_counter[bl, bn] = store.counter[bl, bn]
                 store.pend_overheard[bl, bn] = False
             for k in np.nonzero(~backoff)[0].tolist():
                 delegates.setdefault(int(il[k]), {})[int(inn[k])] = int(actions[k])
@@ -1079,7 +1079,8 @@ def batch_compatibility_error(prepared: Sequence[Any]) -> Optional[str]:
             return "lane has already been run"
         if list(lane.built.network.macs.keys()) != node_ids:
             return "lanes have different node sets"
-        for mac in lane.built.network.macs.values():
+        peers = first.built.network.macs.values()
+        for mac, peer in zip(lane.built.network.macs.values(), peers):
             if type(mac) is not QmaMac:
                 return f"unsupported MAC kind: {type(mac).__name__}"
             if type(mac.gate) is not AlwaysActiveGate:
@@ -1102,6 +1103,8 @@ def batch_compatibility_error(prepared: Sequence[Any]) -> Optional[str]:
                 or mac.neighbours.max_age != sample.neighbours.max_age
             ):
                 return "lanes have heterogeneous QMA parameters"
+            if mac._track_history != peer._track_history:
+                return "lanes differ in which MACs record their histories"
     return None
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.core.actions import QAction
 from repro.core.config import QmaConfig
@@ -20,7 +21,6 @@ def small_config(**overrides):
         num_subslots=8,
         subslot_duration=2e-3,
         cautious_startup_subslots=0,
-        track_history=True,
     )
     defaults.update(overrides)
     return QmaConfig(**defaults)
@@ -34,8 +34,9 @@ def build_pair(seed=1, config=None, config_b=None):
     channel.connect(0, 1)
     mac_a = QmaMac(sim, radio_a, config=config or small_config())
     mac_b = QmaMac(sim, radio_b, config=config_b or config or small_config())
-    mac_a.start()
-    mac_b.start()
+    for mac in (mac_a, mac_b):
+        mac.record_history()
+        mac.start()
     return sim, mac_a, mac_b
 
 
@@ -202,6 +203,22 @@ def test_rho_history_tracks_exploration_probability():
     sim.run_until(0.5)
     assert mac_a.rho_history
     assert all(0.0 <= rho <= 1.0 for _, rho in mac_a.rho_history)
+
+
+def test_a_mac_nobody_asked_keeps_no_history_and_asking_late_raises():
+    sim = Simulator(seed=1)
+    channel = WirelessChannel(sim)
+    mac_a = QmaMac(sim, Radio(sim, channel, 0), config=small_config())
+    QmaMac(sim, Radio(sim, channel, 1), config=small_config()).start()
+    channel.connect(0, 1)
+    mac_a.start()
+    for _ in range(10):
+        mac_a.send(Frame(FrameKind.DATA, src=0, dst=1, payload_bytes=20))
+    sim.run_until(0.5)
+    assert mac_a.frames_elapsed > 1 and mac_a.action_stats.total > 0
+    assert mac_a.q_history == [] and mac_a.rho_history == []
+    with pytest.raises(RuntimeError, match="before the MAC starts"):
+        mac_a.record_history()
 
 
 def test_broadcasts_are_transmitted_without_ack():

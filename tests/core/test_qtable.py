@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.actions import QAction
@@ -143,3 +145,27 @@ class TestMetrics:
         rows = table.as_rows()
         assert len(rows) == 4
         assert rows[0][4] == "B"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cumulative_policy_value_equals_the_range_indexed_sum(seed):
+    """The zip-ordered sum is the range-indexed one, float for float, on
+    random tables after random ``apply`` sequences."""
+    rng = random.Random(seed)
+    num_states = rng.randint(1, 60)
+    table = QTable(
+        num_states=num_states,
+        learning_rate=rng.uniform(0.05, 1.0),
+        discount_factor=rng.uniform(0.0, 1.0),
+        penalty=rng.uniform(0.0, 5.0),
+        q_init=rng.uniform(-20.0, 0.0),
+    )
+    for _ in range(rng.randint(50, 400)):
+        state, next_state = rng.randrange(num_states), rng.randrange(num_states)
+        table.apply(state, rng.randrange(3), rng.uniform(-10.0, 10.0), next_state)
+        if rng.random() < 0.2:
+            table._cumulative = None  # recompute rather than return the cache
+            values, policy = table._values, table._policy
+            assert table.cumulative_policy_value() == sum(
+                values[m][policy[m]] for m in range(num_states)
+            )

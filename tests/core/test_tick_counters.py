@@ -19,6 +19,7 @@ deliberate behaviour change must update them explicitly.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 from typing import Any, Dict, List
 
@@ -33,7 +34,9 @@ from repro.scenario.builder import ScenarioBuilder
 from repro.sim.engine import Simulator
 
 #: Per node: [qtable.updates, selected (B, C, S), random, greedy,
-#: frames_elapsed, len(q_history), len(rho_history)].
+#: frames_elapsed, len(q_history), len(rho_history)].  A MAC records its
+#: histories only for the convergence collector, which reads the sources:
+#: of these runs only hidden-node has it, so the other MACs' are empty.
 HIDDEN_NODE_SEED_1 = {
     "events_executed": 2760,
     "seqs_drawn": 4370,
@@ -42,7 +45,7 @@ HIDDEN_NODE_SEED_1 = {
     "qtable_sha256": "06067ff2645f65b7ab277031cfe7d93e7b5e2992b2e7c19f09b2f80be9faf1cf",
     "nodes": {
         0: [1386, [1248, 1, 29], 4, 1274, 212, 212, 1278],
-        1: [108, [0, 0, 0], 0, 0, 212, 212, 0],
+        1: [108, [0, 0, 0], 0, 0, 212, 0, 0],
         2: [1375, [1237, 0, 30], 2, 1265, 212, 212, 1267],
     },
 }
@@ -54,13 +57,13 @@ DSME_ONE_RING_SEED_0 = {
     "rng_sha256": "44045a390e05263c059815021985fbb401986e72e7be955e89925205ef54b1e0",
     "qtable_sha256": "4b1b9da5367802b2ebf65716f34bc009ad148b52ee43813a9b994b0970fcd0ff",
     "nodes": {
-        0: [2538, [2430, 1, 0], 1, 2430, 92, 92, 2431],
-        1: [2608, [2499, 0, 2], 4, 2497, 92, 92, 2501],
-        2: [2835, [2728, 0, 0], 1, 2727, 92, 92, 2728],
-        3: [2625, [2516, 1, 1], 4, 2514, 92, 92, 2518],
-        4: [2864, [2757, 0, 0], 0, 2757, 92, 92, 2757],
-        5: [2959, [2851, 1, 0], 2, 2850, 92, 92, 2852],
-        6: [2688, [2581, 0, 0], 1, 2580, 92, 92, 2581],
+        0: [2538, [2430, 1, 0], 1, 2430, 92, 0, 0],
+        1: [2608, [2499, 0, 2], 4, 2497, 92, 0, 0],
+        2: [2835, [2728, 0, 0], 1, 2727, 92, 0, 0],
+        3: [2625, [2516, 1, 1], 4, 2514, 92, 0, 0],
+        4: [2864, [2757, 0, 0], 0, 2757, 92, 0, 0],
+        5: [2959, [2851, 1, 0], 2, 2850, 92, 0, 0],
+        6: [2688, [2581, 0, 0], 1, 2580, 92, 0, 0],
     },
 }
 
@@ -74,10 +77,10 @@ SINR_HIDDEN_NODE_SEED_0 = {
     "rng_sha256": "6227420d9964e9e6b48558085c080485921e534783e3a472ffff43d0001bc10b",
     "qtable_sha256": "9117aaf68298f6f57767021798e8c357ebbb94a853782d735b69c6e3849a3d4e",
     "nodes": {
-        0: [108, [0, 0, 0], 0, 0, 163, 163, 0],
-        1: [828, [687, 19, 14], 4, 716, 163, 163, 720],
-        2: [740, [600, 20, 12], 2, 630, 163, 163, 632],
-        3: [6828, [6625, 47, 49], 149, 6572, 163, 163, 6721],
+        0: [108, [0, 0, 0], 0, 0, 163, 0, 0],
+        1: [828, [687, 19, 14], 4, 716, 163, 0, 0],
+        2: [740, [600, 20, 12], 2, 630, 163, 0, 0],
+        3: [6828, [6625, 47, 49], 149, 6572, 163, 0, 0],
     },
 }
 
@@ -164,6 +167,26 @@ RUNS = {
 }
 
 
+#: Per run, [len(q_history), len(rho_history)] of every MAC the
+#: convergence collector reads (the sources) once it is in the run's
+#: metrics; the other MACs' histories stay empty.
+RECORDED_HISTORY = {
+    "hidden-node": {0: [212, 1278], 2: [212, 1267]},
+    "dsme": {
+        1: [92, 2501], 2: [92, 2728], 3: [92, 2518],
+        4: [92, 2757], 5: [92, 2852], 6: [92, 2581],
+    },
+    "sinr-hidden-node": {1: [163, 720], 2: [163, 632], 3: [163, 6721]},
+}
+
+#: The runs' default collectors (``Scenario.metrics=None``) by experiment.
+DEFAULT_METRICS = {
+    "hidden-node": ("pdr", "queue", "delay", "attempts", "convergence"),
+    "scalability": ("dsme",),
+    "sinr-hidden-node": ("pdr", "attempts", "link-asymmetry"),
+}
+
+
 #: The counters that differ when the run is cut halfway: a cut ends the
 #: leap of an idle grid (see README "Grid clock") at the cut, so the
 #: boundary after the cut takes an entry and draws a mark of its own.
@@ -205,6 +228,31 @@ def test_dsme_qma_cap_counters(captured_builds):
 
 def test_sinr_hidden_node_qma_counters(captured_builds):
     _check_counters("sinr-hidden-node", captured_builds)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_the_convergence_collector_records_the_histories_it_reads(name, captured_builds):
+    """With ``convergence`` in the metrics, the MACs it reads record their
+    full histories and every other counter stays as pinned."""
+    scenario, pinned, macs = RUNS[name]
+    metrics = DEFAULT_METRICS[scenario.experiment]
+    if "convergence" not in metrics:
+        metrics += ("convergence",)
+    execute_scenario(dataclasses.replace(scenario, metrics=metrics))
+    (built,) = captured_builds
+    recorded = RECORDED_HISTORY[name]
+    expected = {
+        node_id: counters[:5] + recorded.get(node_id, [0, 0])
+        for node_id, counters in pinned["nodes"].items()
+    }
+    assert _counters(built.sim, macs(built)) == {**pinned, "nodes": expected}
+
+
+def test_a_hidden_node_record_is_identical_with_and_without_convergence():
+    scenario = RUNS["hidden-node"][0]
+    without = dataclasses.replace(scenario, metrics=("pdr", "queue", "delay", "attempts"))
+    with_convergence = execute_scenario(scenario).metrics
+    assert repr(execute_scenario(without).metrics) == repr(with_convergence)
 
 
 def _assert_conserved(

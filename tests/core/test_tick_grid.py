@@ -45,10 +45,17 @@ def _radios(sim, count):
     return radios
 
 
+def _recording(mac):
+    """``mac``, recording its histories."""
+    mac.record_history()
+    return mac
+
+
 def _macs(sim, count=3, gate=None, **overrides):
-    """``count`` fully connected QMA nodes with ids 1..count, not started."""
+    """``count`` fully connected QMA nodes with ids 1..count, recording
+    their histories, not started."""
     return [
-        QmaMac(sim, radio, config=_config(**overrides), gate=gate)
+        _recording(QmaMac(sim, radio, config=_config(**overrides), gate=gate))
         for radio in _radios(sim, count)
     ]
 
@@ -527,7 +534,7 @@ def test_a_grid_rearmed_inside_another_grids_walk_does_not_leap():
     # its grid runs in the walk of theirs.
     sim = Simulator(seed=9)
     mac1, mac2, mac3 = macs = [
-        QmaMac(sim, radio, config=_config(num_subslots=4 if radio.node_id == 2 else 8))
+        _recording(QmaMac(sim, radio, config=_config(num_subslots=4 if radio.node_id == 2 else 8)))
         for radio in _radios(sim, 3)
     ]
     turn = mac3._on_subslot

@@ -4,9 +4,11 @@
 and subslot boundary with work.  Wall-clock timings vary with the machine,
 so this counts Python-level function calls made under the turn instead —
 the same on every machine for one interpreter version.  The turn inlines
-its common path (the QBackoff update, the selection, the pending slot), so
-a turn makes about seven calls; with that path spread over helper methods
-it made about sixteen.
+its common path (the QBackoff update, the selection, the pending slot) and
+calls the exploration strategy's ``notify_action`` hook only where a
+strategy overrides it, so a turn makes about five calls; with the hook
+called on every selection it made about seven, and with the common path
+spread over helper methods about sixteen.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.campaign.spec import Scenario
 from repro.core.mac import QmaMac
 
 #: Calls under one turn, averaged over the run (the turn itself not counted).
-MAX_CALLS_PER_TURN = 9
+MAX_CALLS_PER_TURN = 7
 
 
 def test_a_qma_turn_makes_few_python_calls():

@@ -11,6 +11,7 @@ from repro.sim.batch import SeedBatchExecutor, _LockstepKernel, batch_compatibil
 from repro.sim.engine import Simulator
 
 FAST = {"packets_per_node": 2, "warmup": 0.5, "delta": 40.0, "max_duration": 4.0}
+CONVERGENCE = ("pdr", "attempts", "convergence")
 
 
 def _lanes(seeds, **overrides):
@@ -80,6 +81,28 @@ class TestExecutor:
 
         lanes = _lanes([0]) + _lanes([1], qma_config=QmaConfig(learning_rate=0.25))
         assert batch_compatibility_error(lanes) == "lanes have heterogeneous QMA parameters"
+
+    def test_lanes_differing_in_recorded_histories_fall_back(self):
+        lanes = _lanes([0]) + _lanes([1], collectors=CONVERGENCE)
+        reason = batch_compatibility_error(lanes)
+        assert reason == "lanes differ in which MACs record their histories"
+
+    def test_convergence_histories_match_serial_runs(self):
+        """The kernel records the histories of the MACs the collector reads
+        (the sources, not the sink) as their serial runs do."""
+        seeds = [0, 1, 2]
+        serial = [lane.run() for lane in _lanes(seeds, collectors=CONVERGENCE)]
+        lanes = _lanes(seeds, collectors=CONVERGENCE)
+        executor = SeedBatchExecutor()
+        batched = executor.run(lanes)
+        assert executor.last_fallback_reason is None
+        for got, expected in zip(batched, serial):
+            for table in ("q_history", "rho_history"):
+                assert all(expected.tables[table].values())
+                assert got.tables[table] == expected.tables[table]
+        for lane in lanes:
+            sink = lane.built.network.macs[lane.built.topology.sink]
+            assert sink.q_history == [] and sink.rho_history == []
 
     def test_without_numpy_everything_degrades_serially(self, monkeypatch):
         expected = _scalar_sets(SeedBatchExecutor(force_serial=True).run(_lanes([0, 1])))
