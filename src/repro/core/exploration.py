@@ -32,7 +32,11 @@ class ExplorationStrategy(ABC):
         neighbour_avg_queue_level: float,
         now: float,
     ) -> float:
-        """Return ρ ∈ [0, 1] for the current decision."""
+        """Return ρ ∈ [0, 1] for the current decision.
+
+        A QMA node sleeping through QBackoff turns keeps the ρ it had before
+        them: ρ may change with ``now`` alone only where the strategy
+        overrides :meth:`notify_action` (its nodes never sleep)."""
 
     def notify_action(self, now: float) -> None:
         """Hook invoked after every action selection (used by decaying strategies)."""

@@ -22,6 +22,15 @@ per-frame cumulative Q-value and the exploration probability over time,
 which the evaluation figures 10-12 are built from; the convergence collector
 asks for the MACs it reads, and a MAC nobody asked keeps both histories
 empty.
+
+A node whose next turns will all be QBackoff *sleeps* through them
+(:meth:`QmaMac._sleep`; README "Grid clock" lists its four wake bounds) and
+replays them (:meth:`QmaMac._replay`) at its wake or first thing when an
+event it can observe arrives: an overheard or addressed frame, an enqueue,
+an ACK starting on its radio, a restarted cautious startup, ``stop()``, a
+``Simulator.stop()`` cutting a run short, or a read of its clock fields,
+histories or policy.  ``qtable``, ``action_stats``, ``rho_history`` and
+the stream are read after a ``run_until``, when no node sleeps.
 """
 
 from __future__ import annotations
@@ -29,9 +38,11 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right, insort
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.actions import ALL_ACTIONS, QAction
 from repro.core.config import QmaConfig
@@ -67,6 +78,9 @@ _ACTION_CODES = tuple(action.value for action in ALL_ACTIONS)
 _TRANSMITTING = RadioState.TRANSMITTING
 _first = itemgetter(0)
 _rank = attrgetter("_rank")
+#: Boundaries a sleeper plans ahead at most: an event that wakes it early
+#: wastes a plan of at most this many (see :meth:`QmaMac._sleep`).
+_HORIZON = 256
 
 
 class _SubslotGrid:
@@ -74,9 +88,10 @@ class _SubslotGrid:
     "Grid clock"): one heap entry per boundary, at which the members with
     work take their turns in rank order, the order of their ``start()``
     seqs.  Each turn draws a mark, the seq its tick would have drawn on
-    re-arming; the entry carries the first member's.  With no member due,
-    the grid leaps over the boundaries before the next event (see
-    :meth:`_rearm`)."""
+    re-arming; the entry carries the first member's.  A sleeper (see
+    :meth:`QmaMac._sleep`) stays due but takes no turn and draws no mark
+    until its wake.  With no member due, the grid leaps over the boundaries
+    before the next event (see :meth:`_rearm`)."""
 
     def __init__(self, sim: "Simulator", key: Tuple) -> None:
         self.sim, self.key = sim, key
@@ -92,6 +107,9 @@ class _SubslotGrid:
         self.ticks = self.subslot = self.prior = self.next_subslot = 0
         self.frame_times: List[float] = []
         self.cursor = math.inf
+        #: ``(time, subslot)`` of the boundaries after this one, worked out
+        #: ahead for the sleepers' plans.
+        self.ahead: Deque[Tuple[float, int]] = deque()
 
     @classmethod
     def join(cls, mac: "QmaMac", time: float) -> None:
@@ -103,6 +121,7 @@ class _SubslotGrid:
         if grid is None:
             grid = sim._grids[key] = cls(sim, key)
             heapq.heappush(sim._queue, (time, rank, grid._open, None))
+            sim._wakers.append(grid._wake_all)
         grid.members.append(mac)
         grid.due.append(mac)
         grid.marks.append((rank, rank))
@@ -114,7 +133,7 @@ class _SubslotGrid:
         due = self.running if mac._rank > self.cursor else self.due
         if mac._on_loop and mac in due:
             due.remove(mac)
-        mac._grid, mac._on_loop = None, False
+        mac._grid, mac._on_loop, mac._wake = None, False, 0
 
     def rejoin(self, mac: "QmaMac") -> None:
         """Put ``mac`` back on the loop, at this boundary if its turn is to come."""
@@ -122,22 +141,42 @@ class _SubslotGrid:
         mac._on_loop = True
         insort(self.running if mac._rank > self.cursor else self.due, mac, key=_rank)
 
+    def _wake_all(self) -> None:
+        """Wake every sleeper (after a run cut by ``Simulator.stop()``)."""
+        for mac in self.members:
+            if mac._wake:
+                mac._rouse()
+
+    def _extend(self, count: int) -> None:
+        """Work out ``count`` more boundaries ahead, as :meth:`_rearm` would
+        (during a boundary, whose time and subslot the grid holds)."""
+        ahead = self.ahead
+        time, subslot = ahead[-1] if ahead else (self.time, self.subslot)
+        duration, num_subslots, gate = self.duration, self.num_subslots, self.gate
+        for _ in range(count):
+            time += duration
+            subslot = (subslot + 1) % num_subslots
+            if gate is not None and not gate.active(time):
+                time, subslot = gate.next_active_time(time), 0
+            ahead.append((time, subslot))
+
     def _open(self) -> None:
         """The first boundary: later starts at this instant form a new grid."""
         del self.sim._grids[self.key]
         self._boundary()
 
     def _boundary(self) -> None:
-        """Heap callback: the due members take their turns, in rank order."""
+        """Heap callback: the due members take their turns, in rank order;
+        a sleeper takes its turn only at its wake, caught up first."""
         members = self.members
         if not members:  # every member stopped
             return
         sim = self.sim
         running = self.running = self.due
-        self.due = []
+        due = self.due = []
         self.bounds = self.marks
         marks = self.marks = []
-        self.ticks += 1
+        ticks = self.ticks = self.ticks + 1
         self.prior = self.subslot
         subslot = self.subslot = self.next_subslot
         time = self.time
@@ -148,9 +187,16 @@ class _SubslotGrid:
         if queue and queue[0][0] == time:  # an event may fall between two turns
             self._walk()
             return
-        if not running or running[0] is not members[0]:
-            marks.append((members[0]._rank, next(sim._seq)))
+        first = members[0]
+        if not running or running[0] is not first or first._wake not in (0, ticks):
+            marks.append((first._rank, next(sim._seq)))
         for mac in running:
+            wake = mac._wake
+            if wake:
+                if wake != ticks:
+                    due.append(mac)
+                    continue
+                mac._rouse()
             self.cursor = mac._rank
             mac._on_subslot(subslot)
             if sim._stopped:
@@ -160,10 +206,10 @@ class _SubslotGrid:
 
     def _walk(self) -> None:
         """Visit the members whose turn is still to come one by one, idle
-        ones included, each after the events keyed before the last mark at
-        or before its rank (no other entry carries a mark's seq, and an idle
-        member drew none).  After a ``stop()`` the rest waits on one heap
-        entry under the next member's key."""
+        ones and sleepers included, each after the events keyed before the
+        last mark at or before its rank (no other entry carries a mark's
+        seq, and an idle member or a sleeper drew none).  After a ``stop()``
+        the rest waits on one heap entry under the next member's key."""
         sim, time, members, bounds = self.sim, self.time, self.members, self.bounds
         # A grid re-armed by the nested drains must not leap: the turns
         # still to come may schedule events before the heap's head.
@@ -177,10 +223,14 @@ class _SubslotGrid:
                 sim._bound = bound
                 heapq.heappush(sim._queue, (time, key, self._walk, None))
                 return
+            if mac._wake == self.ticks:
+                mac._rouse()
             self.cursor = mac._rank
-            if mac._on_loop:
+            if mac._on_loop and not mac._wake:
                 mac._on_subslot(self.subslot)
             else:  # events may have drawn seqs since the last mark
+                if mac._wake:
+                    self.due.append(mac)
                 self.marks.append((mac._rank, next(sim._seq)))
         sim._bound = bound
         self._rearm()
@@ -202,13 +252,16 @@ class _SubslotGrid:
             until = -math.inf
         elif queue and queue[0][0] < until:
             until = queue[0][0]
-        duration, num_subslots, gate = self.duration, self.num_subslots, self.gate
+        ahead, duration, num_subslots, gate = self.ahead, self.duration, self.num_subslots, self.gate
         time, subslot, prior, passed = self.time, self.subslot, self.prior, 0
         while True:
-            time += duration
-            following = (subslot + 1) % num_subslots
-            if gate is not None and not gate.active(time):
-                time, following = gate.next_active_time(time), 0
+            if ahead:
+                time, following = ahead.popleft()
+            else:
+                time += duration
+                following = (subslot + 1) % num_subslots
+                if gate is not None and not gate.active(time):
+                    time, following = gate.next_active_time(time), 0
             if not time < until:
                 break
             passed += 1
@@ -305,6 +358,7 @@ class QmaMac(MacProtocol):
             cca_punishment=config.startup_cca_punishment,
             send_punishment=config.startup_send_punishment,
         )
+        self.startup.on_restart = self._rejoin
         self.neighbours = NeighbourQueueTracker()
         self.action_stats = QmaActionStats()
         self._rng = sim.rng.stream(f"qma-{self.node_id}")
@@ -332,6 +386,15 @@ class QmaMac(MacProtocol):
         self._grid: Optional[_SubslotGrid] = None
         self._rank = self._synced_ticks = self._synced_frames = 0
         self._on_loop = False
+        #: The grid tick a sleeper wakes at (0 while awake), the turns it
+        #: has still to replay, ρ of the last selection, and the probe with
+        #: the draws the stream makes from selection ``_drawn_from`` on.
+        self._wake = 0
+        self._virtual: List[Tuple[float, int]] = []
+        self._rho = 0.0
+        self._probe = type(self._rng)(0)
+        self._draws: List[float] = []
+        self._drawn_from = self._drawn_choices = -1
 
         #: Whether the histories are recorded (see :meth:`record_history`).
         self._track_history = False
@@ -368,23 +431,37 @@ class QmaMac(MacProtocol):
         if self._grid is not None:
             self._grid.leave(self)
 
-    def _notify_enqueue(self) -> None:
-        # Actions are selected only at subslot boundaries: an idle node rejoins its grid's loop.
-        if not self._on_loop and self._grid is not None:
+    def _rejoin(self) -> None:
+        """Wake a sleeper, or put an idle node back on its grid's loop: an
+        enqueue or a restarted cautious startup changes its next turns."""
+        if self._wake:
+            self._rouse()
+        elif not self._on_loop and self._grid is not None:
             self._grid.rejoin(self)
+
+    def _rouse(self) -> None:
+        """Wake a sleeper: replay its skipped turns, then take real ones."""
+        self._catch_up()
+        self._wake = 0
+
+    _notify_enqueue = _rejoin
 
     # ------------------------------------------------------------ subslot clock
     def _catch_up(self) -> None:
-        """Advance the clock fields of a node off its grid's loop as its idle
-        turns would have.  Its Q-table cannot change while it is idle, so
-        every missed frame start of a recorded history samples the current
-        cumulative Q-value."""
+        """Advance a node that takes no turns as its turns would have: a
+        sleeper replays its QBackoff turns (:meth:`_replay`), an idle node
+        off the loop its clock fields.  An idle node's Q-table cannot
+        change, so every missed frame start of a recorded history samples
+        the current cumulative Q-value."""
         grid = self._grid
-        if grid is None or self._on_loop:
+        if grid is None or self._on_loop and not self._wake:
             return
         ticks, frames, subslot = grid.ticks, len(grid.frame_times), grid.subslot
         if self._rank > grid.cursor:  # its turn at this boundary is still to come
             ticks, frames, subslot = ticks - 1, frames - (subslot == 0), grid.prior
+        if self._wake:
+            self._replay(ticks - self._synced_ticks)
+            return
         synced = self._synced_frames
         if self._track_history and frames > synced:
             value = self.qtable.cumulative_policy_value()
@@ -446,6 +523,7 @@ class QmaMac(MacProtocol):
                 rho = self.exploration.probability(len(frames), average, now)
                 if self._notify_action is not None:
                     self._notify_action(now)
+                self._rho = rho
                 if self._track_history:
                     self.rho_history.append((now, rho))
                 rng = self._rng
@@ -468,17 +546,97 @@ class QmaMac(MacProtocol):
 
     def _schedule_next_tick(self) -> None:
         """End a turn: draw its mark, and stay on the loop only while there
-        is work.  The seed-batch facade overrides this re-arm seam."""
+        is work that is more than QBackoff turns (see :meth:`_sleep`).  The
+        seed-batch facade overrides this re-arm seam."""
         grid = self._grid
         if grid is None:  # stopped during its own turn
             return
         grid.marks.append((self._rank, next(self.sim._seq)))
+        if self._pend_kind == PENDING_BACKOFF and self._notify_action is None:
+            self._sleep(grid)
         if self._pend_kind or self.queue._frames or not self.startup._finished:
             grid.due.append(self)
         else:
             self._on_loop = False
             self._synced_ticks = grid.ticks
             self._synced_frames = len(grid.frame_times)
+
+    def _sleep(self, grid: _SubslotGrid) -> None:
+        """After a QBackoff turn, plan to skip the turns up to the wake, the
+        first boundary whose policy is not QBackoff, whose ``random()`` (from
+        the probe) is below ρ, whose time expires a neighbour level, or that
+        is the last of the ``run_until`` in progress (README "Grid clock").
+        Only with the radio idle and a bound set (``step()`` sets none)."""
+        bound = self.sim._bound
+        if not bound > grid.time or self.radio.state is _TRANSMITTING:
+            return
+        ahead, policy, neighbours = grid.ahead, self.qtable._policy, self.neighbours
+        grid._extend(_HORIZON - len(ahead))
+        oldest, max_age = neighbours._oldest_bound, neighbours.max_age or math.inf
+        wake = 0
+        for time, subslot in ahead:
+            if time > bound:
+                break
+            wake += 1
+            if policy[subslot] != _BACKOFF or oldest < time - max_age or wake == _HORIZON:
+                break
+        rho = self._rho
+        if wake > 1 and rho > 0.0:
+            draws = self._predraw(wake - 1)
+            for turn in range(wake - 1):
+                if draws[turn] < rho:
+                    wake = turn + 1
+                    break
+        if wake > 1:
+            self._virtual = list(islice(ahead, wake - 1))
+            self._wake = grid.ticks + wake
+            self._synced_ticks = grid.ticks
+
+    def _predraw(self, count: int) -> List[float]:
+        """The next ``count`` values of the node's ``random()``, drawn from
+        its probe.  A selection draws one ``random()`` and, when it
+        explores, a ``choice()`` the probe does not follow: only then is the
+        probe copied from the stream again."""
+        stats = self.action_stats
+        total = sum(stats.counts)
+        draws, probe = self._draws, self._probe
+        if stats.random_selections != self._drawn_choices:
+            probe.setstate(self._rng.getstate())
+            draws.clear()
+            self._drawn_from, self._drawn_choices = total, stats.random_selections
+        used = total - self._drawn_from
+        for _ in range(used - len(draws)):  # the stream drew past the probe
+            probe.random()
+        del draws[:used]
+        self._drawn_from = total
+        if len(draws) < count:
+            draws.extend([probe.random() for _ in range(count - len(draws))])
+        return draws
+
+    def _replay(self, count: int) -> None:
+        """Take the next ``count`` turns a sleeper skipped as
+        :meth:`_on_subslot` would: learn from an idle QBackoff, sample the
+        histories, draw ``random()`` (above ρ, as planned), select QBackoff."""
+        turns = self._virtual[:count]
+        del self._virtual[:count]
+        qtable, reward, rho, draw = self.qtable, self.rewards.backoff_idle, self._rho, self._rng.random
+        apply, track, state, frames = qtable.apply, self._track_history, self._pend_state, 0
+        for time, subslot in turns:
+            if not subslot:
+                frames += 1
+                if track:
+                    self._q_history.append((time, qtable.cumulative_policy_value()))
+            apply(state, _BACKOFF, reward, subslot)
+            if track:
+                self.rho_history.append((time, rho))
+            if draw() < rho:
+                raise RuntimeError("a replayed QBackoff turn drew an exploration")
+            state = subslot
+        self.action_stats.counts[_BACKOFF] += len(turns)
+        self._pend_state = self._subslot = state
+        self._counter += len(turns)
+        self._frames_elapsed += frames
+        self._synced_ticks += len(turns)
 
     # ------------------------------------------------------------ action choice
     def _pend(self, kind: int, state: int) -> None:
@@ -567,6 +725,8 @@ class QmaMac(MacProtocol):
     # -------------------------------------------------------------- overhearing
     def _on_overheard(self, frame: Frame) -> None:
         """Channel activity, overheard or addressed to this node."""
+        if self._wake:  # a sleeper catches up first: the frame changes its next turns
+            self._rouse()
         kind = self._pend_kind
         if kind == PENDING_BACKOFF or kind == PENDING_STARTUP:
             self._pend_overheard = True
@@ -575,11 +735,19 @@ class QmaMac(MacProtocol):
 
     _on_frame_for_us = _on_overheard
 
+    def _transmit_ack(self, ack: Frame) -> None:
+        # The only transmission a sleeper can start: its turns see the radio busy.
+        if self._wake:
+            self._rouse()
+        super()._transmit_ack(ack)
+
     # -------------------------------------------------------------- inspection
     def policy_snapshot(self) -> List[QAction]:
         """Copy of the current policy (one action per subslot)."""
+        self._catch_up()
         return self.qtable.policy_snapshot()
 
     def transmission_subslots(self) -> List[int]:
         """Subslots in which the current policy transmits (QCCA or QSend)."""
+        self._catch_up()
         return self.qtable.transmission_subslots()

@@ -77,6 +77,8 @@ class QTable:
         ]
         #: π(m) as action codes: initialised to QBackoff (Algorithm 1).
         self._policy: List[int] = [QAction.QBACKOFF.value] * num_states
+        #: max_a Q(m, a) per subslot, which Eq. 5 reads at every update.
+        self._maxima: List[float] = [q_init] * num_states
         self.updates = 0
         #: Cached :meth:`cumulative_policy_value`; None once a policy entry
         #: or the value it points at may have changed.
@@ -90,11 +92,12 @@ class QTable:
     def set_value(self, state: int, action: QAction, value: float) -> None:
         """Directly overwrite a Q-value (used by tests and the worked example)."""
         self._values[state][action.value] = value
+        self._maxima[state] = max(self._values[state])
         self._cumulative = None
 
     def max_value(self, state: int) -> float:
         """max_a Q(state, a)."""
-        return max(self._values[state])
+        return self._maxima[state]
 
     def best_action(self, state: int) -> QAction:
         """argmax_a Q(state, a); ties resolved in action-declaration order."""
@@ -168,13 +171,18 @@ class QTable:
         row = self._values[state]
         old = row[code]
         candidate = (1.0 - alpha) * old + alpha * (
-            reward + self.discount_factor * max(self._values[next_state])
+            reward + self.discount_factor * self._maxima[next_state]
         )
         # ``max(floor, candidate)`` spelled out: same result, no call.
         floor = old - self.penalty
         new = candidate if candidate > floor else floor
         row[code] = new
         self.updates += 1
+        maxima = self._maxima
+        if new > maxima[state]:
+            maxima[state] = new
+        elif new < old == maxima[state]:  # the maximum may have dropped
+            maxima[state] = max(row)
 
         policy = self._policy
         policy_code = policy[state]
@@ -232,6 +240,7 @@ class QTable:
         for row in self._values:
             row[:] = [self.q_init] * len(row)
         self._policy = [QAction.QBACKOFF.value] * self.num_states
+        self._maxima = [self.q_init] * self.num_states
         self.updates = 0
         self._cumulative = None
 

@@ -10,6 +10,8 @@ that are already used by other nodes.
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 
 class CautiousStartup:
     """Tracks the progress of the cautious-startup phase of one agent."""
@@ -27,6 +29,8 @@ class CautiousStartup:
         self.send_punishment = send_punishment
         self._elapsed = 0
         self._finished = duration_subslots == 0
+        #: Called first by :meth:`restart` (a QMA MAC catches its node up).
+        self.on_restart: Optional[Callable[[], None]] = None
 
     @property
     def active(self) -> bool:
@@ -53,5 +57,7 @@ class CautiousStartup:
 
     def restart(self) -> None:
         """Restart the phase (e.g. after a node rejoined the network)."""
+        if self.on_restart is not None:
+            self.on_restart()
         self._elapsed = 0
         self._finished = self.duration_subslots == 0

@@ -17,7 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ActivityGate(ABC):
-    """Decides whether contention-based access is currently allowed."""
+    """Decides whether contention-based access is currently allowed (as a
+    function of ``now`` alone: the QMA grid clock works boundaries out ahead)."""
 
     @abstractmethod
     def active(self, now: float) -> bool:

@@ -39,7 +39,10 @@ passes every boundary before both the heap's head and
 without an entry.  ``step()`` and ``run()`` set no bound, so they never
 leap.
 :attr:`Simulator._grids` holds the grids whose first boundary is still to
-come, which nodes starting at that instant join.
+come, which nodes starting at that instant join.  A QMA node sleeping
+through QBackoff turns stays due, so it changes no entry; a
+:meth:`run_until` cut short by :meth:`stop` wakes every sleeper
+(:attr:`Simulator._wakers`) so that no reader finds its state stale.
 """
 
 from __future__ import annotations
@@ -95,6 +98,9 @@ class Simulator:
         #: The end of the :meth:`run_until` in progress, up to which an idle
         #: grid may leap (-inf outside one: ``step()`` and ``run()`` never leap).
         self._bound = -_INF
+        #: One callback per QMA grid that wakes its sleeping nodes, called
+        #: when :meth:`stop` cuts a :meth:`run_until` short.
+        self._wakers: List[Callable[[], None]] = []
         self._stopped = False
         self.rng = RngRegistry(seed)
         self.tracer: Optional[TraceRecorder] = (
@@ -174,6 +180,9 @@ class Simulator:
             self._bound = -_INF
         if not self._stopped:
             self._now = max(self._now, end_time)
+            return
+        for wake in self._wakers:
+            wake()
 
     def _drain_before(self, t_bound: float, seq_bound: float) -> None:
         """Fire every event keyed before ``(t_bound, seq_bound)``, in order,

@@ -169,3 +169,26 @@ def test_cumulative_policy_value_equals_the_range_indexed_sum(seed):
             assert table.cumulative_policy_value() == sum(
                 values[m][policy[m]] for m in range(num_states)
             )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_row_maxima_follow_every_write(seed):
+    """The per-subslot maxima Eq. 5 reads equal ``max`` of each row after
+    random ``apply``, ``set_value`` and ``reset`` sequences, so an update
+    computes the same candidate as with ``max(row)``."""
+    rng = random.Random(seed)
+    num_states = rng.randint(1, 12)
+    table = QTable(num_states=num_states, q_init=rng.uniform(-20.0, 0.0))
+    for _ in range(rng.randint(50, 400)):
+        state, next_state = rng.randrange(num_states), rng.randrange(num_states)
+        if rng.random() < 0.05:
+            table.set_value(state, rng.choice(list(QAction)), rng.uniform(-20.0, 20.0))
+        elif rng.random() < 0.01:
+            table.reset()
+        else:
+            # Penalty-bound drops and repeated values exercise the recompute.
+            reward = rng.choice([-10.0, 0.0, 10.0, rng.uniform(-10.0, 10.0)])
+            table.apply(state, rng.randrange(3), reward, next_state)
+        assert [table.max_value(m) for m in range(num_states)] == [
+            max(row) for row in table._values
+        ]

@@ -1,50 +1,92 @@
-"""A deterministic guard on the cost of one QMA turn.
+"""A deterministic guard on the cost of QMA's action selections.
 
-``QmaMac._on_subslot`` is the simulator's inner loop: it runs once per node
-and subslot boundary with work.  Wall-clock timings vary with the machine,
-so this counts Python-level function calls made under the turn instead —
-the same on every machine for one interpreter version.  The turn inlines
-its common path (the QBackoff update, the selection, the pending slot) and
-calls the exploration strategy's ``notify_action`` hook only where a
-strategy overrides it, so a turn makes about five calls; with the hook
-called on every selection it made about seven, and with the common path
-spread over helper methods about sixteen.
+Every action selection of a QMA node is one turn: a real one
+(``QmaMac._on_subslot``) or, for a node sleeping through QBackoff turns, a
+replayed one (``QmaMac._replay``, README "Grid clock").  Wall-clock timings
+vary with the machine, so this counts the Python-level calls into
+``repro.core`` over a whole run instead — the same on every machine for one
+interpreter version — and divides them by the selections made, virtual
+ones included.  Measured with this counter, the runs below made 9.57
+(hidden-node) and 6.67 (1-ring DSME) calls per selection while every
+selection was a real turn, and 5.21 and 1.74 once backing-off nodes sleep.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from typing import Any, Callable, Dict, List, Tuple
 
+import repro.core
 from repro.campaign.runner import execute_scenario
 from repro.campaign.spec import Scenario
 from repro.core.mac import QmaMac
+from repro.scenario.builder import ScenarioBuilder
 
-#: Calls under one turn, averaged over the run (the turn itself not counted).
-MAX_CALLS_PER_TURN = 7
+#: Calls into ``repro.core`` per action selection, over the whole run.
+MAX_CORE_CALLS_PER_SELECTION = {"hidden-node": 7.0, "dsme": 3.0}
+#: Real turns per action selection on the DSME run, where nearly every
+#: selection is a QBackoff a sleeping node replays.
+MAX_REAL_TURNS_PER_SELECTION = 0.10
+
+CORE = os.path.dirname(repro.core.__file__) + os.sep
+
+RUNS: Dict[str, Tuple[Scenario, Callable[[Any], Dict[int, QmaMac]]]] = {
+    "hidden-node": (
+        Scenario("hidden-node", mac="qma", seed=1,
+                 params={"delta": 10.0, "packets_per_node": 30, "warmup": 5.0}),
+        lambda built: built.network.macs,
+    ),
+    "dsme": (
+        Scenario("scalability", mac="qma", seed=0,
+                 params={"rings": 1, "duration": 8.0, "warmup": 2.0}),
+        lambda built: built.dsme.network.macs,
+    ),
+}
 
 
-def test_a_qma_turn_makes_few_python_calls():
+def _count(name: str, monkeypatch: Any) -> Tuple[int, int, int]:
+    """Calls into ``repro.core``, real turns and selections of one run."""
+    scenario, macs_of = RUNS[name]
+    builds: List[Any] = []
+    for method in ("build", "build_dsme"):
+        build = getattr(ScenarioBuilder, method)
+
+        def capture(self, *args, _build=build, **kwargs):
+            built = _build(self, *args, **kwargs)
+            builds.append(built)
+            return built
+
+        monkeypatch.setattr(ScenarioBuilder, method, capture)
     turn = QmaMac._on_subslot.__code__
-    turns = calls = depth = 0
+    calls = turns = 0
 
     def profile(frame, event, arg):
-        nonlocal turns, calls, depth
-        if depth:
-            if event == "call":
-                calls += 1
-                depth += 1
-            elif event == "return":
-                depth -= 1
-        elif event == "call" and frame.f_code is turn:
-            turns += 1
-            depth = 1
+        nonlocal calls, turns
+        if event == "call" and frame.f_code.co_filename.startswith(CORE):
+            calls += 1
+            turns += frame.f_code is turn
 
-    scenario = Scenario("hidden-node", mac="qma", seed=1,
-                        params={"delta": 10.0, "packets_per_node": 30, "warmup": 5.0})
     sys.setprofile(profile)
     try:
         execute_scenario(scenario)
     finally:
         sys.setprofile(None)
-    assert turns > 1000
-    assert calls / turns <= MAX_CALLS_PER_TURN, f"{calls / turns:.2f} calls per turn"
+    (built,) = builds
+    selections = sum(mac.action_stats.total for mac in macs_of(built).values())
+    return calls, turns, selections
+
+
+def test_hidden_node_selections_make_few_python_calls(monkeypatch):
+    calls, _, selections = _count("hidden-node", monkeypatch)
+    assert selections > 1000
+    limit = MAX_CORE_CALLS_PER_SELECTION["hidden-node"]
+    assert calls / selections <= limit, f"{calls / selections:.2f} calls per selection"
+
+
+def test_dsme_selections_are_mostly_replayed_backoffs(monkeypatch):
+    calls, turns, selections = _count("dsme", monkeypatch)
+    assert selections > 10000
+    assert turns / selections <= MAX_REAL_TURNS_PER_SELECTION, f"{turns} real turns"
+    limit = MAX_CORE_CALLS_PER_SELECTION["dsme"]
+    assert calls / selections <= limit, f"{calls / selections:.2f} calls per selection"
