@@ -23,9 +23,11 @@ which the evaluation figures 10-12 are built from; the convergence collector
 asks for the MACs it reads, and a MAC nobody asked keeps both histories
 empty.
 
-A node whose next turns will all be QBackoff *sleeps* through them
-(:meth:`QmaMac._sleep`; README "Grid clock" lists its four wake bounds) and
-replays them (:meth:`QmaMac._replay`) at its wake or first thing when an
+A node whose next turns will all be QBackoff selections or cautious-startup
+observations *sleeps* through them (:meth:`QmaMac._sleep`; README "Grid
+clock" lists the wake bounds: a startup sleeper wakes at the turn after its
+last observation at the latest) and replays them (:meth:`QmaMac._replay`,
+one :meth:`QTable.apply_run` loop) at its wake or first thing when an
 event it can observe arrives: an overheard or addressed frame, an enqueue,
 an ACK starting on its radio, a restarted cautious startup, ``stop()``, a
 ``Simulator.stop()`` cutting a run short, or a read of its clock fields,
@@ -40,8 +42,8 @@ import math
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter, itemgetter
+from itertools import compress, islice, repeat, starmap
+from operator import attrgetter, itemgetter, not_
 from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.actions import ALL_ACTIONS, QAction
@@ -76,7 +78,7 @@ _CCA = QAction.QCCA.value
 _SEND = QAction.QSEND.value
 _ACTION_CODES = tuple(action.value for action in ALL_ACTIONS)
 _TRANSMITTING = RadioState.TRANSMITTING
-_first = itemgetter(0)
+_first, _second = itemgetter(0), itemgetter(1)
 _rank = attrgetter("_rank")
 #: Boundaries a sleeper plans ahead at most: an event that wakes it early
 #: wastes a plan of at most this many (see :meth:`QmaMac._sleep`).
@@ -449,7 +451,7 @@ class QmaMac(MacProtocol):
     # ------------------------------------------------------------ subslot clock
     def _catch_up(self) -> None:
         """Advance a node that takes no turns as its turns would have: a
-        sleeper replays its QBackoff turns (:meth:`_replay`), an idle node
+        sleeper replays its skipped turns (:meth:`_replay`), an idle node
         off the loop its clock fields.  An idle node's Q-table cannot
         change, so every missed frame start of a recorded history samples
         the current cumulative Q-value."""
@@ -546,15 +548,17 @@ class QmaMac(MacProtocol):
 
     def _schedule_next_tick(self) -> None:
         """End a turn: draw its mark, and stay on the loop only while there
-        is work that is more than QBackoff turns (see :meth:`_sleep`).  The
-        seed-batch facade overrides this re-arm seam."""
+        is work that is more than QBackoff turns or startup observations
+        (see :meth:`_sleep`).  The seed-batch facade overrides this re-arm
+        seam."""
         grid = self._grid
         if grid is None:  # stopped during its own turn
             return
         grid.marks.append((self._rank, next(self.sim._seq)))
-        if self._pend_kind == PENDING_BACKOFF and self._notify_action is None:
+        kind = self._pend_kind
+        if (kind == PENDING_BACKOFF and self._notify_action is None) or kind == PENDING_STARTUP:
             self._sleep(grid)
-        if self._pend_kind or self.queue._frames or not self.startup._finished:
+        if kind or self.queue._frames or not self.startup._finished:
             grid.due.append(self)
         else:
             self._on_loop = False
@@ -562,31 +566,44 @@ class QmaMac(MacProtocol):
             self._synced_frames = len(grid.frame_times)
 
     def _sleep(self, grid: _SubslotGrid) -> None:
-        """After a QBackoff turn, plan to skip the turns up to the wake, the
-        first boundary whose policy is not QBackoff, whose ``random()`` (from
-        the probe) is below ρ, whose time expires a neighbour level, or that
-        is the last of the ``run_until`` in progress (README "Grid clock").
-        Only with the radio idle and a bound set (``step()`` sets none)."""
+        """After a QBackoff turn or a startup observation, plan to skip the
+        turns up to the wake, at most the horizon ahead and at the latest
+        the last boundary of the ``run_until`` in progress (README "Grid
+        clock").  An observer wakes at the turn after its last observation;
+        a backing-off node at the first boundary whose policy is not
+        QBackoff, whose ``random()`` (from the probe) is below ρ or whose
+        time expires a neighbour level.  Only with the radio idle and a
+        bound set (``step()`` sets none)."""
         bound = self.sim._bound
         if not bound > grid.time or self.radio.state is _TRANSMITTING:
             return
-        ahead, policy, neighbours = grid.ahead, self.qtable._policy, self.neighbours
+        ahead = grid.ahead
         grid._extend(_HORIZON - len(ahead))
-        oldest, max_age = neighbours._oldest_bound, neighbours.max_age or math.inf
-        wake = 0
-        for time, subslot in ahead:
-            if time > bound:
-                break
-            wake += 1
-            if policy[subslot] != _BACKOFF or oldest < time - max_age or wake == _HORIZON:
-                break
-        rho = self._rho
-        if wake > 1 and rho > 0.0:
-            draws = self._predraw(wake - 1)
-            for turn in range(wake - 1):
-                if draws[turn] < rho:
-                    wake = turn + 1
-                    break
+        wake = min(bisect_right(ahead, bound, key=_first), _HORIZON)
+        if wake < 2:
+            return
+        if self._pend_kind == PENDING_STARTUP:
+            startup = self.startup
+            wake = min(wake, startup.duration_subslots - startup._elapsed + 1)
+        else:
+            policy = self.qtable._policy
+            if policy.count(_BACKOFF) < len(policy):
+                for turn, (_, subslot) in enumerate(islice(ahead, wake - 1), 1):
+                    if policy[subslot] != _BACKOFF:
+                        wake = turn
+                        break
+            oldest, max_age = self.neighbours._oldest_bound, self.neighbours.max_age
+            if wake > 1 and max_age is not None and oldest < math.inf:
+                wake = 1 + bisect_right(  # `_expire`'s test, monotone in time
+                    ahead, oldest, 0, wake - 1, key=lambda turn: turn[0] - max_age
+                )
+            rho = self._rho
+            if wake > 1 and rho > 0.0:
+                draws = self._predraw(wake - 1)
+                for turn in range(wake - 1):
+                    if draws[turn] < rho:
+                        wake = turn + 1
+                        break
         if wake > 1:
             self._virtual = list(islice(ahead, wake - 1))
             self._wake = grid.ticks + wake
@@ -610,33 +627,49 @@ class QmaMac(MacProtocol):
         del draws[:used]
         self._drawn_from = total
         if len(draws) < count:
-            draws.extend([probe.random() for _ in range(count - len(draws))])
+            draws.extend(starmap(probe.random, repeat((), count - len(draws))))
         return draws
 
     def _replay(self, count: int) -> None:
         """Take the next ``count`` turns a sleeper skipped as
-        :meth:`_on_subslot` would: learn from an idle QBackoff, sample the
-        histories, draw ``random()`` (above ρ, as planned), select QBackoff."""
+        :meth:`_on_subslot` would: learn from an idle QBackoff (one
+        :meth:`QTable.apply_run`, split only at the frame starts a recorded
+        ``q_history`` samples), then either observe (cautious startup) or
+        draw ``random()`` (above ρ, as planned) and select QBackoff."""
         turns = self._virtual[:count]
+        if not turns:
+            return
         del self._virtual[:count]
-        qtable, reward, rho, draw = self.qtable, self.rewards.backoff_idle, self._rho, self._rng.random
-        apply, track, state, frames = qtable.apply, self._track_history, self._pend_state, 0
-        for time, subslot in turns:
-            if not subslot:
-                frames += 1
-                if track:
-                    self._q_history.append((time, qtable.cumulative_policy_value()))
-            apply(state, _BACKOFF, reward, subslot)
-            if track:
-                self.rho_history.append((time, rho))
-            if draw() < rho:
+        count = len(turns)
+        subslots = list(map(_second, turns))
+        qtable, state = self.qtable, self._pend_state
+        observing = self._pend_kind == PENDING_STARTUP
+        reward = self.rewards.backoff(False) if observing else self.rewards.backoff_idle
+        frames = subslots.count(0)
+        if self._track_history and frames:
+            states, start = [state, *subslots], 0
+            for turn in compress(range(count), map(not_, subslots)):
+                qtable.apply_run(states[start], _BACKOFF, reward, subslots[start:turn])
+                self._q_history.append((turns[turn][0], qtable.cumulative_policy_value()))
+                start = turn
+            qtable.apply_run(states[start], _BACKOFF, reward, subslots[start:])
+        else:
+            qtable.apply_run(state, _BACKOFF, reward, subslots)
+        if observing:
+            startup = self.startup
+            startup._elapsed += count
+            startup._finished = startup._elapsed >= startup.duration_subslots
+        else:
+            rho = self._rho
+            if min(starmap(self._rng.random, repeat((), count))) < rho:
                 raise RuntimeError("a replayed QBackoff turn drew an exploration")
-            state = subslot
-        self.action_stats.counts[_BACKOFF] += len(turns)
-        self._pend_state = self._subslot = state
-        self._counter += len(turns)
+            if self._track_history:
+                self.rho_history.extend(zip(map(_first, turns), repeat(rho)))
+            self.action_stats.counts[_BACKOFF] += count
+        self._pend_state = self._subslot = subslots[-1]
+        self._counter += count
         self._frames_elapsed += frames
-        self._synced_ticks += len(turns)
+        self._synced_ticks += count
 
     # ------------------------------------------------------------ action choice
     def _pend(self, kind: int, state: int) -> None:

@@ -11,12 +11,18 @@ The policy table implements Eq. 3: a subslot's policy only changes when an
 action's updated Q-value becomes *strictly* greater than the Q-value of the
 current policy action, which prevents agents from flip-flopping between
 equally good joint policies.
+
+Both are written once, in :meth:`QTable.apply_run`, which applies a run of
+decisions of one action (each reaching the state the next one starts in) in
+one loop: a sleeping QMA node replays its skipped QBackoff turns and
+cautious-startup observations with one call, and :meth:`QTable.apply` is
+the run of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.actions import ALL_ACTIONS, QAction
 
@@ -165,33 +171,48 @@ class QTable:
         """:meth:`update` for an action code, unchecked; returns the Eq. 5 candidate.
 
         This is the per-decision path of the MAC: no enum, no range check
-        and no result object.
+        and no result object.  It is the one-step case of :meth:`apply_run`.
         """
-        alpha = self.learning_rate
-        row = self._values[state]
-        old = row[code]
-        candidate = (1.0 - alpha) * old + alpha * (
-            reward + self.discount_factor * self._maxima[next_state]
-        )
-        # ``max(floor, candidate)`` spelled out: same result, no call.
-        floor = old - self.penalty
-        new = candidate if candidate > floor else floor
-        row[code] = new
-        self.updates += 1
-        maxima = self._maxima
-        if new > maxima[state]:
-            maxima[state] = new
-        elif new < old == maxima[state]:  # the maximum may have dropped
-            maxima[state] = max(row)
+        return self.apply_run(state, code, reward, (next_state,))
 
-        policy = self._policy
-        policy_code = policy[state]
-        if code == policy_code:
-            # The Fig. 10 sum covers this value.
-            self._cumulative = None
-        elif new > row[policy_code]:
-            # Eq. 3: only switch to a strictly better action.
-            policy[state] = code
+    def apply_run(self, state: int, code: int, reward: float, next_states: Sequence[int]) -> float:
+        """Apply Eq. 5 and Eq. 3 to a run of decisions in one loop.
+
+        The run takes ``code`` with ``reward`` in ``state``, reaches
+        ``next_states[0]``, takes ``code`` with ``reward`` there, reaches
+        ``next_states[1]``, and so on: exactly as many :meth:`apply` calls in
+        order would.  A sleeping MAC replays the QBackoff turns and startup
+        observations it skipped with one call (one per recorded frame
+        start).  Returns the last Eq. 5 candidate (0.0 for an empty run).
+        """
+        alpha, gamma, penalty = self.learning_rate, self.discount_factor, self.penalty
+        keep = 1.0 - alpha
+        values, maxima, policy = self._values, self._maxima, self._policy
+        candidate, covered = 0.0, False
+        for next_state in next_states:
+            row = values[state]
+            old = row[code]
+            candidate = keep * old + alpha * (reward + gamma * maxima[next_state])
+            # ``max(floor, candidate)`` spelled out: same result, no call.
+            floor = old - penalty
+            new = candidate if candidate > floor else floor
+            row[code] = new
+            top = maxima[state]
+            if new > top:
+                maxima[state] = new
+            elif new < old == top:  # the maximum may have dropped
+                maxima[state] = max(row)
+            policy_code = policy[state]
+            if code == policy_code:
+                # The Fig. 10 sum covers this value.
+                covered = True
+            elif new > row[policy_code]:
+                # Eq. 3: only switch to a strictly better action.
+                policy[state] = code
+                covered = True
+            state = next_state
+        self.updates += len(next_states)
+        if covered:
             self._cumulative = None
         return candidate
 

@@ -40,9 +40,10 @@ without an entry.  ``step()`` and ``run()`` set no bound, so they never
 leap.
 :attr:`Simulator._grids` holds the grids whose first boundary is still to
 come, which nodes starting at that instant join.  A QMA node sleeping
-through QBackoff turns stays due, so it changes no entry; a
-:meth:`run_until` cut short by :meth:`stop` wakes every sleeper
-(:attr:`Simulator._wakers`) so that no reader finds its state stale.
+through QBackoff turns or startup observations stays due, so it changes
+no entry; a :meth:`run_until` cut short by :meth:`stop` wakes every
+sleeper (:attr:`Simulator._wakers`) so that no reader finds its state
+stale.
 """
 
 from __future__ import annotations

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.phy.channel import WirelessChannel
 from repro.phy.params import PhyParameters
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
+
+# Example counts of the Hypothesis tests that take theirs from the profile
+# (the sleeping-node differential test and the engine model test): tier-1
+# runs the default, a deep run passes ``--hypothesis-profile=deep``.
+settings.register_profile("default", max_examples=200)
+settings.register_profile("deep", max_examples=2000)
 
 
 @pytest.fixture

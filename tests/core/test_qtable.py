@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -192,3 +193,85 @@ def test_the_row_maxima_follow_every_write(seed):
         assert [table.max_value(m) for m in range(num_states)] == [
             max(row) for row in table._values
         ]
+
+
+def _scrambled_table(rng: random.Random) -> QTable:
+    """A random table with random values and a random (not argmax) policy."""
+    num_states = rng.randint(1, 12)
+    table = QTable(
+        num_states=num_states,
+        learning_rate=rng.uniform(0.05, 1.0),
+        discount_factor=rng.uniform(0.0, 1.0),
+        penalty=rng.uniform(0.0, 5.0),
+        q_init=rng.uniform(-20.0, 0.0),
+    )
+    for state in range(num_states):
+        for action in QAction:
+            table.set_value(state, action, rng.choice([rng.uniform(-20.0, 20.0), 0.0, -10.0]))
+        table.set_policy(state, rng.choice(list(QAction)))
+    return table
+
+
+def _exact(table: QTable) -> str:
+    """Every field a run of updates writes, floats by their repr."""
+    return repr((table._values, table._policy, table._maxima, table.updates))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_run_of_updates_equals_its_updates_one_by_one(seed):
+    """``apply_run`` leaves the table bit-identical to ``apply`` called for
+    each step in order, returns the last step's candidate and keeps the
+    cumulative-value cache valid (whether it dropped it or not)."""
+    rng = random.Random(seed)
+    table = _scrambled_table(rng)
+    steps = copy.deepcopy(table)
+    for _ in range(rng.randint(1, 8)):
+        table.cumulative_policy_value(), steps.cumulative_policy_value()  # prime both caches
+        state, code = rng.randrange(table.num_states), rng.randrange(3)
+        reward = rng.choice([-3.0, 0.0, 2.0, rng.uniform(-10.0, 10.0)])
+        next_states = [rng.randrange(table.num_states) for _ in range(rng.randint(0, 30))]
+        candidate = table.apply_run(state, code, reward, next_states)
+        expected = 0.0
+        for next_state in next_states:
+            expected = steps.apply(state, code, reward, next_state)
+            state = next_state
+        assert repr(candidate) == repr(expected)
+        assert _exact(table) == _exact(steps)
+        cached = table.cumulative_policy_value()
+        assert cached == steps.cumulative_policy_value()
+        assert cached == sum(row[code] for row, code in zip(table._values, table._policy))
+
+
+def test_a_backoff_run_binds_the_penalty_drops_the_maximum_and_switches_the_policy():
+    """The first state of a replayed run may hold an explored selection:
+    its QBackoff value falls by the penalty ξ, the row maximum drops to the
+    next best action, and the policy switches to QBackoff (Eq. 3)."""
+    table = QTable(num_states=4, learning_rate=0.5, discount_factor=0.9, penalty=2.0)
+    for action, value in ((B, 10.0), (C, 9.0), (S, 7.0)):
+        table.set_value(0, action, value)
+    table.set_policy(0, S)
+    steps = copy.deepcopy(table)
+    before = table.cumulative_policy_value()
+    table.apply_run(0, B.value, 0.0, [1, 2, 3])
+    state = 0
+    for next_state in (1, 2, 3):
+        steps.apply(state, B.value, 0.0, next_state)
+        state = next_state
+    assert _exact(table) == _exact(steps)
+    # Candidate 0.5 * 10 + 0.5 * 0.9 * -10 = 0.5 lies below the floor 10 - ξ.
+    assert table.value(0, B) == 8.0
+    assert table.max_value(0) == 9.0
+    assert table.policy(0) is B
+    assert table.updates == 3
+    # States 1 and 2 learn 0.5 * -10 + 0.5 * 0.9 * -10 = -9.5; state 3 is untouched.
+    assert table.cumulative_policy_value() == 8.0 + 2 * -9.5 - 10.0 != before
+
+
+def test_a_run_that_touches_no_policy_value_keeps_the_cache():
+    table = QTable(num_states=3, learning_rate=0.5, discount_factor=0.9, penalty=2.0)
+    table.set_value(1, B, 5.0)
+    cached = table.cumulative_policy_value()
+    assert table.apply_run(1, C.value, -3.0, [2, 0]) < 0.0
+    assert table._cumulative == cached == 5.0 - 20.0
+    assert table.policy_snapshot() == [B, B, B] and table.updates == 2
+    assert table.apply_run(2, C.value, 0.0, []) == 0.0 and table.updates == 2

@@ -1,14 +1,15 @@
 """Sleeping QMA nodes against nodes that never sleep.
 
-A QMA node whose next turns will all be QBackoff leaves its grid's loop and
+A QMA node whose next turns will all be QBackoff selections or
+cautious-startup observations sleeps through them: it takes no turn and
 replays those turns only when it wakes or when an event it can observe
 arrives (``QmaMac._sleep``, README "Grid clock").  Every program here runs
-twice: with the real MAC, and with a subclass whose nodes never sleep, so
-that every turn is a real one.  Per node, every turn's ``(time, subslot)``
-(real or replayed), the clock fields, both histories, the Q-table, the
-policy, the action statistics and the RNG state must agree after every
-``run_until`` cut, read first straight from the fields and then through
-the catching-up properties.  Only ``events_executed`` and the seqs drawn
+twice: with the real MAC, and with a subclass whose ``_sleep`` plans
+nothing, so that every turn is a real one.  Per node, every turn's
+``(time, subslot)`` (real or replayed), the clock fields, both histories,
+the Q-table, the policy, the action statistics and the RNG state must
+agree after every ``run_until`` cut, read first straight from the fields
+and then through the catching-up properties.  Only ``events_executed`` and the seqs drawn
 may differ.
 """
 
@@ -142,6 +143,11 @@ def test_the_pinned_runs_sleep_and_match_nodes_that_never_do():
 
 # ------------------------------------------------------- drawn programs
 TABLES = ((0.0,), (0.0, 0.02, 0.3), DEFAULT_EXPLORATION_TABLE)
+#: Cautious-startup lengths in subslots: none, and shorter and longer than
+#: the drawn horizons (2, 7 and 256 boundaries) and than the first 60
+#: boundaries, where the operations and cuts fall (overheard frames and
+#: restarts during a startup sleep, cuts inside startup).
+STARTUPS = (0, 0, 4, 30, 300)
 OPS = ("send", "send", "broadcast", "foreign", "foreign-again", "foreign-ack",
        "stop", "start", "restart-startup", "sim-stop")
 
@@ -149,6 +155,7 @@ OPS = ("send", "send", "broadcast", "foreign", "foreign-again", "foreign-ack",
 @st.composite
 def programs(draw: Any) -> Dict[str, Any]:
     count = draw(st.integers(2, 5))
+    startup = draw(st.sampled_from(STARTUPS))
     pairs = [(a, b) for a in range(count) for b in range(a + 1, count)]
     return {
         "seed": draw(st.integers(0, 2**16)),
@@ -156,7 +163,7 @@ def programs(draw: Any) -> Dict[str, Any]:
         "links": [pair for pair in pairs if draw(st.integers(0, 3))],
         "config": {
             "num_subslots": draw(st.sampled_from([2, 3, 5, 8])),
-            "cautious_startup_subslots": draw(st.sampled_from([0, 0, 4])),
+            "cautious_startup_subslots": startup,
         },
         "exploration": draw(st.sampled_from(["table", "table", "constant", "decaying"])),
         "table": draw(st.sampled_from(TABLES)),
@@ -174,6 +181,8 @@ def programs(draw: Any) -> Dict[str, Any]:
             max_size=25,
         )),
         "cuts": sorted(set(draw(st.lists(st.integers(1, 120), max_size=3)))),
+        # Long enough for a startup longer than the horizon to end.
+        "end": 130 if startup < 256 else 1000,
         "steps": draw(st.integers(0, 2)),
     }
 
@@ -245,7 +254,7 @@ def _execute(program: Dict[str, Any], cls: type) -> List[List[Tuple]]:
         if call is not None:
             sim.schedule_at(_half_subslots(time), *call)
     snapshots = []
-    for cut in program["cuts"] + [130]:
+    for cut in program["cuts"] + [program["end"]]:
         sim.run_until(max(sim.now, _half_subslots(cut)))
         snapshots.append([_state(mac, mac.turns) for mac in macs])
         for _ in range(program["steps"]):
@@ -255,7 +264,7 @@ def _execute(program: Dict[str, Any], cls: type) -> List[List[Tuple]]:
 
 
 @given(programs())
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)  # example count: the profile (tests/conftest.py)
 def test_drawn_programs_run_as_if_no_node_slept(program):
     with mock.patch.object(mac_module, "_HORIZON", program["horizon"]):
         assert _execute(program, LoggedMac) == _execute(program, AwakeMac)

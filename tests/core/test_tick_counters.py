@@ -40,7 +40,7 @@ from repro.sim.engine import Simulator
 #: of these runs only hidden-node has it, so the other MACs' are empty.
 HIDDEN_NODE_SEED_1 = {
     "events_executed": 2760,
-    "seqs_drawn": 3184,
+    "seqs_drawn": 2970,
     "subslot_ticks": 34278,
     "rng_sha256": "e1334a2df3c3bc7d49bd6d01659bdbad61523351be1122e1e081f44cb8a23940",
     "qtable_sha256": "06067ff2645f65b7ab277031cfe7d93e7b5e2992b2e7c19f09b2f80be9faf1cf",
@@ -53,7 +53,7 @@ HIDDEN_NODE_SEED_1 = {
 
 DSME_ONE_RING_SEED_0 = {
     "events_executed": 3135,
-    "seqs_drawn": 3944,
+    "seqs_drawn": 3302,
     "subslot_ticks": 24787,
     "rng_sha256": "44045a390e05263c059815021985fbb401986e72e7be955e89925205ef54b1e0",
     "qtable_sha256": "4b1b9da5367802b2ebf65716f34bc009ad148b52ee43813a9b994b0970fcd0ff",
@@ -73,7 +73,7 @@ DSME_ONE_RING_SEED_0 = {
 #: Table 4, cca_failed and send_tx_failed included.
 SINR_HIDDEN_NODE_SEED_0 = {
     "events_executed": 7731,
-    "seqs_drawn": 9064,
+    "seqs_drawn": 8743,
     "subslot_ticks": 35160,
     "rng_sha256": "6227420d9964e9e6b48558085c080485921e534783e3a472ffff43d0001bc10b",
     "qtable_sha256": "9117aaf68298f6f57767021798e8c357ebbb94a853782d735b69c6e3849a3d4e",
@@ -194,9 +194,9 @@ DEFAULT_METRICS = {
 #: it wakes every sleeping node at the last boundary before it, whose real
 #: turn draws a mark a replayed one does not.
 CUT_RUN_COUNTERS = {
-    "hidden-node": {"events_executed": 2761, "seqs_drawn": 3186},
-    "dsme": {"seqs_drawn": 3955},
-    "sinr-hidden-node": {"seqs_drawn": 9066},
+    "hidden-node": {"events_executed": 2761, "seqs_drawn": 2972},
+    "dsme": {"seqs_drawn": 3313},
+    "sinr-hidden-node": {"seqs_drawn": 8745},
 }
 
 #: Hidden-node runs of every MAC without the grid clock, for the frame and

@@ -125,7 +125,7 @@ class Driven:
 
 
 @given(operations)
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)  # example count: the profile (tests/conftest.py)
 def test_engine_matches_reference_model(program):
     model, driven = Model(), Driven()
     sim = driven.sim
