@@ -636,8 +636,6 @@ def _run_checkpointed_sweep(args: argparse.Namespace, sweep: Sweep, by: tuple) -
 
 def cmd_serve(args: argparse.Namespace) -> None:
     """Run the long-lived campaign service until interrupted."""
-    import asyncio
-
     from repro.service.server import CampaignServer, CampaignService
 
     options: Dict[str, Any] = {
@@ -684,18 +682,16 @@ def cmd_serve(args: argparse.Namespace) -> None:
         options["faults"] = args.inject_faults
         print(f"fault injection active: {args.inject_faults}", file=sys.stderr)
     service = CampaignService(args.root, backend_options=options)
-
-    async def _run() -> None:
-        server = CampaignServer(service, args.host, args.port, fault_plan=fault_plan)
-        host, port = await server.start()
-        # The smoke harness parses this line to find an ephemeral port.
-        print(f"campaign service listening on http://{host}:{port} (root: {args.root})", flush=True)
-        await server.serve_forever()
-
+    server = CampaignServer(service, args.host, args.port, fault_plan=fault_plan)
+    host, port = server.server_address[:2]
+    # The smoke harness parses this line to find an ephemeral port.
+    print(f"campaign service listening on http://{host}:{port} (root: {args.root})", flush=True)
     try:
-        asyncio.run(_run())
+        server.serve_forever()
     except KeyboardInterrupt:
         print("campaign service stopped")
+    finally:
+        server.stop()
 
 
 def _service_client(args: argparse.Namespace) -> "ServiceClient":

@@ -22,7 +22,10 @@ million-run sweeps:
   quarantine and byte-offset-resumable journal streaming, driven by
   ``--hosts``;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  long-lived asyncio front end and its blocking client.
+  long-lived HTTP front end and its blocking client;
+* :mod:`repro.service.wire` — the one wire stack under the server, the
+  client, the agents and remote dispatch: a threaded stdlib HTTP server
+  answering ndjson, and one client helper yielding response lines.
 
 The package re-exports nothing: import from the submodules.
 """

@@ -1,26 +1,28 @@
 """Campaign agent: executes shard jobs, streams journals back.
 
 An agent is the far half of :class:`repro.service.remote.RemoteBackend`:
-a small TCP server (``qma-repro agent``) that accepts shard job
+a small HTTP server (``qma-repro agent``) on the one wire stack,
+:class:`repro.service.wire.NdjsonServer`, that accepts shard job
 documents, runs each one through the ordinary
 :mod:`repro.service.shard_worker` subprocess, and streams the growing
 shard journal back to the dispatcher as raw byte chunks.  Agents run on
 the hosts that ``--hosts`` names; :func:`spawn_agent` starts one as a
 local subprocess.  Importing this module loads only the standard
 library, so an agent starts without the campaign stack.
-The protocol is the service's line-delimited JSON, one request line per
-connection::
+The protocol is two POST routes with a JSON request body each; the
+ndjson response of ``/run`` lasts until the shard is done::
 
-    -> {"op": "run", "id": ..., "job": {...}, "offset": N, "stream": SID}
+    POST /run     {"id": ..., "job": {...}, "offset": N, "stream": SID}
     <- {"hello": {"agent": ..., "id": ..., "stream": SID, "offset": N,
                   "size": ..., "state": "running"|"done"}}
     <- {"chunk": {"offset": N, "data": "<raw journal bytes, latin-1>"}}
     <- {"heartbeat": {"size": N}}
     <- {"done": {"exit": RC, "size": N[, "stderr": "<tail>"]}}
 
-plus ``{"op": "ping"}`` -> ``{"pong": ...}`` and ``{"op": "cancel",
-"id": ...}`` -> ``{"cancelled": ...}``.  Design decisions that make the
-transport partition-safe:
+    POST /cancel  {"id": ...}  <- {"cancelled": {"id": ...}}
+
+A refused request answers one ``{"error": {"kind", "message"}}`` line.
+Design decisions that make the transport partition-safe:
 
 * **The journal is the state.**  The agent never interprets journal
   lines; it ships file bytes from a requested offset.  A dispatcher that
@@ -42,7 +44,8 @@ transport partition-safe:
 * **Heartbeats carry the journal size.**  The dispatcher only counts a
   heartbeat as *progress* when the size grew, so a slow link does not
   false-trip ``run_timeout`` watchdogs while a genuinely hung worker
-  still does.
+  still does.  They also bound the gap between two lines of a live
+  stream, so the dispatcher checks for cancellation after every line.
 
 Agent-side chaos faults ride in on the job document: ``agent-crash``
 kills the whole agent process before a matched shard starts (a dead-box
@@ -56,14 +59,15 @@ import argparse
 import json
 import os
 import re
-import socketserver
 import subprocess
 import sys
 import tempfile
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from repro.service.wire import Answer, NdjsonServer
 
 __all__ = ["AgentServer", "CampaignAgent", "serve", "spawn_agent"]
 
@@ -79,7 +83,7 @@ POLL_INTERVAL = 0.05
 #: Lines of worker stderr shipped with a failed job's ``done`` line.
 STDERR_TAIL_LINES = 50
 
-Send = Callable[[Dict[str, Any]], None]
+Messages = Iterator[Dict[str, Any]]
 
 
 class _AgentJob:
@@ -147,68 +151,60 @@ class CampaignAgent:
         self._jobs: Dict[str, _AgentJob] = {}
 
     # ------------------------------------------------------------- protocol
-    def handle(self, request: Dict[str, Any], send: Send) -> None:
-        op = request.get("op")
-        if op == "ping":
-            with self._lock:
-                running = sum(1 for job in self._jobs.values() if job.running)
-            send({"pong": {"agent": self.name, "jobs": running}})
-            return
+    def handle(self, op: str, request: Dict[str, Any]) -> Messages:
+        """Answer one ``run`` or ``cancel`` request with its messages."""
         if op == "cancel":
-            self._handle_cancel(request, send)
-            return
-        if op == "run":
-            self._handle_run(request, send)
-            return
-        send({"error": {"kind": "bad-request", "message": f"unknown op {op!r}"}})
+            yield from self._handle_cancel(request)
+        elif op == "run":
+            yield from self._handle_run(request)
+        else:
+            yield {"error": {"kind": "bad-request", "message": f"unknown op {op!r}"}}
 
-    def _handle_cancel(self, request: Dict[str, Any], send: Send) -> None:
+    def _handle_cancel(self, request: Dict[str, Any]) -> Messages:
         job_id = str(request.get("id"))
         with self._lock:
             job = self._jobs.get(job_id)
         if job is None:
-            send({"error": {"kind": "unknown-job", "message": f"no job {job_id!r}"}})
+            yield {"error": {"kind": "unknown-job", "message": f"no job {job_id!r}"}}
             return
         if job.proc is not None and job.proc.poll() is None:
             job.proc.terminate()
-        send({"cancelled": {"id": job_id}})
+        yield {"cancelled": {"id": job_id}}
 
-    def _handle_run(self, request: Dict[str, Any], send: Send) -> None:
+    def _handle_run(self, request: Dict[str, Any]) -> Messages:
         job_id = str(request.get("id"))
         offset = int(request.get("offset", 0) or 0)
         stream = request.get("stream")
+        error = None
         with self._lock:
             job = self._jobs.get(job_id)
             job_doc = request.get("job")
             if job is None or (job.failed and isinstance(job_doc, dict)):
+                running = sum(1 for j in self._jobs.values() if j.running)
                 if not isinstance(job_doc, dict):
-                    send({
-                        "error": {
-                            "kind": "unknown-job",
-                            "message": f"no job {job_id!r} and no job document",
-                        }
-                    })
-                    return
-                if self.max_jobs > 0:
-                    running = sum(1 for j in self._jobs.values() if j.running)
-                    if running >= self.max_jobs:
-                        send({
-                            "error": {
-                                "kind": "busy",
-                                "message": f"agent {self.name} already runs "
-                                f"{running}/{self.max_jobs} job(s)",
-                            }
-                        })
-                        return
-                if job is not None:
-                    job.close()
-                job = self._start_job(job_id, job_doc)
-                self._jobs[job_id] = job
+                    error = {
+                        "kind": "unknown-job",
+                        "message": f"no job {job_id!r} and no job document",
+                    }
+                elif 0 < self.max_jobs <= running:
+                    error = {
+                        "kind": "busy",
+                        "message": f"agent {self.name} already runs "
+                        f"{running}/{self.max_jobs} job(s)",
+                    }
+                else:
+                    if job is not None:
+                        job.close()
+                    job = self._start_job(job_id, job_doc)
+                    self._jobs[job_id] = job
+        if error is not None:
+            yield {"error": error}
+            return
         # Offset/stream reconciliation: resuming a byte offset is only
         # valid against the same stream token and within the file.
         if stream != job.stream or offset > job.size():
             offset = 0
-        send({
+        yield {
             "hello": {
                 "agent": self.name,
                 "id": job_id,
@@ -217,8 +213,8 @@ class CampaignAgent:
                 "size": job.size(),
                 "state": "running" if job.running else "done",
             }
-        })
-        self._stream(job, offset, send)
+        }
+        yield from self._stream(job, offset)
 
     # ------------------------------------------------------------ job start
     def _start_job(self, job_id: str, job_doc: Dict[str, Any]) -> _AgentJob:
@@ -249,7 +245,7 @@ class CampaignAgent:
         return job
 
     # ------------------------------------------------------------ streaming
-    def _stream(self, job: _AgentJob, offset: int, send: Send) -> None:
+    def _stream(self, job: _AgentJob, offset: int) -> Messages:
         """Ship journal bytes from ``offset`` until the worker finishes.
 
         The returncode poll happens *before* the size read, so bytes the
@@ -262,14 +258,14 @@ class CampaignAgent:
             returncode = None if job.proc is None else job.proc.poll()
             size = job.size()
             if size > pos:
-                self._maybe_stall(job, send)
+                yield from self._maybe_stall(job)
                 with open(job.journal_path, "rb") as handle:
                     handle.seek(pos)
                     data = handle.read(CHUNK_BYTES)
                 if data:
-                    send({
+                    yield {
                         "chunk": {"offset": pos, "data": data.decode("latin-1")}
-                    })
+                    }
                     pos += len(data)
                     continue
             if returncode is not None:
@@ -278,15 +274,15 @@ class CampaignAgent:
                     payload["stderr"] = _tail_lines(
                         job.stderr_path, STDERR_TAIL_LINES
                     )
-                send({"done": payload})
+                yield {"done": payload}
                 return
             now = time.monotonic()
             if now - last_beat >= HEARTBEAT_INTERVAL:
-                send({"heartbeat": {"size": size}})
+                yield {"heartbeat": {"size": size}}
                 last_beat = now
             time.sleep(POLL_INTERVAL)
 
-    def _maybe_stall(self, job: _AgentJob, send: Send) -> None:
+    def _maybe_stall(self, job: _AgentJob) -> Messages:
         """``slow-link`` fault: hold chunk delivery, keep heartbeats flowing.
 
         The worker keeps running during the stall, so the heartbeats
@@ -300,7 +296,7 @@ class CampaignAgent:
             return
         deadline = time.monotonic() + float(stall)
         while time.monotonic() < deadline:
-            send({"heartbeat": {"size": job.size()}})
+            yield {"heartbeat": {"size": job.size()}}
             time.sleep(min(HEARTBEAT_INTERVAL, max(0.01, deadline - time.monotonic())))
 
     # ------------------------------------------------------------- lifecycle
@@ -316,78 +312,31 @@ class CampaignAgent:
             shutil.rmtree(self.workdir, ignore_errors=True)
 
 
-class _AgentTCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
+class AgentServer(NdjsonServer):
+    """HTTP front end over a :class:`CampaignAgent`.
 
-
-class AgentServer:
-    """Threaded TCP front end over a :class:`CampaignAgent`.
-
-    One request line per connection; responses stream back as ndjson on
-    the same socket.  A client that disappears mid-stream only ends its
-    handler thread — the agent's jobs keep running.
+    A client that disappears mid-stream only ends its handler thread —
+    the agent's jobs keep running.
     """
 
     def __init__(
         self, agent: CampaignAgent, host: str = "127.0.0.1", port: int = 0
     ) -> None:
+        super().__init__(host, port)
         self.agent = agent
-        outer = self
 
-        class _Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:  # noqa: A003 - socketserver API
-                try:
-                    line = self.rfile.readline(4 * 1024 * 1024)
-                    if not line.strip():
-                        return
-                    try:
-                        request = json.loads(line)
-                    except json.JSONDecodeError:
-                        self._send({
-                            "error": {
-                                "kind": "bad-request",
-                                "message": "request is not a JSON line",
-                            }
-                        })
-                        return
-                    outer.agent.handle(request, self._send)
-                except (BrokenPipeError, ConnectionError, OSError):
-                    return  # client went away; the job keeps running
-
-            def _send(self, obj: Dict[str, Any]) -> None:
-                data = (
-                    json.dumps(obj, separators=(",", ":")) + "\n"
-                ).encode("utf-8")
-                self.wfile.write(data)
-                self.wfile.flush()
-
-        self._server = _AgentTCPServer((host, port), _Handler)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
-
-    def start(self) -> Tuple[str, int]:
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="campaign-agent",
-            daemon=True,
-        )
-        self._thread.start()
-        return self.address
-
-    def wait(self) -> None:
-        """Block until the server is stopped (interruptible)."""
-        while self._thread is not None and self._thread.is_alive():
-            self._thread.join(0.5)
+    def route(self, method: str, path: str, query: Dict[str, str], body: bytes) -> Answer:
+        try:
+            request = json.loads(body)
+        except ValueError:
+            request = None
+        if method != "POST" or not isinstance(request, dict):
+            message = f"{method} {path} takes a JSON object"
+            return 400, [{"error": {"kind": "bad-request", "message": message}}]
+        return 200, self.agent.handle(path.lstrip("/"), request)
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        super().stop()
         self.agent.shutdown()
 
 
@@ -401,7 +350,7 @@ def serve(
     """Run an agent in the foreground until interrupted."""
     agent = CampaignAgent(workdir=workdir, max_jobs=max_jobs, name=name)
     server = AgentServer(agent, host, port)
-    host, port = server.start()
+    host, port = server.server_address[:2]
     # spawn_agent parses this line to find an ephemeral port.
     print(
         f"campaign agent {agent.name} listening on {host}:{port} "
@@ -409,7 +358,7 @@ def serve(
         flush=True,
     )
     try:
-        server.wait()
+        server.serve_forever()
     except KeyboardInterrupt:
         print("campaign agent stopped")
     finally:

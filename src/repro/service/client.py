@@ -1,8 +1,9 @@
 """Blocking ndjson-over-HTTP client for the campaign service.
 
-Stdlib :mod:`http.client` only — the CLI verbs (``submit``, ``status``)
-and the CI smoke test drive the service through this class; tests can
-also use it against an in-process :class:`~repro.service.server.CampaignServer`.
+Speaks through :func:`repro.service.wire.request`, the client half of
+the one wire stack — the CLI verbs (``submit``, ``status``) and the CI
+smoke test drive the service through this class; tests can also use it
+against an in-process :class:`~repro.service.server.CampaignServer`.
 
 Transient transport failures (a dropped connection, a restarting server)
 are retried with the supervision layer's exponential backoff before they
@@ -13,21 +14,13 @@ never retried — the server answered; retrying would duplicate submits.
 
 from __future__ import annotations
 
-import http.client
 import json
-import random
 import time
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.service.wire import ServiceError, request, retry
+
 __all__ = ["ServiceClient", "ServiceError"]
-
-
-class ServiceError(RuntimeError):
-    """The service answered with an error status; carries its message."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(f"HTTP {status}: {message}")
-        self.status = status
 
 
 class ServiceClient:
@@ -52,39 +45,11 @@ class ServiceClient:
 
     # ------------------------------------------------------------- transport
     def _request(self, method: str, target: str, payload: Optional[Mapping[str, Any]] = None) -> List[Dict[str, Any]]:
-        from repro.service.supervisor import RetryPolicy
-
-        policy = RetryPolicy(
-            max_attempts=self.retries, backoff_base=0.2, backoff_max=2.0
-        )
-        rng = random.Random(policy.seed)
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                return self._attempt(method, target, payload)
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = exc
-                if attempt < policy.max_attempts:
-                    time.sleep(policy.backoff(attempt, rng))
-        assert last_error is not None
-        raise last_error
+        return retry(lambda: self._attempt(method, target, payload), self.retries, time.sleep)
 
     def _attempt(self, method: str, target: str, payload: Optional[Mapping[str, Any]] = None) -> List[Dict[str, Any]]:
-        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            body = json.dumps(payload).encode("utf-8") if payload is not None else None
-            connection.request(
-                method, target, body=body, headers={"Content-Type": "application/json"}
-            )
-            response = connection.getresponse()
-            raw = response.read().decode("utf-8")
-            objects = [json.loads(line) for line in raw.splitlines() if line.strip()]
-            if response.status != 200:
-                message = objects[0].get("error", raw) if objects else raw
-                raise ServiceError(response.status, str(message))
-            return objects
-        finally:
-            connection.close()
+        lines = request(self.host, self.port, method, target, payload, timeout=self.timeout)
+        return [json.loads(line) for line in lines]
 
     # ----------------------------------------------------------------- verbs
     def submit(

@@ -17,8 +17,9 @@ Robustness model, layer by layer:
   is quarantined, the backend raises so the supervision ladder can
   degrade to the local pool.
 * **Transport retry**: each shard's stream is retried against its host
-  with the PR 9 exponential-backoff :class:`RetryPolicy` before the host
-  is charged a failure and the slice is requeued for any healthy host.
+  (:func:`repro.service.wire.retry`, the supervisor's exponential
+  backoff) before the host is charged a failure and the slice is
+  requeued for any healthy host.
 * **Byte-offset resume** (:class:`JournalStreamMerger`): the merger
   remembers the byte offset of the last fully processed journal line; a
   reconnect asks the agent to resume there, so a dropped link never
@@ -41,8 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
-import socket
 import threading
 import time
 from collections import deque
@@ -54,6 +53,7 @@ from repro.campaign.spec import Sweep
 from repro.service.backends import DispatchBackend
 from repro.service.journal import CheckpointJournal, JournalError, verify_completion
 from repro.service.manifest import affinity_order, shard_job_document, split_shards
+from repro.service.wire import TRANSPORT_ERRORS, request, retry
 
 __all__ = [
     "HostRegistry",
@@ -454,9 +454,6 @@ class RemoteBackend(DispatchBackend):
 
     name = "remote"
 
-    #: Socket receive poll period (also the cancel/abort response bound).
-    RECV_POLL = 0.5
-
     def __init__(
         self,
         hosts: Any,
@@ -647,29 +644,20 @@ class RemoteBackend(DispatchBackend):
         slice_tag = hashlib.sha256(repr(todo).encode("utf-8")).hexdigest()[:8]
         job_id = f"{journal.spec_digest[:12]}-s{shard_index:03d}-{slice_tag}"
         merger = JournalStreamMerger(journal, journal_lock, on_record)
-        from repro.service.supervisor import RetryPolicy
 
-        policy = RetryPolicy(
-            max_attempts=self.transport_attempts,
-            backoff_base=0.2,
-            backoff_max=2.0,
-        )
-        rng = random.Random(policy.seed + shard_index)
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, policy.max_attempts + 1):
+        def attempt() -> bool:
             if self._stop.is_set() or self._cancel.is_set():
                 return False
-            try:
-                if self._stream_job(host, job_id, job_doc, merger):
-                    self.registry.shard_done(host.key)
-                    return False
-                return False  # stopped mid-stream by cancel/abort
-            except (ConnectionError, socket.timeout, OSError) as exc:
-                last_error = exc
-                if attempt < policy.max_attempts:
-                    self._sleep(policy.backoff(attempt, rng))
-        self.registry.failure(host.key, str(last_error))
-        return True
+            return self._stream_job(host, job_id, job_doc, merger)
+
+        try:
+            done = retry(attempt, self.transport_attempts, self._sleep, seed=shard_index)
+        except TRANSPORT_ERRORS as exc:
+            self.registry.failure(host.key, str(exc))
+            return True
+        if done:
+            self.registry.shard_done(host.key)
+        return False  # done, or stopped by cancel/abort
 
     # ------------------------------------------------------------ transport
     def _stream_job(
@@ -685,50 +673,36 @@ class RemoteBackend(DispatchBackend):
             raise ConnectionError(
                 f"injected network partition towards {host.key}"
             )
-        request = {
-            "op": "run",
+        run = {
             "id": job_id,
             "job": job_doc,
             "offset": merger.complete,
             "stream": merger.stream,
         }
-        sock = socket.create_connection(
-            (host.host, host.port), timeout=self.connect_timeout
+        lines = request(
+            host.host, host.port, "POST", "/run", run,
+            timeout=self.io_timeout, connect_timeout=self.connect_timeout,
         )
         try:
-            sock.settimeout(self.RECV_POLL)
-            payload = json.dumps(request, separators=(",", ":")) + "\n"
-            sock.sendall(payload.encode("utf-8"))
-            buffer = b""
-            silent = 0.0
-            while True:
+            for line in lines:
+                done = self._handle_message(host, line, merger)
+                if done is not None:
+                    return done
+                # A live agent sends a line at least every heartbeat
+                # interval (0.5 s), which bounds how late a stop is seen.
                 if self._stop.is_set() or self._cancel.is_set():
-                    self._send_cancel(host, job_id)
+                    # Best-effort stop of the remote worker (cancel or abort).
+                    try:
+                        list(request(
+                            host.host, host.port, "POST", "/cancel", {"id": job_id},
+                            timeout=self.connect_timeout,
+                        ))
+                    except TRANSPORT_ERRORS:
+                        pass
                     return False
-                try:
-                    data = sock.recv(65536)
-                except socket.timeout:
-                    silent += self.RECV_POLL
-                    if silent > self.io_timeout:
-                        raise ConnectionError(
-                            f"no data from {host.key} for {self.io_timeout:g}s"
-                        )
-                    continue
-                if not data:
-                    raise ConnectionError(f"connection to {host.key} closed")
-                silent = 0.0
-                buffer += data
-                while True:
-                    newline = buffer.find(b"\n")
-                    if newline < 0:
-                        break
-                    line = buffer[:newline]
-                    buffer = buffer[newline + 1 :]
-                    done = self._handle_message(host, line, merger)
-                    if done is not None:
-                        return done
         finally:
-            sock.close()
+            lines.close()
+        raise ConnectionError(f"connection to {host.key} closed")
 
     def _handle_message(
         self, host: HostSpec, line: bytes, merger: JournalStreamMerger
@@ -796,24 +770,6 @@ class RemoteBackend(DispatchBackend):
         raise StreamProtocolError(
             f"unrecognised response from {host.key}: {line[:120]!r}"
         )
-
-    def _send_cancel(self, host: HostSpec, job_id: str) -> None:
-        """Best-effort stop of the remote worker (cancel or abort)."""
-        try:
-            with socket.create_connection(
-                (host.host, host.port), timeout=self.connect_timeout
-            ) as sock:
-                payload = json.dumps(
-                    {"op": "cancel", "id": job_id}, separators=(",", ":")
-                )
-                sock.sendall((payload + "\n").encode("utf-8"))
-                sock.settimeout(self.RECV_POLL)
-                try:
-                    sock.recv(4096)
-                except socket.timeout:
-                    pass
-        except OSError:
-            pass
 
     def _sleep(self, seconds: float) -> None:
         """Backoff sleep that still honours cancel/abort promptly."""

@@ -1,4 +1,4 @@
-"""Long-lived campaign service: asyncio HTTP front end over the backends.
+"""Long-lived campaign service: threaded HTTP front end over the backends.
 
 Two layers, separable for testing:
 
@@ -14,10 +14,11 @@ Two layers, separable for testing:
   sweep whose digest matches an earlier (even killed) campaign resumes it
   instead of recomputing.
 
-* :class:`CampaignServer` — a stdlib-only asyncio HTTP server speaking
-  line-delimited JSON.  One JSON object per response line; ``/status``
-  streams one line per job.  The event loop never blocks on simulation
-  work: handlers only touch the service's lock-guarded job table.
+* :class:`CampaignServer` — the service's routes on the one wire stack,
+  :class:`repro.service.wire.NdjsonServer`.  One JSON object per
+  response line; ``/status`` streams one line per job.  Handlers never
+  run simulation work: they only touch the service's lock-guarded job
+  table.
 
 Endpoints::
 
@@ -30,7 +31,6 @@ Endpoints::
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import queue
@@ -38,7 +38,6 @@ import threading
 import time
 import traceback
 from typing import Any, Dict, List, Mapping, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
 
 from repro.campaign.frame import TableAggregator
 from repro.campaign.records import RunRecord
@@ -46,6 +45,7 @@ from repro.campaign.spec import Sweep
 from repro.service.checkpoint import run_checkpointed
 from repro.service.manifest import sweep_digest
 from repro.service.supervisor import make_supervised
+from repro.service.wire import Answer, NdjsonServer
 
 __all__ = ["CampaignService", "CampaignServer"]
 
@@ -328,14 +328,8 @@ class CampaignService:
         self._queue.put(None)
 
 
-class CampaignServer:
-    """Asyncio HTTP front end over a :class:`CampaignService`.
-
-    Stdlib-only: hand-parses the request head (method, target, headers,
-    Content-Length body) and answers with line-delimited JSON,
-    ``Connection: close``.  Start with :meth:`start` (binds and returns)
-    or :meth:`serve_forever`.
-    """
+class CampaignServer(NdjsonServer):
+    """HTTP front end over a :class:`CampaignService`."""
 
     def __init__(
         self,
@@ -344,74 +338,27 @@ class CampaignServer:
         port: int = 0,
         fault_plan: Optional[Any] = None,
     ) -> None:
+        super().__init__(host, port)
         self.service = service
-        self.host = host
-        self.port = port
         #: Chaos-harness hook: a fault plan whose ``drop-http`` faults make
         #: the server close a connection before answering (clients must
         #: survive and retry/resubmit — resubmission is a resume).
         self.fault_plan = fault_plan
-        self._server: Optional[asyncio.AbstractServer] = None
 
-    async def start(self) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
-        return self.host, self.port
+    def route(self, method: str, path: str, query: Dict[str, str], body: bytes) -> Answer:
+        answer = self._answer(method, path, query, body)
+        if self.fault_plan is not None and self.fault_plan.take_drop_http():
+            return None  # injected fault: drop the connection unanswered
+        return answer
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    # ------------------------------------------------------------- plumbing
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=10.0)
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError, asyncio.LimitOverrunError):
-                return
-            method, target, headers = _parse_head(head)
-            body = b""
-            length = int(headers.get("content-length", "0") or "0")
-            if length:
-                body = await reader.readexactly(length)
-            status, payload = self._route(method, target, body)
-            if self.fault_plan is not None and self.fault_plan.take_drop_http():
-                return  # injected fault: drop the connection unanswered
-            writer.write(_response(status, payload))
-            await writer.drain()
-        except (ConnectionError, json.JSONDecodeError, ValueError) as exc:
-            try:
-                writer.write(_response(400, [{"error": str(exc)}]))
-                await writer.drain()
-            except ConnectionError:
-                pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    def _route(self, method: str, target: str, body: bytes) -> Tuple[int, List[Dict[str, Any]]]:
-        parts = urlsplit(target)
-        path = parts.path.rstrip("/") or "/"
-        query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
+    def _answer(self, method: str, path: str, query: Dict[str, str], body: bytes) -> Tuple[int, List[Dict[str, Any]]]:
         if method == "POST" and path == "/submit":
             try:
                 request = json.loads(body or b"{}")
                 ack = self.service.submit(
                     request.get("sweep", {}), request.get("options")
                 )
-            except (ValueError, TypeError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
                 return 400, [{"error": str(exc)}]
             return 200, [ack]
         if method == "GET" and path == "/status":
@@ -430,32 +377,3 @@ class CampaignServer:
             except KeyError:
                 return 404, [{"error": f"unknown job {job_id!r}"}]
         return 404, [{"error": f"no route for {method} {path}"}]
-
-
-def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
-    lines = head.decode("latin-1").split("\r\n")
-    try:
-        method, target, _version = lines[0].split(" ", 2)
-    except ValueError:
-        raise ValueError(f"malformed request line {lines[0]!r}") from None
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if ":" in line:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-    return method.upper(), target, headers
-
-
-_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found"}
-
-
-def _response(status: int, objects: List[Dict[str, Any]]) -> bytes:
-    body = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects).encode("utf-8")
-    head = (
-        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Error')}\r\n"
-        f"Content-Type: application/x-ndjson\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n"
-        "\r\n"
-    ).encode("latin-1")
-    return head + body

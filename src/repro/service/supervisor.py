@@ -295,10 +295,10 @@ class SupervisedBackend(DispatchBackend):
     # ----------------------------------------------------------- lifecycle
     def _build_tiers(self) -> List[DispatchBackend]:
         if self._tiers is None:
-            from repro.service.remote import RemoteBackend
-
             tiers: List[DispatchBackend] = [self.inner]
-            if isinstance(self.inner, RemoteBackend):
+            # By name: importing the remote backend would load the HTTP
+            # stack into every local campaign.
+            if self.inner.name == "remote":
                 # Remote dispatch degrades to the local pool with the
                 # same runner options.
                 opts = self.inner.options

@@ -9,9 +9,9 @@ The robustness contracts of :mod:`repro.service.remote`:
   offset of a completion line — the re-attach resumes at the last fully
   processed byte, recomputing nothing and duplicating nothing;
 * an agent SIGKILLed mid-campaign loses nothing: its slice is
-  reassigned to the surviving host and the merged records equal an
-  in-process run (that remote runs reproduce the pinned record digests
-  is checked in ``tests/campaign/test_pinned_digests.py``);
+  reassigned to the surviving host and the merged records reproduce the
+  literal digests of :data:`PINNED` (so a change that moves the remote
+  path and an in-process run alike still fails);
 * a shard worker that crashes raises :class:`ShardFailure` with its
   stderr tail, a retry of the same slice re-runs it, and ``abort`` stops
   the agent's shard workers;
@@ -32,7 +32,6 @@ import time
 
 import pytest
 
-from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import Sweep
 from repro.scenario import ARTIFACT_CACHE
 from repro.service.agent import AgentServer, CampaignAgent, spawn_agent
@@ -40,6 +39,7 @@ from repro.service.backends import PoolBackend, make_backend
 from repro.service.client import ServiceClient
 from repro.service.faults import FaultPlan
 from repro.service.journal import CheckpointJournal, JournalError
+from repro.service.manifest import record_digest
 from repro.service.remote import (
     HostRegistry,
     HostSpec,
@@ -79,9 +79,29 @@ def make_sweep(seeds=3):
     )
 
 
-def reference_records(sweep):
-    with CampaignRunner() as runner:
-        return [record.to_dict() for record in runner.run(sweep).records]
+#: ``record_digest`` of every run of ``make_sweep(seeds=4)``, keyed by
+#: ``(delta, seed)``; smaller ``make_sweep`` calls expand to a subset.
+PINNED = {
+    (50.0, 0): "a2af1f141f450604",
+    (50.0, 1): "6b5db2b6dbb2fab2",
+    (50.0, 2): "5ce1c546633a8478",
+    (50.0, 3): "354da64c16fde64e",
+    (100.0, 0): "a19c51629e16c85d",
+    (100.0, 1): "7482f2326ec103a7",
+    (100.0, 2): "7d204448922917e3",
+    (100.0, 3): "74612edc66ac60da",
+}
+
+
+def assert_pinned(sweep, merged, indices=None):
+    """The merged records of ``indices`` (default: all) match :data:`PINNED`."""
+    scenarios = list(sweep)
+    indices = range(sweep.size) if indices is None else indices
+    got = {i: record_digest(merged[i]) for i in merged}
+    want = {
+        i: PINNED[(scenarios[i].params["delta"], scenarios[i].seed)] for i in indices
+    }
+    assert got == want
 
 
 def run_via(backend, sweep, tmp_path, name="b.jsonl", indices=None):
@@ -356,7 +376,7 @@ class TestAgentLoss:
             merged = {i: r.to_dict() for i, r in journal.iter_completed()}
             journal.close()
             backend.close()
-            assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
+            assert_pinned(sweep, merged)
         finally:
             for proc in procs:
                 if proc.poll() is None:
@@ -431,7 +451,7 @@ class TestShardWorkerFaults:
         finally:
             journal.close()
             backend.close()
-        assert merged == {0: reference_records(sweep)[0]}
+        assert_pinned(sweep, merged, [0])
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_abort_ends_shard_workers(self, tmp_path, spawned_agent):
@@ -483,7 +503,7 @@ class TestNetworkFaults:
         merged = run_via(
             RemoteBackend(agents, fault_plan=plan), sweep, tmp_path, "drop.jsonl"
         )
-        assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
+        assert_pinned(sweep, merged)
 
     def test_partition_quarantines_host_and_heals(self, tmp_path, agents):
         sweep = make_sweep(seeds=3)
@@ -494,7 +514,7 @@ class TestNetworkFaults:
             host_failures=1, probation=60.0,
         )
         merged = run_via(backend, sweep, tmp_path, "part.jsonl")
-        assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
+        assert_pinned(sweep, merged)
         states = {row["key"]: row["state"] for row in backend.registry.snapshot()}
         assert states[victim] == "quarantined"
         events = next(
@@ -523,7 +543,7 @@ class TestNetworkFaults:
         merged = run_via(
             RemoteBackend(agents, fault_plan=plan), sweep, tmp_path, "slow.jsonl"
         )
-        assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
+        assert_pinned(sweep, merged)
 
     def test_agent_crash_fault_kills_box_and_run_heals(self, tmp_path):
         sweep = make_sweep(seeds=3)
@@ -541,7 +561,7 @@ class TestNetworkFaults:
                 probation=60.0,
             )
             merged = run_via(backend, sweep, tmp_path, "crash.jsonl")
-            assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
+            assert_pinned(sweep, merged)
             # Exactly one agent died (whichever drew shard 0).
             time.sleep(0.2)
             assert sum(1 for proc in procs if proc.poll() is not None) == 1
@@ -570,7 +590,7 @@ class TestSupervisionLadder:
             on_event=events.append,
         )
         merged = run_via(backend, sweep, tmp_path, "ladder.jsonl")
-        assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
+        assert_pinned(sweep, merged)
         degrades = [event for event in events if event["kind"] == "degrade"]
         assert degrades and degrades[0]["from_backend"] == "remote"
         assert degrades[0]["to_backend"] == "pool"

@@ -1,15 +1,14 @@
 """Campaign service front end: concurrent submissions, live stats, errors.
 
-The server under test is the real asyncio stack on an ephemeral port; the
-clients are real :class:`ServiceClient` instances over HTTP from the test
-thread.  A throttled backend keeps tiny campaigns observably "mid-flight"
-so the live-aggregate assertions are deterministic.
+The server under test is the real threaded HTTP stack on an ephemeral
+port; the clients are real :class:`ServiceClient` instances over HTTP
+from the test thread.  A throttled backend keeps tiny campaigns
+observably "mid-flight" so the live-aggregate assertions are
+deterministic.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
 import time
 
 import pytest
@@ -50,18 +49,12 @@ def live_server(tmp_path):
     """A running service + server on an ephemeral port; yields a client."""
     service = CampaignService(str(tmp_path / "root"), backend_options={"throttle": 0.05})
     server = CampaignServer(service)
-    loop = asyncio.new_event_loop()
-    host, port = loop.run_until_complete(server.start())
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
+    host, port = server.start()
     try:
         yield ServiceClient(host, port), service
     finally:
         service.close()
-        asyncio.run_coroutine_threadsafe(server.close(), loop).result(timeout=5)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=5)
-        loop.close()
+        server.stop()
 
 
 class TestSubmission:

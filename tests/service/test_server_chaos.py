@@ -1,7 +1,7 @@
 """Service front end under faults: cancellation, partial jobs, dropped HTTP.
 
-Same live-server harness as ``test_server.py`` (real asyncio stack on an
-ephemeral port, real HTTP clients), pointed at the failure paths: the
+Same live-server harness as ``test_server.py`` (real threaded HTTP stack
+on an ephemeral port, real HTTP clients), pointed at the failure paths: the
 ``DELETE /job/<id>`` route, supervised jobs that end ``partial`` with
 quarantine counts and supervision events in their snapshots, and the
 chaos harness's ``drop-http`` fault severing a connection mid-request.
@@ -9,9 +9,8 @@ chaos harness's ``drop-http`` fault severing a connection mid-request.
 
 from __future__ import annotations
 
-import asyncio
 import http.client
-import threading
+import time
 
 import pytest
 
@@ -54,17 +53,11 @@ def serve(tmp_path, backend_options=None, fault_plan=None):
         backend_options=backend_options or {"throttle": 0.05},
     )
     server = CampaignServer(service, fault_plan=fault_plan)
-    loop = asyncio.new_event_loop()
-    host, port = loop.run_until_complete(server.start())
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
+    host, port = server.start()
 
     def shutdown():
         service.close()
-        asyncio.run_coroutine_threadsafe(server.close(), loop).result(timeout=5)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=5)
-        loop.close()
+        server.stop()
 
     return ServiceClient(host, port), service, shutdown
 
@@ -80,7 +73,7 @@ class TestCancellation:
             deadline = 50
             while client.status(ack["job"])[0]["state"] == "queued" and deadline:
                 deadline -= 1
-                asyncio.run(asyncio.sleep(0.1))
+                time.sleep(0.1)
             snapshot = client.cancel(ack["job"])
             assert snapshot["state"] in ("running", "cancelled", "done")
             final = client.wait(ack["job"], timeout=60)
@@ -96,7 +89,7 @@ class TestCancellation:
             sweep = make_sweep(range(8))
             ack = client.submit(sweep.to_dict())
             while client.status(ack["job"])[0]["state"] == "queued":
-                asyncio.run(asyncio.sleep(0.05))
+                time.sleep(0.05)
             client.cancel(ack["job"])
             first = client.wait(ack["job"], timeout=60)
             # Resubmitting the same spec resumes its journal and finishes.

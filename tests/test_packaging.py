@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -103,23 +104,58 @@ def _loaded_after_import(statement: str, names) -> list:
         "import repro.campaign.runner, repro.service.checkpoint, repro.service.supervisor",
         "import repro.cli",
         "import repro.service.shard_worker",
+        # A supervised checkpointed sweep, as `sweep --checkpoint` runs it:
+        # building its fallback tiers must not load the remote backend.
+        "import os, tempfile\n"
+        "from repro.campaign.spec import Sweep\n"
+        "from repro.service.checkpoint import run_checkpointed\n"
+        "from repro.service.supervisor import make_supervised\n"
+        "sweep = Sweep(experiment='hidden-node', macs=['unslotted-csma'],\n"
+        "              fixed={'packets_per_node': 1, 'warmup': 0.1}, seeds=[0])\n"
+        "backend = make_supervised({'jobs': 1})\n"
+        "with tempfile.TemporaryDirectory() as root:\n"
+        "    run_checkpointed(sweep, os.path.join(root, 'j.jsonl'), backend=backend)\n"
+        "backend.close()",
     ],
-    ids=["serial-sweep", "cli", "shard-worker"],
+    ids=["serial-sweep", "cli", "shard-worker", "checkpointed-sweep"],
 )
 def test_entry_points_do_not_import_unused_layers(statement):
     assert _loaded_after_import(statement, COLD_START_FORBIDDEN) == []
 
 
 def test_agent_does_not_import_the_campaign_stack():
-    """The agent only spawns shard workers; the runner stack stays out."""
+    """The agent only spawns shard workers; the runner stack stays out.
+
+    It does load ``http.client`` (``http.server`` imports it), so the
+    service client module stands in for the client side.
+    """
     forbidden = [
         "numpy",
         "asyncio",
-        "http.client",
+        "repro.service.client",
         "repro.service.backends",
         "repro.campaign.runner",
     ]
     assert _loaded_after_import("import repro.service.agent", forbidden) == []
+
+
+def test_no_module_imports_asyncio_or_socketserver():
+    """The service and the agents share one threaded HTTP stack."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(REPO_ROOT)}: {name}"
+                for name in names
+                if name.split(".")[0] in ("asyncio", "socketserver")
+            ]
+    assert offenders == []
 
 
 def test_batch_runner_still_imports_numpy():
