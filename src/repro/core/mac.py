@@ -79,7 +79,7 @@ _SEND = QAction.QSEND.value
 _ACTION_CODES = tuple(action.value for action in ALL_ACTIONS)
 _TRANSMITTING = RadioState.TRANSMITTING
 _first, _second = itemgetter(0), itemgetter(1)
-_rank = attrgetter("_rank")
+_rank, _wake = attrgetter("_rank"), attrgetter("_wake")
 #: Boundaries a sleeper plans ahead at most: an event that wakes it early
 #: wastes a plan of at most this many (see :meth:`QmaMac._sleep`).
 _HORIZON = 256
@@ -92,8 +92,13 @@ class _SubslotGrid:
     seqs.  Each turn draws a mark, the seq its tick would have drawn on
     re-arming; the entry carries the first member's.  A sleeper (see
     :meth:`QmaMac._sleep`) stays due but takes no turn and draws no mark
-    until its wake.  With no member due, the grid leaps over the boundaries
-    before the next event (see :meth:`_rearm`)."""
+    until its wake.  A boundary before the ``quiet`` mark, the earliest wake
+    when every due member sleeps, with no event at its instant, is quiet: it
+    draws the first member's mark and re-arms without visiting the due
+    list.  A member pass sets the mark, a walk leaves it 0, and a sleeper
+    roused early or a member rejoining clears it.  With no member due, the
+    grid leaps over the boundaries before the next event (see
+    :meth:`_rearm`)."""
 
     def __init__(self, sim: "Simulator", key: Tuple) -> None:
         self.sim, self.key = sim, key
@@ -109,6 +114,9 @@ class _SubslotGrid:
         self.ticks = self.subslot = self.prior = self.next_subslot = 0
         self.frame_times: List[float] = []
         self.cursor = math.inf
+        #: The earliest wake among the due members when every one of them
+        #: sleeps, else 0: the boundaries before it are quiet.
+        self.quiet = 0
         #: ``(time, subslot)`` of the boundaries after this one, worked out
         #: ahead for the sleepers' plans.
         self.ahead: Deque[Tuple[float, int]] = deque()
@@ -140,7 +148,7 @@ class _SubslotGrid:
     def rejoin(self, mac: "QmaMac") -> None:
         """Put ``mac`` back on the loop, at this boundary if its turn is to come."""
         mac._catch_up()
-        mac._on_loop = True
+        mac._on_loop, self.quiet = True, 0
         insort(self.running if mac._rank > self.cursor else self.due, mac, key=_rank)
 
     def _wake_all(self) -> None:
@@ -169,24 +177,30 @@ class _SubslotGrid:
 
     def _boundary(self) -> None:
         """Heap callback: the due members take their turns, in rank order;
-        a sleeper takes its turn only at its wake, caught up first."""
+        a sleeper takes its turn only at its wake, caught up first.  A quiet
+        boundary draws the first member's mark and visits no member."""
         members = self.members
         if not members:  # every member stopped
             return
         sim = self.sim
-        running = self.running = self.due
-        due = self.due = []
-        self.bounds = self.marks
-        marks = self.marks = []
         ticks = self.ticks = self.ticks + 1
         self.prior = self.subslot
         subslot = self.subslot = self.next_subslot
         time = self.time
         if not subslot:
             self.frame_times.append(time)
-        self.cursor = -1
         queue = sim._queue
-        if queue and queue[0][0] == time:  # an event may fall between two turns
+        crowded = queue and queue[0][0] == time  # an event may fall between two turns
+        if ticks < self.quiet and not crowded:
+            self.marks = [(members[0]._rank, next(sim._seq))]
+            self._rearm()
+            return
+        running = self.running = self.due
+        due = self.due = []
+        self.bounds = self.marks
+        marks = self.marks = []
+        self.cursor = -1
+        if crowded:
             self._walk()
             return
         first = members[0]
@@ -204,6 +218,7 @@ class _SubslotGrid:
             if sim._stopped:
                 self._walk()
                 return
+        self.quiet = min(map(_wake, due), default=0)
         self._rearm()
 
     def _walk(self) -> None:
@@ -213,6 +228,7 @@ class _SubslotGrid:
         seq, and an idle member or a sleeper drew none).  After a ``stop()``
         the rest waits on one heap entry under the next member's key."""
         sim, time, members, bounds = self.sim, self.time, self.members, self.bounds
+        self.quiet = 0
         # A grid re-armed by the nested drains must not leap: the turns
         # still to come may schedule events before the heap's head.
         bound, sim._bound = sim._bound, -math.inf
@@ -444,7 +460,7 @@ class QmaMac(MacProtocol):
     def _rouse(self) -> None:
         """Wake a sleeper: replay its skipped turns, then take real ones."""
         self._catch_up()
-        self._wake = 0
+        self._wake = self._grid.quiet = 0
 
     _notify_enqueue = _rejoin
 

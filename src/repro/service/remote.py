@@ -197,7 +197,8 @@ class HostRegistry:
     ``failure`` counts *consecutive* transport failures; at
     ``max_failures`` the host enters quarantine for ``probation`` seconds
     (timed on the monotonic clock), after which :meth:`acquire` may hand
-    it out again as a probe.  Any success clears the streak.
+    it out again as a probe.  A finished shard (``shard_done``) clears the
+    streak.
     """
 
     def __init__(
@@ -262,13 +263,6 @@ class HostRegistry:
             state = self._hosts.get(key)
             if state is not None:
                 state.last_beat = time.time()
-
-    def success(self, key: str) -> None:
-        with self._lock:
-            state = self._hosts.get(key)
-            if state is not None:
-                state.consecutive_failures = 0
-                state.quarantined_until = None
 
     def shard_done(self, key: str) -> None:
         with self._lock:

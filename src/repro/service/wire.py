@@ -17,13 +17,15 @@ import http.server
 import json
 import random
 import threading
+import time
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
 __all__ = ["NdjsonServer", "ServiceError", "TRANSPORT_ERRORS", "request", "retry"]
 
-#: Seconds any socket read or write of a request may stall (the request
-#: head and its body alike) before the server drops the connection.
+#: Seconds any socket read of the request head or write of the response
+#: may stall, and the seconds from accepting a connection by which its
+#: request body must have arrived, before the server drops it.
 IO_TIMEOUT = 10.0
 
 #: Largest request body a server accepts.
@@ -45,9 +47,17 @@ class ServiceError(RuntimeError):
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):
-    # StreamRequestHandler puts this timeout on the socket, so a client
-    # that stalls anywhere in its request cannot hold a handler thread.
+    """One connection: the body is read against one deadline, ``timeout``
+    after the connection was accepted, so a client that trickles it cannot
+    hold the thread.  ``http.server`` parses the request head, each of its
+    reads bounded by ``timeout`` alone."""
+
+    # StreamRequestHandler puts this timeout on the socket.
     timeout = IO_TIMEOUT
+
+    def setup(self) -> None:
+        super().setup()
+        self._deadline = time.monotonic() + self.timeout
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         try:
@@ -64,8 +74,8 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         if not length.isdigit() or int(length) > MAX_BODY:
             answer: Answer = 400, [{"error": f"bad Content-Length {length!r}"}]
         else:
-            body = self.rfile.read(int(length))
-            if len(body) < int(length):
+            body = self._read_body(int(length))
+            if body is None:
                 return
             path = parts.path.rstrip("/") or "/"
             answer = self.server.route(self.command, path, query, body)
@@ -77,6 +87,23 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         self.end_headers()
         for obj in objects:
             self.wfile.write(json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n")
+
+    def _read_body(self, length: int) -> Optional[bytes]:
+        """The body, or None once the deadline passed or the client left;
+        the socket gets its ``timeout`` back for the response."""
+        chunks, left = [], length
+        while left:
+            remaining = self._deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            self.connection.settimeout(remaining)
+            chunk = self.rfile.read1(left)
+            if not chunk:
+                return None
+            chunks.append(chunk)
+            left -= len(chunk)
+        self.connection.settimeout(self.timeout)
+        return b"".join(chunks)
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass

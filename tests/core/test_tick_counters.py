@@ -29,7 +29,7 @@ import pytest
 from repro.campaign.runner import execute_scenario
 from repro.campaign.spec import Scenario
 from repro.core.actions import ALL_ACTIONS
-from repro.core.mac import PENDING_NONE, PENDING_STARTUP, QmaMac
+from repro.core.mac import PENDING_NONE, PENDING_STARTUP, QmaMac, _SubslotGrid
 from repro.phy.radio import Radio
 from repro.scenario.builder import ScenarioBuilder
 from repro.sim.engine import Simulator
@@ -233,6 +233,38 @@ def test_dsme_qma_cap_counters(captured_builds):
 
 def test_sinr_hidden_node_qma_counters(captured_builds):
     _check_counters("sinr-hidden-node", captured_builds)
+
+
+#: Per run, (quiet boundaries, all boundaries) of its grids: a quiet
+#: boundary has only sleepers due and visits none of them (README "Grid
+#: clock").  The exactness pins above cannot tell a grid that never takes
+#: the quiet path from one that does, so these counts are pinned too.
+QUIET_BOUNDARIES = {
+    "hidden-node": (2094, 2453),
+    "dsme": (2874, 2973),
+    "sinr-hidden-node": (6276, 7122),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_quiet_boundaries_skip_the_member_pass(name, captured_builds, monkeypatch):
+    """The pinned runs take the quiet path at a fixed count of boundaries,
+    most of the DSME run's among them, and every counter stays pinned."""
+    counts = [0, 0]
+    boundary = _SubslotGrid._boundary
+
+    def counting_boundary(grid):
+        due = grid.due
+        boundary(grid)
+        if grid.members:
+            counts[0] += grid.due is due  # the member pass rebuilds the list
+            counts[1] += 1
+
+    monkeypatch.setattr(_SubslotGrid, "_boundary", counting_boundary)
+    _check_counters(name, captured_builds)
+    assert tuple(counts) == QUIET_BOUNDARIES[name]
+    if name == "dsme":
+        assert counts[0] >= 0.8 * counts[1]
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

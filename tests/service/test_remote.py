@@ -225,7 +225,7 @@ class TestHostRegistry:
         assert registry.acquire() is None
         time.sleep(0.08)
         assert registry.acquire() == HostSpec("h", 1)
-        registry.success("h:1")
+        registry.shard_done("h:1")  # a finished shard clears the streak
         assert registry.snapshot()[0]["state"] == "healthy"
         assert registry.snapshot()[0]["failures"] == 0
 
