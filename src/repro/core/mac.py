@@ -87,18 +87,21 @@ _HORIZON = 256
 
 class _SubslotGrid:
     """The subslot clock of the QMA nodes that started together (README
-    "Grid clock"): one heap entry per boundary, at which the members with
-    work take their turns in rank order, the order of their ``start()``
-    seqs.  Each turn draws a mark, the seq its tick would have drawn on
-    re-arming; the entry carries the first member's.  A sleeper (see
-    :meth:`QmaMac._sleep`) stays due but takes no turn and draws no mark
-    until its wake.  A boundary before the ``quiet`` mark, the earliest wake
-    when every due member sleeps, with no event at its instant, is quiet: it
-    draws the first member's mark and re-arms without visiting the due
-    list.  A member pass sets the mark, a walk leaves it 0, and a sleeper
-    roused early or a member rejoining clears it.  With no member due, the
-    grid leaps over the boundaries before the next event (see
-    :meth:`_rearm`)."""
+    "Grid clock"): at most one heap entry per boundary, at which the
+    members with work take their turns in rank order, the order of their
+    ``start()`` seqs.  Each turn draws a mark, the seq its tick would have
+    drawn on re-arming; the entry carries the first member's.  A sleeper
+    (see :meth:`QmaMac._sleep`) stays due but takes no turn and draws no
+    mark until its wake.  A boundary before the ``quiet`` mark, the
+    earliest wake when every due member sleeps, with no event at its
+    instant, is quiet: it draws the first member's mark, counts as one
+    executed event and visits no member.  The re-arm passes the quiet
+    boundaries before both the heap's head and the end of the
+    ``run_until`` in progress without an entry; the others reach the heap
+    and take :meth:`_boundary`'s quiet branch.  A member pass sets the
+    mark, a walk leaves it 0, and a sleeper roused early or a member
+    rejoining clears it.  With no member due, the grid leaps over the
+    boundaries before the next event (see :meth:`_rearm`)."""
 
     def __init__(self, sim: "Simulator", key: Tuple) -> None:
         self.sim, self.key = sim, key
@@ -225,8 +228,10 @@ class _SubslotGrid:
         """Visit the members whose turn is still to come one by one, idle
         ones and sleepers included, each after the events keyed before the
         last mark at or before its rank (no other entry carries a mark's
-        seq, and an idle member or a sleeper drew none).  After a ``stop()``
-        the rest waits on one heap entry under the next member's key."""
+        seq, and an idle member or a sleeper drew none).  A member that left
+        the grid, before the walk or in those events, is skipped.  After a
+        ``stop()`` the rest waits on one heap entry under the next member's
+        key."""
         sim, time, members, bounds = self.sim, self.time, self.members, self.bounds
         self.quiet = 0
         # A grid re-armed by the nested drains must not leap: the turns
@@ -241,6 +246,8 @@ class _SubslotGrid:
                 sim._bound = bound
                 heapq.heappush(sim._queue, (time, key, self._walk, None))
                 return
+            if mac._grid is not self:  # it left the grid in those events
+                continue
             if mac._wake == self.ticks:
                 mac._rouse()
             self.cursor = mac._rank
@@ -254,19 +261,25 @@ class _SubslotGrid:
         self._rearm()
 
     def _rearm(self) -> None:
-        """Push the next boundary, keyed by its first mark.  With no member
-        due, leap: pass every boundary before both the heap's head and the
-        end of the ``run_until`` in progress as an idle one, without an
-        entry, and key the first boundary after them by one fresh mark (no
-        event can draw a seq between the marks of the boundaries passed)."""
+        """Push the next boundary, keyed by its first mark, after passing
+        the boundaries before both the heap's head and the end of the
+        ``run_until`` in progress without an entry.  With no member due,
+        leap: pass them all as idle ones and key the first boundary after
+        them by one fresh mark (no event can draw a seq between the marks
+        of the boundaries passed).  With members due, pass only the quiet
+        boundaries before the ``quiet`` mark: each draws its own mark and
+        counts as one executed event, as its entry would have, and the
+        last mark keys the entry of the next one."""
         self.cursor = math.inf
         members, marks, sim = self.members, self.marks, self.sim
         if not members:
             return
         if not marks:  # the first member stopped during its own turn
             marks.append((members[0]._rank, next(sim._seq)))
-        queue, until = sim._queue, sim._bound
-        if self.due or sim._stopped:
+        queue, until, due = sim._queue, sim._bound, self.due
+        # Boundaries that may be passed: the quiet ones, or all while idle.
+        last = self.quiet - self.ticks - 1 if due else math.inf
+        if sim._stopped:
             until = -math.inf
         elif queue and queue[0][0] < until:
             until = queue[0][0]
@@ -280,7 +293,7 @@ class _SubslotGrid:
                 following = (subslot + 1) % num_subslots
                 if gate is not None and not gate.active(time):
                     time, following = gate.next_active_time(time), 0
-            if not time < until:
+            if not (time < until and passed < last):
                 break
             passed += 1
             prior, subslot = subslot, following
@@ -289,7 +302,12 @@ class _SubslotGrid:
         if passed:
             self.ticks += passed
             self.prior, self.subslot = prior, subslot
-            self.marks = marks = [(members[0]._rank, next(sim._seq))]
+            if due:
+                sim.events_executed += passed
+                seq = next(islice(sim._seq, passed - 1, None))
+            else:
+                seq = next(sim._seq)
+            self.marks = marks = [(members[0]._rank, seq)]
         self.time, self.next_subslot = time, following
         heapq.heappush(queue, (time, marks[0][1], self._boundary, None))
 

@@ -30,18 +30,21 @@ The grid clock
 --------------
 QMA subslot ticks (:mod:`repro.core.mac`) have no heap entries of their
 own: the nodes that started together form a subslot grid, which pushes
-one entry per boundary and gives a turn only to the nodes with work, in
-their fixed rank order.  So :meth:`Simulator.step` runs a whole boundary,
-with any event keyed between two of its turns, and ``events_executed``
-counts boundary entries, not ticks.  A grid with no node due leaps: it
-passes every boundary before both the heap's head and
+at most one entry per boundary and gives a turn only to the nodes with
+work, in their fixed rank order.  So :meth:`Simulator.step` runs a whole
+boundary, with any event keyed between two of its turns, and
+``events_executed`` counts boundaries, not ticks: a boundary counts as
+one event whether or not it has its own heap entry, except an idle one
+leapt over.  A grid passes boundaries before both the heap's head and
 :attr:`Simulator._bound`, the end of the :meth:`run_until` in progress,
-without an entry.  ``step()`` and ``run()`` set no bound, so they never
-leap.
+without an entry: all of them when no node is due (a leap, which counts
+none), and the quiet ones, where every due node sleeps, before the
+earliest wake (each counted).  ``step()`` and ``run()`` set no bound, so
+they never pass one.
 :attr:`Simulator._grids` holds the grids whose first boundary is still to
 come, which nodes starting at that instant join.  A QMA node sleeping
 through QBackoff turns or startup observations stays due, so it changes
-no entry; a :meth:`run_until` cut short by :meth:`stop` wakes every
+no count; a :meth:`run_until` cut short by :meth:`stop` wakes every
 sleeper (:attr:`Simulator._wakers`) so that no reader finds its state
 stale.
 """

@@ -8,9 +8,10 @@ twice: with the real MAC, and with a subclass whose ``_sleep`` plans
 nothing, so that every turn is a real one.  Per node, every turn's
 ``(time, subslot)`` (real or replayed), the clock fields, both histories,
 the Q-table, the policy, the action statistics and the RNG state must
-agree after every ``run_until`` cut, read first straight from the fields
-and then through the catching-up properties.  Only ``events_executed`` and the seqs drawn
-may differ.
+agree after every ``run_until`` cut and every ``step()``, read first
+straight from the fields and then through the catching-up properties, and
+so must ``events_executed``: a boundary the grid passes without a heap
+entry still counts as one.  Only the seqs drawn may differ.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import defaultdict
 from typing import Any, Dict, List, Tuple
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.runner import execute_scenario
@@ -196,8 +197,9 @@ def _half_subslots(count: int) -> float:
     return time + (SUBSLOT / 2 if count % 2 else 0.0)
 
 
-def _execute(program: Dict[str, Any], cls: type) -> List[List[Tuple]]:
-    """Run ``program`` with MACs of class ``cls``; per cut, every node's state."""
+def _execute(program: Dict[str, Any], cls: type) -> List[Tuple[int, List[Tuple]]]:
+    """Run ``program`` with MACs of class ``cls``; after every cut and every
+    ``step()``, the events executed and every node's state."""
     sim = Simulator(seed=program["seed"])
     channel = WirelessChannel(sim)
     count = program["count"]
@@ -256,14 +258,27 @@ def _execute(program: Dict[str, Any], cls: type) -> List[List[Tuple]]:
     snapshots = []
     for cut in program["cuts"] + [program["end"]]:
         sim.run_until(max(sim.now, _half_subslots(cut)))
-        snapshots.append([_state(mac, mac.turns) for mac in macs])
+        snapshots.append((sim.events_executed, [_state(mac, mac.turns) for mac in macs]))
         for _ in range(program["steps"]):
             sim.step()
-        snapshots.append([_state(mac, mac.turns) for mac in macs])
+            snapshots.append((sim.events_executed, [_state(mac, mac.turns) for mac in macs]))
     return snapshots
 
 
+#: A node restarted by an event drained during a walk of its old grid,
+#: before its turn there: it must take no turn on the old grid.
+RESTARTED_IN_A_WALK = {
+    "seed": 0, "count": 3, "links": [],
+    "config": {"num_subslots": 2, "cautious_startup_subslots": 0},
+    "exploration": "table", "table": (0.0,), "gated": True, "max_age": None,
+    "horizon": 2, "recording": [False, False, False], "preload": [0, 0, 0],
+    "starts": [1, 0, 0], "ops": [(0, "send", 0, 0), (1, "start", 0, 0)],
+    "cuts": [], "end": 130, "steps": 0,
+}
+
+
 @given(programs())
+@example(RESTARTED_IN_A_WALK)
 @settings(deadline=None)  # example count: the profile (tests/conftest.py)
 def test_drawn_programs_run_as_if_no_node_slept(program):
     with mock.patch.object(mac_module, "_HORIZON", program["horizon"]):

@@ -245,26 +245,45 @@ QUIET_BOUNDARIES = {
     "sinr-hidden-node": (6276, 7122),
 }
 
+#: Per run, the boundaries that reach the heap (``_boundary`` calls on a
+#: grid with members); the re-arm passes the other quiet ones.
+HEAP_VISITS = {"hidden-node": 360, "dsme": 164, "sinr-hidden-node": 850}
+
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_quiet_boundaries_skip_the_member_pass(name, captured_builds, monkeypatch):
     """The pinned runs take the quiet path at a fixed count of boundaries,
-    most of the DSME run's among them, and every counter stays pinned."""
-    counts = [0, 0]
-    boundary = _SubslotGrid._boundary
+    most of the DSME run's among them, whether a boundary reaches the heap
+    and takes ``_boundary``'s quiet branch or the re-arm passes it; few
+    boundaries reach the heap, and every counter stays pinned."""
+    quiet = boundaries = visits = 0
+    boundary, rearm = _SubslotGrid._boundary, _SubslotGrid._rearm
 
     def counting_boundary(grid):
+        nonlocal quiet, boundaries, visits
         due = grid.due
         boundary(grid)
         if grid.members:
-            counts[0] += grid.due is due  # the member pass rebuilds the list
-            counts[1] += 1
+            quiet += grid.due is due  # the member pass rebuilds the list
+            boundaries += 1
+            visits += 1
+
+    def counting_rearm(grid):
+        nonlocal quiet, boundaries
+        ticks, due = grid.ticks, bool(grid.due)
+        rearm(grid)
+        if due:  # with no member due, the boundaries passed are idle ones
+            quiet += grid.ticks - ticks
+            boundaries += grid.ticks - ticks
 
     monkeypatch.setattr(_SubslotGrid, "_boundary", counting_boundary)
+    monkeypatch.setattr(_SubslotGrid, "_rearm", counting_rearm)
     _check_counters(name, captured_builds)
-    assert tuple(counts) == QUIET_BOUNDARIES[name]
+    assert (quiet, boundaries) == QUIET_BOUNDARIES[name]
+    assert visits == HEAP_VISITS[name]
     if name == "dsme":
-        assert counts[0] >= 0.8 * counts[1]
+        assert quiet >= 0.8 * boundaries
+        assert visits < 0.1 * boundaries
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+from types import SimpleNamespace
 from typing import List, Set
 
 import repro.sim.batch as batch_mod
@@ -142,7 +144,9 @@ def test_serial_boundary_fallback_matches_serial_runs(monkeypatch):
     ``QmaMac._on_subslot`` over the facades: a heap key just below every
     tick key makes each boundary look interleaved with an event.  Every
     lane ends as its seed run serially does, and the fallback reports a
-    boundary due exactly where the serial grid ends it with a member due."""
+    boundary due exactly where the serial grid ends it with a member due:
+    at a boundary that re-arms with a member due, or at a quiet one that
+    the re-arm passes."""
     seeds = [0, 1, 2, 3]
     serial = _lanes(seeds)
     lane_of = {id(lane.sim): index for index, lane in enumerate(serial)}
@@ -150,9 +154,18 @@ def test_serial_boundary_fallback_matches_serial_runs(monkeypatch):
     rearm = _SubslotGrid._rearm
 
     def recording_rearm(grid):
-        if grid.due:
-            grid_due[lane_of[id(grid.sim)]].add(grid.time)
+        due, ticks = grid.due, grid.ticks
+        passed = SimpleNamespace(
+            ahead=deque(), time=grid.time, subslot=grid.subslot, duration=grid.duration,
+            num_subslots=grid.num_subslots, gate=grid.gate,
+        )
         rearm(grid)
+        if due:
+            # The boundaries passed, worked out as the grid works them out.
+            _SubslotGrid._extend(passed, grid.ticks - ticks)
+            times = grid_due[lane_of[id(grid.sim)]]
+            times.add(passed.time)
+            times.update(time for time, _ in passed.ahead)
 
     with monkeypatch.context() as patch:
         patch.setattr(_SubslotGrid, "_rearm", recording_rearm)
