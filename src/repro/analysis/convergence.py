@@ -40,14 +40,20 @@ def convergence_time(
     """Earliest time after which the cumulative Q-value never changes by more
     than ``tolerance`` within any trailing ``window`` samples.
 
-    Returns None if the series never stabilises.
+    Returns None if the series never stabilises.  A tail's spread only
+    grows as its start moves back, so one backward pass over the suffix
+    maxima and minima finds the first stable start in linear time.
     """
     if len(history) < window:
         return None
-    values = [v for _, v in history]
-    times = [t for t, _ in history]
-    for start in range(len(values) - window + 1):
-        tail = values[start:]
-        if max(tail) - min(tail) <= tolerance:
-            return times[start]
-    return None
+    first: Optional[float] = None
+    high = low = history[-1][1]
+    last_start = len(history) - window
+    for start in range(len(history) - 1, -1, -1):
+        time, value = history[start]
+        high, low = max(high, value), min(low, value)
+        if high - low > tolerance:
+            break
+        if start <= last_start:
+            first = time
+    return first

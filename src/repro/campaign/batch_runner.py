@@ -78,13 +78,13 @@ def iter_seed_groups(
 
 
 def _prepare_lane(scenario: Scenario):
-    from repro.campaign.runner import _campaign_params
+    from repro.campaign.runner import _campaign_params, record_collectors
 
     return _PREPARERS[scenario.experiment](
         mac=scenario.mac,
         seed=scenario.seed,
         propagation=scenario.propagation,
-        collectors=scenario.metrics,
+        collectors=record_collectors(scenario.experiment, scenario.metrics),
         **_campaign_params(scenario),
     )
 

@@ -11,9 +11,11 @@ The worker entry point :func:`execute_scenario` is a module-level function
 table and calls the family's ``run_*`` runner with the scenario's MAC,
 seed, propagation axis, ``metrics`` collectors (default: the family
 module's ``DEFAULT_COLLECTORS``) and parameters; the record's scalar
-metrics are the resulting report's scalars plus ``sim_time``.  The same
-table answers which metrics a family can emit
-(:func:`experiment_metric_names`).
+metrics are the resulting report's scalars plus ``sim_time``.  A record
+keeps only scalars, so its run attaches only the collectors that provide
+one (:func:`record_collectors`); :func:`scenario_report` attaches them all
+and returns the series and tables too.  The same table answers which
+metrics a family can emit (:func:`experiment_metric_names`).
 
 :meth:`CampaignRunner.stream` consumes records as they finish (in order)
 and hands them to :class:`~repro.campaign.frame.RecordSink` objects —
@@ -57,6 +59,7 @@ expansion-order dispatch.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import itertools
 import multiprocessing
 import os
@@ -79,6 +82,7 @@ from repro.campaign.spec import (
     construction_values,
 )
 from repro.experiments import hidden_node, scalability, sinr_hidden_node, testbed
+from repro.metrics.base import MetricCollector
 from repro.metrics.registry import build_collectors
 from repro.metrics.report import SimReport
 from repro.scenario.artifacts import ARTIFACT_CACHE
@@ -141,6 +145,21 @@ _FAMILIES: Dict[str, Tuple[Callable[..., SimReport], ModuleType]] = {
 _IMPLICIT_METRICS = ("sim_time", "trace_dropped")
 
 
+def _family_collectors(
+    experiment: str, collectors: Optional[Sequence[str]]
+) -> Tuple[Sequence[str], List[MetricCollector]]:
+    """The collector names the experiment runs with ``collectors`` (None:
+    its defaults) and their instances, built with the family's overrides."""
+    try:
+        _, module = _FAMILIES[experiment]
+    except KeyError:
+        raise ValueError(
+            f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_KINDS}"
+        ) from None
+    chosen = module.DEFAULT_COLLECTORS if collectors is None else collectors
+    return chosen, build_collectors(chosen, module.COLLECTOR_OVERRIDES)
+
+
 def experiment_metric_names(
     experiment: str,
     collectors: Optional[Sequence[str]] = None,
@@ -151,20 +170,29 @@ def experiment_metric_names(
     Derived from the collector registry's ``provides`` declarations, so a
     newly registered collector is validated with zero campaign changes.
     """
-    try:
-        _, module = _FAMILIES[experiment]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_KINDS}"
-        ) from None
-    chosen = module.DEFAULT_COLLECTORS if collectors is None else collectors
     names: List[str] = []
-    for collector in build_collectors(chosen, module.COLLECTOR_OVERRIDES):
+    for collector in _family_collectors(experiment, collectors)[1]:
         for name in collector.provides():
             if name not in names:
                 names.append(name)
     names.extend(_IMPLICIT_METRICS)
     return tuple(names)
+
+
+@functools.lru_cache(maxsize=128)
+def record_collectors(
+    experiment: str, collectors: Optional[Tuple[str, ...]]
+) -> Tuple[str, ...]:
+    """The collectors a record run attaches: those of ``collectors`` (None:
+    the experiment's defaults) whose instance, built with the family's
+    overrides, provides at least one scalar.
+
+    A record keeps only scalars, so a collector providing none (``convergence``
+    and ``slots`` at their defaults) would only cost the run time.  Cached,
+    so a run pays no collector construction for the selection.
+    """
+    chosen, built = _family_collectors(experiment, collectors)
+    return tuple(name for name, collector in zip(chosen, built) if collector.provides())
 
 
 def is_known_metric(
@@ -194,9 +222,7 @@ def is_known_metric(
 FAULT_HOOK: Optional[Callable[[Scenario], None]] = None
 
 
-def scenario_report(scenario: Scenario) -> SimReport:
-    """Run one scenario and return its full :class:`SimReport` (series,
-    tables and details besides the scalars a record keeps)."""
+def _run(scenario: Scenario, collectors: Optional[Sequence[str]]) -> SimReport:
     if FAULT_HOOK is not None:
         FAULT_HOOK(scenario)
     run, _ = _FAMILIES[scenario.experiment]
@@ -204,14 +230,26 @@ def scenario_report(scenario: Scenario) -> SimReport:
         mac=scenario.mac,
         seed=scenario.seed,
         propagation=scenario.propagation,
-        collectors=scenario.metrics,
+        collectors=collectors,
         **_campaign_params(scenario),
     )
 
 
+def scenario_report(scenario: Scenario) -> SimReport:
+    """Run one scenario with every collector it names and return its full
+    :class:`SimReport`: series, tables (the Q/ρ histories among them) and
+    details besides the scalars a record keeps."""
+    return _run(scenario, scenario.metrics)
+
+
 def execute_scenario(scenario: Scenario) -> RunRecord:
-    """Run one scenario and return its :class:`RunRecord`."""
-    report = scenario_report(scenario)
+    """Run one scenario and return its :class:`RunRecord`.
+
+    A record keeps scalars only, so the run attaches only the collectors
+    that provide one (:func:`record_collectors`); its metrics equal those
+    of :func:`scenario_report`'s full report.
+    """
+    report = _run(scenario, record_collectors(scenario.experiment, scenario.metrics))
     return RunRecord(
         scenario=scenario,
         metrics=_report_metrics(report, traced=bool(scenario.params.get("trace"))),

@@ -65,6 +65,13 @@ def _add_propagation_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: Help of the ``--metrics`` table option of ``sweep`` and ``resume``.
+_METRICS_HELP = (
+    "scalar metrics to tabulate (default: all); a record keeps scalars only, "
+    "so series and tables (Q/rho histories) come from the run_* API"
+)
+
+
 def _add_collectors_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--collectors",
@@ -72,7 +79,8 @@ def _add_collectors_option(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="NAME",
         help="metric collectors instrumenting every run (default: the "
-        "experiment's standard set); see 'qma-repro list'",
+        "experiment's standard set); a record keeps scalars only, so a run "
+        "attaches only the named collectors that provide one; see 'qma-repro list'",
     )
 
 
@@ -1023,9 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run an arbitrary campaign grid in parallel")
     _add_sweep_spec_options(p)
-    p.add_argument(
-        "--metrics", nargs="+", default=None, help="metrics to tabulate (default: all)"
-    )
+    p.add_argument("--metrics", nargs="+", default=None, help=_METRICS_HELP)
     p.add_argument(
         "--jsonl",
         dest="jsonl_path",
@@ -1131,9 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resume", help="resume a checkpointed sweep from its journal file"
     )
     p.add_argument("journal", help="checkpoint journal written by sweep --checkpoint")
-    p.add_argument(
-        "--metrics", nargs="+", default=None, help="metrics to tabulate (default: all)"
-    )
+    p.add_argument("--metrics", nargs="+", default=None, help=_METRICS_HELP)
     p.add_argument(
         "--jsonl", dest="jsonl_path", metavar="PATH",
         help="stream the merged records to a JSONL file",

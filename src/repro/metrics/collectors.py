@@ -218,6 +218,9 @@ class ConvergenceCollector(MetricCollector):
     behind Figs. 10-12) for every source running QMA; emits a
     ``convergence_time`` scalar when ``emit_scalar`` is set (the latest
     per-node stabilisation time, ``inf`` if any node never stabilises).
+    Without that scalar a campaign record has nothing to keep from it, so
+    the record path leaves it out; the tables come from
+    ``scenario_report`` or a ``run_*`` runner.
     """
 
     def __init__(

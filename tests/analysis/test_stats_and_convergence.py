@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Optional, Sequence, Tuple
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.convergence import convergence_time, cumulative_q_series, is_stable
 from repro.analysis.stats import (
@@ -72,3 +76,34 @@ class TestConvergence:
     def test_short_series(self):
         assert not is_stable([(0.0, 1.0)], window=5)
         assert convergence_time([(0.0, 1.0)], window=5) is None
+
+
+def quadratic_convergence_time(
+    history: Sequence[Tuple[float, float]], window: int, tolerance: float
+) -> Optional[float]:
+    """The reference: re-slice the tail at every candidate start."""
+    if len(history) < window:
+        return None
+    values = [v for _, v in history]
+    times = [t for t, _ in history]
+    for start in range(len(values) - window + 1):
+        tail = values[start:]
+        if max(tail) - min(tail) <= tolerance:
+            return times[start]
+    return None
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    values=st.lists(st.one_of(_finite, st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-12])),
+                    max_size=40),
+    window=st.integers(min_value=1, max_value=12),
+    tolerance=st.one_of(st.just(0.0), st.just(1e-9), st.floats(0.0, 1e3)),
+)
+def test_convergence_time_matches_the_quadratic_reference(values, window, tolerance):
+    history = [(0.5 * i, value) for i, value in enumerate(values)]
+    assert convergence_time(history, window, tolerance) == quadratic_convergence_time(
+        history, window, tolerance
+    )

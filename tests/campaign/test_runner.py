@@ -1,4 +1,5 @@
-"""Campaign-runner family table, metric declarations and ``resolve_jobs``.
+"""Campaign-runner family table, metric declarations, the record path's
+collector selection and ``resolve_jobs``.
 
 Whether every execution path reproduces the same records is checked
 against literal digests in ``test_pinned_digests.py``.
@@ -10,7 +11,14 @@ import pytest
 
 from repro.campaign import runner
 from repro.campaign.records import RunRecord
-from repro.campaign.runner import execute_scenario, resolve_jobs, scenario_report
+from repro.campaign.runner import (
+    _report_metrics,
+    execute_scenario,
+    is_known_metric,
+    record_collectors,
+    resolve_jobs,
+    scenario_report,
+)
 from repro.campaign.spec import EXPERIMENT_KINDS, Scenario
 
 
@@ -129,6 +137,58 @@ class TestAdapters:
         )
         assert set(record.to_dict()) == {"scenario", "metrics"}
         assert set(record.metrics) >= {"pdr", "average_queue_level", "average_delay"}
+
+
+#: One reduced QMA run per experiment family.
+REDUCED = {
+    "hidden-node": {"delta": 10.0, "packets_per_node": 30, "warmup": 5.0},
+    "sinr-hidden-node": {"delta": 10.0, "packets_per_node": 30, "warmup": 2.0},
+    "testbed-tree": {"packets_per_node": 3, "warmup": 0.5, "max_duration": 3.0},
+    "testbed-star": {"packets_per_node": 3, "warmup": 0.5, "max_duration": 3.0},
+    "scalability": {"rings": 1, "duration": 4.0, "warmup": 2.0},
+}
+
+
+def _with_tables(experiment):
+    """The family's default collectors plus ``convergence`` and ``slots``."""
+    defaults = runner._FAMILIES[experiment][1].DEFAULT_COLLECTORS
+    return tuple(dict.fromkeys(defaults + ("convergence", "slots")))
+
+
+class TestRecordCollectors:
+    """A record keeps scalars only, so its run attaches only the collectors
+    that provide one; that is safe only while every scalar a collector
+    writes is one it declares."""
+
+    @pytest.mark.parametrize("named", [False, True], ids=["defaults", "with-tables"])
+    @pytest.mark.parametrize("experiment", sorted(runner._FAMILIES))
+    def test_a_record_equals_the_scalars_of_the_full_report(self, experiment, named):
+        metrics = _with_tables(experiment) if named else None
+        scenario = Scenario(experiment, mac="qma", seed=1, params=REDUCED[experiment],
+                            metrics=metrics)
+        report = scenario_report(scenario)
+        undeclared = [m for m in report.scalars if not is_known_metric(experiment, m, metrics)]
+        assert undeclared == []
+        assert repr(execute_scenario(scenario).metrics) == repr(
+            _report_metrics(report, traced=False)
+        )
+        if named:  # the full report still carries the histories
+            assert any(report.table("q_history").values())
+
+    def test_collectors_without_a_scalar_are_left_out(self):
+        assert record_collectors("hidden-node", None) == ("pdr", "queue", "delay", "attempts")
+        assert record_collectors("scalability", ("convergence", "dsme", "slots")) == ("dsme",)
+        assert record_collectors("testbed-star", ("slots",)) == ()
+
+    def test_a_cached_selection_builds_no_collector(self, monkeypatch):
+        scenario = Scenario("hidden-node", mac="qma", seed=1, params=REDUCED["hidden-node"])
+        record_collectors(scenario.experiment, scenario.metrics)
+
+        def build_collectors(*args, **kwargs):
+            raise AssertionError("the record path built collectors for its selection")
+
+        monkeypatch.setattr(runner, "build_collectors", build_collectors)
+        assert execute_scenario(scenario).metrics["pdr"] > 0.0
 
 
 class TestResolveJobs:

@@ -26,7 +26,7 @@ from typing import Any, Dict, List
 
 import pytest
 
-from repro.campaign.runner import execute_scenario
+from repro.campaign.runner import _report_metrics, execute_scenario, scenario_report
 from repro.campaign.spec import Scenario
 from repro.core.actions import ALL_ACTIONS
 from repro.core.mac import PENDING_NONE, PENDING_STARTUP, QmaMac, _SubslotGrid
@@ -35,9 +35,12 @@ from repro.scenario.builder import ScenarioBuilder
 from repro.sim.engine import Simulator
 
 #: Per node: [qtable.updates, selected (B, C, S), random, greedy,
-#: frames_elapsed, len(q_history), len(rho_history)].  A MAC records its
-#: histories only for the convergence collector, which reads the sources:
-#: of these runs only hidden-node has it, so the other MACs' are empty.
+#: frames_elapsed, len(q_history), len(rho_history)], from the full report
+#: (``scenario_report``).  A MAC records its histories only for the
+#: convergence collector, which reads the sources: of these runs only
+#: hidden-node has it, so the other MACs' are empty.  A record run
+#: (``execute_scenario``) attaches no collector without a scalar, so there
+#: every MAC's are empty.
 HIDDEN_NODE_SEED_1 = {
     "events_executed": 2760,
     "seqs_drawn": 2970,
@@ -218,7 +221,7 @@ OTHER_MAC_HIDDEN_NODE = {
 
 def _check_counters(name: str, captured_builds: List[Any]) -> None:
     scenario, pinned, macs = RUNS[name]
-    execute_scenario(scenario)
+    scenario_report(scenario)
     (built,) = captured_builds
     assert _counters(built.sim, macs(built)) == pinned
 
@@ -294,7 +297,7 @@ def test_the_convergence_collector_records_the_histories_it_reads(name, captured
     metrics = DEFAULT_METRICS[scenario.experiment]
     if "convergence" not in metrics:
         metrics += ("convergence",)
-    execute_scenario(dataclasses.replace(scenario, metrics=metrics))
+    scenario_report(dataclasses.replace(scenario, metrics=metrics))
     (built,) = captured_builds
     recorded = RECORDED_HISTORY[name]
     expected = {
@@ -304,10 +307,27 @@ def test_the_convergence_collector_records_the_histories_it_reads(name, captured
     assert _counters(built.sim, macs(built)) == {**pinned, "nodes": expected}
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_a_record_run_records_no_histories(name, captured_builds):
+    """A record keeps only scalars, so a record run leaves out the
+    convergence collector even where it is named: no MAC records its
+    histories, and every other counter stays as pinned."""
+    scenario, pinned, macs = RUNS[name]
+    metrics = DEFAULT_METRICS[scenario.experiment]
+    if "convergence" not in metrics:
+        metrics += ("convergence",)
+    execute_scenario(dataclasses.replace(scenario, metrics=metrics))
+    (built,) = captured_builds
+    expected = {node_id: counters[:5] + [0, 0] for node_id, counters in pinned["nodes"].items()}
+    assert _counters(built.sim, macs(built)) == {**pinned, "nodes": expected}
+
+
 def test_a_hidden_node_record_is_identical_with_and_without_convergence():
+    """The record path leaves convergence out, so the run with it is the
+    full report's."""
     scenario = RUNS["hidden-node"][0]
     without = dataclasses.replace(scenario, metrics=("pdr", "queue", "delay", "attempts"))
-    with_convergence = execute_scenario(scenario).metrics
+    with_convergence = _report_metrics(scenario_report(scenario), traced=False)
     assert repr(execute_scenario(without).metrics) == repr(with_convergence)
 
 
@@ -369,7 +389,7 @@ def test_conservation_holds_mid_run_and_at_the_end(name, captured_builds, monkey
     monkeypatch.setattr(QmaMac, "_evaluate_boundary_action", counting_evaluate)
     monkeypatch.setattr(Radio, "transmission_finished", counting_transmission_finished)
     monkeypatch.setattr(Simulator, "run_until", run_in_halves)
-    execute_scenario(scenario)
+    scenario_report(scenario)
     (built,) = captured_builds
     assert len(cuts) == 1 and sum(ended.values()) > 0
     _assert_conserved(macs(built), punished, ended)
