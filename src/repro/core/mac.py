@@ -39,12 +39,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right, insort
-from collections import deque
+import os
+import threading
+from array import array
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat, starmap
 from operator import attrgetter, itemgetter, not_
-from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.actions import ALL_ACTIONS, QAction
 from repro.core.config import QmaConfig
@@ -78,61 +80,145 @@ _CCA = QAction.QCCA.value
 _SEND = QAction.QSEND.value
 _ACTION_CODES = tuple(action.value for action in ALL_ACTIONS)
 _TRANSMITTING = RadioState.TRANSMITTING
-_first, _second = itemgetter(0), itemgetter(1)
+_first = itemgetter(0)
 _rank, _wake = attrgetter("_rank"), attrgetter("_wake")
 #: Boundaries a sleeper plans ahead at most: an event that wakes it early
 #: wastes a plan of at most this many (see :meth:`QmaMac._sleep`).
 _HORIZON = 256
 
 
+class _Timeline:
+    """The boundaries of one grid clock key ``(first boundary time,
+    subslot duration, subslot count, gate or None)``, worked out once per
+    process and shared by every grid with that key (README "Grid clock").
+
+    ``times[i]`` and ``subslots[i]`` are the time and subslot of boundary
+    ``i``, from ``(t0, 0)`` on.  :meth:`grow` extends both, under a lock, by
+    the float arithmetic of one boundary at a time: the time advances by the
+    duration and the subslot modulo the count, and a time the gate holds
+    closed moves to the gate's next active time with subslot 0.  It writes
+    a boundary's subslot before its time, so a reader that stays below
+    ``len(times)`` never sees a time without its subslot."""
+
+    __slots__ = ("times", "subslots", "duration", "num_subslots", "gate")
+
+    def __init__(self, time: float, duration: float, num_subslots: int,
+                 gate: Optional[ActivityGate]) -> None:
+        self.times, self.subslots = array("d", (time,)), array("I", (0,))
+        self.duration, self.num_subslots, self.gate = duration, num_subslots, gate
+
+    @classmethod
+    def of(cls, key: Tuple) -> "_Timeline":
+        """The process's timeline for ``key``; the least recently used of
+        more than :data:`_TIMELINES_KEPT` is dropped."""
+        with _TIMELINE_LOCK:
+            timeline = _TIMELINES.pop(key, None)
+            if timeline is None:
+                timeline = cls(*key)
+                if len(_TIMELINES) >= _TIMELINES_KEPT:
+                    del _TIMELINES[next(iter(_TIMELINES))]
+            _TIMELINES[key] = timeline
+            return timeline
+
+    def grow(self, count: int) -> None:
+        """Work out at least ``count`` boundaries, a chunk at a time."""
+        with _TIMELINE_LOCK:
+            times, subslots = self.times, self.subslots
+            known = len(times)
+            if known >= count:
+                return
+            del subslots[known:]  # left over by a fork or an error mid-grow
+            duration, num_subslots, gate = self.duration, self.num_subslots, self.gate
+            time, subslot = times[-1], subslots[-1]
+            new_times, new_subslots = array("d"), array("I")
+            for _ in range(max(count - known, _CHUNK)):
+                time += duration
+                subslot = (subslot + 1) % num_subslots
+                if gate is not None and not gate.active(time):
+                    time, subslot = gate.next_active_time(time), 0
+                new_times.append(time)
+                new_subslots.append(subslot)
+            subslots.extend(new_subslots)
+            times.extend(new_times)
+
+    def first_at_or_after(self, time: float, start: int) -> int:
+        """The index of the first boundary from ``start`` on at or after
+        ``time`` (finite), worked out as far as needed."""
+        times = self.times
+        while True:
+            index = bisect_left(times, time, start)
+            if index < len(times):
+                return index
+            self.grow(index + 1)
+
+
+#: Timelines kept per process: a campaign reuses one or two keys run after run.
+_TIMELINES_KEPT = 8
+#: Boundaries a timeline grows by at least.
+_CHUNK = 1024
+_TIMELINES: Dict[Tuple, _Timeline] = {}
+_TIMELINE_LOCK = threading.Lock()
+
+
+def _new_timeline_lock() -> None:
+    """A forked child starts with a free lock (see ``os.register_at_fork``)."""
+    global _TIMELINE_LOCK
+    _TIMELINE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_timeline_lock)
+
+
 class _SubslotGrid:
     """The subslot clock of the QMA nodes that started together (README
     "Grid clock"): at most one heap entry per boundary, at which the
     members with work take their turns in rank order, the order of their
-    ``start()`` seqs.  Each turn draws a mark, the seq its tick would have
-    drawn on re-arming; the entry carries the first member's.  A sleeper
-    (see :meth:`QmaMac._sleep`) stays due but takes no turn and draws no
-    mark until its wake.  A boundary before the ``quiet`` mark, the
-    earliest wake when every due member sleeps, with no event at its
-    instant, is quiet: it draws the first member's mark, counts as one
-    executed event and visits no member.  The re-arm passes the quiet
-    boundaries before both the heap's head and the end of the
+    ``start()`` seqs.  Its position is ``ticks``, the boundaries begun,
+    on the shared :class:`_Timeline` of its key.  Each turn draws a mark,
+    the seq its tick would have drawn on re-arming; the entry carries the
+    first member's.  A sleeper (see :meth:`QmaMac._sleep`) stays due but
+    takes no turn and draws no mark until its wake.  A boundary before the
+    ``quiet`` mark, the earliest wake when every due member sleeps, with
+    no event at its instant, is quiet: it draws the first member's mark,
+    counts as one executed event and visits no member.  The re-arm passes
+    the quiet boundaries before both the heap's head and the end of the
     ``run_until`` in progress without an entry; the others reach the heap
     and take :meth:`_boundary`'s quiet branch.  A member pass sets the
     mark, a walk leaves it 0, and a sleeper roused early or a member
     rejoining clears it.  With no member due, the grid leaps over the
     boundaries before the next event (see :meth:`_rearm`)."""
 
-    def __init__(self, sim: "Simulator", key: Tuple) -> None:
-        self.sim, self.key = sim, key
-        self.time, self.duration, self.num_subslots, self.gate = key
+    def __init__(self, sim: "Simulator", key: Tuple, timeline: _Timeline) -> None:
+        self.sim, self.key, self.timeline = sim, key, timeline
+        #: The timeline's arrays, which grow in place.
+        self.times, self.subslots = timeline.times, timeline.subslots
         #: All members, and those due at the next boundary and at this one,
         #: each in rank order; the ``(rank, seq)`` marks drawn for the next
         #: boundary and for this one.
         self.members, self.due, self.running = [], [], []  # List[QmaMac]
         self.marks, self.bounds = [], []  # List[Tuple[int, int]]
-        #: Boundaries begun, the subslots of the last two and of the next,
-        #: the times that began a frame and the rank of the last turn taken
-        #: at this boundary (inf between boundaries).
-        self.ticks = self.subslot = self.prior = self.next_subslot = 0
-        self.frame_times: List[float] = []
+        #: Boundaries begun, the time of the next one (of this one during a
+        #: boundary), the subslot of this one and the rank of the last turn
+        #: taken at this boundary (inf between boundaries).
+        self.ticks = self.subslot = 0
+        self.time = key[0]
         self.cursor = math.inf
         #: The earliest wake among the due members when every one of them
         #: sleeps, else 0: the boundaries before it are quiet.
         self.quiet = 0
-        #: ``(time, subslot)`` of the boundaries after this one, worked out
-        #: ahead for the sleepers' plans.
-        self.ahead: Deque[Tuple[float, int]] = deque()
 
     @classmethod
     def join(cls, mac: "QmaMac", time: float) -> None:
-        """Add ``mac`` to the grid whose first boundary is at ``time``."""
+        """Add ``mac`` to the grid whose first boundary is at ``time``: the
+        nodes that share one share its gate object, not just an equal gate."""
         sim = mac.sim
-        key = (time, mac._subslot_duration, mac._num_subslots, mac.gate if mac._gated else None)
+        gate = mac.gate if mac._gated else None
+        clock = (time, mac._subslot_duration, mac._num_subslots)
+        key = (*clock, id(gate))
         grid = sim._grids.get(key)
         rank = next(sim._seq)
         if grid is None:
-            grid = sim._grids[key] = cls(sim, key)
+            grid = sim._grids[key] = cls(sim, key, _Timeline.of((*clock, gate)))
             heapq.heappush(sim._queue, (time, rank, grid._open, None))
             sim._wakers.append(grid._wake_all)
         grid.members.append(mac)
@@ -160,19 +246,6 @@ class _SubslotGrid:
             if mac._wake:
                 mac._rouse()
 
-    def _extend(self, count: int) -> None:
-        """Work out ``count`` more boundaries ahead, as :meth:`_rearm` would
-        (during a boundary, whose time and subslot the grid holds)."""
-        ahead = self.ahead
-        time, subslot = ahead[-1] if ahead else (self.time, self.subslot)
-        duration, num_subslots, gate = self.duration, self.num_subslots, self.gate
-        for _ in range(count):
-            time += duration
-            subslot = (subslot + 1) % num_subslots
-            if gate is not None and not gate.active(time):
-                time, subslot = gate.next_active_time(time), 0
-            ahead.append((time, subslot))
-
     def _open(self) -> None:
         """The first boundary: later starts at this instant form a new grid."""
         del self.sim._grids[self.key]
@@ -187,11 +260,8 @@ class _SubslotGrid:
             return
         sim = self.sim
         ticks = self.ticks = self.ticks + 1
-        self.prior = self.subslot
-        subslot = self.subslot = self.next_subslot
+        subslot = self.subslot = self.subslots[ticks - 1]
         time = self.time
-        if not subslot:
-            self.frame_times.append(time)
         queue = sim._queue
         crowded = queue and queue[0][0] == time  # an event may fall between two turns
         if ticks < self.quiet and not crowded:
@@ -263,13 +333,14 @@ class _SubslotGrid:
     def _rearm(self) -> None:
         """Push the next boundary, keyed by its first mark, after passing
         the boundaries before both the heap's head and the end of the
-        ``run_until`` in progress without an entry.  With no member due,
-        leap: pass them all as idle ones and key the first boundary after
-        them by one fresh mark (no event can draw a seq between the marks
-        of the boundaries passed).  With members due, pass only the quiet
-        boundaries before the ``quiet`` mark: each draws its own mark and
-        counts as one executed event, as its entry would have, and the
-        last mark keys the entry of the next one."""
+        ``run_until`` in progress without an entry: one bisection of the
+        timeline finds them.  With no member due, leap: pass them all as
+        idle ones and key the first boundary after them by one fresh mark
+        (no event can draw a seq between the marks of the boundaries
+        passed).  With members due, pass only the quiet boundaries before
+        the ``quiet`` mark: each draws its own mark and counts as one
+        executed event, as its entry would have, and the last mark keys the
+        entry of the next one."""
         self.cursor = math.inf
         members, marks, sim = self.members, self.marks, self.sim
         if not members:
@@ -277,38 +348,32 @@ class _SubslotGrid:
         if not marks:  # the first member stopped during its own turn
             marks.append((members[0]._rank, next(sim._seq)))
         queue, until, due = sim._queue, sim._bound, self.due
-        # Boundaries that may be passed: the quiet ones, or all while idle.
-        last = self.quiet - self.ticks - 1 if due else math.inf
         if sim._stopped:
             until = -math.inf
         elif queue and queue[0][0] < until:
             until = queue[0][0]
-        ahead, duration, num_subslots, gate = self.ahead, self.duration, self.num_subslots, self.gate
-        time, subslot, prior, passed = self.time, self.subslot, self.prior, 0
-        while True:
-            if ahead:
-                time, following = ahead.popleft()
-            else:
-                time += duration
-                following = (subslot + 1) % num_subslots
-                if gate is not None and not gate.active(time):
-                    time, following = gate.next_active_time(time), 0
-            if not (time < until and passed < last):
-                break
-            passed += 1
-            prior, subslot = subslot, following
-            if not subslot:
-                self.frame_times.append(time)
+        # The next boundary's index is ``ticks``; the one to push is the
+        # first at or after ``until``, or at the latest the quiet mark's
+        # while members are due.  No boundary lies at or after the end of an
+        # unbounded ``run_until`` with nothing queued: that leaps nowhere.
+        ticks, times = self.ticks, self.times
+        if due:
+            last = max(self.quiet - 1, ticks)
+            if len(times) <= last:
+                self.timeline.grow(last + 1)
+            index = bisect_left(times, until, ticks, last)
+        else:
+            index = self.timeline.first_at_or_after(until if until < math.inf else -math.inf, ticks)
+        passed = index - ticks
         if passed:
-            self.ticks += passed
-            self.prior, self.subslot = prior, subslot
+            self.ticks = index
             if due:
                 sim.events_executed += passed
                 seq = next(islice(sim._seq, passed - 1, None))
             else:
                 seq = next(sim._seq)
             self.marks = marks = [(members[0]._rank, seq)]
-        self.time, self.next_subslot = time, following
+        time = self.time = times[index]
         heapq.heappush(queue, (time, marks[0][1], self._boundary, None))
 
 
@@ -418,15 +483,15 @@ class QmaMac(MacProtocol):
         self._pend_overheard = False
         #: The subslot grid this node ticks on (None while stopped), its
         #: rank there, whether it takes turns, and, while it does not, the
-        #: grid's boundary and frame counts its clock fields stand at.
+        #: grid's boundary count its clock fields stand at.
         self._grid: Optional[_SubslotGrid] = None
-        self._rank = self._synced_ticks = self._synced_frames = 0
+        self._rank = self._synced_ticks = 0
         self._on_loop = False
-        #: The grid tick a sleeper wakes at (0 while awake), the turns it
-        #: has still to replay, ρ of the last selection, and the probe with
+        #: The grid tick a sleeper wakes at (0 while awake: the turns still
+        #: to replay are the timeline's boundaries from ``_synced_ticks`` up
+        #: to ``_wake - 1``), ρ of the last selection, and the probe with
         #: the draws the stream makes from selection ``_drawn_from`` on.
         self._wake = 0
-        self._virtual: List[Tuple[float, int]] = []
         self._rho = 0.0
         self._probe = type(self._rng)(0)
         self._draws: List[float] = []
@@ -492,20 +557,23 @@ class QmaMac(MacProtocol):
         grid = self._grid
         if grid is None or self._on_loop and not self._wake:
             return
-        ticks, frames, subslot = grid.ticks, len(grid.frame_times), grid.subslot
-        if self._rank > grid.cursor:  # its turn at this boundary is still to come
-            ticks, frames, subslot = ticks - 1, frames - (subslot == 0), grid.prior
+        # Its turn at this boundary may still be to come.
+        ticks, synced = grid.ticks - (self._rank > grid.cursor), self._synced_ticks
         if self._wake:
-            self._replay(ticks - self._synced_ticks)
+            self._replay(ticks - synced)
             return
-        synced = self._synced_frames
-        if self._track_history and frames > synced:
+        if ticks == synced:
+            return
+        subslots = grid.subslots[synced:ticks]
+        frames = subslots.count(0)
+        if self._track_history and frames:
             value = self.qtable.cumulative_policy_value()
-            self._q_history.extend((time, value) for time in grid.frame_times[synced:frames])
-        self._subslot = subslot
-        self._counter += ticks - self._synced_ticks
-        self._frames_elapsed += frames - synced
-        self._synced_ticks, self._synced_frames = ticks, frames
+            starts = compress(grid.times[synced:ticks], map(not_, subslots))
+            self._q_history.extend(zip(starts, repeat(value)))
+        self._subslot = subslots[-1]
+        self._counter += ticks - synced
+        self._frames_elapsed += frames
+        self._synced_ticks = ticks
 
     current_subslot = _caught_up("_subslot", "Index of the subslot currently in progress.")
     subslot_ticks = _caught_up("_counter", "Subslot boundaries ticked since creation.")
@@ -597,7 +665,6 @@ class QmaMac(MacProtocol):
         else:
             self._on_loop = False
             self._synced_ticks = grid.ticks
-            self._synced_frames = len(grid.frame_times)
 
     def _sleep(self, grid: _SubslotGrid) -> None:
         """After a QBackoff turn or a startup observation, plan to skip the
@@ -607,13 +674,17 @@ class QmaMac(MacProtocol):
         a backing-off node at the first boundary whose policy is not
         QBackoff, whose ``random()`` (from the probe) is below ρ or whose
         time expires a neighbour level.  Only with the radio idle and a
-        bound set (``step()`` sets none)."""
+        bound set (``step()`` sets none).  The plan bisects and slices the
+        grid's timeline: its turn ``k`` is the boundary at index
+        ``ticks + k - 1``, and the wake's tick is ``ticks + wake``."""
         bound = self.sim._bound
         if not bound > grid.time or self.radio.state is _TRANSMITTING:
             return
-        ahead = grid.ahead
-        grid._extend(_HORIZON - len(ahead))
-        wake = min(bisect_right(ahead, bound, key=_first), _HORIZON)
+        ticks, times = grid.ticks, grid.times
+        end = ticks + _HORIZON
+        if len(times) < end:
+            grid.timeline.grow(end)
+        wake = bisect_right(times, bound, ticks, end) - ticks
         if wake < 2:
             return
         if self._pend_kind == PENDING_STARTUP:
@@ -622,14 +693,14 @@ class QmaMac(MacProtocol):
         else:
             policy = self.qtable._policy
             if policy.count(_BACKOFF) < len(policy):
-                for turn, (_, subslot) in enumerate(islice(ahead, wake - 1), 1):
+                for turn, subslot in enumerate(grid.subslots[ticks:ticks + wake - 1], 1):
                     if policy[subslot] != _BACKOFF:
                         wake = turn
                         break
             oldest, max_age = self.neighbours._oldest_bound, self.neighbours.max_age
             if wake > 1 and max_age is not None and oldest < math.inf:
-                wake = 1 + bisect_right(  # `_expire`'s test, monotone in time
-                    ahead, oldest, 0, wake - 1, key=lambda turn: turn[0] - max_age
+                wake = 1 - ticks + bisect_right(  # `_expire`'s test, monotone in time
+                    times, oldest, ticks, ticks + wake - 1, key=lambda time: time - max_age
                 )
             rho = self._rho
             if wake > 1 and rho > 0.0:
@@ -639,9 +710,8 @@ class QmaMac(MacProtocol):
                         wake = turn + 1
                         break
         if wake > 1:
-            self._virtual = list(islice(ahead, wake - 1))
-            self._wake = grid.ticks + wake
-            self._synced_ticks = grid.ticks
+            self._wake = ticks + wake
+            self._synced_ticks = ticks
 
     def _predraw(self, count: int) -> List[float]:
         """The next ``count`` values of the node's ``random()``, drawn from
@@ -665,17 +735,19 @@ class QmaMac(MacProtocol):
         return draws
 
     def _replay(self, count: int) -> None:
-        """Take the next ``count`` turns a sleeper skipped as
-        :meth:`_on_subslot` would: learn from an idle QBackoff (one
-        :meth:`QTable.apply_run`, split only at the frame starts a recorded
-        ``q_history`` samples), then either observe (cautious startup) or
-        draw ``random()`` (above ρ, as planned) and select QBackoff."""
-        turns = self._virtual[:count]
-        if not turns:
+        """Take the next ``count`` turns a sleeper skipped (at most those
+        before its wake: the grid timeline's boundaries from
+        ``_synced_ticks`` on) as :meth:`_on_subslot` would: learn from an
+        idle QBackoff (one :meth:`QTable.apply_run`, split only at the frame
+        starts a recorded ``q_history`` samples), then either observe
+        (cautious startup) or draw ``random()`` (above ρ, as planned) and
+        select QBackoff."""
+        grid, first = self._grid, self._synced_ticks
+        end = min(first + count, self._wake - 1)
+        if end <= first:
             return
-        del self._virtual[:count]
-        count = len(turns)
-        subslots = list(map(_second, turns))
+        count = end - first
+        subslots = grid.subslots[first:end]
         qtable, state = self.qtable, self._pend_state
         observing = self._pend_kind == PENDING_STARTUP
         reward = self.rewards.backoff(False) if observing else self.rewards.backoff_idle
@@ -684,7 +756,7 @@ class QmaMac(MacProtocol):
             states, start = [state, *subslots], 0
             for turn in compress(range(count), map(not_, subslots)):
                 qtable.apply_run(states[start], _BACKOFF, reward, subslots[start:turn])
-                self._q_history.append((turns[turn][0], qtable.cumulative_policy_value()))
+                self._q_history.append((grid.times[first + turn], qtable.cumulative_policy_value()))
                 start = turn
             qtable.apply_run(states[start], _BACKOFF, reward, subslots[start:])
         else:
@@ -698,7 +770,7 @@ class QmaMac(MacProtocol):
             if min(starmap(self._rng.random, repeat((), count))) < rho:
                 raise RuntimeError("a replayed QBackoff turn drew an exploration")
             if self._track_history:
-                self.rho_history.extend(zip(map(_first, turns), repeat(rho)))
+                self.rho_history.extend(zip(grid.times[first:end], repeat(rho)))
             self.action_stats.counts[_BACKOFF] += count
         self._pend_state = self._subslot = subslots[-1]
         self._counter += count

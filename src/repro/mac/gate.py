@@ -10,6 +10,7 @@ when to retry if the medium is currently out of bounds.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -18,7 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class ActivityGate(ABC):
     """Decides whether contention-based access is currently allowed (as a
-    function of ``now`` alone: the QMA grid clock works boundaries out ahead)."""
+    function of ``now`` alone, fixed for the gate's lifetime: the QMA grid
+    clock works boundaries out ahead and shares them between equal gates)."""
 
     @abstractmethod
     def active(self, now: float) -> bool:
@@ -43,26 +45,29 @@ class AlwaysActiveGate(ActivityGate):
         return now
 
 
+@dataclass(frozen=True)
 class WindowedGate(ActivityGate):
     """Periodic activity windows (e.g. the CAP of every DSME superframe).
 
     The gate is active during ``[k * period + offset, k * period + offset +
-    window)`` for every integer ``k >= 0``.
+    window)`` for every integer ``k >= 0``.  Frozen, so that gates with the
+    same windows are equal and hash alike.
     """
+
+    period: float
+    window: float
+    offset: float = 0.0
 
     #: Phases closer than this to the period boundary are snapped to 0 so that
     #: floating-point rounding at a window start cannot produce an event that
     #: believes it is still (infinitesimally) inside the previous period.
     _EPSILON = 1e-9
 
-    def __init__(self, period: float, window: float, offset: float = 0.0) -> None:
-        if period <= 0 or window <= 0:
+    def __post_init__(self) -> None:
+        if self.period <= 0 or self.window <= 0:
             raise ValueError("period and window must be positive")
-        if window > period:
+        if self.window > self.period:
             raise ValueError("window cannot exceed period")
-        self.period = period
-        self.window = window
-        self.offset = offset
 
     def _phase(self, now: float) -> float:
         phase = (now - self.offset) % self.period

@@ -7,6 +7,8 @@ against literal digests in ``test_pinned_digests.py``.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.campaign import runner
@@ -149,6 +151,12 @@ REDUCED = {
 }
 
 
+#: The hidden-node run whose counters ``tests/core/test_tick_counters.py``
+#: pins (its ``RUNS["hidden-node"]``).
+PINNED_HIDDEN_NODE = Scenario("hidden-node", mac="qma", seed=1,
+                              params={"delta": 10.0, "packets_per_node": 30, "warmup": 5.0})
+
+
 def _with_tables(experiment):
     """The family's default collectors plus ``convergence`` and ``slots``."""
     defaults = runner._FAMILIES[experiment][1].DEFAULT_COLLECTORS
@@ -174,6 +182,16 @@ class TestRecordCollectors:
         )
         if named:  # the full report still carries the histories
             assert any(report.table("q_history").values())
+
+    def test_the_pinned_hidden_node_record_equals_the_full_report(self):
+        """The pinned hidden-node run named with only the collectors that
+        provide a scalar records the scalars of its full report, whose
+        default convergence collector records the histories."""
+        report = scenario_report(PINNED_HIDDEN_NODE)
+        assert any(report.table("q_history").values())
+        named = ("pdr", "queue", "delay", "attempts")
+        record = execute_scenario(dataclasses.replace(PINNED_HIDDEN_NODE, metrics=named))
+        assert repr(record.metrics) == repr(_report_metrics(report, traced=False))
 
     def test_collectors_without_a_scalar_are_left_out(self):
         assert record_collectors("hidden-node", None) == ("pdr", "queue", "delay", "attempts")

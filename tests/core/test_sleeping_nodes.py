@@ -42,6 +42,14 @@ from test_tick_counters import DEFAULT_METRICS, RUNS
 SUBSLOT = 2e-3
 
 
+def _replayed(mac: QmaMac, count: int) -> List[Tuple[float, int]]:
+    """The ``(time, subslot)`` of the next ``count`` turns ``mac`` replays:
+    its grid timeline's boundaries from its synced tick on, up to its wake."""
+    grid, first = mac._grid, mac._synced_ticks
+    end = min(first + count, mac._wake - 1)
+    return list(zip(grid.times[first:end], grid.subslots[first:end]))
+
+
 class LoggedMac(QmaMac):
     """Logs the ``(time, subslot)`` of every turn, real or replayed."""
 
@@ -54,7 +62,7 @@ class LoggedMac(QmaMac):
         super()._on_subslot(subslot)
 
     def _replay(self, count: int) -> None:
-        self.turns.extend(self._virtual[:count])
+        self.turns.extend(_replayed(self, count))
         super()._replay(count)
 
 
@@ -102,7 +110,7 @@ def _run_logged(scenario: Any, sleep: bool) -> Tuple[Dict[int, Tuple], int]:
         on_subslot(mac, subslot)
 
     def logged_replay(mac: QmaMac, count: int) -> None:
-        turns[mac.node_id].extend(mac._virtual[:count])
+        turns[mac.node_id].extend(_replayed(mac, count))
         replayed[0] += count
         replay(mac, count)
 

@@ -26,7 +26,7 @@ from typing import Any, Dict, List
 
 import pytest
 
-from repro.campaign.runner import _report_metrics, execute_scenario, scenario_report
+from repro.campaign.runner import execute_scenario, scenario_report
 from repro.campaign.spec import Scenario
 from repro.core.actions import ALL_ACTIONS
 from repro.core.mac import PENDING_NONE, PENDING_STARTUP, QmaMac, _SubslotGrid
@@ -320,15 +320,6 @@ def test_a_record_run_records_no_histories(name, captured_builds):
     (built,) = captured_builds
     expected = {node_id: counters[:5] + [0, 0] for node_id, counters in pinned["nodes"].items()}
     assert _counters(built.sim, macs(built)) == {**pinned, "nodes": expected}
-
-
-def test_a_hidden_node_record_is_identical_with_and_without_convergence():
-    """The record path leaves convergence out, so the run with it is the
-    full report's."""
-    scenario = RUNS["hidden-node"][0]
-    without = dataclasses.replace(scenario, metrics=("pdr", "queue", "delay", "attempts"))
-    with_convergence = _report_metrics(scenario_report(scenario), traced=False)
-    assert repr(execute_scenario(without).metrics) == repr(with_convergence)
 
 
 def _assert_conserved(

@@ -11,8 +11,11 @@ ones included.  Measured with this counter, the runs below made 9.57
 selection was a real turn, 5.21 and 1.74 once backing-off nodes sleep,
 3.38 and 0.46 once a replay is one Q-table loop and cautious-startup
 observations sleep too (704 and 899 real turns before, 383 and 150 after),
-and 1.74 and 0.159 once the re-arm passes quiet boundaries without a heap
-entry (4,419 calls for 2,545 selections and 2,913 for 18,368).
+1.74 and 0.159 once the re-arm passes quiet boundaries without a heap
+entry (4,419 calls for 2,545 selections and 2,913 for 18,368), and 1.46
+and 0.152 once the grid reads its boundaries off a shared timeline
+instead of stepping them (3,717 calls and 2,800 from a cold timeline
+cache; 2,795 on DSME from a warm one).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.core.mac import QmaMac
 from repro.scenario.builder import ScenarioBuilder
 
 #: Calls into ``repro.core`` per action selection, over the whole run.
-MAX_CORE_CALLS_PER_SELECTION = {"hidden-node": 2.5, "dsme": 0.3}
+MAX_CORE_CALLS_PER_SELECTION = {"hidden-node": 2.0, "dsme": 0.2}
 #: Real turns per action selection on the DSME run, where nearly every
 #: selection is a QBackoff and nearly every other turn a cautious-startup
 #: observation, both of which a sleeping node replays.

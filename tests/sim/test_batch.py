@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-from types import SimpleNamespace
 from typing import List, Set
 
 import repro.sim.batch as batch_mod
@@ -155,17 +153,10 @@ def test_serial_boundary_fallback_matches_serial_runs(monkeypatch):
 
     def recording_rearm(grid):
         due, ticks = grid.due, grid.ticks
-        passed = SimpleNamespace(
-            ahead=deque(), time=grid.time, subslot=grid.subslot, duration=grid.duration,
-            num_subslots=grid.num_subslots, gate=grid.gate,
-        )
         rearm(grid)
         if due:
-            # The boundaries passed, worked out as the grid works them out.
-            _SubslotGrid._extend(passed, grid.ticks - ticks)
-            times = grid_due[lane_of[id(grid.sim)]]
-            times.add(passed.time)
-            times.update(time for time, _ in passed.ahead)
+            # This boundary and the ones passed, read off the grid's timeline.
+            grid_due[lane_of[id(grid.sim)]].update(grid.times[ticks - 1:grid.ticks])
 
     with monkeypatch.context() as patch:
         patch.setattr(_SubslotGrid, "_rearm", recording_rearm)
