@@ -45,7 +45,6 @@ import bench_build_cache as cache_bench
 import bench_checkpoint_overhead as checkpoint_bench
 import bench_engine_hotpath as engine_bench
 import bench_metrics_overhead as metrics_bench
-import bench_seed_batch as batch_bench
 import bench_sinr_hidden_node as sinr_bench
 import bench_sweep_orchestration as sweep_bench
 
@@ -71,9 +70,6 @@ METRIC_SPECS = {
     "sweep_cached_speedup": ("ratio", "higher", 2.5),
     "construction_overhead_pct": ("absolute", "lower", 1.0),
     "collector_overhead_pct": ("pct_points", "lower", 1.0),
-    "seed_batch_serial_events_per_s": ("absolute", "higher", 1.0),
-    "seed_batch_events_per_s": ("absolute", "higher", 1.0),
-    "seed_batch_speedup": ("ratio", "higher", 2.5),
     "scalability_wall_s": ("absolute", "lower", 1.0),
     "checkpoint_plain_s": ("absolute", "lower", 1.0),
     "checkpoint_journal_s": ("absolute", "lower", 1.0),
@@ -150,28 +146,6 @@ def collect(quick: bool) -> dict:
     packets = metrics_bench.SMOKE_PACKETS if quick else metrics_bench.BENCH_PACKETS
     _, _, overhead = metrics_bench.measure_overhead(packets)
     metrics["collector_overhead_pct"] = round(overhead * 100, 2)
-
-    # Seed-batch engine: aggregate events/s over all seeds, per-seed serial
-    # vs. lockstep batches; the measure itself raises if any batched lane's
-    # scalars diverge from the serial reference.  The full-mode speedup at
-    # batch=32 is the PR 7 acceptance metric (floor 3x).
-    batch_seeds_n = batch_bench.SMOKE_SEEDS if quick else batch_bench.BENCH_SEEDS
-    batch_sizes = batch_bench.SMOKE_SIZES if quick else batch_bench.BENCH_SIZES
-    batch_duration = batch_bench.SMOKE_DURATION if quick else batch_bench.BENCH_DURATION
-    batch_floor = batch_bench.SMOKE_SPEEDUP_FLOOR if quick else batch_bench.BATCH_SPEEDUP_FLOOR
-    batch = batch_bench.measure_batch_throughput(batch_seeds_n, batch_sizes, batch_duration)
-    if batch["batch_speedup"] < batch_floor:
-        raise RuntimeError(
-            f"seed-batch speedup {batch['batch_speedup']:.2f}x below the "
-            f"{batch_floor}x floor"
-        )
-    metrics["seed_batch_seeds"] = batch_seeds_n
-    metrics["seed_batch_size"] = max(batch_sizes)
-    metrics["seed_batch_serial_events_per_s"] = round(batch["serial_events_per_s"])
-    metrics["seed_batch_events_per_s"] = round(
-        batch[f"batch{max(batch_sizes)}_events_per_s"]
-    )
-    metrics["seed_batch_speedup"] = round(batch["batch_speedup"], 3)
 
     # Checkpoint journaling overhead: the batched short sweep with and
     # without a journal, paired rounds, median ratio.  check_ceiling is

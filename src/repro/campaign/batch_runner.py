@@ -1,28 +1,27 @@
-"""Seed-batched campaign execution.
+"""Seed-grouped campaign execution (``--batch-seeds``).
 
 The campaign layer's dominant workload is "many seeds × one configuration".
 :func:`execute_seed_batch` takes a *group* of scenarios that differ only in
 their master seed, prepares each one as a lane (construction flows through
 the artifact cache, so every lane of a group shares one frozen
 ``ScenarioArtifacts`` bundle) and hands the lanes to
-:class:`~repro.sim.batch.SeedBatchExecutor`, which advances them in
-lockstep with vectorized per-tick phases.  Results are bit-identical to
-per-scenario :func:`~repro.campaign.runner.execute_scenario` calls — the
-executor degrades to exact serial execution for configurations its kernel
-does not support.
+:class:`~repro.sim.batch.SeedBatchExecutor`, which runs them one after
+another.  Results are bit-identical to per-scenario
+:func:`~repro.campaign.runner.execute_scenario` calls.
 
-Only experiment families with a prepare/finish split can be batched
-(currently the testbed topologies); any other group falls back to
-per-scenario execution, so callers can group unconditionally.
+Only experiment families with a prepare/finish split can be grouped
+(currently the testbed topologies); any other group runs scenario by
+scenario, so callers can group unconditionally.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.campaign.records import RunRecord
 from repro.campaign.spec import Scenario
-from repro.experiments.testbed import prepare_star, prepare_tree
+from repro.experiments.testbed import prepare_topology_run
 from repro.sim.batch import SeedBatchExecutor
 
 __all__ = ["batchable_experiment", "execute_seed_batch", "iter_seed_groups"]
@@ -30,13 +29,13 @@ __all__ = ["batchable_experiment", "execute_seed_batch", "iter_seed_groups"]
 #: Experiment family -> lane preparer (same signature discipline as the
 #: family's ``run_*`` runner in :mod:`repro.campaign.runner`'s family table).
 _PREPARERS = {
-    "testbed-star": prepare_star,
-    "testbed-tree": prepare_tree,
+    "testbed-star": partial(prepare_topology_run, "iotlab-star"),
+    "testbed-tree": partial(prepare_topology_run, "iotlab-tree"),
 }
 
 
 def batchable_experiment(experiment: str) -> bool:
-    """Whether the experiment family supports seed-batched execution."""
+    """Whether the experiment family supports seed-grouped execution."""
     return experiment in _PREPARERS
 
 
@@ -93,7 +92,7 @@ def execute_seed_batch(
     scenarios: Sequence[Scenario],
     executor: Optional[SeedBatchExecutor] = None,
 ) -> List[RunRecord]:
-    """Run a same-configuration seed group, batched; records keep input order.
+    """Run a same-configuration seed group; records keep input order.
 
     Scalar metrics are bit-identical to running each scenario through
     ``execute_scenario`` on its own.
@@ -107,7 +106,7 @@ def execute_seed_batch(
     if len(scenarios) == 1 or not batchable_experiment(scenarios[0].experiment):
         return [execute_scenario(s) for s in scenarios]
     if runner.FAULT_HOOK is not None:
-        # The batched path bypasses execute_scenario; give the chaos
+        # The grouped path bypasses execute_scenario; give the chaos
         # harness the same per-scenario injection point.
         for scenario in scenarios:
             runner.FAULT_HOOK(scenario)

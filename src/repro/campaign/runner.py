@@ -358,7 +358,7 @@ def _execute_seed_groups(
     groups: Sequence[Sequence[Tuple[str, Optional[str], int, Dict[str, Any]]]]
 ) -> List[RunRecord]:
     """Worker entry for a chunk of same-configuration seed groups, each run
-    through the lockstep seed-batch executor: one record per delta, in
+    through the seed-group executor: one record per delta, in
     dispatch order, so re-emission in expansion order ignores batching."""
     from repro.campaign.batch_runner import execute_seed_batch
 
@@ -474,13 +474,12 @@ class CampaignRunner:
         ``configure_artifact_cache``.
     batch_seeds:
         Run up to this many consecutive same-configuration seeds as one
-        lockstep batch through :class:`~repro.sim.batch.SeedBatchExecutor`
-        (``--batch-seeds`` on the CLI; default 1 = per-seed execution).
-        The affinity sort already clusters a sweep's same-configuration
-        seeds adjacently, so groups form naturally; records are re-emitted
-        in expansion order and stay bit-identical to per-seed runs —
-        configurations the batch kernel does not support fall back to
-        serial execution inside the executor.
+        task through :class:`~repro.sim.batch.SeedBatchExecutor`, one after
+        another (``--batch-seeds`` on the CLI; default 1 = one task per
+        seed).  The affinity sort already clusters a sweep's
+        same-configuration seeds adjacently, so groups form naturally;
+        records are re-emitted in expansion order and stay bit-identical
+        to per-seed runs.
 
     With ``jobs > 1`` the runner owns a persistent
     :class:`~concurrent.futures.ProcessPoolExecutor` created on first use

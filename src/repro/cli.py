@@ -145,8 +145,8 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="run up to N consecutive same-configuration seeds as one "
-        "lockstep vectorized batch (testbed experiments; results are "
-        "bit-identical to per-seed execution; 1 disables batching)",
+        "task, one after another (testbed experiments; results are "
+        "bit-identical to per-seed execution; 1 disables grouping)",
     )
     parser.add_argument(
         "--json", dest="json_path", metavar="PATH", help="export per-run records as JSON"

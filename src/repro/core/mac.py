@@ -375,6 +375,15 @@ class _SubslotGrid:
             self.marks = marks = [(members[0]._rank, seq)]
         time = self.time = times[index]
         heapq.heappush(queue, (time, marks[0][1], self._boundary, None))
+        if not due and sim._bound == math.inf and all(map(_idle_boundary, queue)):
+            sim._stopped = True  # nothing can happen any more: an unbounded run ends
+
+
+def _idle_boundary(entry: Tuple) -> bool:
+    """Whether a heap entry is the boundary of a grid with no member due."""
+    callback = entry[2]
+    boundary = getattr(callback, "__func__", None) is _SubslotGrid._boundary
+    return boundary and not callback.__self__.due
 
 
 def _caught_up(name: str, doc: str) -> property:
@@ -588,11 +597,10 @@ class QmaMac(MacProtocol):
         """This node's turn at a subslot boundary, the simulator's inner loop:
         learn, select, re-arm.  The grid calls it at the node's first boundary
         and then only while the node has work (see :class:`_SubslotGrid`).
-        A QBackoff's update and the select are inline over fields the seed-batch
-        facades keep real; the Q-table, tracker expiry and re-arm (facade
-        overrides) and the exploration strategy (three kinds) stay calls.
-        The strategy's ``notify_action`` hook is called only where its type
-        overrides the base class's empty one."""
+        A QBackoff's update, the select and the re-arm are inline; the
+        Q-table, tracker expiry, sleep planning and the exploration strategy
+        (three kinds) stay calls.  The strategy's ``notify_action`` hook is
+        called only where its type overrides the base class's empty one."""
         self._subslot = subslot
         self._counter += 1
         if subslot == 0:
@@ -645,14 +653,9 @@ class QmaMac(MacProtocol):
                 else:
                     self._execute(code, subslot)
 
-        # 3. Re-arm for the next subslot boundary.
-        self._schedule_next_tick()
-
-    def _schedule_next_tick(self) -> None:
-        """End a turn: draw its mark, and stay on the loop only while there
-        is work that is more than QBackoff turns or startup observations
-        (see :meth:`_sleep`).  The seed-batch facade overrides this re-arm
-        seam."""
+        # 3. Re-arm: draw this turn's mark, and stay on the loop only while
+        # there is work that is more than QBackoff turns or startup
+        # observations (see :meth:`_sleep`).
         grid = self._grid
         if grid is None:  # stopped during its own turn
             return

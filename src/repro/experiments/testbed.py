@@ -49,9 +49,9 @@ class PreparedTopologyRun:
 
     ``prepare_topology_run`` builds everything — scenario, traffic,
     collectors, management-stop schedule — and returns this handle; the
-    caller then drives ``sim`` to ``end_time`` (the serial runner via
-    ``sim.run_until``, the batch executor in lockstep with other seeds)
-    and calls :meth:`finish` to finalize the collectors into the report.
+    caller then drives ``sim`` to ``end_time`` (:meth:`run`, or
+    :class:`~repro.sim.batch.SeedBatchExecutor` for a seed group) and
+    calls :meth:`finish` to finalize the collectors into the report.
     """
 
     built: BuiltScenario
@@ -74,14 +74,14 @@ class PreparedTopologyRun:
 
 def prepare_topology_run(
     topology_name: str,
-    mac: str,
-    delta: float,
-    packets_per_node: int,
-    warmup: float,
-    seed: int,
-    qma_config: Optional[QmaConfig],
-    max_duration: Optional[float],
-    link_error_rate: float,
+    mac: str = "qma",
+    delta: float = 10.0,
+    packets_per_node: int = 1000,
+    warmup: float = 20.0,
+    seed: int = 0,
+    qma_config: Optional[QmaConfig] = None,
+    max_duration: Optional[float] = None,
+    link_error_rate: float = 0.02,
     propagation: Optional[str] = None,
     propagation_params: Optional[Mapping[str, Any]] = None,
     interference: str = "collision",
@@ -90,6 +90,8 @@ def prepare_topology_run(
     trace: bool = False,
     trace_limit: Optional[int] = None,
 ) -> PreparedTopologyRun:
+    """Assemble (but do not run) the verification run on ``iotlab-tree``
+    (Fig. 18) or ``iotlab-star`` (Fig. 19)."""
     scenario = scenario_config(
         topology_name,
         mac,
@@ -175,87 +177,11 @@ def prepare_topology_run(
     return PreparedTopologyRun(built=built, end_time=end_time, _finalize=finalize)
 
 
-def prepare_tree(
-    mac: str = "qma",
-    delta: float = 10.0,
-    packets_per_node: int = 1000,
-    warmup: float = 20.0,
-    seed: int = 0,
-    qma_config: Optional[QmaConfig] = None,
-    max_duration: Optional[float] = None,
-    link_error_rate: float = 0.02,
-    propagation: Optional[str] = None,
-    propagation_params: Optional[Mapping[str, Any]] = None,
-    interference: str = "collision",
-    sinr_threshold_db: float = 10.0,
-    collectors: Optional[Sequence[str]] = None,
-    trace: bool = False,
-    trace_limit: Optional[int] = None,
-) -> PreparedTopologyRun:
-    """Assemble (but do not run) the tree-topology verification of Fig. 18."""
-    return prepare_topology_run(
-        "iotlab-tree",
-        mac,
-        delta,
-        packets_per_node,
-        warmup,
-        seed,
-        qma_config,
-        max_duration,
-        link_error_rate,
-        propagation=propagation,
-        propagation_params=propagation_params,
-        interference=interference,
-        sinr_threshold_db=sinr_threshold_db,
-        collectors=collectors,
-        trace=trace,
-        trace_limit=trace_limit,
-    )
-
-
-def prepare_star(
-    mac: str = "qma",
-    delta: float = 10.0,
-    packets_per_node: int = 1000,
-    warmup: float = 20.0,
-    seed: int = 0,
-    qma_config: Optional[QmaConfig] = None,
-    max_duration: Optional[float] = None,
-    link_error_rate: float = 0.02,
-    propagation: Optional[str] = None,
-    propagation_params: Optional[Mapping[str, Any]] = None,
-    interference: str = "collision",
-    sinr_threshold_db: float = 10.0,
-    collectors: Optional[Sequence[str]] = None,
-    trace: bool = False,
-    trace_limit: Optional[int] = None,
-) -> PreparedTopologyRun:
-    """Assemble (but do not run) the star-topology verification of Fig. 19."""
-    return prepare_topology_run(
-        "iotlab-star",
-        mac,
-        delta,
-        packets_per_node,
-        warmup,
-        seed,
-        qma_config,
-        max_duration,
-        link_error_rate,
-        propagation=propagation,
-        propagation_params=propagation_params,
-        interference=interference,
-        sinr_threshold_db=sinr_threshold_db,
-        collectors=collectors,
-        trace=trace,
-        trace_limit=trace_limit,
-    )
-
-
 def run_tree(mac: str = "qma", **kwargs: Any) -> SimReport:
     """The tree-topology verification of Fig. 18."""
-    return prepare_tree(mac=mac, **kwargs).run()
+    return prepare_topology_run("iotlab-tree", mac=mac, **kwargs).run()
 
 
 def run_star(mac: str = "qma", **kwargs: Any) -> SimReport:
     """The star-topology verification of Fig. 19."""
-    return prepare_star(mac=mac, **kwargs).run()
+    return prepare_topology_run("iotlab-star", mac=mac, **kwargs).run()

@@ -39,14 +39,23 @@ leapt over.  A grid passes boundaries before both the heap's head and
 :attr:`Simulator._bound`, the end of the :meth:`run_until` in progress,
 without an entry: all of them when no node is due (a leap, which counts
 none), and the quiet ones, where every due node sleeps, before the
-earliest wake (each counted).  ``step()`` and ``run()`` set no bound, so
-they never pass one.
+earliest wake (each counted).  ``step()`` sets no bound, so it never
+passes one.
 :attr:`Simulator._grids` holds the grids whose first boundary is still to
 come, which nodes starting at that instant join.  A QMA node sleeping
 through QBackoff turns or startup observations stays due, so it changes
 no count; a :meth:`run_until` cut short by :meth:`stop` wakes every
 sleeper (:attr:`Simulator._wakers`) so that no reader finds its state
 stale.
+
+A grid with members always has a next boundary, so an unbounded run
+(:meth:`Simulator.run`, or :meth:`Simulator.run_until` with an infinite
+end) would never run dry.  Such a run *ends* once only idle boundaries
+remain: a grid re-arming with no member due, under an infinite bound,
+that finds every queued entry to be a boundary of a grid with no member
+due stops the run as :meth:`Simulator.stop` would.  Nothing could happen
+any more, so the clock stays at that boundary and the grids keep their
+entries: a later :meth:`Simulator.run_until` carries on from there.
 """
 
 from __future__ import annotations
@@ -170,12 +179,19 @@ class Simulator:
         """Run events until the clock reaches ``end_time``.
 
         The clock is advanced to exactly ``end_time`` when the run finishes,
-        even if the last event fired earlier.
+        even if the last event fired earlier.  An unbounded run
+        (``end_time`` infinite) ends as :meth:`run` does.
         """
         if not end_time >= self._now:
             raise SimulationError(
                 f"end_time {end_time} lies in the past (now={self._now})"
             )
+        if self._drain(end_time):
+            self._now = max(self._now, end_time)
+
+    def _drain(self, end_time: float) -> bool:
+        """Fire the events up to ``end_time`` with it as the bound; False
+        when the run stopped early, after waking every sleeper."""
         self._bound = end_time
         self._stopped = False
         try:
@@ -183,10 +199,10 @@ class Simulator:
         finally:
             self._bound = -_INF
         if not self._stopped:
-            self._now = max(self._now, end_time)
-            return
+            return True
         for wake in self._wakers:
             wake()
+        return False
 
     def _drain_before(self, t_bound: float, seq_bound: float) -> None:
         """Fire every event keyed before ``(t_bound, seq_bound)``, in order,
@@ -195,9 +211,9 @@ class Simulator:
         This is the simulation hot path, with local bindings throughout.
         It pops first and pushes back the one entry found past the bound,
         which costs one push per call instead of a ``queue[0]`` peek per
-        event.  The seed-batch kernel drains each lane up to a subslot
-        tick's key through it, so it must not touch the clock beyond the
-        events it fires.
+        event.  A grid's walk drains the events keyed before a turn's mark
+        through it, so it must not touch the clock beyond the events it
+        fires.
         """
         queue = self._queue
         heappop = heapq.heappop
@@ -218,16 +234,11 @@ class Simulator:
         finally:
             self.events_executed += executed
 
-    def _next_key(self) -> Optional[Tuple[float, int]]:
-        """The ``(time, seq)`` key of the next event (None if none)."""
-        queue = self._queue
-        return queue[0][:2] if queue else None
-
     def run(self) -> None:
-        """Run until the event queue is exhausted."""
-        self._stopped = False
-        while not self._stopped and self.step():
-            pass
+        """Run until the event queue is exhausted, or only idle grid
+        boundaries remain (see the module docstring); the clock stays at
+        the last event."""
+        self._drain(_INF)
 
     def stop(self) -> None:
         """Stop the current :meth:`run` / :meth:`run_until` after the current event."""

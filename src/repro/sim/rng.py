@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 class RngRegistry:
@@ -51,8 +51,7 @@ def seed_substreams(seed: int, n: int) -> List["object"]:
     statistically independent of each other (unlike ``seed + i`` offsets)
     and reproducible: the same ``(seed, n)`` always yields the same
     sequence of generators, and substream ``i`` does not change when ``n``
-    grows.  Used by the seeded random-topology placement and by the batch
-    executor's per-lane construction randomness.
+    grows.  Used by the seeded random-topology placement.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -60,38 +59,3 @@ def seed_substreams(seed: int, n: int) -> List["object"]:
 
     children = npr.SeedSequence(int(seed)).spawn(n)
     return [npr.default_rng(child) for child in children]
-
-
-def mt_stream_state(stream: random.Random) -> Tuple[List[int], int]:
-    """Extract the Mersenne-Twister core state of a ``random.Random``.
-
-    Returns ``(key, pos)``: the 624 32-bit state words and the read
-    position, exactly as ``numpy.random.MT19937`` expects them — the
-    transplanted bit generator then produces the *identical* 32-bit word
-    sequence the ``random.Random`` would have produced.  This is what lets
-    the batch executor pre-draw a stream's words in bulk while staying
-    bit-identical to scalar ``random()`` / ``choice()`` calls.
-    """
-    version, internal, _gauss = stream.getstate()
-    if version != 3:  # pragma: no cover - CPython has used version 3 since 2.6
-        raise ValueError(f"unsupported random.Random state version: {version}")
-    key, pos = list(internal[:-1]), internal[-1]
-    return key, pos
-
-
-def transplant_bit_generator(stream: random.Random):
-    """A ``numpy.random.MT19937`` continuing ``stream``'s word sequence.
-
-    ``bit_generator.random_raw(k)`` returns the next ``k`` 32-bit words the
-    ``random.Random`` would have consumed; the caller owns keeping the two
-    sides consistent (after the transplant only one of them may draw).
-    """
-    import numpy as np
-
-    key, pos = mt_stream_state(stream)
-    bit_generator = np.random.MT19937()
-    bit_generator.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(key, dtype=np.uint32), "pos": int(pos)},
-    }
-    return bit_generator

@@ -13,10 +13,10 @@ to reproduce every row it runs, one case per path and sweep:
   ``cache_size=1`` (forced eviction);
 * ``CampaignRunner(jobs=2)`` through ``run`` and ``stream``, chunked;
 * ``batch_seeds`` 2 and 4 (ragged tails) at ``jobs=1`` and ``jobs=2``, on
-  the testbed rows, and ``batch_seeds`` 4 with every boundary through the
-  lockstep kernel's serial fallback;
+  the testbed rows, where each seed group runs its lanes one after
+  another;
 * :func:`~repro.service.checkpoint.run_checkpointed` cut part-way and
-  resumed, including a cut inside a seed-batch group;
+  resumed, including a cut inside a seed group;
 * the pool backend, and two ``spawn_agent`` agents through
   ``RemoteBackend`` resuming a partial journal;
 * a supervised pool backend whose worker crashes (exit code 86), retried
@@ -55,8 +55,7 @@ from repro.service.journal import CheckpointJournal
 from repro.service.manifest import record_digest
 from repro.service.remote import RemoteBackend
 from repro.service.supervisor import make_supervised
-from repro.sim.batch import SeedBatchExecutor, _LockstepKernel
-from repro.sim.engine import Simulator
+from repro.sim.batch import SeedBatchExecutor
 
 #: Named parameter bases; a row's label is its base plus its grid values.
 PARAMS = {
@@ -314,34 +313,21 @@ def _streamed(sweep, tmp_path):
     return sink.records
 
 
-def _no_vector_phases(kernel, t, mask):
-    raise AssertionError("a boundary took the vector phases")
-
-
-def _batched(batch_seeds: int, jobs: int, serial_boundaries: bool = False):
-    """With ``serial_boundaries`` every lane boundary runs through the
-    kernel's exact fallback (``_LockstepKernel._serial_boundary``): a heap
-    key just below every tick key makes each one look interleaved."""
-
+def _batched(batch_seeds: int, jobs: int):
     def run(sweep, tmp_path):
-        fallbacks = []
+        groups = []
         executor_run = SeedBatchExecutor.run
 
         def spy(self, lanes):
-            reports = executor_run(self, lanes)
-            fallbacks.append(self.last_fallback_reason)
-            return reports
+            groups.append(len(lanes))
+            return executor_run(self, lanes)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(SeedBatchExecutor, "run", spy)
-            if serial_boundaries:
-                patch.setattr(Simulator, "_next_key", lambda sim: (sim._now, -1))
-                patch.setattr(_LockstepKernel, "_vector_phases", _no_vector_phases)
             records = _runner(jobs=jobs, batch_seeds=batch_seeds)(sweep, tmp_path)
         if jobs == 1:
-            # The lockstep kernel really ran wherever a QMA seed group
-            # could use it, not only its serial fallback.
-            assert (None in fallbacks) == ("qma" in sweep.macs)
+            # The seeds really ran as groups, not one task per seed.
+            assert max(groups) > 1
         return records
 
     return run
@@ -470,7 +456,6 @@ PATHS = [
     ("batch-4-jobs-1", _batched(4, jobs=1), TESTBED),
     ("batch-2-jobs-2", _batched(2, jobs=2), TESTBED),
     ("batch-4-jobs-2", _batched(4, jobs=2), TESTBED),
-    ("batch-4-serial-boundaries", _batched(4, jobs=1, serial_boundaries=True), TESTBED),
     (
         "checkpoint-cut-resume",
         _checkpointed(PoolBackend, lambda: PoolBackend(jobs=2), lambda sweep: sweep.size // 2),

@@ -1,6 +1,6 @@
-"""Seed grouping for the lockstep batch executor.
+"""Seed grouping for the seed-group executor (``--batch-seeds``).
 
-That batched runs reproduce every record is checked against literal
+That grouped runs reproduce every record is checked against literal
 digests in ``test_pinned_digests.py``.
 """
 

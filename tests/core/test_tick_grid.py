@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import copy
 
-import numpy as np
-
 from repro.core.config import QmaConfig
 from repro.core.mac import QmaMac, _SubslotGrid
-from repro.experiments.testbed import prepare_star
 from repro.mac.gate import WindowedGate
 from repro.phy.channel import WirelessChannel
 from repro.phy.frames import Frame, FrameKind
 from repro.phy.radio import Radio
-from repro.sim import batch as batch_mod
 from repro.sim.engine import Simulator
 
 SUBSLOT = 2e-3
@@ -643,33 +639,3 @@ def test_stop_inside_a_boundary_leaves_its_remaining_turns_pending():
     assert sim.events_executed == PINNED_STOP_RUN[0] - 2
     assert _ticks(macs) == PINNED_STOP_RUN[2]
     assert [mac.qtable.updates for mac in macs] == PINNED_STOP_RUN[4]
-
-
-def test_seed_batch_bootstrap_takes_every_node_off_its_grid_through_the_facade(monkeypatch):
-    lanes = [
-        prepare_star(mac="qma", seed=seed, packets_per_node=2, warmup=0.5, delta=40.0,
-                     max_duration=4.0, qma_config=QmaConfig(cautious_startup_subslots=0))
-        for seed in (0, 1)
-    ]
-    for lane in lanes:
-        for mac in lane.built.network.macs.values():
-            assert mac.queue.empty and not mac.startup.active
-    registered = []
-    override = batch_mod.BatchQmaMac._schedule_next_tick
-
-    def spy(mac):
-        registered.append((mac._bl, mac._bn))
-        override(mac)
-
-    monkeypatch.setattr(batch_mod.BatchQmaMac, "_schedule_next_tick", spy)
-    store = batch_mod._BatchStore(lanes)
-    batch_mod._LockstepKernel(store)._bootstrap()
-
-    num_nodes = store.num_nodes
-    assert sorted(registered) == [(lane, node) for lane in range(2) for node in range(num_nodes)]
-    assert not np.isnan(store.tick_time).any()
-    assert (store.tick_seq >= 0).all()
-    for lane in lanes:
-        assert not lane.sim._grids
-        assert not _grid_entries(lane.sim)
-        assert all(mac._grid is None for mac in lane.built.network.macs.values())

@@ -15,7 +15,8 @@ observations sleep too (704 and 899 real turns before, 383 and 150 after),
 entry (4,419 calls for 2,545 selections and 2,913 for 18,368), and 1.46
 and 0.152 once the grid reads its boundaries off a shared timeline
 instead of stepping them (3,717 calls and 2,800 from a cold timeline
-cache; 2,795 on DSME from a warm one).
+cache; 2,795 on DSME from a warm one), and 1.31 and 0.144 once a turn's
+re-arm is inline (3,334 calls and 2,650 from a cold cache).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.core.mac import QmaMac
 from repro.scenario.builder import ScenarioBuilder
 
 #: Calls into ``repro.core`` per action selection, over the whole run.
-MAX_CORE_CALLS_PER_SELECTION = {"hidden-node": 2.0, "dsme": 0.2}
+MAX_CORE_CALLS_PER_SELECTION = {"hidden-node": 1.6, "dsme": 0.17}
 #: Real turns per action selection on the DSME run, where nearly every
 #: selection is a QBackoff and nearly every other turn a cautious-startup
 #: observation, both of which a sleeping node replays.

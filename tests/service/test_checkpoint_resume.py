@@ -158,10 +158,10 @@ class TestResumeBitIdentical:
 
     @pytest.mark.parametrize("resume_batch", [1, 4])
     def test_cut_mid_seed_batch_group(self, tmp_path, resume_batch):
-        """Interrupt inside a 4-seed lockstep batch; resume batched and not."""
+        """Interrupt inside a 4-seed group; resume grouped and not."""
         sweep = star_sweep()
         # batch_seeds=4 groups seeds [0..3] and [4..5]; cut=2 stops inside
-        # the first lockstep group.
+        # the first group.
         merged = interrupt_then_resume(
             sweep,
             str(tmp_path / "j.jsonl"),

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.mac.aloha import AlohaConfig, SlottedAloha
@@ -158,3 +164,58 @@ def test_invalid_end_time_raises():
     sim.run_until(5.0)
     with pytest.raises(SimulationError):
         sim.run_until(1.0)
+
+
+#: Unbounded runs of QMA networks; run in a child process so that a run
+#: that never ends fails the test by its timeout instead of hanging it.
+UNBOUNDED_RUNS = """
+import json, math
+from repro.experiments import hidden_node
+from repro.scenario import ScenarioConfig, build_scenario
+from repro.sim.engine import Simulator
+
+# Idle QMA nodes only: their grid always has a next boundary.
+built = build_scenario(ScenarioConfig(mac="qma"))
+built.network.start()
+built.sim.run_until(1.0)
+built.sim.run_until(math.inf)
+ended = built.sim.now
+built.sim.run_until(ended + 1.0)  # the grid carries on from where the run ended
+
+def delivered(run_until):
+    Simulator.run_until = run_until
+    report = hidden_node.run_hidden_node(
+        mac="qma", delta=10.0, packets_per_node=30, warmup=5.0, seed=1
+    )
+    return report.scalars["packets_delivered"], report.duration
+
+bounded, run_until = delivered(Simulator.run_until), Simulator.run_until
+print(json.dumps({
+    "ended": ended,
+    "after": built.sim.now,
+    "bounded": bounded,
+    "run": delivered(lambda sim, end: sim.run()),
+    "infinite": delivered(lambda sim, end: run_until(sim, math.inf)),
+}))
+"""
+
+
+def test_an_unbounded_qma_run_ends_once_only_idle_boundaries_remain():
+    """``run()`` and ``run_until(math.inf)`` end when no grid member has
+    work and no other event is queued, after every packet was delivered."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", UNBOUNDED_RUNS],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert 1.0 < out["ended"] < 2.0
+    assert out["after"] == out["ended"] + 1.0
+    (packets, end), (run_packets, run_end) = out["bounded"], out["run"]
+    assert packets == 60.0
+    assert out["run"] == out["infinite"]
+    assert run_packets == packets and run_end < end
+

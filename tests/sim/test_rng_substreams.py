@@ -1,12 +1,10 @@
-"""Tests for seed substreams and the MT19937 state transplant."""
+"""Tests for seed substreams."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.sim.rng import mt_stream_state, seed_substreams, transplant_bit_generator
+from repro.sim.rng import seed_substreams
 
 
 class TestSeedSubstreams:
@@ -50,33 +48,3 @@ class TestSeedSubstreams:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             seed_substreams(0, -1)
-
-
-class TestTransplant:
-    def test_state_roundtrip(self):
-        stream = random.Random(99)
-        stream.random()  # advance past the freshly seeded position
-        key, pos = mt_stream_state(stream)
-        assert len(key) == 624
-        assert 0 <= pos <= 624
-
-    def test_word_sequence_matches_getrandbits(self):
-        reference = random.Random(2024)
-        transplanted = random.Random(2024)
-        for _ in range(100):  # desynchronise pos from the seed position
-            reference.random()
-            transplanted.random()
-        bit_generator = transplant_bit_generator(transplanted)
-        words = bit_generator.random_raw(1000)
-        assert [int(w) for w in words] == [
-            reference.getrandbits(32) for _ in range(1000)
-        ]
-
-    def test_random_reconstruction(self):
-        """Two raw words recombine into random.Random.random() exactly."""
-        reference = random.Random(7)
-        bit_generator = transplant_bit_generator(random.Random(7))
-        words = bit_generator.random_raw(20)
-        for i in range(10):
-            hi, lo = int(words[2 * i]) >> 5, int(words[2 * i + 1]) >> 6
-            assert (hi * 67108864.0 + lo) / 9007199254740992.0 == reference.random()

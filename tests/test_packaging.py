@@ -63,8 +63,8 @@ def test_example_imports(path):
 
 
 #: Modules a process that only builds, runs and checkpoints simulations never
-#: uses: numpy (the batch engine, the Fig. 26 Markov chain and the RNG
-#: substreams import it where they need it), the asyncio/HTTP/TLS stack of
+#: uses: numpy (the Fig. 26 Markov chain and the RNG substreams import it
+#: where they need it), the asyncio/HTTP/TLS stack of
 #: the server, client and cross-host dispatch, and ``concurrent.futures``
 #: (it imports ``logging``), which the runner imports where it creates a pool.
 COLD_START_FORBIDDEN = (
@@ -158,5 +158,14 @@ def test_no_module_imports_asyncio_or_socketserver():
     assert offenders == []
 
 
-def test_batch_runner_still_imports_numpy():
-    assert _loaded_after_import("import repro.campaign.batch_runner", ["numpy"]) == ["numpy"]
+def test_seed_groups_do_not_import_numpy():
+    """``--batch-seeds`` runs a seed group's lanes one after another."""
+    statement = (
+        "import repro.campaign.batch_runner\n"
+        "from repro.campaign.runner import CampaignRunner\n"
+        "from repro.campaign.spec import Sweep\n"
+        "sweep = Sweep(experiment='testbed-star', macs=['qma'], seeds=[0, 1],\n"
+        "              fixed={'packets_per_node': 1, 'warmup': 0.1, 'max_duration': 0.3})\n"
+        "CampaignRunner(batch_seeds=2).run(sweep)"
+    )
+    assert _loaded_after_import(statement, ["numpy"]) == []
