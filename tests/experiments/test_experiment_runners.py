@@ -21,7 +21,8 @@ from repro.experiments.hidden_node import (
 )
 from repro.experiments.scalability import run_scalability
 from repro.experiments.sinr_hidden_node import run_sinr_hidden_node
-from repro.experiments.testbed import run_star, run_tree
+from repro.campaign.batch_runner import _PREPARERS
+from repro.experiments.testbed import prepare_topology_run, run_star, run_tree
 
 
 class TestHiddenNodeRunner:
@@ -154,6 +155,28 @@ class TestTestbedRunners:
             result = run_star(mac=mac, delta=2, packets_per_node=10, warmup=15, seed=1)
             assert result.topology == "iotlab-star"
             assert result.packets_generated > 0
+
+    @pytest.mark.parametrize(
+        "experiment, topology, runner",
+        [("testbed-star", "iotlab-star", run_star), ("testbed-tree", "iotlab-tree", run_tree)],
+    )
+    def test_seed_group_preparers_match_the_topology_runners(self, experiment, topology, runner):
+        kwargs = {"mac": "qma", "delta": 40.0, "packets_per_node": 2, "warmup": 0.5,
+                  "max_duration": 4.0, "seed": 5}
+        prepared = _PREPARERS[experiment](**kwargs).run()
+        expected = runner(**kwargs)
+        assert (prepared.experiment, prepared.topology) == (experiment, topology)
+        assert (prepared.scalars, prepared.tables, prepared.duration) == (
+            expected.scalars, expected.tables, expected.duration
+        )
+
+    def test_prepared_end_time_is_warmup_plus_traffic_plus_drain_capped(self):
+        # Defaults: 20 s warm-up, 1000 packets at 10 packets/s, 10 s drain.
+        assert prepare_topology_run("iotlab-star").end_time == 130.0
+        assert prepare_topology_run("iotlab-tree", delta=5.0, packets_per_node=10,
+                                    warmup=1.0).end_time == 13.0
+        assert prepare_topology_run("iotlab-star", max_duration=50.0).end_time == 50.0
+        assert prepare_topology_run("iotlab-star", max_duration=500.0).end_time == 130.0
 
 
 class TestScalabilityRunner:

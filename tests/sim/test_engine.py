@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.mac import _idle_boundary
 from repro.mac.aloha import AlohaConfig, SlottedAloha
 from repro.mac.tdma import Tdma, TdmaConfig
 from repro.phy.channel import WirelessChannel
 from repro.phy.radio import Radio
+from repro.scenario import ScenarioConfig, build_scenario
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import PeriodicProcess
 from repro.traffic.generators import PeriodicTraffic
@@ -200,18 +202,24 @@ print(json.dumps({
 """
 
 
-def test_an_unbounded_qma_run_ends_once_only_idle_boundaries_remain():
-    """``run()`` and ``run_until(math.inf)`` end when no grid member has
-    work and no other event is queued, after every packet was delivered."""
+def _run_child(script: str) -> dict:
+    """Run ``script`` in a child process with a 20 s timeout; its stdout
+    is one JSON object."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-c", UNBOUNDED_RUNS],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=20,
     )
     assert result.returncode == 0, result.stderr
-    out = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_an_unbounded_qma_run_ends_once_only_idle_boundaries_remain():
+    """``run()`` and ``run_until(math.inf)`` end when no grid member has
+    work and no other event is queued, after every packet was delivered."""
+    out = _run_child(UNBOUNDED_RUNS)
     assert 1.0 < out["ended"] < 2.0
     assert out["after"] == out["ended"] + 1.0
     (packets, end), (run_packets, run_end) = out["bounded"], out["run"]
@@ -219,3 +227,45 @@ def test_an_unbounded_qma_run_ends_once_only_idle_boundaries_remain():
     assert out["run"] == out["infinite"]
     assert run_packets == packets and run_end < end
 
+
+#: An unbounded run of idle QMA nodes with one plain event far ahead.
+UNBOUNDED_RUN_WITH_A_LATE_EVENT = """
+import json, math
+from repro.scenario import ScenarioConfig, build_scenario
+
+built = build_scenario(ScenarioConfig(mac="qma"))
+sim = built.sim
+fired = []
+sim.schedule_at(50.0, lambda: fired.append(sim.now))
+built.network.start()
+sim.run_until(math.inf)
+print(json.dumps({"fired": fired, "ended": sim.now}))
+"""
+
+
+def test_an_unbounded_run_does_not_end_before_a_queued_event():
+    """Idle boundaries alone end an unbounded run: one plain event queued
+    behind them still fires, and the run ends at the boundary after it."""
+    out = _run_child(UNBOUNDED_RUN_WITH_A_LATE_EVENT)
+    assert out["fired"] == [50.0]
+    assert 50.0 < out["ended"] < 51.0
+
+
+def _queued(sim):
+    """Each queued entry's callback name and whether it is an idle boundary."""
+    return sorted((entry[2].__qualname__, _idle_boundary(entry)) for entry in sim._queue)
+
+
+def test_only_boundaries_of_grids_with_no_member_due_are_idle():
+    built = build_scenario(ScenarioConfig(mac="qma"))
+    for node in built.network.sources():
+        built.poisson_source(node.node_id, rate=20.0, start_time=1.0, max_packets=5,
+                             rng_name=f"late-{node.node_id}", start_at=1.0)
+    built.network.start()
+    built.sim.run_until(0.5)  # every node idle before its traffic starts
+    assert _queued(built.sim) == [("TrafficGenerator.start", False)] * 2 + [
+        ("_SubslotGrid._boundary", True)
+    ]
+    built.sim.run_until(1.3)  # packets queued: the grid has members due
+    assert ("_SubslotGrid._boundary", False) in _queued(built.sim)
+    assert not any(idle for _, idle in _queued(built.sim))
