@@ -152,7 +152,9 @@ def collect(quick: bool) -> dict:
     # the PR 8 acceptance gate (≤5 % full, ≤15 % on the noisier smoke
     # workload) and raises instead of recording a bad number.
     ckpt_runs = checkpoint_bench.SMOKE_RUNS if quick else checkpoint_bench.BENCH_RUNS
-    ckpt = checkpoint_bench.measure_checkpoint_overhead(ckpt_runs)
+    ckpt = checkpoint_bench.measure_checkpoint_overhead(
+        ckpt_runs, checkpoint_bench.QUICK_ROUNDS if quick else checkpoint_bench.ROUNDS
+    )
     checkpoint_bench.check_ceiling(ckpt, quick)
     metrics["checkpoint_runs"] = ckpt_runs
     metrics["checkpoint_plain_s"] = round(ckpt["plain_s"], 3)

@@ -4,7 +4,7 @@ The service layer turns the campaign runner into infrastructure for
 million-run sweeps:
 
 * :mod:`repro.service.manifest` — deterministic run identity (spec
-  digests, expansion indices, affinity-ordered shard splits);
+  digests, expansion indices, shard splits in affinity order);
 * :mod:`repro.service.journal` — the append-only, crash-tolerant
   checkpoint journal (with event audit lines and sealed-segment
   compaction);

@@ -9,8 +9,8 @@ journal, the service front end or the CLI:
 * :class:`PoolBackend` — the default: one warm
   :class:`~repro.campaign.runner.CampaignRunner` (persistent worker pool,
   build cache, seed batches) executing the pending set in expansion order.
-* :class:`~repro.service.remote.RemoteBackend` — affinity-ordered shard
-  slices shipped to campaign agents (``--hosts``), their journals
+* :class:`~repro.service.remote.RemoteBackend` — shard slices of the
+  affinity order shipped to campaign agents (``--hosts``), their journals
   streamed back and merged; it lives in :mod:`repro.service.remote`,
   imported only when asked for.
 * :class:`SerialBackend` — one run at a time, each in a disposable child
@@ -60,8 +60,9 @@ class DispatchBackend:
     ``run`` executes the given pending expansion indices of the sweep,
     appending each finished record to ``journal`` (atomically per record,
     so a crash loses at most in-flight work) and invoking ``on_record``
-    live as results arrive.  Completion order is backend-defined; callers
-    that need expansion order replay the journal afterwards.
+    live as results arrive.  Completion order is backend-defined;
+    :func:`~repro.service.checkpoint.run_checkpointed` restores expansion
+    order from the journal.
 
     ``run`` returning with indices still pending is not an error at this
     layer: a cancelled or aborted backend stops early by design, and the
@@ -71,12 +72,6 @@ class DispatchBackend:
     """
 
     name = "abstract"
-
-    #: True when ``run`` invokes ``on_record`` in expansion order of the
-    #: given indices.  Lets :func:`~repro.service.checkpoint.run_checkpointed`
-    #: stream records straight into sinks on a cold run instead of paying
-    #: the journal replay pass.
-    ordered = False
 
     def __init__(self) -> None:
         self.last_progress = time.monotonic()
@@ -145,9 +140,6 @@ class PoolBackend(DispatchBackend):
     """
 
     name = "pool"
-    # iter_records re-emits in expansion order regardless of jobs/affinity
-    # reordering/seed batching, so completions arrive index-sorted.
-    ordered = True
 
     #: Queue poll period — the latency bound on cancel/abort.
     POLL_INTERVAL = 0.2
@@ -311,7 +303,6 @@ class SerialBackend(DispatchBackend):
     """
 
     name = "serial"
-    ordered = True
 
     #: Child-pipe poll period.
     POLL_INTERVAL = 0.1

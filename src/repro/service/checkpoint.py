@@ -6,15 +6,21 @@ journal, executes only the pending runs through the chosen dispatch
 backend, and delivers the merged campaign to the caller's sinks in
 expansion order.  Whether the campaign ran cold, resumed three times, or
 was merged from four agent-run shards, the sinks always see the same
-records in the same order: a cold run through an order-preserving backend
-streams records live (the journal stays write-only), while any merge of
-history replays the whole journal in expansion order, verifying every
-record's content digest as it is read back.
+records in the same order.
+
+One in-order releaser makes that so.  It replays the journaled prefix,
+passes each live record that lands at its pointer straight to the sinks
+and replays the journaled records this uncovers; a record that arrives
+ahead of the pointer waits in the journal.  A cold run through a backend
+that completes in expansion order never reads the journal, and a resume
+replays only what was journaled before it, verifying each digest.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 from repro.campaign.records import RunRecord
@@ -47,6 +53,47 @@ class CheckpointOutcome:
     quarantined: List[int] = field(default_factory=list)
 
 
+class _InOrderReleaser:
+    """Hands each journaled record to ``deliver`` once, in expansion order.
+
+    ``next`` is the first index not yet released; no record is buffered,
+    because anything that arrives ahead of it is already in the journal.
+    :meth:`offer` may be called from several dispatch threads at once.
+    """
+
+    def __init__(
+        self, journal: CheckpointJournal, deliver: Callable[[RunRecord], None]
+    ) -> None:
+        self.journal = journal
+        self.deliver = deliver
+        self.next = 0
+        self._lock = threading.Lock()
+
+    def release_prefix(self, stop: int) -> None:
+        """Replay the completed prefix ``[0, stop)``."""
+        for _index, record in islice(self.journal.iter_completed(), stop):
+            self.deliver(record)
+        self.next = stop
+
+    def offer(self, index: int, record: RunRecord) -> None:
+        """A live record: release it if it is next, then what it uncovers."""
+        with self._lock:
+            if index != self.next:
+                return  # released already, or waiting in the journal
+            self.deliver(record)
+            self.next += 1
+            while self.next in self.journal:
+                self.deliver(self.journal.replay(self.next))
+                self.next += 1
+
+    def finish(self) -> None:
+        """Replay the rest, skipping runs that never completed."""
+        with self._lock:
+            for index in range(self.next, self.journal.total):
+                if index in self.journal:
+                    self.deliver(self.journal.replay(index))
+
+
 def run_checkpointed(
     sweep: Sweep,
     journal_path: str,
@@ -61,8 +108,8 @@ def run_checkpointed(
     * ``backend`` defaults to a fresh serial :class:`PoolBackend`, closed on
       return; a caller-provided backend is left open (it may be warm and
       shared across campaigns, as in the service front end).
-    * ``sinks`` receive every record of the sweep in expansion order during
-      the final replay pass, then are closed (mirroring
+    * ``sinks`` receive every completed record of the sweep once, in
+      expansion order, then are closed (mirroring
       :meth:`CampaignRunner.stream`); sinks without a ``close`` are fine.
     * ``on_record`` fires live as *newly executed* runs finish, in backend
       completion order — progress reporting, not output (replayed records
@@ -78,32 +125,25 @@ def run_checkpointed(
         pending = journal.pending_indices()
         resumed = journal.total - len(pending)
         records: Optional[List[RunRecord]] = [] if collect else None
-        # Cold run + order-preserving backend: records already arrive in
-        # expansion order, so they stream straight into the sinks and the
-        # journal stays write-only (the ≤5 % overhead budget).  Any merge
-        # of history — a resume, an unordered (shard) backend — takes the
-        # digest-verified replay pass instead.
-        direct = resumed == 0 and backend.ordered
-        try:
-            if direct:
-                def deliver(index: int, record: RunRecord) -> None:
-                    if records is not None:
-                        records.append(record)
-                    for sink in sinks:
-                        sink.write(record)
-                    if on_record is not None:
-                        on_record(index, record)
 
-                backend.run(sweep, pending, journal, on_record=deliver)
-                status, missing = _conclude(journal, journal_path, backend)
-            else:
-                backend.run(sweep, pending, journal, on_record=on_record)
-                status, missing = _conclude(journal, journal_path, backend)
-                for index, record in journal.iter_completed():
-                    if records is not None:
-                        records.append(record)
-                    for sink in sinks:
-                        sink.write(record)
+        def deliver(record: RunRecord) -> None:
+            if records is not None:
+                records.append(record)
+            for sink in sinks:
+                sink.write(record)
+
+        releaser = _InOrderReleaser(journal, deliver)
+
+        def live(index: int, record: RunRecord) -> None:
+            releaser.offer(index, record)
+            if on_record is not None:
+                on_record(index, record)
+
+        try:
+            releaser.release_prefix(pending[0] if pending else journal.total)
+            backend.run(sweep, pending, journal, on_record=live)
+            status, missing = _conclude(journal, journal_path, backend)
+            releaser.finish()
         finally:
             for sink in sinks:
                 close = getattr(sink, "close", None)

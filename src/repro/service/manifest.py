@@ -133,8 +133,8 @@ def shard_job_document(
     return doc
 
 
-def split_shards(ordered: Sequence[int], shards: int) -> List[List[int]]:
-    """Split an (affinity-)ordered index list into contiguous near-equal shards.
+def split_shards(order: Sequence[int], shards: int) -> List[List[int]]:
+    """Split an index list, in (affinity) order, into contiguous near-equal shards.
 
     Never returns empty shards: the shard count is capped at the index
     count.  Contiguity in the given order is what preserves the affinity
@@ -142,15 +142,15 @@ def split_shards(ordered: Sequence[int], shards: int) -> List[List[int]]:
     """
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
-    ordered = list(ordered)
-    shards = min(shards, len(ordered))
+    order = list(order)
+    shards = min(shards, len(order))
     if shards == 0:
         return []
-    base, extra = divmod(len(ordered), shards)
+    base, extra = divmod(len(order), shards)
     chunks: List[List[int]] = []
     start = 0
     for shard in range(shards):
         count = base + (1 if shard < extra else 0)
-        chunks.append(ordered[start:start + count])
+        chunks.append(order[start:start + count])
         start += count
     return chunks

@@ -46,11 +46,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.records import RunRecord
 from repro.campaign.spec import Sweep
-from repro.service.backends import DispatchBackend
+from repro.service.backends import DispatchBackend, RecordCallback
 from repro.service.journal import CheckpointJournal, JournalError, verify_completion
 from repro.service.manifest import affinity_order, shard_job_document, split_shards
 from repro.service.wire import TRANSPORT_ERRORS, request, retry
@@ -66,8 +65,6 @@ __all__ = [
     "parse_hosts",
     "parse_hosts_file",
 ]
-
-RecordCallback = Callable[[int, RunRecord], None]
 
 
 class RemoteDispatchError(RuntimeError):
@@ -434,7 +431,7 @@ class JournalStreamMerger:
 
 
 class RemoteBackend(DispatchBackend):
-    """Dispatch affinity-ordered shard slices to remote campaign agents.
+    """Dispatch shard slices of the affinity order to remote campaign agents.
 
     The slice schedule is work-stealing over host slots: slices queue up,
     worker threads lease the least-loaded healthy host, stream the shard

@@ -9,7 +9,8 @@ Two layers, separable for testing:
   tracks per-job progress plus a live
   :class:`~repro.campaign.frame.TableAggregator` fed with records *as
   they finish*, so a million-run campaign reports running means and 95 %
-  confidence intervals mid-flight in constant memory.  Every job is
+  confidence intervals mid-flight in constant memory.  A finished job
+  publishes the table of every record in expansion order.  Every job is
   journalled under the service root, keyed by spec digest — submitting a
   sweep whose digest matches an earlier (even killed) campaign resumes it
   instead of recomputing.
@@ -80,10 +81,6 @@ class CampaignJob:
         self.table = TableAggregator(by=())
         self.quarantined = 0
         self.events: List[Dict[str, Any]] = []
-
-    def observe(self, record: RunRecord) -> None:
-        self.completed += 1
-        self.table.write(record)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready view: identity, progress, live metric aggregates."""
@@ -254,21 +251,21 @@ class CampaignService:
                     self._host_registry = inner.registry
                 with self._lock:
                     self._active = (job_id, backend)
+                # The live table follows completions as they happen; the
+                # final one sees every record in expansion order, resumed
+                # ones included, so a job's end-state aggregates do not
+                # depend on shard timing.
+                table = TableAggregator(by=())
                 outcome = run_checkpointed(
                     job.sweep,
                     job.journal_path,
                     backend=backend,
+                    sinks=[table],
                     meta={"service": {"job": job.job_id}},
                     on_record=lambda index, record, job=job: self._observe(job, record),
                 )
-                # Records resumed from the journal never passed through
-                # observe(); rebuild the aggregates from the journal before
-                # the terminal state is published, so no poller can see a
-                # finished job whose stats miss the resumed runs.
-                table = self._backfill(job) if outcome.resumed else None
                 with self._lock:
-                    if table is not None:
-                        job.table = table
+                    job.table = table
                     job.resumed = outcome.resumed
                     job.completed = outcome.resumed + outcome.executed
                     job.quarantined = len(outcome.quarantined)
@@ -303,25 +300,8 @@ class CampaignService:
 
     def _observe(self, job: CampaignJob, record: RunRecord) -> None:
         with self._lock:
-            job.observe(record)
-
-    def _backfill(self, job: CampaignJob) -> TableAggregator:
-        """Final aggregates rebuilt from the journal when runs were resumed.
-
-        The live table only saw newly executed records; replaying the full
-        journal in expansion order makes the end-state aggregates both
-        complete and deterministic.
-        """
-        from repro.service.journal import CheckpointJournal
-
-        journal = CheckpointJournal.open(job.journal_path)
-        try:
-            fresh = TableAggregator(by=())
-            for _, record in journal.iter_completed():
-                fresh.write(record)
-            return fresh
-        finally:
-            journal.close()
+            job.completed += 1
+            job.table.write(record)
 
     def close(self) -> None:
         """Stop the dispatcher after the current job (no new jobs start)."""

@@ -32,12 +32,9 @@ exceptions into recorded, retried, or quarantined events:
   :func:`retry_quarantined` re-dispatches quarantined runs later with a
   fresh attempt budget.
 
-The wrapper preserves the inner backend's ordering contract: when the
-inner backend emits records in expansion order, so does the supervised
-one — records that arrive out of order after a retry are buffered (or
-replayed from the journal) until the prefix catches up, which keeps the
-cold-run direct-streaming fast path (the ≤5 % checkpoint-overhead
-budget) intact.
+Records reach ``on_record`` as they complete, in whatever order the
+tiers produce them; :func:`~repro.service.checkpoint.run_checkpointed`
+restores expansion order from the journal.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import (
     Any,
     Callable,
@@ -198,64 +195,6 @@ def _scenario_at(sweep: Sweep, index: int) -> Scenario:
     return scenario
 
 
-class _Emitter:
-    """Record emission that honours the inner backend's ordering contract.
-
-    For an ordered inner backend, records are released to ``on_record``
-    strictly in target-index order: out-of-order arrivals (retried runs,
-    streamed merges) are buffered, and gaps already committed to the
-    journal are replayed on :meth:`drain`.  Quarantined indices are
-    skipped so one poison run cannot dam the stream.  For unordered
-    backends, records pass through immediately (deduplicated).
-    """
-
-    def __init__(
-        self,
-        target: Sequence[int],
-        journal: CheckpointJournal,
-        on_record: Optional[RecordCallback],
-        ordered: bool,
-    ) -> None:
-        self.target = list(target)
-        self.journal = journal
-        self.on_record = on_record
-        self.ordered = ordered
-        self._buffer: Dict[int, RunRecord] = {}
-        self._ptr = 0
-        self._seen: Set[int] = set()
-
-    def offer(self, index: int, record: RunRecord, skip: Set[int]) -> None:
-        if self.on_record is None:
-            return
-        if not self.ordered:
-            if index not in self._seen:
-                self._seen.add(index)
-                self.on_record(index, record)
-            return
-        self._buffer[index] = record
-        self._release(skip, replay=False)
-
-    def drain(self, skip: Set[int]) -> None:
-        """Release everything releasable, replaying journal-only gaps."""
-        if self.on_record is not None and self.ordered:
-            self._release(skip, replay=True)
-
-    def _release(self, skip: Set[int], replay: bool) -> None:
-        while self._ptr < len(self.target):
-            index = self.target[self._ptr]
-            if index in skip:
-                self._ptr += 1
-                continue
-            if index in self._buffer:
-                record = self._buffer.pop(index)
-            elif replay and index in self.journal:
-                record = self.journal.replay(index)
-            else:
-                return
-            self._ptr += 1
-            self.on_record(index, record)
-
-
 class SupervisedBackend(DispatchBackend):
     """Fault-tolerant wrapper around any dispatch backend (see module doc).
 
@@ -277,7 +216,6 @@ class SupervisedBackend(DispatchBackend):
         self.policy = policy or RetryPolicy()
         self.on_event = on_event
         self.fault_plan = fault_plan
-        self.ordered = inner.ordered
         #: Indices excluded by quarantine as of the last ``run`` call
         #: (both newly quarantined and previously quarantined ones).
         self.quarantined: List[int] = []
@@ -346,7 +284,7 @@ class SupervisedBackend(DispatchBackend):
         on_record: Optional[RecordCallback] = None,
     ) -> None:
         policy = self.policy
-        target = sorted(int(index) for index in indices)
+        target = {int(index) for index in indices}
         self.events = []
         self.quarantined = []
         if not target:
@@ -357,17 +295,21 @@ class SupervisedBackend(DispatchBackend):
         quarantine_set: Set[int] = {
             int(entry["index"]) for entry in load_quarantine(qpath)
         }
-        target_set = set(target)
-        emitter = _Emitter(target, journal, on_record, ordered=self.ordered)
-        appended = [0]
+        appended = count(1)
 
         def wrapped(index: int, record: RunRecord) -> None:
-            emitter.offer(index, record, quarantine_set)
-            if self.fault_plan is not None:
-                appended[0] += 1
-                if self.fault_plan.take_torn_tail(appended[0]):
-                    _tear_journal_tail(journal)
-                    raise InjectedFault("injected torn journal tail")
+            if on_record is not None:
+                on_record(index, record)
+            if self.fault_plan is not None and self.fault_plan.take_torn_tail(next(appended)):
+                _tear_journal_tail(journal)
+                raise InjectedFault("injected torn journal tail")
+
+        def outstanding() -> List[int]:
+            return [
+                index
+                for index in journal.pending_indices()
+                if index in target and index not in quarantine_set
+            ]
 
         rng = random.Random(policy.seed)
         attempt_histories: Dict[int, List[Dict[str, str]]] = {}
@@ -377,11 +319,7 @@ class SupervisedBackend(DispatchBackend):
         attempt_no = 0
         try:
             while True:
-                pending = [
-                    index
-                    for index in journal.pending_indices()
-                    if index in target_set and index not in quarantine_set
-                ]
+                pending = outstanding()
                 if not pending or self._cancel.is_set() or self._stop.is_set():
                     break
                 backend = tiers[tier]
@@ -397,12 +335,7 @@ class SupervisedBackend(DispatchBackend):
                 # Adopt whatever the attempt left on disk — streamed-in
                 # shard records, a torn tail to discard — before deciding.
                 journal.reload()
-                emitter.drain(quarantine_set)
-                still = [
-                    index
-                    for index in journal.pending_indices()
-                    if index in target_set and index not in quarantine_set
-                ]
+                still = outstanding()
                 if error is None and not timed_out and not still:
                     break
                 if self._cancel.is_set() or backend.cancelled or self._stop.is_set():
@@ -441,7 +374,6 @@ class SupervisedBackend(DispatchBackend):
                 if delay > 0:
                     time.sleep(delay)
         finally:
-            emitter.drain(quarantine_set)
             self.quarantined = sorted(quarantine_set)
 
     def _attempt(

@@ -13,14 +13,21 @@ test covers the literal-kill variant end to end).
 
 from __future__ import annotations
 
+import os
 import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
+from repro.campaign.records import RunRecord
 from repro.campaign.spec import Sweep
 from repro.scenario import ARTIFACT_CACHE
-from repro.service.backends import PoolBackend
+from repro.service.backends import DispatchBackend, PoolBackend
 from repro.service.checkpoint import run_checkpointed
+from repro.service.journal import CheckpointJournal
 from repro.service.manifest import record_digest
 
 #: Short hidden-node runs (cheap, exercises the affinity reorder window
@@ -264,3 +271,141 @@ class TestCheckpointOutcome:
         ]
         assert probe.seeds == expected
         assert probe.closed
+
+
+class OutOfOrderBackend(DispatchBackend):
+    """Journals and reports the pending runs of ``order``, in that order.
+
+    Records come from ``records`` (one dict per expansion index), as fresh
+    objects, so a sink can tell a live record (``reported[index]``) from a
+    replayed one by identity.  Runs outside ``order`` are left undone and
+    listed as quarantined.  With ``threads > 1`` that many threads share
+    the runs round-robin and call ``on_record`` concurrently.
+    """
+
+    name = "out-of-order"
+
+    def __init__(self, records, order, quarantined, threads=1, seed=0):
+        super().__init__()
+        self.records = records
+        self.order = order
+        self.quarantined = list(quarantined)
+        self.threads = threads
+        self.seed = seed
+        self.reported = {}
+
+    def run(self, sweep, indices, journal, on_record=None):
+        todo = [index for index in self.order if index in set(indices)]
+        journal_lock = threading.Lock()
+        start = threading.Barrier(self.threads, timeout=30)
+        errors = []
+
+        def report(lane):
+            # A seeded pause between journaling and reporting staggers the
+            # callbacks, so one thread can find another's record journaled
+            # but not yet reported.
+            pause = random.Random(self.seed * self.threads + lane)
+            try:
+                start.wait()
+                for index in todo[lane::self.threads]:
+                    record = RunRecord.from_dict(self.records[index])
+                    with journal_lock:
+                        journal.append(index, record)
+                    self.reported[index] = record
+                    time.sleep(pause.random() * 0.002)
+                    on_record(index, record)
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append(exc)
+
+        workers = [
+            threading.Thread(target=report, args=(lane,))
+            for lane in range(self.threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        if errors:
+            raise errors[0]
+
+
+@pytest.fixture(scope="module")
+def hidden_records(tmp_path_factory):
+    """The records of :func:`hidden_sweep` as dicts, in expansion order."""
+    path = str(tmp_path_factory.mktemp("cold") / "j.jsonl")
+    outcome = run_checkpointed(hidden_sweep(), path, collect=True)
+    return [record.to_dict() for record in outcome.records]
+
+
+class TestInOrderRelease:
+    """Completions 2, 0, 3, 1; index 5 quarantined; index 4 (and in one case
+    index 0) journaled before the call."""
+
+    ORDER = (2, 0, 3, 1)
+
+    def release(self, tmp_path, monkeypatch, records, before, threads, seed=0):
+        sweep = hidden_sweep()
+        path = str(tmp_path / "j.jsonl")
+        journal = CheckpointJournal.create(path, sweep)
+        for index in before:
+            journal.append(index, RunRecord.from_dict(records[index]))
+        journal.close()
+        replays = Counter()
+        replay = CheckpointJournal.replay
+
+        def spy(journal, index):
+            replays[index] += 1
+            return replay(journal, index)
+
+        monkeypatch.setattr(CheckpointJournal, "replay", spy)
+        backend = OutOfOrderBackend(records, self.ORDER, [5], threads=threads, seed=seed)
+        seen = []
+
+        class Sink:
+            def write(self, record):
+                time.sleep(0.0005)  # widens the window for a racing callback
+                seen.append(record)
+
+        outcome = run_checkpointed(sweep, path, backend=backend, sinks=[Sink()])
+        assert (outcome.status, outcome.quarantined) == ("partial", [5])
+        want = [PINNED[(scenario.params["delta"], scenario.seed)] for scenario in sweep]
+        assert [record_digest(record.to_dict()) for record in seen] == want[:5]
+        live = {
+            index
+            for index, record in enumerate(seen)
+            if record is backend.reported.get(index)
+        }
+        for index in range(5):
+            assert replays[index] == (0 if index in live else 1), (index, live)
+        assert set(replays) <= set(range(5))
+        return live, replays
+
+    @pytest.mark.parametrize(
+        "before, live", [((4,), {0, 1}), ((0, 4), {1})], ids=["tail", "prefix"]
+    )
+    def test_sinks_see_expansion_order_and_replays_only_what_waited(
+        self, tmp_path, monkeypatch, hidden_records, before, live
+    ):
+        got_live, replays = self.release(
+            tmp_path, monkeypatch, hidden_records, before, threads=1
+        )
+        assert got_live == live
+        assert sorted(replays) == sorted(set(range(5)) - live)
+
+    def test_concurrent_callbacks(self, tmp_path, monkeypatch, hidden_records):
+        """More reporting threads than cores, switching as often as possible."""
+        threads = max(len(self.ORDER), (os.cpu_count() or 1) + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(20):
+                workdir = tmp_path / str(attempt)
+                workdir.mkdir()
+                live, _replays = self.release(
+                    workdir, monkeypatch, hidden_records, (4,), threads, seed=attempt
+                )
+                assert 4 not in live
+                monkeypatch.undo()
+        finally:
+            sys.setswitchinterval(interval)

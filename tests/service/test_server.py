@@ -13,10 +13,14 @@ import time
 
 import pytest
 
-from repro.campaign.runner import CampaignRunner
+from repro.campaign.frame import TableAggregator
+from repro.campaign.runner import CampaignRunner, execute_scenario
 from repro.campaign.spec import Sweep
 from repro.scenario import ARTIFACT_CACHE
+from repro.service import server as server_module
+from repro.service.backends import DispatchBackend
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.journal import CheckpointJournal
 from repro.service.server import TERMINAL_STATES, CampaignServer, CampaignService
 
 FIXED = {
@@ -112,22 +116,22 @@ class TestSubmission:
         snap = client.wait(ack2["job"], timeout=120)
         assert snap["resumed"] == sweep.size
         assert snap["completed"] == sweep.size
-        # Backfilled aggregates cover the whole campaign, not just new runs.
+        # The final aggregates cover the whole campaign, not just new runs.
         assert snap["metrics"]["pdr"]["n"] == sweep.size
 
     def test_resumed_job_never_finishes_with_empty_metrics(self, tmp_path, monkeypatch):
-        """The terminal state is published only after the journal backfill.
+        """The terminal state is published only after the journal replay.
 
-        A slow backfill widens the window in which a poller could see a
-        finished job whose aggregates are still empty.
+        A slow read of the journaled prefix widens the window in which a
+        poller could see a finished job whose aggregates are still empty.
         """
-        backfill = CampaignService._backfill
+        iter_completed = CheckpointJournal.iter_completed
 
-        def slow_backfill(self, job):
+        def slow_iter_completed(self):
             time.sleep(0.5)
-            return backfill(self, job)
+            yield from iter_completed(self)
 
-        monkeypatch.setattr(CampaignService, "_backfill", slow_backfill)
+        monkeypatch.setattr(CheckpointJournal, "iter_completed", slow_iter_completed)
         service = CampaignService(str(tmp_path / "root"))
         try:
             sweep = make_sweep([0, 1])
@@ -146,6 +150,47 @@ class TestSubmission:
             assert snap["metrics"]["pdr"]["n"] == sweep.size
         finally:
             service.close()
+
+    def test_final_stats_follow_expansion_order(self, tmp_path, monkeypatch):
+        """A job's final aggregates do not depend on its completion order.
+
+        ``StreamingStats`` depends on the order of its inputs, so the final
+        table must be fed in expansion order even when the backend
+        completes the runs last to first.
+        """
+
+        class ReversedBackend(DispatchBackend):
+            name = "reversed"
+
+            def run(self, sweep, indices, journal, on_record=None):
+                scenarios = sweep.scenarios()
+                for index in reversed(list(indices)):
+                    record = execute_scenario(scenarios[index])
+                    journal.append(index, record)
+                    if on_record is not None:
+                        on_record(index, record)
+
+        monkeypatch.setattr(
+            server_module, "make_supervised", lambda *args, **kwargs: ReversedBackend()
+        )
+        service = CampaignService(str(tmp_path / "root"))
+        try:
+            sweep = make_sweep(range(8))
+            job_id = service.submit(sweep.to_dict())["job"]
+            assert service.wait_idle(timeout=120)
+            (snap,) = service.status(job_id)
+        finally:
+            service.close()
+        assert snap["state"] == "done"
+        table = TableAggregator(by=())
+        with CheckpointJournal.open(snap["journal"]) as journal:
+            for _index, record in journal.iter_completed():
+                table.write(record)
+        expected = {}
+        for name in table.metric_names():
+            stats = table.groups(name)[()]
+            expected[name] = {key: stats[key] for key in ("n", "mean", "ci95")}
+        assert snap["metrics"] == expected
 
 
 class TestErrors:
