@@ -936,31 +936,6 @@ def cmd_retry_quarantined(args: argparse.Namespace) -> None:
         raise SystemExit(4)
 
 
-def cmd_compact(args: argparse.Namespace) -> None:
-    """Seal a journal's completed prefix into an immutable segment file."""
-    import os
-
-    from repro.service.journal import CheckpointJournal, JournalError
-
-    try:
-        journal = CheckpointJournal.open(args.journal)
-    except (OSError, JournalError) as exc:
-        raise SystemExit(f"qma-repro compact: error: {exc}")
-    try:
-        before = os.path.getsize(args.journal)
-        segment = journal.compact(min_runs=args.min_runs)
-        after = os.path.getsize(args.journal)
-    finally:
-        journal.close()
-    if segment is None:
-        print(
-            f"{args.journal}: nothing to compact "
-            f"(fewer than {args.min_runs} newly sealable run(s))"
-        )
-        return
-    print(f"sealed segment {segment}; journal {before} -> {after} bytes")
-
-
 def cmd_fig26(args: argparse.Namespace) -> None:
     curve = handshake_expected_messages(args.probabilities, retries=args.retries)
     rows = [[f"{p:.1f}", f"{messages:.2f}"] for p, messages in sorted(curve.items())]
@@ -1163,20 +1138,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign_options(p)
     _add_supervision_options(p)
     p.set_defaults(func=cmd_retry_quarantined)
-
-    p = sub.add_parser(
-        "compact",
-        help="seal a journal's completed prefix into an immutable segment file",
-    )
-    p.add_argument("journal", help="checkpoint journal to compact")
-    p.add_argument(
-        "--min-runs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="only compact when at least N new runs are sealable (default: 1)",
-    )
-    p.set_defaults(func=cmd_compact)
 
     p = sub.add_parser("fig26", help="expected handshake messages (Fig. 26)")
     p.add_argument("--probabilities", nargs="+", type=_parse_probability, metavar="P")

@@ -6,8 +6,7 @@ million-run sweeps:
 * :mod:`repro.service.manifest` — deterministic run identity (spec
   digests, expansion indices, shard splits in affinity order);
 * :mod:`repro.service.journal` — the append-only, crash-tolerant
-  checkpoint journal (with event audit lines and sealed-segment
-  compaction);
+  checkpoint journal (with event audit lines);
 * :mod:`repro.service.backends` — pluggable dispatch (warm in-process
   pool, isolated serial) and the backend factory;
 * :mod:`repro.service.supervisor` — fault tolerance: per-run timeouts,

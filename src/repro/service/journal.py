@@ -9,7 +9,7 @@ A :class:`CheckpointJournal` is one JSONL file per campaign:
   content digest of that serialisation;
 * event lines — ``{"event": {"kind": ...}}`` structured audit records
   (retries, backend fallbacks, quarantines, the campaign's terminal
-  ``partial``/``cancelled``/``complete`` status, sealed segments).
+  ``partial``/``cancelled``/``complete`` status).
 
 Writes are atomic per line (one buffered ``write`` of the whole line,
 flushed before returning), so a crash can tear at most the final line —
@@ -26,14 +26,6 @@ sessions) resume exactly as well as straight-line ones.  :meth:`replay`
 re-reads a record by seeking its byte offset and verifies its content
 digest, so corrupted mid-file lines surface as errors rather than as
 silently-wrong merged results.
-
-Long-running campaigns call :meth:`compact`: the contiguous completed
-prefix is rewritten into a read-only *sealed segment* file beside the
-journal (``<journal>.seg<N>``) and the active journal shrinks to header
-+ events + the still-sparse remainder, so multi-million-run journals
-stop growing unbounded.  Sealed segments record their index range in a
-``sealed`` event; their offset tables are loaded lazily, on the first
-:meth:`replay` into the segment.
 """
 
 from __future__ import annotations
@@ -100,10 +92,9 @@ class CheckpointJournal:
 
     Construct through :meth:`create`, :meth:`open` or
     :meth:`open_or_create`; use as a context manager or call
-    :meth:`close` (flush + fsync) when done.  Memory is O(active
-    completed runs) *integers* — record payloads stay on disk and are
-    re-read by offset on :meth:`replay`, and sealed segments cost O(1)
-    until first replayed into.
+    :meth:`close` (flush + fsync) when done.  Memory is O(completed
+    runs) *integers* — record payloads stay on disk and are re-read by
+    offset on :meth:`replay`.
     """
 
     def __init__(self, path: str, header: Dict[str, Any], offsets: Dict[int, int]) -> None:
@@ -119,14 +110,6 @@ class CheckpointJournal:
         self._truncate_to: Optional[int] = None
         #: Parsed event payloads, in file order.
         self._events: List[Dict[str, Any]] = []
-        #: Sealed segments as (lo, hi, filename) in seal order; always
-        #: contiguous from 0, so sealed coverage is [0, _sealed_hi).
-        self._segments: List[Tuple[int, int, str]] = []
-        self._sealed_hi = 0
-        #: Lazily-built per-segment offset tables and read handles,
-        #: keyed by segment filename.
-        self._segment_offsets: Dict[str, Dict[int, int]] = {}
-        self._segment_handles: Dict[str, io.BufferedReader] = {}
 
     # ------------------------------------------------------------ creation
     @classmethod
@@ -155,7 +138,9 @@ class CheckpointJournal:
         """Load an existing journal: header + completed-run offsets + events.
 
         A truncated final line is discarded (with a warning); any other
-        malformed content raises :class:`JournalError`.  When ``sweep`` is
+        malformed content — a completion index outside ``[0, total)``, or
+        a ``sealed`` event left by the removed journal compaction — raises
+        :class:`JournalError` and leaves the file untouched.  When ``sweep`` is
         given, its spec digest must match the journal's —
         :class:`SweepMismatchError` otherwise, so a resume can never mix
         records of two different campaigns.
@@ -163,6 +148,7 @@ class CheckpointJournal:
         offsets: Dict[int, int] = {}
         events: List[Dict[str, Any]] = []
         header: Optional[Dict[str, Any]] = None
+        total = 0
         offset = 0
         with open(path, "rb") as handle:
             # Track byte offsets by line length; iterate raw lines and
@@ -210,11 +196,18 @@ class CheckpointJournal:
                     raise JournalError(
                         f"{path}: unsupported journal version {header.get('version')!r}"
                     )
+                total = int(header.get("total", 0))
             elif isinstance(data, dict) and "event" in data:
                 event = data["event"]
                 if not isinstance(event, dict) or "kind" not in event:
                     raise JournalError(
                         f"{path}: malformed event line at byte {offset}"
+                    )
+                if event["kind"] == "sealed":
+                    raise JournalError(
+                        f"{path}: sealed segment event at byte {offset} — "
+                        "journal compaction was removed; re-run the campaign "
+                        "into a fresh journal"
                     )
                 events.append(event)
             else:
@@ -224,13 +217,17 @@ class CheckpointJournal:
                     raise JournalError(
                         f"{path}: malformed completion record at byte {offset}"
                     ) from None
+                if not 0 <= index < total:
+                    raise JournalError(
+                        f"{path}: completion record at byte {offset} has run "
+                        f"index {index} outside [0, {total})"
+                    )
                 offsets[index] = offset
             offset += len(raw)
         if header is None:
             raise JournalError(f"{path}: no readable checkpoint header")
         journal = cls(path, header, offsets)
         journal._events = events
-        journal._load_segments(events)
         if offset < size:
             journal._truncate_to = offset
         if sweep is not None and sweep_digest(sweep) != journal.spec_digest:
@@ -248,22 +245,6 @@ class CheckpointJournal:
         if os.path.exists(path) and os.path.getsize(path) > 0:
             return cls.open(path, sweep=sweep)
         return cls.create(path, sweep, meta=meta)
-
-    def _load_segments(self, events: List[Dict[str, Any]]) -> None:
-        """Rebuild the sealed-segment table from ``sealed`` events."""
-        self._segments = []
-        self._sealed_hi = 0
-        for event in events:
-            if event.get("kind") != "sealed":
-                continue
-            lo, hi = int(event["lo"]), int(event["hi"])
-            if lo != self._sealed_hi:
-                raise JournalError(
-                    f"{self.path}: sealed segments are not contiguous "
-                    f"(expected lo={self._sealed_hi}, got {lo})"
-                )
-            self._segments.append((lo, hi, str(event["segment"])))
-            self._sealed_hi = hi
 
     # ------------------------------------------------------------ identity
     @property
@@ -310,23 +291,17 @@ class CheckpointJournal:
 
     # ------------------------------------------------------------ progress
     def completed_indices(self) -> Set[int]:
-        done = set(self._offsets)
-        done.update(range(self._sealed_hi))
-        return done
+        return set(self._offsets)
 
     def pending_indices(self) -> List[int]:
         """Expansion indices with no completion record yet, sorted."""
-        return [
-            index
-            for index in range(self._sealed_hi, self.total)
-            if index not in self._offsets
-        ]
+        return [index for index in range(self.total) if index not in self._offsets]
 
     def __contains__(self, index: int) -> bool:
-        return index < self._sealed_hi or index in self._offsets
+        return index in self._offsets
 
     def __len__(self) -> int:
-        return self._sealed_hi + len(self._offsets)
+        return len(self._offsets)
 
     # ------------------------------------------------------------- writing
     def append(self, index: int, record: RunRecord) -> None:
@@ -334,11 +309,6 @@ class CheckpointJournal:
         index = int(index)
         if not 0 <= index < self.total:
             raise ValueError(f"run index {index} outside [0, {self.total})")
-        if index < self._sealed_hi:
-            raise ValueError(
-                f"run index {index} is sealed (compacted into a segment); "
-                "sealed completions are immutable"
-            )
         # Hot path: one canonical serialisation, digested as written —
         # json.loads + record_digest at replay reproduces the same digest.
         # Key order (digest < index < record) matches sort_keys output.
@@ -369,8 +339,6 @@ class CheckpointJournal:
     def replay(self, index: int) -> RunRecord:
         """Re-read one completed record by offset, verifying its digest."""
         index = int(index)
-        if index < self._sealed_hi:
-            return self._replay_sealed(index)
         try:
             offset = self._offsets[index]
         except KeyError:
@@ -383,118 +351,24 @@ class CheckpointJournal:
             self._read_handle = open(self.path, "rb")
         self._read_handle.seek(offset)
         raw = self._read_handle.readline()
-        return self._decode_completion(raw, index, offset, self.path)
-
-    def _decode_completion(
-        self, raw: bytes, index: int, offset: int, path: str
-    ) -> RunRecord:
         try:
             data = json.loads(raw)
         except json.JSONDecodeError:
             raise JournalError(
-                f"{path}: corrupt completion record for run {index} "
+                f"{self.path}: corrupt completion record for run {index} "
                 f"at byte {offset}"
             ) from None
-        if int(data.get("index", -1)) != int(index):
+        if int(data.get("index", -1)) != index:
             raise JournalError(
-                f"{path}: offset table out of sync at run {index}"
+                f"{self.path}: offset table out of sync at run {index}"
             )
-        _, record = verify_completion(data, path=path)
+        _, record = verify_completion(data, path=self.path)
         return record
-
-    def _segment_path(self, name: str) -> str:
-        return os.path.join(os.path.dirname(os.path.abspath(self.path)), name)
-
-    def _replay_sealed(self, index: int) -> RunRecord:
-        for lo, hi, name in self._segments:
-            if lo <= index < hi:
-                break
-        else:  # pragma: no cover - guarded by _sealed_hi
-            raise KeyError(f"{self.path}: run {index} has no completion record")
-        path = self._segment_path(name)
-        if name not in self._segment_offsets:
-            self._segment_offsets[name] = _scan_segment(
-                path, lo, hi, self.spec_digest
-            )
-        offsets = self._segment_offsets[name]
-        if name not in self._segment_handles:
-            self._segment_handles[name] = open(path, "rb")
-        handle = self._segment_handles[name]
-        offset = offsets[index]
-        handle.seek(offset)
-        return self._decode_completion(handle.readline(), index, offset, path)
 
     def iter_completed(self) -> Iterator[Tuple[int, RunRecord]]:
         """Yield ``(index, record)`` for every completion, in index order."""
-        for index in range(self._sealed_hi):
-            yield index, self._replay_sealed(index)
         for index in sorted(self._offsets):
             yield index, self.replay(index)
-
-    # ---------------------------------------------------------- compaction
-    def compact(self, min_runs: int = 1) -> Optional[str]:
-        """Seal the contiguous completed prefix into a segment file.
-
-        Completion lines for indices ``[sealed_hi, k)`` — the longest
-        contiguous run of completions extending the already-sealed
-        prefix — are copied verbatim into ``<journal>.seg<N>`` (written
-        and fsynced before the journal references it), then the active
-        journal is atomically rewritten without them: header, preserved
-        events, a new ``sealed`` event, and the remaining out-of-prefix
-        completions.  Returns the segment path, or ``None`` when fewer
-        than ``min_runs`` indices are sealable (nothing is touched).
-
-        Replays of sealed indices keep working transparently; their
-        offset tables load lazily on first use.  Compaction is safe at
-        any point between dispatch batches — it never discards a
-        committed record, only relocates it.
-        """
-        new_hi = self._sealed_hi
-        while new_hi in self._offsets:
-            new_hi += 1
-        if new_hi - self._sealed_hi < max(1, int(min_runs)):
-            return None
-        lo = self._sealed_hi
-        seg_name = f"{os.path.basename(self.path)}.seg{len(self._segments)}"
-        seg_path = self._segment_path(seg_name)
-        self.close()
-        with open(self.path, "rb") as source:
-            raw_lines = {
-                index: _read_line_at(source, self._offsets[index])
-                for index in self._offsets
-            }
-        with open(seg_path, "wb") as segment:
-            segment.write(
-                _encode_line(
-                    {
-                        "segment": {
-                            "version": JOURNAL_VERSION,
-                            "spec_digest": self.spec_digest,
-                            "lo": lo,
-                            "hi": new_hi,
-                        }
-                    }
-                )
-            )
-            for index in range(lo, new_hi):
-                segment.write(raw_lines[index])
-            segment.flush()
-            os.fsync(segment.fileno())
-        sealed_event = {"kind": "sealed", "segment": seg_name, "lo": lo, "hi": new_hi}
-        tmp_path = self.path + ".compact.tmp"
-        with open(tmp_path, "wb") as tmp:
-            tmp.write(_encode_line({"checkpoint": self._header}))
-            for event in self._events:
-                tmp.write(_encode_line({"event": event}))
-            tmp.write(_encode_line({"event": sealed_event}))
-            for index in sorted(self._offsets):
-                if index >= new_hi:
-                    tmp.write(raw_lines[index])
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        os.replace(tmp_path, self.path)
-        self.reload()
-        return seg_path
 
     # ------------------------------------------------------------ lifecycle
     def reload(self) -> None:
@@ -509,10 +383,7 @@ class CheckpointJournal:
         self._header = fresh._header
         self._offsets = fresh._offsets
         self._events = fresh._events
-        self._segments = fresh._segments
-        self._sealed_hi = fresh._sealed_hi
         self._truncate_to = fresh._truncate_to
-        self._segment_offsets = {}
         self._sweep = None
 
     def close(self) -> None:
@@ -528,9 +399,6 @@ class CheckpointJournal:
         if self._read_handle is not None:
             self._read_handle.close()
             self._read_handle = None
-        for handle in self._segment_handles.values():
-            handle.close()
-        self._segment_handles = {}
 
     def __enter__(self) -> "CheckpointJournal":
         return self
@@ -552,50 +420,3 @@ def _encode_line(data: Mapping[str, Any]) -> bytes:
 def _decoded(lines: List[bytes]) -> Iterator[str]:
     for raw in lines:
         yield raw.decode("utf-8", errors="replace")
-
-
-def _read_line_at(handle: io.BufferedReader, offset: int) -> bytes:
-    handle.seek(offset)
-    return handle.readline()
-
-
-def _scan_segment(path: str, lo: int, hi: int, spec_digest: str) -> Dict[int, int]:
-    """Build a sealed segment's index → byte-offset table (lazy, on demand)."""
-    offsets: Dict[int, int] = {}
-    offset = 0
-    header: Optional[Dict[str, Any]] = None
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise JournalError(f"{path}: sealed segment unreadable: {exc}") from None
-    with handle:
-        for raw in handle:
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError:
-                raise JournalError(
-                    f"{path}: corrupt sealed segment at byte {offset} — "
-                    "segments are immutable; restore from backup or re-run"
-                ) from None
-            if header is None:
-                if not isinstance(data, dict) or "segment" not in data:
-                    raise JournalError(f"{path}: first line is not a segment header")
-                header = data["segment"]
-                if (
-                    header.get("version") != JOURNAL_VERSION
-                    or header.get("spec_digest") != spec_digest
-                    or int(header.get("lo", -1)) != lo
-                    or int(header.get("hi", -1)) != hi
-                ):
-                    raise JournalError(
-                        f"{path}: segment header does not match the journal's "
-                        f"sealed event (expected [{lo}, {hi}) of {spec_digest[:12]})"
-                    )
-            else:
-                offsets[int(data["index"])] = offset
-            offset += len(raw)
-    if header is None or set(offsets) != set(range(lo, hi)):
-        raise JournalError(
-            f"{path}: sealed segment incomplete — expected runs [{lo}, {hi})"
-        )
-    return offsets

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.mac.csma import CsmaConfig, SlottedCsmaCa, UnslottedCsmaCa
@@ -169,3 +171,69 @@ def test_invalid_config_rejected():
         CsmaConfig(mac_min_be=6, mac_max_be=5)
     with pytest.raises(ValueError):
         CsmaConfig(max_csma_backoffs=-1)
+
+
+def test_lone_saturated_sender_matches_the_closed_form_cycle():
+    """Analytic oracle: one saturated unslotted sender, no contention, no loss.
+
+    Every cycle is one random backoff of ``random(0, 2^macMinBE - 1)``
+    unit backoff periods, one CCA, the RX/TX turnaround, the frame's air
+    time and the ACK exchange as ``MacProtocol`` waits for it: the
+    receiver's turnaround before its ACK plus the ACK's air time (the
+    sender continues on the ACK, not at the ACK-wait timeout).  Only the
+    backoff is random, so the mean inter-delivery time over ``n`` cycles
+    has the standard deviation of the backoff divided by ``sqrt(n)``.
+    """
+    config = CsmaConfig()
+    sim = Simulator(seed=7)
+    mac_a, mac_b, channel = build_pair(sim, config=config)
+    phy = channel.phy
+    cycles = 2000
+    frames = [Frame(FrameKind.DATA, src=0, dst=1) for _ in range(cycles + 1)]
+    pending = iter(frames)
+
+    def refill(_frame=None, _ok=None):
+        frame = next(pending, None)
+        if frame is not None:
+            mac_a.send(frame)
+
+    mac_a.sent_callback = refill
+    for _ in range(config.queue_capacity):
+        refill()
+    deliveries = []
+    mac_b.receive_callback = lambda _frame: deliveries.append(sim.now)
+    sim.run_until(20.0)
+
+    # Saturated and contention-free: every frame went out once, first try.
+    assert len(deliveries) == cycles + 1
+    assert mac_a.stats.tx_attempts == cycles + 1
+    assert mac_a.stats.cca_busy == 0 and mac_a.stats.queue_drops == 0
+    assert mac_a.stats.tx_success == cycles + 1
+
+    period = phy.unit_backoff_period
+    window = 1 << config.mac_min_be  # backoff draws 0 .. window - 1 periods
+    mean_backoff = (window - 1) / 2 * period
+    ack_exchange = phy.turnaround_time + phy.ack_airtime()
+    expected = (
+        mean_backoff
+        + phy.cca_duration
+        + phy.turnaround_time
+        + phy.frame_airtime(frames[0])
+        + ack_exchange
+    )
+    assert mean_backoff == pytest.approx(1120e-6)
+    assert phy.cca_duration == pytest.approx(128e-6)
+    assert phy.turnaround_time == pytest.approx(192e-6)
+
+    measured = (deliveries[-1] - deliveries[0]) / cycles
+    # Discrete uniform over `window` values: variance (window^2 - 1) / 12.
+    backoff_sd = math.sqrt((window * window - 1) / 12) * period
+    tolerance = 4 * backoff_sd / math.sqrt(cycles)  # 4 sigma of the mean
+    assert abs(measured - expected) < tolerance, (measured, expected, tolerance)
+    # Every cycle minus its backoff is exact: intervals sit on the
+    # backoff lattice, offset by the deterministic part of the cycle.
+    fixed = expected - mean_backoff
+    for earlier, later in zip(deliveries, deliveries[1:]):
+        slots = (later - earlier - fixed) / period
+        assert abs(slots - round(slots)) < 1e-6
+        assert 0 <= round(slots) < window

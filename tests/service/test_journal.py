@@ -1,13 +1,21 @@
-"""Checkpoint journal: crash-safe append, torn-tail tolerance, replay."""
+"""Checkpoint journal: crash-safe append, torn-tail tolerance, replay.
+
+A crash mid-append (simulated at *every* byte offset of the final record
+line) never corrupts the journal: the torn tail is discarded on open and
+exactly that run becomes pending again.
+"""
 
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
 from repro.campaign.records import RunRecord
 from repro.campaign.spec import Scenario, Sweep
+from repro.scenario import ARTIFACT_CACHE
+from repro.service.checkpoint import run_checkpointed
 from repro.service.journal import (
     CheckpointJournal,
     JournalError,
@@ -15,17 +23,37 @@ from repro.service.journal import (
 )
 from repro.service.manifest import sweep_digest
 
+FIXED = {
+    "packets_per_node": 2,
+    "warmup": 0.2,
+    "drain_time": 0.1,
+    "management_period": 0.5,
+}
+
+
+@pytest.fixture(autouse=True)
+def _clean_cache():
+    ARTIFACT_CACHE.clear()
+    yield
+    ARTIFACT_CACHE.clear()
+
 
 def make_sweep(**overrides):
     spec = dict(
         experiment="hidden-node",
         macs=["unslotted-csma"],
         grid={"delta": [50.0, 100.0]},
-        fixed={"packets_per_node": 2},
+        fixed=FIXED,
         seeds=[0, 1, 2],
     )
     spec.update(overrides)
     return Sweep(**spec)
+
+
+def run_full(path):
+    outcome = run_checkpointed(make_sweep(), str(path), collect=True)
+    assert outcome.status == "complete"
+    return [record.to_dict() for record in outcome.records]
 
 
 def make_record(index: int) -> RunRecord:
@@ -207,6 +235,41 @@ class TestCrashTolerance:
         with pytest.raises(JournalError, match="version"):
             CheckpointJournal.open(path)
 
+    def test_out_of_range_completion_is_fatal(self, tmp_path):
+        """open rejects a completion index that append would have refused."""
+        sweep = make_sweep()
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal.create(str(path), sweep)
+        journal.append(0, make_record(0))
+        journal.append(1, make_record(1))
+        journal.close()
+        raw = path.read_bytes()
+        last_line = raw[raw.rindex(b"\n", 0, -1) + 1:]
+        # A digest-valid completion relabelled past the sweep's end.
+        relabelled = last_line.replace(b'"index":1,', b'"index":7,')
+        assert relabelled != last_line and sweep.size == 6
+        path.write_bytes(raw + relabelled)
+        with pytest.raises(JournalError, match=f"at byte {len(raw)} .*index 7"):
+            CheckpointJournal.open(str(path))
+
+    def test_compacted_journal_is_refused_untouched(self, tmp_path):
+        """A journal compacted by an older version is refused, byte-identical."""
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal.create(str(path), make_sweep())
+        journal.append(2, make_record(2))
+        journal.close()
+        sealed = {"kind": "sealed", "segment": "sealed-part-0", "lo": 0, "hi": 2}
+        with open(path, "ab") as handle:
+            handle.write((json.dumps({"event": sealed}) + "\n").encode())
+        before = path.read_bytes()
+        with pytest.raises(JournalError) as excinfo:
+            CheckpointJournal.open(str(path))
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "compaction was removed" in message
+        assert "fresh journal" in message
+        assert path.read_bytes() == before
+
 
 class TestSweepMismatch:
     def test_open_refuses_other_sweep(self, tmp_path):
@@ -220,3 +283,57 @@ class TestSweepMismatch:
         CheckpointJournal.create(path, make_sweep()).close()
         with pytest.raises(SweepMismatchError):
             CheckpointJournal.open_or_create(path, make_sweep(seeds=[0]))
+
+
+class TestTornWriteFuzz:
+    def test_every_byte_offset_of_the_final_record(self, tmp_path):
+        """Simulate a crash at every possible cut point of the last append."""
+        path = tmp_path / "full.jsonl"
+        baseline = run_full(path)
+        raw = path.read_bytes()
+        # The final *completion* line, newline included (the very last
+        # line of a finished journal is its status event — a crash mid
+        # final append happens before that event exists).
+        line_start = raw.rfind(b'\n{"digest"') + 1
+        line_end = raw.index(b"\n", line_start) + 1
+        raw = raw[:line_end]
+        final_line = raw[line_start:]
+        assert len(final_line) > 100
+
+        torn = tmp_path / "torn.jsonl"
+        for cut in range(len(final_line)):
+            torn.write_bytes(raw[: line_start + cut])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                journal = CheckpointJournal.open(str(torn))
+            try:
+                # However the line is torn, exactly the final run is lost.
+                assert journal.pending_indices() == [5], f"cut at byte {cut}"
+                assert len(list(journal.iter_completed())) == 5
+            finally:
+                journal.close()
+
+        # Full recovery drill at representative cut points: nothing cut,
+        # one byte written, torn mid-record, newline lost.
+        for cut in (0, 1, len(final_line) // 2, len(final_line) - 1):
+            torn.write_bytes(raw[: line_start + cut])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                outcome = run_checkpointed(make_sweep(), str(torn), collect=True)
+            assert outcome.status == "complete"
+            assert outcome.resumed == 5 and outcome.executed == 1
+            assert [record.to_dict() for record in outcome.records] == baseline
+
+    def test_torn_event_line_is_discarded_too(self, tmp_path):
+        path = tmp_path / "full.jsonl"
+        run_full(path)
+        with open(path, "ab") as handle:
+            handle.write(b'{"event": {"kind": "comp')  # torn, no newline
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            journal = CheckpointJournal.open(str(path))
+        try:
+            assert journal.pending_indices() == []
+            assert len(list(journal.iter_completed())) == 6
+        finally:
+            journal.close()

@@ -612,23 +612,6 @@ def test_sweep_with_injected_poison_exits_4_and_retry_quarantined_heals(
     assert "no quarantined runs" in capsys.readouterr().out
 
 
-def test_compact_command_seals_and_resume_replays(tmp_path, capsys):
-    journal = str(tmp_path / "campaign.journal.jsonl")
-    assert main([
-        "sweep", "hidden-node", "--macs", "unslotted-csma",
-        "--grid", "delta=50",
-        "--set", "packets_per_node=2", "--set", "warmup=0.2",
-        "--seeds", "2", "--checkpoint", journal,
-    ]) == 0
-    capsys.readouterr()
-    assert main(["compact", journal]) == 0
-    assert "sealed segment" in capsys.readouterr().out
-    assert main(["compact", journal]) == 0
-    assert "nothing to compact" in capsys.readouterr().out
-    assert main(["resume", journal]) == 0
-    assert "resumed 2 completed" in capsys.readouterr().out
-
-
 def test_no_supervise_flag_fails_fast_on_poison(tmp_path):
     """--no-supervise restores the pre-supervision abort-on-failure path."""
     journal = str(tmp_path / "campaign.journal.jsonl")
