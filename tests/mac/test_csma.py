@@ -9,6 +9,7 @@ import pytest
 from repro.mac.csma import CsmaConfig, SlottedCsmaCa, UnslottedCsmaCa
 from repro.phy.channel import WirelessChannel
 from repro.phy.frames import BROADCAST, Frame, FrameKind
+from repro.phy.params import PhyParameters
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 
@@ -173,8 +174,8 @@ def test_invalid_config_rejected():
         CsmaConfig(max_csma_backoffs=-1)
 
 
-def test_lone_saturated_sender_matches_the_closed_form_cycle():
-    """Analytic oracle: one saturated unslotted sender, no contention, no loss.
+def run_lone_saturated_sender(config, cycles, seed=7):
+    """One saturated unslotted sender, no contention, no loss.
 
     Every cycle is one random backoff of ``random(0, 2^macMinBE - 1)``
     unit backoff periods, one CCA, the RX/TX turnaround, the frame's air
@@ -183,12 +184,14 @@ def test_lone_saturated_sender_matches_the_closed_form_cycle():
     sender continues on the ACK, not at the ACK-wait timeout).  Only the
     backoff is random, so the mean inter-delivery time over ``n`` cycles
     has the standard deviation of the backoff divided by ``sqrt(n)``.
+
+    Returns ``(deliveries, expected, mean_backoff)``: the delivery times
+    and the closed-form mean cycle with its mean-backoff term, derived
+    from ``config`` and the PHY parameters only.
     """
-    config = CsmaConfig()
-    sim = Simulator(seed=7)
+    sim = Simulator(seed=seed)
     mac_a, mac_b, channel = build_pair(sim, config=config)
     phy = channel.phy
-    cycles = 2000
     frames = [Frame(FrameKind.DATA, src=0, dst=1) for _ in range(cycles + 1)]
     pending = iter(frames)
 
@@ -202,13 +205,6 @@ def test_lone_saturated_sender_matches_the_closed_form_cycle():
         refill()
     deliveries = []
     mac_b.receive_callback = lambda _frame: deliveries.append(sim.now)
-    sim.run_until(20.0)
-
-    # Saturated and contention-free: every frame went out once, first try.
-    assert len(deliveries) == cycles + 1
-    assert mac_a.stats.tx_attempts == cycles + 1
-    assert mac_a.stats.cca_busy == 0 and mac_a.stats.queue_drops == 0
-    assert mac_a.stats.tx_success == cycles + 1
 
     period = phy.unit_backoff_period
     window = 1 << config.mac_min_be  # backoff draws 0 .. window - 1 periods
@@ -221,15 +217,22 @@ def test_lone_saturated_sender_matches_the_closed_form_cycle():
         + phy.frame_airtime(frames[0])
         + ack_exchange
     )
-    assert mean_backoff == pytest.approx(1120e-6)
-    assert phy.cca_duration == pytest.approx(128e-6)
-    assert phy.turnaround_time == pytest.approx(192e-6)
+    # Room for every cycle to draw the longest backoff.
+    sim.run_until(2 * (cycles + 1) * (expected + mean_backoff + period))
+
+    # Saturated and contention-free: every frame went out once, first try.
+    assert len(deliveries) == cycles + 1
+    assert mac_a.stats.tx_attempts == cycles + 1
+    assert mac_a.stats.cca_busy == 0 and mac_a.stats.queue_drops == 0
+    assert mac_a.stats.tx_success == cycles + 1
 
     measured = (deliveries[-1] - deliveries[0]) / cycles
     # Discrete uniform over `window` values: variance (window^2 - 1) / 12.
     backoff_sd = math.sqrt((window * window - 1) / 12) * period
     tolerance = 4 * backoff_sd / math.sqrt(cycles)  # 4 sigma of the mean
-    assert abs(measured - expected) < tolerance, (measured, expected, tolerance)
+    assert abs(measured - expected) <= tolerance + 1e-12, (
+        measured, expected, tolerance,
+    )
     # Every cycle minus its backoff is exact: intervals sit on the
     # backoff lattice, offset by the deterministic part of the cycle.
     fixed = expected - mean_backoff
@@ -237,3 +240,28 @@ def test_lone_saturated_sender_matches_the_closed_form_cycle():
         slots = (later - earlier - fixed) / period
         assert abs(slots - round(slots)) < 1e-6
         assert 0 <= round(slots) < window
+    return deliveries, expected, mean_backoff
+
+
+def test_lone_saturated_sender_matches_the_closed_form_cycle():
+    """Analytic oracle at the IEEE 802.15.4 defaults (macMinBE = 3)."""
+    config = CsmaConfig()
+    _, _, mean_backoff = run_lone_saturated_sender(config, cycles=2000)
+    phy = PhyParameters()
+    assert mean_backoff == pytest.approx(1120e-6)
+    assert phy.cca_duration == pytest.approx(128e-6)
+    assert phy.turnaround_time == pytest.approx(192e-6)
+
+
+@pytest.mark.parametrize("mac_min_be", [0, 2, 5])
+def test_lone_saturated_sender_cycle_tracks_mac_min_be(mac_min_be):
+    """The oracle holds across backoff windows; macMinBE = 0 never waits."""
+    config = CsmaConfig(mac_min_be=mac_min_be)
+    deliveries, expected, mean_backoff = run_lone_saturated_sender(
+        config, cycles=1000
+    )
+    if mac_min_be == 0:
+        # No backoff at all: every cycle is exactly the deterministic part.
+        assert mean_backoff == 0.0
+        for earlier, later in zip(deliveries, deliveries[1:]):
+            assert later - earlier == pytest.approx(expected, abs=1e-9)

@@ -252,6 +252,21 @@ class TestCrashTolerance:
         with pytest.raises(JournalError, match=f"at byte {len(raw)} .*index 7"):
             CheckpointJournal.open(str(path))
 
+    def test_negative_completion_index_is_fatal(self, tmp_path):
+        """A negative index is out of range too, not a Python-style alias."""
+        sweep = make_sweep()
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal.create(str(path), sweep)
+        journal.append(0, make_record(0))
+        journal.close()
+        raw = path.read_bytes()
+        last_line = raw[raw.rindex(b"\n", 0, -1) + 1:]
+        relabelled = last_line.replace(b'"index":0,', b'"index":-1,')
+        assert relabelled != last_line
+        path.write_bytes(raw + relabelled)
+        with pytest.raises(JournalError, match=f"at byte {len(raw)} .*index -1"):
+            CheckpointJournal.open(str(path))
+
     def test_compacted_journal_is_refused_untouched(self, tmp_path):
         """A journal compacted by an older version is refused, byte-identical."""
         path = tmp_path / "j.jsonl"

@@ -568,6 +568,31 @@ def test_resume_command_rejects_missing_journal(tmp_path):
         main(["resume", str(tmp_path / "nope.jsonl")])
 
 
+def test_resume_command_refuses_a_compacted_journal_untouched(tmp_path, capsys):
+    journal = tmp_path / "campaign.journal.jsonl"
+    assert main([
+        "sweep", "hidden-node", "--macs", "unslotted-csma",
+        "--grid", "delta=50",
+        "--set", "packets_per_node=2", "--set", "warmup=0.2",
+        "--seeds", "2", "--checkpoint", str(journal),
+    ]) == 0
+    capsys.readouterr()
+    sealed = '{"event": {"hi": 2, "kind": "sealed", "lo": 0, "segment": "x"}}\n'
+    with open(journal, "a") as handle:
+        handle.write(sealed)
+    before = journal.read_bytes()
+    with pytest.raises(SystemExit, match="compaction was removed"):
+        main(["resume", str(journal)])
+    assert journal.read_bytes() == before
+
+
+def test_compact_command_is_gone():
+    parser = build_parser()
+    assert "compact" not in parser.format_help()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["compact", "campaign.journal.jsonl"])
+
+
 def test_sweep_checkpoint_retries_after_a_dead_pool_worker(tmp_path, capsys):
     """Without --run-timeout, a crashed pool worker costs one attempt;
     unsupervised, it ends the sweep with an error instead of a hang."""
